@@ -106,12 +106,15 @@ let write_harness_json ~path ~scale ~jobs ~(manifest : Manifest.t) =
 (* Drive [sessions] synthetic tuning sessions through the in-process
    server API: smoke-scale adaptive runs capped at 16 iterations, spread
    over all 11 kernels x a few seeds so many sessions demand the same
-   (kernel, config) evaluations — the overlap the shared cross-session
-   memo exists to exploit.  All sessions are opened up front (most of
+   (kernel, config) evaluations — the overlap the server's shared
+   per-kernel stores exist to exploit.  All sessions are opened up front (most of
    them queue under admission control), then tick requests step every
-   live session in parallel until the whole fleet has completed.  The
-   returned summary is deterministic (simulated quantities only); the
-   wall-derived sessions/sec rate goes into the harness record. *)
+   live session in parallel until the whole fleet has completed; like a
+   client, the load closes each session once a tick reports it done, so
+   the server's memory reflects the sessions in flight rather than every
+   session ever opened.  The returned summary is deterministic
+   (simulated quantities only); the wall-derived sessions/sec rate goes
+   into the harness record. *)
 let run_serve_load ~manifest ~scale_label ~jobs ~sessions ?snapshots () =
   let module Server = Altune_serve.Server in
   let module P = Altune_serve.Protocol in
@@ -196,12 +199,19 @@ let run_serve_load ~manifest ~scale_label ~jobs ~sessions ?snapshots () =
       | P.R_stats s -> s
       | _ -> failwith "serve load: unexpected stats reply"
     in
-    if stats.P.s_done >= sessions then stats
+    if stats.P.s_closed >= sessions then stats
     else if !ticks > (4 * sessions) + 16 then
       failwith "serve load: fleet did not converge"
     else begin
       incr ticks;
-      ignore (request (P.Tick { iterations = tick_iterations }));
+      (match request (P.Tick { iterations = tick_iterations }) with
+      | P.R_tick views ->
+          List.iter
+            (fun (v : P.session_view) ->
+              if v.P.v_state = P.Done then
+                ignore (request (P.Close { session = v.P.v_session })))
+            views
+      | _ -> failwith "serve load: unexpected tick reply");
       on_tick !ticks;
       drive ()
     end
@@ -240,7 +250,7 @@ let run_serve_load ~manifest ~scale_label ~jobs ~sessions ?snapshots () =
     "serve load: %d sessions over %d kernels x %d seeds (%d distinct \
      workloads)\n\
      admission : %d live slots, FIFO queue, %d ticks of %d iterations\n\
-     completed : %d done, %d live, %d queued (all sessions ran to their \
+     completed : %d closed, %d live, %d queued (all sessions ran to their \
      %d-iteration cap)\n\
      memo      : %d evaluation lookups, %d distinct configs computed, %d \
      hits (%.1f%%)\n\
@@ -248,7 +258,7 @@ let run_serve_load ~manifest ~scale_label ~jobs ~sessions ?snapshots () =
      (%.1f%% of lookups)\n"
     sessions n_benches n_seeds
     (min sessions (n_benches * n_seeds))
-    max_live !ticks tick_iterations stats.P.s_done stats.P.s_live
+    max_live !ticks tick_iterations stats.P.s_closed stats.P.s_live
     stats.P.s_queued n_max memo.P.m_lookups memo.P.m_entries memo.P.m_hits
     (pct memo.P.m_hits memo.P.m_lookups)
     memo.P.m_shared_keys memo.P.m_cross_hits
@@ -416,23 +426,24 @@ let run_surrogate ~(manifest : Manifest.t) ~scale_label ~jobs =
 (* --- Transformation-prefix forking benchmark ------------------------ *)
 
 (* Sibling-heavy candidate batches — one random base configuration per
-   batch with its last knob swept over every value, the shape a
-   batched learner iteration produces — evaluated twice from cold
-   caches: from scratch with forking disabled (sequential, the pre-PR
-   path), then through the transformation-prefix trie with each batch
-   fanned out on the pool.  The two instances must agree
-   float-for-float (forking is designed to be byte-inert), so the
-   section doubles as a differential audit; the record carries the
-   measured prefix-reuse rate and the from-scratch/forked speedup.
-   Records land in BENCH_fork.json for the bench-diff gate against
-   bench/fork_baseline.json and in BENCH_harness.json alongside the
-   section wall times. *)
+   batch with its last knob swept over every value, the shape a batched
+   learner iteration produces — evaluated twice on one domain, with no
+   pool: through Spapt's from-scratch evaluation path (recipe,
+   Verify.apply_steps, machine-model pricing), then with every recipe
+   resolved through one transformation-prefix trie per benchmark and
+   priced the same way.  The two must agree float-for-float (the trie is
+   designed to be byte-inert), so the section doubles as a differential
+   audit; the record carries the measured prefix-reuse rate and the
+   from-scratch/trie time ratio.  Records land in BENCH_fork.json for the
+   bench-diff gate against bench/fork_baseline.json and in
+   BENCH_harness.json alongside the section wall times. *)
 let fork_json_path = "BENCH_fork.json"
 
-let run_fork ~(manifest : Manifest.t) ~scale_label ~jobs =
+let run_fork ~(manifest : Manifest.t) ~scale_label =
   let module Rng = Altune_prng.Rng in
   let module Spapt = Altune_spapt.Spapt in
   let module Fork = Altune_spapt.Fork in
+  let module Machine = Altune_machine.Machine in
   let benches = [ "mm"; "mvt"; "hessian"; "lu" ] in
   let n_bases = 24 in
   let batches_of name =
@@ -461,21 +472,21 @@ let run_fork ~(manifest : Manifest.t) ~scale_label ~jobs =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  (* From-scratch baseline: forking off, every config transformed and
-     priced independently, in sequence. *)
+  let configs batches = List.concat batches in
+  (* From scratch: a fresh instance per benchmark, every configuration
+     transformed and priced independently. *)
   let flat_values, flat_s =
     timed (fun () ->
         List.map
           (fun (name, batches) ->
             let b = Spapt.create name in
-            Spapt.set_fork b false;
-            List.concat_map
-              (List.map (fun c -> Spapt.true_runtime b c))
-              batches)
+            List.map
+              (fun c -> (Spapt.true_runtime b c, Spapt.compile_seconds b c))
+              (configs batches))
           plans)
   in
-  (* Forked: same batches resolved through the prefix trie, each batch
-     prepared (evaluated) as one pool fan-out before being read back. *)
+  (* Trie: the same configurations, each recipe resolved through the
+     benchmark's trie, then priced. *)
   let (fork_values, stats), fork_s =
     timed (fun () ->
         let stats = ref [] in
@@ -483,15 +494,21 @@ let run_fork ~(manifest : Manifest.t) ~scale_label ~jobs =
           List.map
             (fun (name, batches) ->
               let b = Spapt.create name in
-              Spapt.set_pool b (Some (Runs.pool ()));
+              let trie = Fork.create (Spapt.kernel b) in
               let vs =
-                List.concat_map
-                  (fun batch ->
-                    Spapt.prepare b batch;
-                    List.map (fun c -> Spapt.true_runtime b c) batch)
-                  batches
+                List.map
+                  (fun c ->
+                    match Fork.resolve trie (Spapt.recipe b c) with
+                    | Ok k ->
+                        let e = Machine.evaluate Machine.default k in
+                        (e.Machine.runtime, e.Machine.compile)
+                    | Error e ->
+                        failwith
+                          ("fork bench: "
+                          ^ Altune_kernellang.Transform.error_to_string e))
+                  (configs batches)
               in
-              stats := Spapt.fork_stats b :: !stats;
+              stats := Fork.stats trie :: !stats;
               vs)
             plans
         in
@@ -499,7 +516,8 @@ let run_fork ~(manifest : Manifest.t) ~scale_label ~jobs =
   in
   if flat_values <> fork_values then
     failwith
-      "fork bench: forked evaluations diverged from from-scratch baseline";
+      "fork bench: trie-resolved evaluations diverged from the from-scratch \
+       path";
   let sum f = List.fold_left (fun a s -> a + f s) 0 stats in
   let reused = sum (fun (s : Fork.stats) -> s.steps_reused) in
   let applied = sum (fun (s : Fork.stats) -> s.steps_applied) in
@@ -512,27 +530,27 @@ let run_fork ~(manifest : Manifest.t) ~scale_label ~jobs =
   let m = manifest in
   let record =
     Printf.sprintf
-      "  {\"section\": \"fork\", \"scale\": %S, \"jobs\": %d, \"seconds\": \
+      "  {\"section\": \"fork\", \"scale\": %S, \"jobs\": 1, \"seconds\": \
        %.3f, \"host\": %S, \"cores\": %d, \"git_rev\": %S, \"ocaml\": %S, \
        \"seed\": %d, \"rate\": %.2f, \"rate_unit\": \"x-from-scratch\", \
        \"reuse_rate\": %.4f, \"configs\": %d, \"trie_nodes\": %d, \
        \"flat_seconds\": %.3f}"
-      scale_label jobs fork_s m.hostname m.cores m.git_rev m.ocaml_version
+      scale_label fork_s m.hostname m.cores m.git_rev m.ocaml_version
       m.seed speedup reuse n_configs nodes flat_s
   in
   append_surrogate_records ~path:fork_json_path [ record ];
   extra_records := record :: !extra_records;
   Printf.sprintf
     "prefix forking: %d benchmarks, %d sibling-heavy batches, %d configs\n\
-     from-scratch : %.3fs (forking off, sequential)\n\
-     forked       : %.3fs (prefix trie + pool fan-out, jobs=%d)\n\
-     speedup      : %.2fx; identical evaluations float-for-float\n\
+     from-scratch : %.3fs (Spapt's evaluation path, one domain)\n\
+     trie         : %.3fs (prefix-trie resolve + pricing, one domain)\n\
+     ratio        : %.2fx; identical evaluations float-for-float\n\
      trie         : %d nodes; %d/%d steps served from a cached prefix \
      (%.0f%% reuse)\n\
      [fork record appended to %s]\n"
     (List.length benches)
     (List.length benches * n_bases)
-    n_configs flat_s fork_s jobs speedup nodes reused (reused + applied)
+    n_configs flat_s fork_s speedup nodes reused (reused + applied)
     (100.0 *. reuse) fork_json_path
 
 (* --- Bechamel micro-benchmarks of the implementation's hot paths --- *)
@@ -848,7 +866,7 @@ let () =
     if wanted "fork" then
       section "fork"
         "Prefix forking (trie-resolved candidate batches vs from scratch)"
-        (fun () -> run_fork ~manifest ~scale_label:scale.Scale.label ~jobs);
+        (fun () -> run_fork ~manifest ~scale_label:scale.Scale.label);
     if wanted "micro" then
       section "micro" "Micro-benchmarks (Bechamel)" (fun () -> run_micro ())
   in

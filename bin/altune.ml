@@ -3,6 +3,8 @@
 
 module Spapt = Altune_spapt.Spapt
 module Kernels = Altune_spapt.Kernels
+module Fork = Altune_spapt.Fork
+module Machine = Altune_machine.Machine
 module Pretty = Altune_kernellang.Pretty
 module Lint = Altune_kernellang.Lint
 module Verify = Altune_kernellang.Verify
@@ -294,52 +296,57 @@ let check_cmd name doc =
           ~doc:
             "Differential audit of the transformation-prefix trie: \
              resolve $(docv) random configurations per benchmark through \
-             the trie and from scratch, and require byte-identical \
-             kernels, verdicts and measurements.")
+             one trie and compare them with the benchmark's from-scratch \
+             evaluation path, requiring byte-identical kernels and \
+             bit-identical priced runtimes and compile costs.")
   in
-  (* Resolve [n] random configurations through the prefix trie and through
-     from-scratch step application, demanding identical results on every
-     public surface a learner can observe.  Returns the number of
-     mismatches (0 = the trie is inert, as designed). *)
+  (* Resolve [n] random configurations through one prefix trie and price
+     them, against Spapt's from-scratch path on the same configurations.
+     Measurements derive from the priced pair alone, so agreeing on the
+     kernel and the pair is agreeing on everything a learner observes.
+     Returns the number of mismatches (0 = the trie is inert, as
+     designed). *)
   let fork_audit ~seed name n =
-    let b_fork = Spapt.create name in
-    let b_flat = Spapt.create name in
-    Spapt.set_fork b_flat false;
+    let b = Spapt.create name in
+    let trie = Fork.create (Spapt.kernel b) in
     let rng =
       Rng.create ~seed:(Rng.derive ~seed [ S "fork-audit"; S name ])
     in
     let configs =
-      Array.make (Spapt.dim b_fork) 0
-      :: List.init n (fun _ -> Spapt.random_config b_fork rng)
+      Array.make (Spapt.dim b) 0
+      :: List.init n (fun _ -> Spapt.random_config b rng)
     in
     let mismatches = ref 0 in
     List.iter
       (fun c ->
-        let str c = String.concat "," (List.map string_of_int (Array.to_list c)) in
         let complain what =
           incr mismatches;
           Printf.printf "%-12s fork : MISMATCH (%s) at config [%s]\n" name
-            what (str c)
+            what
+            (Altune_core.Problem.key c)
         in
-        if Spapt.transformed b_fork c <> Spapt.transformed b_flat c then
-          complain "transformed kernel";
-        let v_fork = Spapt.verify_config b_fork c in
-        let v_flat = Spapt.verify_config b_flat c in
-        if Verify.ok v_fork <> Verify.ok v_flat then complain "verdict";
-        let m_seed = Rng.derive ~seed [ S "fork-measure"; S name; S (str c) ] in
-        let sample b =
-          Spapt.measure b ~rng:(Rng.create ~seed:m_seed) ~run_index:1 c
-        in
-        if sample b_fork <> sample b_flat then complain "measurement")
+        match Fork.resolve trie (Spapt.recipe b c) with
+        | Error e ->
+            complain
+              ("trie: " ^ Altune_kernellang.Transform.error_to_string e)
+        | Ok k ->
+            if k <> Spapt.transformed b c then complain "transformed kernel"
+            else begin
+              let e = Machine.evaluate Machine.default k in
+              if
+                e.Machine.runtime <> Spapt.true_runtime b c
+                || e.Machine.compile <> Spapt.compile_seconds b c
+              then complain "evaluation"
+            end)
       configs;
-    let stats = Spapt.fork_stats b_fork in
+    let stats = Fork.stats trie in
     Printf.printf
       "%-12s fork : %d/%d configurations identical (%d nodes, %.0f%% steps \
        reused)\n"
       name
       (List.length configs - !mismatches)
-      (List.length configs) stats.Altune_spapt.Fork.nodes
-      (100.0 *. Altune_spapt.Fork.reuse_rate stats);
+      (List.length configs) stats.Fork.nodes
+      (100.0 *. Fork.reuse_rate stats);
     !mismatches
   in
   let term =
@@ -630,8 +637,7 @@ let tune_cmd name doc =
             ~scale_label:scale.Scale.label ~seed
           @@ fun () ->
           let b = Spapt.create bench in
-          Spapt.set_pool b (Some (Runs.pool ()));
-          let problem = Adapter.problem_of b in
+          let problem = Adapter.problem_of ~pool:(Runs.pool ()) b in
           let dataset = Runs.dataset_for b scale ~seed in
           let run_key = tune_run_key ~bench ~scale_label:scale.Scale.label in
           (* Same derivation as Runs.curves_for: the fault seed comes from
@@ -732,8 +738,7 @@ let resume_cmd name doc =
                 ~scale_label:meta.scale ~seed:meta.seed
               @@ fun () ->
               let b = Spapt.create meta.bench in
-              Spapt.set_pool b (Some (Runs.pool ()));
-              let problem = Adapter.problem_of b in
+              let problem = Adapter.problem_of ~pool:(Runs.pool ()) b in
               let run_key =
                 tune_run_key ~bench:meta.bench ~scale_label:meta.scale
               in

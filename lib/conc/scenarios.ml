@@ -250,6 +250,47 @@ let memo_clear =
         Printf.sprintf "values=%d;%d" v1 v2);
   }
 
+let memo_evict =
+  {
+    name = "memo_evict";
+    descr =
+      "bounded memo (capacity 1): two threads ask for one key while a \
+       third publishes another key, evicting the first whenever it is \
+       already published; a waiter whose key was evicted before it woke \
+       recomputes it, and every caller gets its own key's value";
+    expect = Clean;
+    small = true;
+    run =
+      (fun () ->
+        let m : (string, int) Memo.t =
+          Memo.create ~capacity:1 ~name:"cc.evict" ()
+        in
+        let pad = Sync.loc "cc.evict.pad" in
+        let compute_a () =
+          (* Instrumented, so the scheduler can interleave the other
+             key's publication inside the computation window. *)
+          Sync.write pad ~site:"memo_evict: compute a step 1";
+          Sync.write pad ~site:"memo_evict: compute a step 2";
+          1
+        in
+        let joins =
+          [
+            spawn_collect "memo_evict.t1" (fun () ->
+                Memo.find_or_compute m "a" compute_a);
+            spawn_collect "memo_evict.t2" (fun () ->
+                Memo.find_or_compute m "a" compute_a);
+            spawn_collect "memo_evict.t3" (fun () ->
+                Memo.find_or_compute m "b" (fun () -> 2));
+          ]
+        in
+        let vs = List.map (fun j -> j ()) joins in
+        (* Which key survives, and how often "a" was computed, depend on
+           the schedule; the values and the bound do not. *)
+        Printf.sprintf "values=%s bounded=%b"
+          (String.concat ";" (List.map string_of_int vs))
+          (Memo.length m <= 1));
+  }
+
 (* --- Fault-injection under the pool ------------------------------------ *)
 
 let fault_retry =
@@ -423,6 +464,7 @@ let all =
     memo_share;
     memo_retry;
     memo_clear;
+    memo_evict;
     fault_retry;
     locked_counter;
     broken_memo;

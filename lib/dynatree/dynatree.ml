@@ -27,15 +27,16 @@ let force_full_alc = ref false
 let reweight_par_min_particles = ref 256
 let alc_par_min_work = ref 16_384
 
-(* surrogate.* telemetry: registered lazily so programs that never touch
-   the surrogate don't see the instruments. *)
-let m_observes = lazy (Metrics.counter "surrogate.observes")
-let m_resamples = lazy (Metrics.counter "surrogate.resamples")
-let m_leaves_created = lazy (Metrics.counter "surrogate.leaves.created")
-let m_alc_calls = lazy (Metrics.counter "surrogate.alc.calls")
-let m_alc_scores = lazy (Metrics.counter "surrogate.alc.scores")
-let m_alc_slow_calls = lazy (Metrics.counter "surrogate.alc.slow_calls")
-let m_alc_reinits = lazy (Metrics.counter "surrogate.alc.reinits")
+(* surrogate.* telemetry.  Eager, not [lazy]: models on different
+   domains would force a lazy handle concurrently, which raises
+   [CamlinternalLazy.Undefined]. *)
+let m_observes = Metrics.counter "surrogate.observes"
+let m_resamples = Metrics.counter "surrogate.resamples"
+let m_leaves_created = Metrics.counter "surrogate.leaves.created"
+let m_alc_calls = Metrics.counter "surrogate.alc.calls"
+let m_alc_scores = Metrics.counter "surrogate.alc.scores"
+let m_alc_slow_calls = Metrics.counter "surrogate.alc.slow_calls"
+let m_alc_reinits = Metrics.counter "surrogate.alc.reinits"
 
 type t = {
   params : params;
@@ -161,7 +162,7 @@ let observe t x y =
   let resampled = ess < t.params.resample_threshold *. float_of_int n in
   let src =
     if resampled then begin
-      Metrics.incr (Lazy.force m_resamples);
+      Metrics.incr m_resamples;
       systematic_resample t.rng t.particles w t.p_scratch;
       Array.fill t.weights 0 n (1.0 /. float_of_int n);
       t.p_scratch
@@ -186,8 +187,8 @@ let observe t x y =
     if t.alc_epoch > 0 then
       Tree.alc_apply p d ~refs:t.alc_refs ~epoch:t.alc_epoch
   done;
-  Metrics.incr (Lazy.force m_observes);
-  Metrics.add (Lazy.force m_leaves_created) !new_leaves
+  Metrics.incr m_observes;
+  Metrics.add m_leaves_created !new_leaves
 
 type prediction = { mean : float; variance : float }
 
@@ -265,7 +266,7 @@ let stale_leaf_count t (l : Tree.leaf) refs =
 
 let alc_register t refs =
   if t.alc_epoch = 0 || not (refs == t.alc_refs) then begin
-    Metrics.incr (Lazy.force m_alc_reinits);
+    Metrics.incr m_alc_reinits;
     t.alc_refs <- refs;
     t.alc_epoch <- t.alc_epoch + 1;
     Array.iter (fun p -> Tree.alc_init p ~refs ~epoch:t.alc_epoch) t.particles
@@ -313,11 +314,11 @@ let alc_scores_fast t ~candidates ~refs =
 
 let alc_scores t ~candidates ~refs =
   Trace.with_span ~phase:"alc" ~name:"surrogate.alc" @@ fun () ->
-  Metrics.incr (Lazy.force m_alc_calls);
-  Metrics.add (Lazy.force m_alc_scores)
+  Metrics.incr m_alc_calls;
+  Metrics.add m_alc_scores
     (Array.length candidates * Array.length t.particles);
   if !force_full_alc then begin
-    Metrics.incr (Lazy.force m_alc_slow_calls);
+    Metrics.incr m_alc_slow_calls;
     alc_scores_slow t ~candidates ~refs
   end
   else alc_scores_fast t ~candidates ~refs

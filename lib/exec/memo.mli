@@ -6,15 +6,26 @@
     the first computation finishes instead of duplicating the (possibly
     multi-second) work.  If the computation raises, the entry is dropped
     and the exception propagates to the computing caller; a blocked waiter
-    then takes over and retries the computation itself. *)
+    then takes over and retries the computation itself.
+
+    A table created with a [capacity] is bounded: publishing a value
+    into a full table first evicts published entries in second-chance
+    ("clock") order — oldest first, but an entry hit since the sweep
+    last passed it gets one reprieve.  In-flight entries are never
+    evicted (their waiters depend on them).  Eviction only ever costs
+    recomputation, so it suits values that are deterministic functions
+    of their key. *)
 
 type ('k, 'v) t
 
-val create : ?size:int -> ?name:string -> unit -> ('k, 'v) t
-(** [name] (default ["memo"]) prefixes the table's
-    [Altune_obs.Metrics] counters [<name>.hits], [<name>.misses] and
-    [<name>.waits] (waits = callers that blocked on an in-flight
-    computation instead of duplicating it). *)
+val create :
+  ?size:int -> ?capacity:int -> ?name:string -> unit -> ('k, 'v) t
+(** [capacity] (default unbounded) caps the published entries;
+    [Invalid_argument] if it is below 1.  [name] (default ["memo"])
+    prefixes the table's [Altune_obs.Metrics] counters [<name>.hits],
+    [<name>.misses], [<name>.waits] (callers that blocked on an
+    in-flight computation instead of duplicating it) and
+    [<name>.evictions]. *)
 
 val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 (** [find_or_compute t k compute] returns the cached value for [k],
@@ -39,7 +50,8 @@ val find_or_compute_outcome :
     per-caller. *)
 
 val find_opt : ('k, 'v) t -> 'k -> 'v option
-(** Completed entries only; [None] for absent or in-flight keys. *)
+(** Completed entries only; [None] for absent or in-flight keys.  A
+    peek: unlike a hit, it does not protect the entry from eviction. *)
 
 val mem : ('k, 'v) t -> 'k -> bool
 (** Whether [k] has a completed entry. *)

@@ -8,22 +8,26 @@ type event =
 (* A batch is one map call; tasks carry their batch so that a helper
    draining the queue can complete tasks of any in-flight batch.
    [enqueued_ns]/[submitter] feed the queue-wait histogram and the
-   helping-scheduler steal counter.  [b_loc] names the [remaining]
-   counter to the race checker (each batch is its own cell). *)
+   helping-scheduler steal counter, which [run] records.  [b_loc] names
+   the [remaining] counter to the race checker (each batch is its own
+   cell). *)
 type batch = { mutable remaining : int; b_loc : Sync.loc }
 
 type task = {
   batch : batch;
-  run : unit -> unit;
+  run : queued_s:float -> stolen:bool -> unit;
   enqueued_ns : int64;
   submitter : int;  (* domain id that enqueued the task *)
 }
 
-(* Process-wide instruments (shared across pools): where task time goes. *)
-let m_tasks = lazy (Metrics.counter "pool.tasks")
-let m_steals = lazy (Metrics.counter "pool.steals")
-let m_wait = lazy (Metrics.histogram "pool.queue_wait_seconds")
-let m_run = lazy (Metrics.histogram "pool.task_seconds")
+(* Process-wide instruments (shared across pools): where task time goes.
+   Eager, not [lazy]: forcing one lazy value from two domains at once
+   raises [CamlinternalLazy.Undefined], and handles revalidate after
+   [Metrics.reset] anyway. *)
+let m_tasks = Metrics.counter "pool.tasks"
+let m_steals = Metrics.counter "pool.steals"
+let m_wait = Metrics.histogram "pool.queue_wait_seconds"
+let m_run = Metrics.histogram "pool.task_seconds"
 
 (* All synchronization and shared-access instrumentation goes through
    [Sync]: real primitives in production (byte-identical behaviour), the
@@ -48,14 +52,13 @@ let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 let jobs t = t.n_jobs
 
 (* Run one queued task.  Called with [t.lock] held; returns with it held.
-   [task.run] never raises (map wraps it). *)
+   [task.run] never raises (map wraps it, instruments included). *)
 let step t task =
   Sync.unlock t.lock;
-  Metrics.observe (Lazy.force m_wait)
-    (Int64.to_float (Int64.sub (Trace.now_ns ()) task.enqueued_ns) /. 1e9);
-  if Sync.self_id () <> task.submitter then
-    Metrics.incr (Lazy.force m_steals);
-  task.run ();
+  task.run
+    ~queued_s:
+      (Int64.to_float (Int64.sub (Trace.now_ns ()) task.enqueued_ns) /. 1e9)
+    ~stolen:(Sync.self_id () <> task.submitter);
   Sync.lock t.lock;
   Sync.write task.batch.b_loc ~site:"pool.step: remaining decrement";
   task.batch.remaining <- task.batch.remaining - 1;
@@ -170,11 +173,13 @@ let mapi ?label t f xs =
      context keeps the span tree identical at every job count. *)
   let ctx = Trace.current () in
   let thunks =
-    Array.init n (fun i () ->
+    Array.init n (fun i ~queued_s ~stolen ->
         match
+          Metrics.observe m_wait queued_s;
+          if stolen then Metrics.incr m_steals;
           let lbl = label i in
           let t0 = Unix.gettimeofday () in
-          Metrics.incr (Lazy.force m_tasks);
+          Metrics.incr m_tasks;
           emit t (Task_started { index = i; label = lbl });
           let v =
             Trace.with_ctx ctx (fun () ->
@@ -183,7 +188,7 @@ let mapi ?label t f xs =
                   (fun () -> f i items.(i)))
           in
           let wall_seconds = Unix.gettimeofday () -. t0 in
-          Metrics.observe (Lazy.force m_run) wall_seconds;
+          Metrics.observe m_run wall_seconds;
           emit t (Task_finished { index = i; label = lbl; wall_seconds });
           v
         with

@@ -2,7 +2,7 @@ module Spapt = Altune_spapt.Spapt
 module Verify = Altune_kernellang.Verify
 module Problem = Altune_core.Problem
 
-let problem_of ?(verify = false) bench =
+let problem_of ?(verify = false) ?pool bench =
   (* One audit per distinct configuration: measurements repeat configs
      (the fixed plan measures each 35 times), the audit result does not
      change between repeats. *)
@@ -29,5 +29,5 @@ let problem_of ?(verify = false) bench =
         if verify then gate c;
         Spapt.measure bench ~rng ~run_index c);
     compile_seconds = (fun c -> Spapt.compile_seconds bench c);
-    prepare = (fun cs -> Spapt.prepare bench cs);
+    prepare = (fun cs -> Spapt.prepare ?pool bench cs);
   }

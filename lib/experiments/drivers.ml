@@ -405,9 +405,8 @@ let ablation ?(bench = "gemver") ~scale ~seed () =
   let dataset = Runs.dataset_for b scale ~seed in
   let base = scale.Scale.adaptive in
   let run_with tag settings =
-    (* Fresh problem per variant: variants run concurrently and Spapt's
-       ground-truth memo is per-instance state. *)
-    let problem = Adapter.problem_of (Spapt.create bench) in
+    (* Variants run concurrently; they share [b]'s domain-safe store. *)
+    let problem = Adapter.problem_of b in
     let seeds =
       List.init scale.Scale.reps (fun r -> Rng.derive ~seed [ S tag; I r ])
     in

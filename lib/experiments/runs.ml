@@ -96,10 +96,9 @@ let dataset_for bench (scale : Scale.t) ~seed =
         ~attrs:[ ("key", Trace.String key) ]
         (fun () ->
           (* The dataset's test panel is the biggest single evaluation
-             batch of a run; give the benchmark the pool so its prepare
-             hook can fan the panel out. *)
-          Spapt.set_pool bench (Some (pool ()));
-          let problem = Adapter.problem_of bench in
+             batch of a run; the pool lets its prepare fan the panel
+             out. *)
+          let problem = Adapter.problem_of ~pool:(pool ()) bench in
           let rng =
             Rng.create ~seed:(Rng.derive ~seed [ S "dataset"; S key ])
           in
@@ -108,11 +107,12 @@ let dataset_for bench (scale : Scale.t) ~seed =
 
 (* --- Parallel plan execution ----------------------------------------- *)
 
-(* Every (plan, repetition) pair is one pool task.  Each task builds its
-   own problem (and thus its own Spapt ground-truth memo and audit table:
-   those are per-instance mutable state) and derives a private RNG seed,
-   so the result is independent of the interleaving — curves are
-   bit-identical at any job count. *)
+(* Every (plan, repetition) pair is one pool task on the benchmark
+   instance it is given, whose evaluation store is domain-safe and
+   deterministic, so the tasks share each other's evaluations.  Each task
+   builds its own problem (its audit table is per-problem state) and
+   derives a private RNG seed, so the result is independent of the
+   interleaving — curves are bit-identical at any job count. *)
 let curves_for bench (scale : Scale.t) ~seed =
   let name = Spapt.name bench in
   let fspec = fault_spec () in
@@ -149,12 +149,10 @@ let curves_for bench (scale : Scale.t) ~seed =
           (pool ())
           (fun (tag, settings, r) ->
             let rep_seed = Rng.derive ~seed [ S tag; I r; S name ] in
-            let b = Spapt.create name in
             (* Nested fan-out onto the same pool is safe (the helping
                scheduler runs subtasks on the waiting worker), so each
                rep's batch prepares can still use every idle core. *)
-            Spapt.set_pool b (Some (pool ()));
-            let problem = Adapter.problem_of b in
+            let problem = Adapter.problem_of ~pool:(pool ()) bench in
             (* A distinct run key per (bench, scale, plan, rep) keeps event
                streams separable and their on-disk order independent of how
                the pool interleaves tasks across domains. *)

@@ -4,7 +4,8 @@
     (and two domains never duplicate a run).
 
     Every (plan, repetition) pair runs as one pool task with its own
-    derived RNG seed and its own problem instance, so curves are
+    derived RNG seed on the benchmark instance it is given (its
+    evaluation store is shared by the tasks), so curves are
     bit-identical at any job count. *)
 
 type plan_curves = {

@@ -24,11 +24,35 @@ let pp_dependence ppf d =
 
 (* --- Access collection --- *)
 
+(* Where an access sits: its enclosing loop indices, outermost first,
+   and the strides among them.  A loop has a stride [s > 1] when every
+   value its index takes over the whole run is congruent modulo [s]: its
+   step is [s] and its lower bound is the same modulo [s] each time the
+   loop starts — it mentions no enclosing index, or it is an enclosing
+   index whose own stride is a multiple of [s] (the strip-mined point
+   loop [for j = jt to ...] under [for jt = 0 to ... step 16], with [j]'s
+   step 2 after an unroll).  The distance between two iterations of such
+   a loop is then a multiple of [s]. *)
+type nest = { loops : string list; strides : (string * int) list }
+
+let stride_of nest (l : Ast.loop) =
+  let aligned =
+    match l.lo with
+    | Var u when List.mem u nest.loops -> (
+        match List.assoc_opt u nest.strides with
+        | Some s -> s mod l.step = 0
+        | None -> false)
+    | lo ->
+        not (List.exists (fun v -> List.mem v nest.loops) (Ast.free_vars lo))
+  in
+  if l.step > 1 && aligned then [ (l.index, l.step) ] else []
+
 type access = {
   array : string;
   is_write : bool;
   subscripts : Ast.expr list;
   loops : string list;  (* enclosing loop indices, outermost first *)
+  strides : (string * int) list;  (* see [nest] *)
   site : int;  (* textual order of the statement *)
 }
 
@@ -36,31 +60,40 @@ let collect_stmt ~loops:loops0 (stmt0 : Ast.stmt) =
   let counter = ref 0 in
   let accesses = ref [] in
   let scalars_written = ref [] in
-  let rec exprs_reads loops e =
+  let add (nest : nest) a is_write subs =
+    accesses :=
+      {
+        array = a;
+        is_write;
+        subscripts = subs;
+        loops = nest.loops;
+        strides = nest.strides;
+        site = !counter;
+      }
+      :: !accesses
+  in
+  let rec exprs_reads nest e =
     match (e : Ast.expr) with
     | Int_lit _ | Float_lit _ | Var _ -> ()
     | Index (a, subs) ->
-        accesses :=
-          { array = a; is_write = false; subscripts = subs; loops;
-            site = !counter }
-          :: !accesses;
-        List.iter (exprs_reads loops) subs
+        add nest a false subs;
+        List.iter (exprs_reads nest) subs
     | Binop (_, x, y) ->
-        exprs_reads loops x;
-        exprs_reads loops y
-    | Neg x | Sqrt x -> exprs_reads loops x
+        exprs_reads nest x;
+        exprs_reads nest y
+    | Neg x | Sqrt x -> exprs_reads nest x
   in
-  let rec cond_reads loops c =
+  let rec cond_reads nest c =
     match (c : Ast.cond) with
     | Cmp (_, a, b) ->
-        exprs_reads loops a;
-        exprs_reads loops b
+        exprs_reads nest a;
+        exprs_reads nest b
     | And (a, b) | Or (a, b) ->
-        cond_reads loops a;
-        cond_reads loops b
-    | Not a -> cond_reads loops a
+        cond_reads nest a;
+        cond_reads nest b
+    | Not a -> cond_reads nest a
   in
-  let rec go loops (s : Ast.stmt) =
+  let rec go (nest : nest) (s : Ast.stmt) =
     match s with
     | Assign (lhs, rhs) ->
         incr counter;
@@ -69,20 +102,24 @@ let collect_stmt ~loops:loops0 (stmt0 : Ast.stmt) =
             if not (List.mem x !scalars_written) then
               scalars_written := x :: !scalars_written
         | Array_lhs (a, subs) ->
-            accesses :=
-              { array = a; is_write = true; subscripts = subs; loops;
-                site = !counter }
-              :: !accesses;
-            List.iter (exprs_reads loops) subs);
-        exprs_reads loops rhs
-    | Seq ss -> List.iter (go loops) ss
-    | For l -> go (loops @ [ l.index ]) l.body
+            add nest a true subs;
+            List.iter (exprs_reads nest) subs);
+        exprs_reads nest rhs
+    | Seq ss -> List.iter (go nest) ss
+    | For l ->
+        go
+          ({
+             loops = nest.loops @ [ l.index ];
+             strides = nest.strides @ stride_of nest l;
+           }
+            : nest)
+          l.body
     | If (c, t, e) ->
-        cond_reads loops c;
-        go loops t;
-        Option.iter (go loops) e
+        cond_reads nest c;
+        go nest t;
+        Option.iter (go nest) e
   in
-  go loops0 stmt0;
+  go ({ loops = loops0; strides = [] } : nest) stmt0;
   (List.rev !accesses, !scalars_written)
 
 let collect_accesses (k : Ast.kernel) = collect_stmt ~loops:[] k.body
@@ -194,16 +231,22 @@ let test_dimension ~loop_indices s1 s2 =
 (* Solve the collected constraints: propagate exactly-known distances
    through linear constraints until fixpoint.  Returns [None] when the
    system is infeasible (no dependence), otherwise the per-variable
-   direction for every common loop. *)
-let solve_dimensions common dims =
+   direction for every common loop.  [stride v] is the stride of loop
+   [v] (1 when unknown): a distance that is not a multiple of it is
+   infeasible. *)
+let solve_dimensions ~stride common dims =
   let known : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let vague : (string, unit) Hashtbl.t = Hashtbl.create 8 in
   let constraints = ref [] in
   let infeasible = ref false in
   let learn v d =
-    match Hashtbl.find_opt known v with
-    | Some d0 -> if d0 <> d then infeasible := true
-    | None -> Hashtbl.replace known v d
+    (* Two iterations of a strided loop lie a multiple of its stride
+       apart. *)
+    if d mod stride v <> 0 then infeasible := true
+    else
+      match Hashtbl.find_opt known v with
+      | Some d0 -> if d0 <> d then infeasible := true
+      | None -> Hashtbl.replace known v d
   in
   List.iter
     (fun dim ->
@@ -277,7 +320,14 @@ let directions_for ~loop_indices (a1 : access) (a2 : access) =
         (fun s1 s2 -> test_dimension ~loop_indices s1 s2)
         a1.subscripts a2.subscripts
     in
-    solve_dimensions common dims
+    (* Loop names are unique within a kernel, so both accesses see the
+       same stride for a common loop; insist on it anyway. *)
+    let stride v =
+      match (List.assoc_opt v a1.strides, List.assoc_opt v a2.strides) with
+      | Some s1, Some s2 when s1 = s2 -> s1
+      | _ -> 1
+    in
+    solve_dimensions ~stride common dims
   end
 
 (* Keep loop order (outermost first) in the direction vector. *)

@@ -62,9 +62,12 @@ type session_view = {
 }
 
 type memo_stats = {
-  m_lookups : int;  (** Evaluation lookups through the shared memo. *)
-  m_entries : int;  (** Distinct (kernel, config) keys — each computed once. *)
-  m_hits : int;  (** [lookups - entries]: evaluations served from cache. *)
+  m_lookups : int;
+      (** Sessions' evaluation lookups in the shared per-kernel stores. *)
+  m_entries : int;  (** Distinct (kernel, config) keys looked up. *)
+  m_hits : int;
+      (** [lookups - entries]: lookups of a key already looked up —
+          served from the store unless it had evicted the key. *)
   m_shared_keys : int;  (** Keys touched by two or more sessions. *)
   m_cross_hits : int;
       (** Lookups by sessions other than a key's canonical owner (the

@@ -2,8 +2,8 @@ module Spapt = Altune_spapt.Spapt
 module Kernels = Altune_spapt.Kernels
 module Scale = Altune_experiments.Scale
 module Fault = Altune_exec.Fault
-module Memo = Altune_exec.Memo
 module Pool = Altune_exec.Pool
+module Problem = Altune_core.Problem
 module Json = Altune_obs.Json
 module Metrics = Altune_obs.Metrics
 module Trace = Altune_obs.Trace
@@ -46,7 +46,7 @@ type telemetry = {
   wire : Metrics.sketch;  (* per-request handle_line latency, seconds *)
   step : Metrics.sketch;  (* per-Session.step learner latency *)
   queue_wait : Metrics.sketch;  (* open-queued -> promoted *)
-  memo_wait : Metrics.sketch;  (* shared-memo lookup latency *)
+  memo_wait : Metrics.sketch;  (* per-evaluation latency, store included *)
   live_gauge : Metrics.gauge;
   queue_gauge : Metrics.gauge;
   requests : Metrics.counter;
@@ -62,7 +62,9 @@ type telemetry = {
 type t = {
   config : config;
   pool : Pool.t;
-  memo : (string * string, float * float) Memo.t;
+  benches : (string, Spapt.t) Hashtbl.t;
+      (* One instance per kernel, shared by every session tuning it: its
+         evaluation store is the cross-session cache. *)
   (* Cross-session accounting: per (bench, config-key), how many
      evaluation lookups each session made.  A multiset, not an event
      log: under parallel ticks the per-key totals are schedule-free
@@ -84,7 +86,7 @@ let create config =
   {
     config;
     pool = Pool.create ~jobs:config.jobs ();
-    memo = Memo.create ~name:"serve.memo" ();
+    benches = Hashtbl.create 16;
     acc_lock = Mutex.create ();
     acc = Hashtbl.create 4096;
     sessions = Hashtbl.create 64;
@@ -131,14 +133,22 @@ let note_lookup t ~session_id key =
 
 let seconds_between t0 t1 = Int64.to_float (Int64.sub t1 t0) /. 1e9
 
-let share_for t ~session_id ~bench : Spapt.share =
- fun ~key compute ->
-  let k = (bench, key) in
-  note_lookup t ~session_id k;
+(* The [note] callback of a session: count the lookup, then time the
+   evaluation it wraps. *)
+let note_for t ~session_id ~bench c eval =
+  note_lookup t ~session_id (bench, Problem.key c);
   let t0 = Trace.now_ns () in
-  let v = Memo.find_or_compute t.memo k compute in
+  let v = eval () in
   Metrics.record t.tele.memo_wait (seconds_between t0 (Trace.now_ns ()));
   v
+
+let instance t bench =
+  match Hashtbl.find_opt t.benches bench with
+  | Some b -> b
+  | None ->
+      let b = Spapt.create bench in
+      Hashtbl.replace t.benches bench b;
+      b
 
 let memo_stats t =
   Mutex.lock t.acc_lock;
@@ -304,10 +314,12 @@ let handle_open t (p : Protocol.open_params) =
             else begin
               let id = t.opened in
               t.opened <- t.opened + 1;
-              let share =
-                share_for t ~session_id:id ~bench:cfg.Session.bench
+              let bench = cfg.Session.bench in
+              let s =
+                Session.create ~id ~bench:(instance t bench)
+                  ~note:(note_for t ~session_id:id ~bench)
+                  cfg
               in
-              let s = Session.create ~id ~share cfg in
               Hashtbl.replace t.sessions cfg.Session.name s;
               t.order <- cfg.Session.name :: t.order;
               if live < t.config.max_live then Session.admit s

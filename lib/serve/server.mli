@@ -1,11 +1,15 @@
 (** The multi-tenant tuning server: session store, admission control,
-    and the shared cross-session memo.
+    and cross-session evaluation sharing.
 
-    One server owns one {!Altune_exec.Pool} and one compute-once
-    {!Altune_exec.Memo} keyed by (benchmark, configuration); every
-    session's simulated compile/measure evaluations go through that memo,
-    so identical configurations demanded by different tenants are
-    computed exactly once process-wide.
+    One server owns one {!Altune_exec.Pool} and one
+    {!Altune_spapt.Spapt.t} per kernel, created at the first open of
+    that kernel and shared by every session tuning it.  The instance's
+    compute-once evaluation store is the cross-session cache: identical
+    configurations demanded by different tenants are computed once (and
+    again only if the bounded store evicted them).  Each session reports
+    its evaluations through a [note] callback ({!Session.create}), which
+    feeds the lookup accounting of {!memo_stats} and the
+    [serve.memo_wait_seconds] sketch.
 
     {b Admission policy.}  [open] admits a session immediately while
     fewer than [max_live] sessions are live, queues it FIFO while the
@@ -16,7 +20,7 @@
     admission sequence is a pure function of the request sequence.
 
     {b Determinism.}  Replies carry only simulated quantities, and the
-    memo accounting is aggregated per key as a session->count multiset
+    lookup accounting is aggregated per key as a session->count multiset
     with the lowest-admission-order toucher as each key's canonical
     owner, so every reported figure is independent of domain scheduling:
     a fixed request script produces byte-identical responses at any
@@ -78,7 +82,7 @@ val memo_stats : t -> Protocol.memo_stats
 (** {2 Live telemetry}
 
     The server always maintains latency sketches (per-request wire time,
-    per-step learner time, queue wait, shared-memo wait) and live/queued
+    per-step learner time, queue wait, per-evaluation time) and live/queued
     gauges in the process-wide {!Altune_obs.Metrics} registry.  They
     never touch the protocol stream: response bytes are identical with
     telemetry on or off, at any job count. *)

@@ -34,31 +34,35 @@ type mat = {
 type t = {
   sid : int;
   config : config;
-  share : Spapt.share;
+  bench : Spapt.t;
+  note : int array -> (unit -> float) -> float;
   run_key : string;
   mutable phase : phase;
   mutable mat : mat option;
   mutable state : Learner.state option;  (* resume point after a halt *)
   mutable outcome : Learner.outcome option;
+  mutable closed_view : Protocol.session_view option;
+      (* Frozen at close, when everything else is dropped. *)
 }
 
-let create ~id ~share config =
+let create ~id ~bench ~note config =
   {
     sid = id;
     config;
-    share;
+    bench;
+    note;
     run_key = "serve/" ^ config.name;
     phase = Queued;
     mat = None;
     state = None;
     outcome = None;
+    closed_view = None;
   }
 
 let id t = t.sid
 let config t = t.config
 let phase t = t.phase
 let admit t = if t.phase = Queued then t.phase <- Live
-let close t = t.phase <- Closed
 let stock_settings t = t.config.n_max = None && t.config.budget = None
 
 let phase_name = function
@@ -80,17 +84,25 @@ let materialize t =
   match t.mat with
   | Some m -> m
   | None ->
-      let b = Spapt.create t.config.bench in
-      Spapt.set_share b (Some t.share);
-      let problem = Adapter.problem_of b in
-      (* The dataset is generated on a fresh *unhooked* instance: routing
-         its measurements through the shared memo would attribute them to
-         whichever session computed the (process-wide cached) dataset
-         first — a schedule-dependent figure.  Training and evaluation
-         measurements all go through [problem], i.e. through the memo. *)
+      (* Only the learner's own evaluations pass through [note]: the
+         dataset is generated on the shared instance without it, since
+         charging the (process-wide cached) dataset to whichever session
+         generated it first would make the accounting depend on the
+         schedule.  [prepare] does nothing without a pool, so no
+         evaluation bypasses [measure] and [compile_seconds]. *)
+      let p = Adapter.problem_of t.bench in
+      let problem =
+        {
+          p with
+          measure =
+            (fun ~rng ~run_index c ->
+              t.note c (fun () -> p.measure ~rng ~run_index c));
+          compile_seconds =
+            (fun c -> t.note c (fun () -> p.compile_seconds c));
+        }
+      in
       let dataset =
-        Runs.dataset_for (Spapt.create t.config.bench) t.config.scale
-          ~seed:t.config.seed
+        Runs.dataset_for t.bench t.config.scale ~seed:t.config.seed
       in
       (* Fault seed exactly as [altune tune] derives it, so a served
          session (and its checkpoints) reproduces the standalone run. *)
@@ -170,6 +182,8 @@ let save_checkpoint t ~path =
     | Done, _ ->
         Error
           (Printf.sprintf "session %S already completed" t.config.name)
+    | Closed, _ ->
+        Error (Printf.sprintf "session %S is closed" t.config.name)
     | _, None ->
         Error
           (Printf.sprintf "session %S has no progress to checkpoint"
@@ -191,7 +205,7 @@ let save_checkpoint t ~path =
         Checkpoint.save ~path ~meta m.dataset st;
         Ok st.Learner.st_iteration
 
-let view t ~position =
+let live_view t ~position =
   let v_state : Protocol.session_state =
     match t.phase with
     | Queued -> Protocol.Queued
@@ -242,3 +256,15 @@ let view t ~position =
           | (last : Learner.eval_point) :: _ -> Some last.rmse);
       }
   | None, None -> base
+
+let view t ~position =
+  match t.closed_view with Some v -> v | None -> live_view t ~position
+
+let close t =
+  if t.phase <> Closed then begin
+    t.phase <- Closed;
+    t.closed_view <- Some (live_view t ~position:None);
+    t.mat <- None;
+    t.state <- None;
+    t.outcome <- None
+  end

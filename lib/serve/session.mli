@@ -3,12 +3,13 @@
 
     A session is the same run [altune tune] would perform for its
     (benchmark, scale, seed) — same dataset, same learner stream, same
-    fault-seed derivation — except that its simulated compile/measure
-    results are obtained through the server's shared cross-session memo
-    (the [share] hook of {!Altune_spapt.Spapt.set_share}).  Because the
-    computation behind every memo key is deterministic, sharing changes
-    who {e pays} for an evaluation, never its value, so a served
-    session's learner stream is byte-identical to the standalone run's.
+    fault-seed derivation — except that it runs on the server's instance
+    of its benchmark, which every session tuning that kernel shares, and
+    that each of its evaluations is reported to the server through the
+    [note] callback given to {!create}.  The instance's evaluation store
+    is deterministic per configuration, so sharing changes who {e pays}
+    for an evaluation, never its value: a served session's learner
+    stream is byte-identical to the standalone run's.
 
     Stepping works by running the learner with a checkpoint callback at
     every iteration that halts once the target iteration is reached and
@@ -33,10 +34,22 @@ type phase = Queued | Live | Done | Closed
 
 type t
 
-val create : id:int -> share:Altune_spapt.Spapt.share -> config -> t
-(** A fresh session in phase [Queued].  Heavy resources (benchmark
-    instance, dataset, fault injector) materialize lazily at the first
-    step, so queueing hundreds of sessions is cheap. *)
+val create :
+  id:int ->
+  bench:Altune_spapt.Spapt.t ->
+  note:(int array -> (unit -> float) -> float) ->
+  config ->
+  t
+(** A fresh session in phase [Queued] on [bench], the instance of
+    [config.bench] the server shares between its sessions.  Heavy
+    resources (problem, dataset, fault injector) materialize lazily at
+    the first step, so queueing hundreds of sessions is cheap.
+
+    [note c eval] wraps each of the learner's evaluations of
+    configuration [c] — every call of the problem's [measure] and
+    [compile_seconds], but not dataset generation — and must return
+    [eval ()]; the server counts and times the lookups there.  It may be
+    called from any domain stepping the session. *)
 
 val id : t -> int
 (** Admission order: the [id] passed to {!create}. *)
@@ -48,7 +61,9 @@ val admit : t -> unit
 (** [Queued] -> [Live].  No-op in any other phase. *)
 
 val close : t -> unit
-(** Any phase -> [Closed]. *)
+(** Any phase -> [Closed].  Freezes the session's {!view} and drops
+    everything else it holds (problem, dataset reference, learner state,
+    outcome and its model), so a closed session costs only its view. *)
 
 val step :
   ?exec_pool:Altune_exec.Pool.t -> t -> iterations:int -> (unit, string) result
@@ -71,9 +86,10 @@ val save_checkpoint : t -> path:string -> (int, string) result
     {!Altune_core.Checkpoint.save}, returning its iteration.  The file
     is a regular tune checkpoint: [altune resume] continues it to the
     same bytes the uninterrupted standalone run would print.  Errors if
-    the session has non-stock settings, has never been stepped, or
-    already completed. *)
+    the session has non-stock settings, has never been stepped, already
+    completed, or is closed. *)
 
 val view : t -> position:int option -> Protocol.session_view
 (** Deterministic snapshot for status replies ([position] is the queue
-    slot when queued). *)
+    slot when queued).  A closed session returns the view frozen by
+    {!close}. *)

@@ -1,15 +1,10 @@
 module Ast = Altune_kernellang.Ast
 module Verify = Altune_kernellang.Verify
 module Transform = Altune_kernellang.Transform
-module Dependence = Altune_kernellang.Dependence
 
 type node = {
   kernel : Ast.kernel;
   children : (string, node) Hashtbl.t;  (* Verify.step_key -> child *)
-  mutable summary : Dependence.summary option;
-      (* Computed at most once, outside the lock, published under it.
-         Deliberately not Lazy.t: lazy forcing is not domain-safe, and
-         the trie is shared across pool tasks. *)
 }
 
 type stats = {
@@ -17,8 +12,6 @@ type stats = {
   resolves : int;
   steps_reused : int;
   steps_applied : int;
-  summaries_reused : int;
-  summaries_computed : int;
 }
 
 type t = {
@@ -28,22 +21,14 @@ type t = {
   mutable stats : stats;
 }
 
-let mk_node kernel = { kernel; children = Hashtbl.create 4; summary = None }
+let mk_node kernel = { kernel; children = Hashtbl.create 4 }
 
 let create ?(max_nodes = 4096) kernel =
   {
     root = mk_node kernel;
     max_nodes;
     lock = Mutex.create ();
-    stats =
-      {
-        nodes = 0;
-        resolves = 0;
-        steps_reused = 0;
-        steps_applied = 0;
-        summaries_reused = 0;
-        summaries_computed = 0;
-      };
+    stats = { nodes = 0; resolves = 0; steps_reused = 0; steps_applied = 0 };
   }
 
 let root_kernel t = t.root.kernel
@@ -111,144 +96,14 @@ let advance t node_opt kernel step =
           | Some c -> Ok (Some c, c.kernel)
           | None -> Ok (None, k')))
 
-let count_resolve t =
+let resolve t steps =
   with_lock t (fun () ->
-      t.stats <- { t.stats with resolves = t.stats.resolves + 1 })
-
-let resolve_node t steps =
-  let steps = Verify.normalize_steps steps in
-  count_resolve t;
+      t.stats <- { t.stats with resolves = t.stats.resolves + 1 });
   let rec go node_opt kernel = function
-    | [] -> Ok (node_opt, kernel)
+    | [] -> Ok kernel
     | s :: rest -> (
         match advance t node_opt kernel s with
-        | Error _ as e -> e
+        | Error e -> Error e
         | Ok (n', k') -> go n' k' rest)
   in
-  go (Some t.root) t.root.kernel steps
-
-let resolve t steps = Result.map snd (resolve_node t steps)
-
-let node_summary t node =
-  match with_lock t (fun () -> node.summary) with
-  | Some s ->
-      with_lock t (fun () ->
-          t.stats <-
-            {
-              t.stats with
-              summaries_reused = t.stats.summaries_reused + 1;
-            });
-      s
-  | None ->
-      let s = Dependence.summarize node.kernel in
-      with_lock t (fun () ->
-          t.stats <-
-            {
-              t.stats with
-              summaries_computed = t.stats.summaries_computed + 1;
-            };
-          match node.summary with
-          | Some s' -> s'
-          | None ->
-              node.summary <- Some s;
-              s)
-
-let resolved_summary t steps =
-  match resolve_node t steps with
-  | Error _ as e -> e
-  | Ok (Some n, _) -> Ok (node_summary t n)
-  | Ok (None, k) ->
-      let s = Dependence.summarize k in
-      with_lock t (fun () ->
-          t.stats <-
-            {
-              t.stats with
-              summaries_computed = t.stats.summaries_computed + 1;
-            });
-      Ok s
-
-(* Trie-accelerated Verify.run.  The control flow and every emitted
-   status mirror Verify.run on the normalized step list exactly; the
-   only differences are where the pre-step kernel and its dependence
-   summary come from. *)
-let audit ?param_overrides ?tolerance ?(subject = "kernel") t steps =
-  let steps = Verify.normalize_steps steps in
-  count_resolve t;
-  let dep_status node =
-    match node_summary t node with
-    | exception e ->
-        Verify.Fail ("dependence analysis raised: " ^ Printexc.to_string e)
-    | s -> Verify.summary_sound s
-  in
-  let original_report =
-    {
-      Verify.step = "original";
-      checks =
-        [
-          {
-            Verify.check_name = "well-formed";
-            status = Verify.well_formed ?param_overrides t.root.kernel;
-          };
-          { Verify.check_name = "dependences"; status = dep_status t.root };
-        ];
-    }
-  in
-  let legality node_opt cur s =
-    match s with
-    | Verify.Unroll _ | Verify.Skew _ -> Verify.Pass
-    | _ -> (
-        match node_opt with
-        | None -> Verify.legality cur s
-        | Some n -> (
-            match node_summary t n with
-            | exception e ->
-                Verify.Fail
-                  ("legality analysis raised: " ^ Printexc.to_string e)
-            | summary -> Verify.legality_in summary cur s))
-  in
-  let rec go node_opt cur acc = function
-    | [] -> List.rev acc
-    | s :: rest -> (
-        let label = Verify.step_to_string s in
-        let leg =
-          { Verify.check_name = "legality"; status = legality node_opt cur s }
-        in
-        match advance t node_opt cur s with
-        | Error e ->
-            let applies =
-              {
-                Verify.check_name = "applies";
-                status = Verify.Fail (Transform.error_to_string e);
-              }
-            in
-            let skipped =
-              List.map
-                (fun s' ->
-                  {
-                    Verify.step = Verify.step_to_string s';
-                    checks =
-                      [
-                        {
-                          Verify.check_name = "all";
-                          status =
-                            Verify.Skipped "an earlier step failed to apply";
-                        };
-                      ];
-                  })
-                rest
-            in
-            List.rev_append acc
-              ({ Verify.step = label; checks = [ leg; applies ] } :: skipped)
-        | Ok (n', k') ->
-            let checks =
-              leg
-              :: { Verify.check_name = "applies"; status = Verify.Pass }
-              :: Verify.check_pair ?param_overrides ?tolerance ~original:cur
-                   ~transformed:k' ()
-            in
-            go n' k' ({ Verify.step = label; checks } :: acc) rest)
-  in
-  {
-    Verify.subject;
-    reports = original_report :: go (Some t.root) t.root.kernel [] steps;
-  }
+  go (Some t.root) t.root.kernel (Verify.normalize_steps steps)

@@ -3,31 +3,33 @@
     Sibling candidates in an autotuning batch usually share a recipe
     prefix (same tile nest, different unroll factor).  Re-running
     {!Altune_kernellang.Verify.apply_steps} from scratch re-transforms
-    and re-analyzes that shared prefix once per sibling; the trie pays
-    for each distinct prefix once.  Nodes are keyed by the normalized
-    step list ({!Altune_kernellang.Verify.normalize_steps}, edges
-    labelled with {!Altune_kernellang.Verify.step_key}); each node
-    caches the kernel transformed up to that prefix and, on demand, its
-    re-run dependence analysis.  Resolving a recipe walks to the deepest
-    cached ancestor and applies only the suffix.
+    that shared prefix once per sibling; the trie pays for each distinct
+    prefix once.  Nodes are keyed by the normalized step list
+    ({!Altune_kernellang.Verify.normalize_steps}, edges labelled with
+    {!Altune_kernellang.Verify.step_key}); each node caches the kernel
+    transformed up to that prefix.  Resolving a recipe walks to the
+    deepest cached ancestor and applies only the suffix.
+
+    The trie is not on {!Spapt}'s evaluation path: resolving a recipe is
+    a small share of an evaluation (analysis and pricing dominate), while
+    a cached kernel per prefix costs heap for as long as the trie lives
+    (DESIGN.md §11).  It is kept as a library module measured against
+    that from-scratch path: [altune check --fork-audit] and the bench
+    [--fork] section compare the two.
 
     Determinism contract: a resolved kernel is {e byte-identical} to
     from-scratch application — cached nodes were produced by the same
     [apply_step] calls on the same ASTs, and normalization only drops
-    steps {!Altune_kernellang.Transform} treats as exact no-ops.  The
-    trie is therefore safe to leave enabled for measurement paths that
-    promise bit-reproducible output.  [altune check --fork-audit]
-    re-establishes this differentially on sampled recipes.
+    steps {!Altune_kernellang.Transform} treats as exact no-ops.
 
     Thread safety: all trie state is guarded by one mutex; step
-    application and dependence analysis run outside the lock and insert
-    first-wins (concurrent inserts compute identical values).  Safe to
-    share across {!Altune_exec.Pool} tasks. *)
+    application runs outside the lock and inserts first-wins
+    (concurrent inserts compute identical values).  Safe to share
+    across {!Altune_exec.Pool} tasks. *)
 
 module Ast = Altune_kernellang.Ast
 module Verify = Altune_kernellang.Verify
 module Transform = Altune_kernellang.Transform
-module Dependence = Altune_kernellang.Dependence
 
 type t
 
@@ -47,31 +49,11 @@ val resolve :
     contract).  Reuses the deepest cached prefix and caches every new
     prefix on the way down. *)
 
-val resolved_summary :
-  t -> Verify.step list -> (Dependence.summary, Transform.error) result
-(** The dependence summary of the resolved kernel, cached at its trie
-    node (computed at most once per node). *)
-
-val audit :
-  ?param_overrides:(string * int) list ->
-  ?tolerance:float ->
-  ?subject:string ->
-  t ->
-  Verify.step list ->
-  Verify.verdict
-(** Trie-accelerated {!Altune_kernellang.Verify.run} over the normalized
-    steps: pre-step kernels come from cached nodes and legality consults
-    cached dependence summaries ({!Verify.legality_in}), while the
-    interpreter-based checks still execute in full.  The verdict is
-    identical to [Verify.run] on the same normalized step list. *)
-
 type stats = {
   nodes : int;  (** Cached prefixes, root excluded. *)
-  resolves : int;  (** [resolve]/[audit] walks performed. *)
+  resolves : int;  (** [resolve] walks performed. *)
   steps_reused : int;  (** Steps satisfied by a cached node. *)
   steps_applied : int;  (** Steps applied (and cached) on a miss. *)
-  summaries_reused : int;
-  summaries_computed : int;
 }
 
 val stats : t -> stats

@@ -7,7 +7,7 @@ module Noise = Altune_noise.Noise
 module Rng = Altune_prng.Rng
 module Distributions = Altune_stats.Distributions
 module Pool = Altune_exec.Pool
-module Metrics = Altune_obs.Metrics
+module Memo = Altune_exec.Memo
 
 type knob =
   | Tile of { loop : string; sizes : int array }
@@ -229,91 +229,16 @@ let specs =
       } );
   ]
 
-type share =
-  key:string -> (unit -> float * float) -> float * float
-
-(* Bounded per-instance evaluation cache: a hashtable for lookup plus a
-   second-chance ("clock") ring for eviction.  A hit sets the entry's
-   reference bit; insertion at capacity sweeps the ring, giving each
-   referenced entry one reprieve before it goes.  Every cached value is a
-   deterministic function of the configuration, so eviction can only cost
-   recomputation, never change a result — long serve sessions stop
-   growing without bound (the old table never evicted). *)
-type cache_entry = { value : float * float; mutable referenced : bool }
-
-type cache = {
-  table : (int array, cache_entry) Hashtbl.t;
-  ring : int array Queue.t;  (* exactly the live keys, insertion order *)
-  capacity : int;
-}
-
-let cache_hits = lazy (Metrics.counter "spapt.cache.hits")
-let cache_misses = lazy (Metrics.counter "spapt.cache.misses")
-let cache_evictions = lazy (Metrics.counter "spapt.cache.evictions")
-let cache_entries = lazy (Metrics.gauge "spapt.cache.entries")
-
-let cache_create capacity =
-  { table = Hashtbl.create 1024; ring = Queue.create (); capacity }
-
-let cache_find c key =
-  match Hashtbl.find_opt c.table key with
-  | Some e ->
-      e.referenced <- true;
-      Metrics.incr (Lazy.force cache_hits);
-      Some e.value
-  | None ->
-      Metrics.incr (Lazy.force cache_misses);
-      None
-
-let cache_add c key value =
-  if not (Hashtbl.mem c.table key) then begin
-    while Hashtbl.length c.table >= c.capacity do
-      (* The ring holds every live key, so the pop cannot raise while the
-         table is non-empty; a full sweep clears every reference bit, so
-         the loop terminates. *)
-      let k = Queue.pop c.ring in
-      match Hashtbl.find_opt c.table k with
-      | Some e when e.referenced ->
-          e.referenced <- false;
-          Queue.push k c.ring
-      | Some _ ->
-          Hashtbl.remove c.table k;
-          Metrics.incr (Lazy.force cache_evictions)
-      | None -> ()
-    done;
-    let key = Array.copy key in
-    Hashtbl.replace c.table key { value; referenced = false };
-    Queue.push key c.ring;
-    Metrics.set_gauge (Lazy.force cache_entries)
-      (float_of_int (Hashtbl.length c.table))
-  end
-
 type t = {
   bench_name : string;
   kernel : Ast.kernel;
   spec : spec;
-  machine : Machine.config;
   noise : Noise.t;
-  cache : cache;  (* config -> (true runtime, compile seconds) *)
   salt : int;  (* per-benchmark seed of the noise field *)
-  fork : Fork.t;
-      (* Transformation-prefix trie: resolves recipes by reusing the
-         deepest cached prefix.  Resolved kernels are byte-identical to
-         from-scratch application, so it stays on by default; [set_fork]
-         exists for differential baselines and benchmarks. *)
-  mutable fork_enabled : bool;
-  mutable pool : Pool.t option;
-      (* When set, [prepare] fans candidate evaluations out on this pool
-         (slot-indexed, order-preserving) instead of computing them one
-         by one on first use. *)
-  mutable share : share option;
-      (* When set, evaluation results are obtained through this function
-         instead of the private cache — the hook a multi-tenant server
-         uses to route (kernel, config) evaluations through one shared
-         compute-once memo.  The private cache is bypassed entirely so a
-         hooked instance holds no mutable evaluation state of its own
-         (several hooked instances may then be driven from different
-         domains at once). *)
+  store : (int array, float * float) Memo.t;
+      (* config -> (true runtime, compile seconds).  The only mutable
+         state, and domain-safe: an instance can be shared by every task
+         and session that tunes the benchmark. *)
 }
 
 let name t = t.bench_name
@@ -326,7 +251,7 @@ let space_size t =
     (fun acc k -> acc *. float_of_int (knob_cardinality k))
     1.0 t.spec.knobs
 
-let create ?(machine = Machine.default) ?(cache_capacity = 8192) bench_name =
+let create bench_name =
   let spec = List.assoc bench_name specs in
   let kernel = Kernels.kernel bench_name in
   let noise =
@@ -340,25 +265,17 @@ let create ?(machine = Machine.default) ?(cache_capacity = 8192) bench_name =
     bench_name;
     kernel;
     spec;
-    machine;
     noise;
-    cache = cache_create cache_capacity;
     (* Structured derivation, not Hashtbl.hash: the polymorphic hash is
        not stable across OCaml versions, and this salt seeds the noise
        field of every simulated measurement. *)
     salt =
       Rng.derive ~seed:0x5eed [ Rng.S "spapt.noise-field"; Rng.S bench_name ];
-    fork = Fork.create kernel;
-    fork_enabled = true;
-    pool = None;
-    share = None;
+    store = Memo.create ~capacity:8192 ~name:"spapt.cache" ();
   }
 
-let set_share t share = t.share <- share
-let set_fork t on = t.fork_enabled <- on
-let fork_enabled t = t.fork_enabled
-let fork_stats t = Fork.stats t.fork
-let set_pool t pool = t.pool <- pool
+let fork_stats _ =
+  { Fork.nodes = 0; resolves = 0; steps_reused = 0; steps_applied = 0 }
 
 let all () = List.map (fun (n, _) -> create n) specs
 
@@ -433,12 +350,7 @@ let recipe t config =
   tiles @ jams @ unrolls
 
 let transformed t config =
-  let steps = recipe t config in
-  let result =
-    if t.fork_enabled then Fork.resolve t.fork steps
-    else Verify.apply_steps steps t.kernel
-  in
-  match result with
+  match Verify.apply_steps (recipe t config) t.kernel with
   | Ok k -> k
   | Error e ->
       invalid_arg
@@ -463,14 +375,8 @@ let verify_config t config =
     Printf.sprintf "%s [%s]" t.bench_name
       (String.concat "," (List.map string_of_int (Array.to_list config)))
   in
-  if t.fork_enabled then
-    Fork.audit
-      ~param_overrides:(small_params t)
-      ~subject t.fork (recipe t config)
-  else
-    Verify.run
-      ~param_overrides:(small_params t)
-      ~subject t.kernel (recipe t config)
+  Verify.run ~param_overrides:(small_params t) ~subject t.kernel
+    (recipe t config)
 
 let features t config =
   check_config t config;
@@ -485,85 +391,57 @@ let features t config =
       if sd = 0.0 then 0.0 else (float_of_int raw -. mean) /. sd)
     config
 
-(* The expensive step behind every measurement: transform the kernel,
-   re-analyze it, and price it on the machine model.  Pure in [t]'s
-   immutable fields, so concurrent calls (e.g. two shared-memo computes
-   for different configs on different instances) are safe. *)
+(* The expensive step behind every measurement: transform the kernel
+   from scratch, re-analyze it, and price it on the machine model.  A
+   pure function of the configuration, so the store may evict and
+   recompute freely and concurrent computes never conflict. *)
 let compute_evaluation t config =
-  let k = transformed t config in
-  let e = Machine.evaluate t.machine k in
+  let e = Machine.evaluate Machine.default (transformed t config) in
   (e.Machine.runtime, e.Machine.compile)
 
-let config_key config =
-  String.concat "," (List.map string_of_int (Array.to_list config))
-
+(* The key is a copy: callers may mutate their array afterwards. *)
 let evaluate t config =
-  match t.share with
-  | Some via ->
-      via ~key:(config_key config) (fun () -> compute_evaluation t config)
-  | None -> (
-      match cache_find t.cache config with
-      | Some v -> v
-      | None ->
-          let v = compute_evaluation t config in
-          cache_add t.cache config v;
-          v)
+  Memo.find_or_compute t.store (Array.copy config) (fun () ->
+      compute_evaluation t config)
 
-let prepare t configs =
-  match t.share with
-  | Some _ ->
-      (* A hooked instance holds no private evaluation state; batching
-         would race the server's compute-once memo for no benefit. *)
-      ()
-  | None -> (
+let prepare ?pool t configs =
+  match pool with
+  | Some pool when Pool.jobs pool > 1 -> (
       let seen = Hashtbl.create 16 in
       let missing =
         List.filter
           (fun c ->
-            if
-              (not (config_valid t c))
-              || Hashtbl.mem t.cache.table c
-              || Hashtbl.mem seen c
-            then false
-            else begin
+            if config_valid t c && (not (Memo.mem t.store c))
+               && not (Hashtbl.mem seen c)
+            then begin
               Hashtbl.add seen c ();
               true
-            end)
+            end
+            else false)
           configs
       in
       match missing with
-      | [] | [ _ ] -> () (* nothing worth batching *)
+      | [] | [ _ ] -> () (* nothing worth fanning out *)
       | batch ->
-          (* compute_evaluation is deterministic and mutates only the
-             mutex-guarded fork trie, so fanning it out and writing the
-             slot-indexed results back sequentially yields byte-identical
-             cache contents at any job count. *)
-          let results =
-            match t.pool with
-            | Some pool when Pool.jobs pool > 1 ->
-                (* One task per worker, not per config: a single
-                   evaluation is ~ms-scale, so per-config tasks would
-                   drown in scheduling overhead.  Contiguous chunks keep
-                   the concatenated results in input order. *)
-                let jobs = Pool.jobs pool in
-                let n = List.length batch in
-                let arr = Array.of_list batch in
-                let chunk i =
-                  let lo = i * n / jobs and hi = (i + 1) * n / jobs in
-                  Array.to_list (Array.sub arr lo (hi - lo))
-                in
-                let chunks =
-                  List.filter (fun c -> c <> []) (List.init jobs chunk)
-                in
-                List.concat
-                  (Pool.map
-                     ~label:(fun i -> Printf.sprintf "spapt.eval chunk %d" i)
-                     pool
-                     (fun cs -> List.map (fun c -> compute_evaluation t c) cs)
-                     chunks)
-            | _ -> List.map (fun c -> compute_evaluation t c) batch
+          (* One task per worker, not per config: a single evaluation is
+             ~ms-scale, so per-config tasks would drown in scheduling
+             overhead.  The store publishes each result; evaluation is
+             deterministic, so which domain computes what is
+             unobservable. *)
+          let jobs = Pool.jobs pool in
+          let n = List.length batch in
+          let arr = Array.of_list batch in
+          let chunk i =
+            let lo = i * n / jobs and hi = (i + 1) * n / jobs in
+            Array.to_list (Array.sub arr lo (hi - lo))
           in
-          List.iter2 (fun c v -> cache_add t.cache c v) batch results)
+          ignore
+            (Pool.map
+               ~label:(fun i -> Printf.sprintf "spapt.eval chunk %d" i)
+               pool
+               (List.iter (fun c -> ignore (evaluate t c)))
+               (List.filter (fun c -> c <> []) (List.init jobs chunk))))
+  | _ -> ()
 
 let true_runtime t config = fst (evaluate t config)
 let compile_seconds t config = snd (evaluate t config)

@@ -21,8 +21,18 @@ val knob_cardinality : knob -> int
 val knob_name : knob -> string
 
 type t
-(** A benchmark: immutable description plus a memo table of evaluated
-    configurations. *)
+(** A benchmark: an immutable description plus one evaluation store.
+
+    The store caches each configuration's (true runtime, compile
+    seconds) — the transform, dependence re-analysis and machine-model
+    pricing behind every measurement — compute-once and domain-safe
+    ({!Altune_exec.Memo}), so one instance can be shared by every task,
+    repetition and session that tunes the benchmark.  It holds at most
+    8192 entries, evicted second-chance ("clock") oldest-unreferenced
+    first; eviction only ever costs recomputation, because every stored
+    value is a deterministic function of its configuration.  It exports
+    the [spapt.cache.hits]/[.misses]/[.waits]/[.evictions] counters to
+    {!Altune_obs.Metrics}. *)
 
 val name : t -> string
 val kernel : t -> Altune_kernellang.Ast.kernel
@@ -33,16 +43,9 @@ val dim : t -> int
 val space_size : t -> float
 (** Product of knob cardinalities. *)
 
-val create :
-  ?machine:Altune_machine.Machine.config -> ?cache_capacity:int -> string -> t
+val create : string -> t
 (** [create name] builds the named benchmark with its calibrated noise
-    model.  Raises [Not_found] for unknown names.  [cache_capacity]
-    (default 8192) bounds the private evaluation cache; at capacity,
-    entries are evicted second-chance ("clock") oldest-unreferenced
-    first.  Eviction only ever costs recomputation — every cached value
-    is a deterministic function of its configuration.  The cache exports
-    [spapt.cache.hits]/[.misses]/[.evictions] counters and the
-    [spapt.cache.entries] gauge to {!Altune_obs.Metrics}. *)
+    model and an empty store.  Raises [Not_found] for unknown names. *)
 
 val all : unit -> t list
 (** All 11 benchmarks, Table 1 order. *)
@@ -59,40 +62,25 @@ val recipe : t -> int array -> Altune_kernellang.Verify.step list
     configuration is out of range. *)
 
 val transformed : t -> int array -> Altune_kernellang.Ast.kernel
-(** The kernel with the configuration's transformations applied —
-    [recipe] run through {!Altune_kernellang.Verify.apply_steps}.  Raises
-    [Invalid_argument] if the configuration is out of range; transformation
-    recipes are total over valid configurations.  With forking enabled
-    (the default) the recipe is resolved through the benchmark's
-    transformation-prefix trie ({!Fork}), which is byte-identical to
-    from-scratch application. *)
-
-val set_fork : t -> bool -> unit
-(** Enable or disable prefix-trie resolution for {!transformed},
-    {!verify_config} and every measurement behind them.  Disabling is
-    for differential baselines (e.g. [altune check --fork-audit], the
-    [--fork] bench section): resolved kernels are byte-identical either
-    way. *)
-
-val fork_enabled : t -> bool
+(** The kernel with the configuration's transformations applied from
+    scratch — [recipe] run through
+    {!Altune_kernellang.Verify.apply_steps}.  Raises [Invalid_argument]
+    if the configuration is out of range; transformation recipes are
+    total over valid configurations. *)
 
 val fork_stats : t -> Fork.stats
-(** Prefix-reuse counters of the benchmark's trie. *)
+(** All zero: evaluation no longer goes through a prefix trie ({!Fork}
+    is measured against this module's from-scratch path instead).  Kept
+    for callers that report trie counters. *)
 
-val set_pool : t -> Altune_exec.Pool.t option -> unit
-(** Give the benchmark an execution pool for {!prepare} to fan batches
-    out on.  [None] (the default) computes batches sequentially. *)
-
-val prepare : t -> int array list -> unit
-(** Warm the evaluation cache for a batch of configurations about to be
-    measured: uncached members (deduplicated, invalid ones skipped) are
-    evaluated — in parallel on the {!set_pool} pool when one is set with
-    jobs > 1 — and the results written back in input order.  Because
-    every evaluation is deterministic, a warmed cache changes no
-    observable output at any job count; subsequent {!measure} /
-    {!true_runtime} calls just stop paying for the transform.  No-op
-    when a {!set_share} hook is installed (the shared memo owns
-    evaluation state) and for batches smaller than two. *)
+val prepare : ?pool:Altune_exec.Pool.t -> t -> int array list -> unit
+(** Warm the store for a batch of configurations about to be measured:
+    with a [pool] of more than one job, the uncached members
+    (deduplicated, invalid ones skipped) are evaluated as one chunked
+    fan-out.  Otherwise it does nothing, and each configuration is
+    evaluated at its first measurement instead.  Evaluation is
+    deterministic, so warming (or not) changes no observable output at
+    any job count. *)
 
 val small_params : t -> (string * int) list
 (** Problem-size overrides small enough for interpreter-based soundness
@@ -100,37 +88,19 @@ val small_params : t -> (string * int) list
 
 val verify_config : t -> int array -> Altune_kernellang.Verify.verdict
 (** Independent step-by-step soundness audit of the configuration's
-    recipe ({!Altune_kernellang.Verify.run} at [small_params]). *)
+    recipe ({!Altune_kernellang.Verify.run} on the untransformed kernel
+    at [small_params]). *)
 
 val features : t -> int array -> float array
 (** Scaled-and-centred feature vector (the paper's Section 4.5
     normalization), deterministic per benchmark. *)
 
-type share =
-  key:string -> (unit -> float * float) -> float * float
-(** A sharing function for evaluation results: given a configuration's
-    string key (same format as {!Altune_core.Problem.key}) and the
-    thunk computing [(true runtime, compile seconds)], return the
-    result — typically from a process-wide compute-once memo keyed by
-    (kernel, config). *)
-
-val set_share : t -> share option -> unit
-(** [set_share t (Some via)] routes every evaluation of [t] (the
-    transform + dependence re-analysis + machine-model pricing behind
-    {!true_runtime}, {!compile_seconds} and {!measure}) through [via]
-    instead of [t]'s private per-instance cache, which is then bypassed
-    entirely.  This is the cross-session sharing hook of the tuning
-    server: many sessions, each with its own [t], evaluate any given
-    (kernel, config) pair exactly once process-wide.  [via] must be
-    deterministic per key (the default computation is) and domain-safe
-    if hooked instances are driven in parallel.  [set_share t None]
-    restores the private cache. *)
-
 val true_runtime : t -> int array -> float
-(** Deterministic machine-model runtime, memoized per configuration. *)
+(** Deterministic machine-model runtime, through the store. *)
 
 val compile_seconds : t -> int array -> float
-(** Simulated compile cost of the configuration's binary. *)
+(** Simulated compile cost of the configuration's binary, through the
+    store. *)
 
 val noise_sigma : t -> int array -> float
 (** The configuration's relative noise level — the heteroskedastic field

@@ -232,6 +232,7 @@ let test_engine_scenarios_clean () =
       "memo_share";
       "memo_retry";
       "memo_clear";
+      "memo_evict";
       "fault_retry";
     ]
 

@@ -4,6 +4,7 @@
 
 module Pool = Altune_exec.Pool
 module Memo = Altune_exec.Memo
+module Metrics = Altune_obs.Metrics
 module Runs = Altune_experiments.Runs
 module Scale = Altune_experiments.Scale
 module Spapt = Altune_spapt.Spapt
@@ -205,6 +206,89 @@ let test_memo_failure_retries () =
          5));
   Alcotest.(check int) "two calls" 2 (Atomic.get calls)
 
+(* Bounded tables: an evicted key is recomputed, to the same value. *)
+let test_memo_capacity_recomputes () =
+  let m : (int, int) Memo.t = Memo.create ~capacity:2 ~name:"test.cap" () in
+  let evictions = Metrics.counter "test.cap.evictions" in
+  let e0 = Metrics.counter_value evictions in
+  let calls = Atomic.make 0 in
+  let square k () =
+    Atomic.incr calls;
+    k * k
+  in
+  List.iter (fun k -> ignore (Memo.find_or_compute m k (square k))) [ 1; 2; 3; 4 ];
+  Alcotest.(check int) "bounded" 2 (Memo.length m);
+  Alcotest.(check int) "evictions counted" 2
+    (Metrics.counter_value evictions - e0);
+  Alcotest.(check (option int)) "oldest evicted" None (Memo.find_opt m 1);
+  Alcotest.(check int) "recomputed value equals a fresh computation" 1
+    (Memo.find_or_compute m 1 (square 1));
+  Alcotest.(check int) "recomputation ran" 5 (Atomic.get calls);
+  Alcotest.check_raises "capacity 0 rejected"
+    (Invalid_argument "Memo.create: capacity must be >= 1") (fun () ->
+      ignore (Memo.create ~capacity:0 () : (int, int) Memo.t))
+
+(* Second chance: a key hit since the sweep last passed survives one
+   eviction round; an unreferenced one goes first. *)
+let test_memo_capacity_second_chance () =
+  let m : (string, int) Memo.t = Memo.create ~capacity:2 () in
+  ignore (Memo.find_or_compute m "old" (fun () -> 1));
+  ignore (Memo.find_or_compute m "new" (fun () -> 2));
+  ignore (Memo.find_or_compute m "old" (fun () -> 1));
+  ignore (Memo.find_or_compute m "third" (fun () -> 3));
+  Alcotest.(check bool) "referenced oldest kept" true (Memo.mem m "old");
+  Alcotest.(check bool) "unreferenced evicted" false (Memo.mem m "new")
+
+(* An in-flight key is never evicted, however much the table churns while
+   it computes; a caller waiting on it gets the value without a second
+   computation. *)
+let test_memo_capacity_in_flight () =
+  let m : (string, int) Memo.t =
+    Memo.create ~capacity:1 ~name:"test.inflight" ()
+  in
+  let waits = Metrics.counter "test.inflight.waits" in
+  let w0 = Metrics.counter_value waits in
+  let calls = Atomic.make 0 in
+  let started = Atomic.make false and release = Atomic.make false in
+  let compute_a () =
+    Atomic.incr calls;
+    Atomic.set started true;
+    while not (Atomic.get release) do
+      Domain.cpu_relax ()
+    done;
+    7
+  in
+  let computer = Domain.spawn (fun () -> Memo.find_or_compute m "a" compute_a) in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  List.iteri
+    (fun i k -> ignore (Memo.find_or_compute m k (fun () -> i)))
+    [ "b"; "c"; "d" ];
+  let waiter = Domain.spawn (fun () -> Memo.find_or_compute m "a" compute_a) in
+  while Metrics.counter_value waits = w0 do
+    Domain.cpu_relax ()
+  done;
+  Atomic.set release true;
+  Alcotest.(check int) "computer's value" 7 (Domain.join computer);
+  Alcotest.(check int) "waiter's value" 7 (Domain.join waiter);
+  Alcotest.(check int) "computed once" 1 (Atomic.get calls);
+  Alcotest.(check (option int)) "published after the churn" (Some 7)
+    (Memo.find_opt m "a")
+
+(* A waiter whose key is published and then evicted before it wakes
+   recomputes the key itself.  Which interleaving a run takes depends on
+   the schedule (the memo_evict concurrency scenario explores them all);
+   every run must hand each caller its own key's value. *)
+let test_memo_capacity_evicted_waiter () =
+  for _ = 1 to 50 do
+    let m : (string, int) Memo.t = Memo.create ~capacity:1 () in
+    let go k v = Domain.spawn (fun () -> Memo.find_or_compute m k (fun () -> v)) in
+    let a1 = go "a" 1 and a2 = go "a" 1 and b = go "b" 2 in
+    Alcotest.(check (list int)) "values" [ 1; 1; 2 ]
+      (List.map Domain.join [ a1; a2; b ])
+  done
+
 (* --- Seed derivation --------------------------------------------------- *)
 
 let test_derive_distinct () =
@@ -291,6 +375,14 @@ let () =
             test_memo_concurrent_compute_once;
           Alcotest.test_case "failure retries" `Quick
             test_memo_failure_retries;
+          Alcotest.test_case "capacity recomputes evicted keys" `Quick
+            test_memo_capacity_recomputes;
+          Alcotest.test_case "capacity second chance" `Quick
+            test_memo_capacity_second_chance;
+          Alcotest.test_case "capacity never evicts in-flight" `Quick
+            test_memo_capacity_in_flight;
+          Alcotest.test_case "capacity evicted waiter" `Quick
+            test_memo_capacity_evicted_waiter;
         ] );
       ( "determinism",
         [

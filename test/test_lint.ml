@@ -256,6 +256,33 @@ let test_verify_legal_sequence () =
   if not (Verify.ok v) then
     Alcotest.failf "legal sequence failed:\n%s" (Verify.verdict_to_string v)
 
+(* Sequences the property below once rejected: after [unroll j x2] the
+   copies touch C[i][j] and C[i][j + 1] from iterations of a loop of step
+   2, which a stride-blind dependence test read as a (=, >) dependence
+   and so refused the later tile step as non-permutable. *)
+let test_verify_strided_sequences () =
+  List.iter
+    (fun (label, steps) ->
+      let v =
+        Verify.run ~param_overrides:[ ("N", 7) ] ~subject:label (mm ()) steps
+      in
+      if not (Verify.ok v) then
+        Alcotest.failf "%s failed:\n%s" label (Verify.verdict_to_string v))
+    [
+      ( "unroll j x2; tile i:2 j:8; tile i:2 j:4",
+        [
+          Verify.Unroll { index = "j"; factor = 2 };
+          Verify.Tile_nest [ ("i", 2); ("j", 8) ];
+          Verify.Tile_nest [ ("i", 2); ("j", 4) ];
+        ] );
+      ( "unroll-and-jam i x2; unroll j x3; tile i:4 j:8",
+        [
+          Verify.Unroll_and_jam { index = "i"; factor = 2 };
+          Verify.Unroll { index = "j"; factor = 3 };
+          Verify.Tile_nest [ ("i", 4); ("j", 8) ];
+        ] );
+    ]
+
 (* A[i][j] = A[i - 1][j + 1] carries a (<, >) dependence: interchanging
    (and therefore tiling) the nest reorders it. *)
 let skewed_src =
@@ -426,6 +453,8 @@ let () =
             test_verify_illegal_interchange;
           Alcotest.test_case "broken transforms" `Quick
             test_check_pair_catches_broken_transforms;
+          Alcotest.test_case "strided sequences" `Quick
+            test_verify_strided_sequences;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_accepted_sequences_audit_clean ]

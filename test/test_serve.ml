@@ -8,6 +8,7 @@
 module Protocol = Altune_serve.Protocol
 module Server = Altune_serve.Server
 module Json = Altune_obs.Json
+module Metrics = Altune_obs.Metrics
 
 let server ?(jobs = 1) ?(max_live = 8) ?(max_queue = 64) ?budget_cap
     ?checkpoint_dir ?snapshot_path ?flight ?ledger_path () =
@@ -360,6 +361,50 @@ let test_memo_accounting () =
   Alcotest.(check bool) "disjoint kernel adds entries" true
     (m'.Protocol.m_entries > m.Protocol.m_entries)
 
+(* The server keeps one instance per kernel: a second session on the
+   same (kernel, seed) demands the same configurations, so all of its
+   evaluations are hits in the shared store. *)
+let test_shared_instance () =
+  let misses = Metrics.counter "spapt.cache.misses" in
+  let s = server () in
+  let step name =
+    view
+      (ok (Server.handle s (Protocol.Step { session = name; iterations = 2 })))
+  in
+  let m0 = Metrics.counter_value misses in
+  ignore (ok (Server.handle s (open_req "a" "mvt")));
+  let va = step "a" in
+  let m1 = Metrics.counter_value misses in
+  ignore (ok (Server.handle s (open_req "b" "mvt")));
+  let vb = step "b" in
+  let m2 = Metrics.counter_value misses in
+  Alcotest.(check bool) "first session fills the store" true (m1 > m0);
+  Alcotest.(check int) "second session's evaluations are store hits" 0
+    (m2 - m1);
+  Alcotest.(check bool) "same progress" true
+    ({ vb with Protocol.v_session = "a" } = va)
+
+(* A closed session keeps only its view: status replies are unchanged
+   but for the state, and there is nothing left to checkpoint. *)
+let test_closed_session () =
+  let s = server () in
+  ignore (ok (Server.handle s (open_req ~n_max:None "a" "hessian")));
+  ignore
+    (ok (Server.handle s (Protocol.Step { session = "a"; iterations = 1 })));
+  let status () = view (ok (Server.handle s (Protocol.Status { session = "a" }))) in
+  let before = status () in
+  ignore (ok (Server.handle s (Protocol.Close { session = "a" })));
+  let after = status () in
+  Alcotest.(check bool) "view frozen at close" true
+    ({ before with Protocol.v_state = Protocol.Closed } = after);
+  Alcotest.(check bool) "still frozen" true (status () = after);
+  let path = Filename.concat (Filename.get_temp_dir_name ()) "never.ck.json" in
+  let e =
+    err (Server.handle s (Protocol.Checkpoint { session = "a"; path = Some path }))
+  in
+  Alcotest.(check bool) "closed session refuses to checkpoint" true
+    (String.ends_with ~suffix:"is closed" e)
+
 (* --- Graceful shutdown --------------------------------------------------- *)
 
 let test_shutdown () =
@@ -557,6 +602,10 @@ let () =
         [
           Alcotest.test_case "cross-session accounting" `Quick
             test_memo_accounting;
+          Alcotest.test_case "one instance per kernel" `Quick
+            test_shared_instance;
+          Alcotest.test_case "closed sessions keep only their view" `Quick
+            test_closed_session;
         ] );
       ( "telemetry",
         [
