@@ -12,20 +12,23 @@
    to record a JSONL span trace (summarize with `altune trace-summary`),
    --events FILE to record the learner decision stream (render with
    `altune report`), --metrics to dump the metrics registry to stderr
-   at exit, or a subset
-   of section names (table1 table2 fig1 fig2 fig5 fig6 ablation serve
-   surrogate micro) to run only those.  The surrogate section (alias
-   --surrogate) benchmarks the dynamic-tree hot path — observe
-   throughput, incremental vs full-recompute ALC — and writes
-   BENCH_surrogate.json for the bench-diff gate.  The serve section
-   drives --serve-load N
-   (default 200) synthetic tuning sessions with overlapping config
-   demand through the in-process tuning server, recording sessions/sec
-   and the cross-session memo hit rate.  Per-section wall times are
-   appended to
-   BENCH_harness.json, stamped with the run manifest (host, cores, git
-   rev, ...) so the performance trajectory stays interpretable across
-   machines and commits. *)
+   at exit, or a subset of section names (table1 table2 fig1 fig2 fig5
+   fig6 ablation serve surrogate fork micro) to run only those.  The
+   surrogate section (alias --surrogate) benchmarks the dynamic-tree hot
+   path — observe throughput, incremental vs full-recompute ALC.  The
+   fork section (alias --fork) times trie-resolved candidate batches
+   against from-scratch evaluation.  The serve section drives
+   --serve-load N (default 200) synthetic tuning sessions with
+   overlapping config demand through the in-process tuning server,
+   recording sessions/sec and the cross-session memo hit rate.
+
+   Every record lands in one file, BENCH_harness.json, in one format:
+   built by Bench_diff.record and appended by Bench_diff.append, stamped
+   with the run manifest (host, cores, git rev, ...) so the performance
+   trajectory stays interpretable across machines and commits.  A
+   section is recorded by its wall time unless it measures its own
+   records (serve, surrogate, fork); under --fault-spec the wall-time
+   records are named "<section>+fault". *)
 
 module Drivers = Altune_experiments.Drivers
 module Scale = Altune_experiments.Scale
@@ -35,71 +38,36 @@ module Trace = Altune_obs.Trace
 module Metrics = Altune_obs.Metrics
 module Manifest = Altune_obs.Manifest
 module Events = Altune_obs.Events
+module Bench_diff = Altune_obs.Bench_diff
+module Json = Altune_obs.Json
 
-(* (section id, wall seconds) of every section run, for BENCH_harness.json. *)
-let timings : (string * float) list ref = ref []
+let harness_path = "BENCH_harness.json"
 
-(* Fully-formed extra records appended by sections that measure more
-   than wall time (the serve section's throughput record), in the same
-   one-"  {...}"-line format as the timing records. *)
-let extra_records : string list ref = ref []
-
-let section id name f =
+(* Run one section and append its records to BENCH_harness.json.  [f]
+   returns the section's report and the records it measured itself; a
+   section that measured none is recorded by its wall time.  A
+   fault-injected run records that wall time under its own key, so a
+   clean baseline is never compared with it. *)
+let section ~manifest ~faulty id name f =
   Printf.printf "==============================================================\n";
   Printf.printf "%s\n" name;
   Printf.printf "==============================================================\n%!";
   let t0 = Unix.gettimeofday () in
-  print_string (Trace.with_span ~name:("bench." ^ id) f);
+  let report, records = Trace.with_span ~name:("bench." ^ id) f in
+  print_string report;
   let dt = Unix.gettimeofday () -. t0 in
-  timings := (id, dt) :: !timings;
+  let records =
+    if records <> [] then records
+    else
+      let section = if faulty then id ^ "+fault" else id in
+      [ Bench_diff.record ~manifest ~section ~seconds:dt () ]
+  in
+  (match Bench_diff.append harness_path records with
+  | Ok () -> ()
+  | Error e ->
+      Printf.eprintf "bench: %s\n" e;
+      exit 1);
   Printf.printf "\n[%s regenerated in %.1fs wall time]\n\n%!" name dt
-
-(* The file is a flat JSON array of {section, scale, jobs, seconds, ...}
-   records; successive runs append rather than overwrite, so the
-   performance trajectory (across job counts, scales and commits) lives in
-   one machine-readable place.  Existing records are recovered line-wise —
-   the file is only ever written by this function, one record per line.
-   Each new record carries the run manifest (host, cores, git rev, OCaml
-   version, seed) so an anomalous timing, like a jobs=4 run that is slower
-   than jobs=1, can be traced back to the machine that produced it. *)
-let write_harness_json ~path ~scale ~jobs ~(manifest : Manifest.t) =
-  let existing =
-    if not (Sys.file_exists path) then []
-    else begin
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.length line > 3 && String.sub line 0 3 = "  {" then begin
-             let line =
-               if line.[String.length line - 1] = ',' then
-                 String.sub line 0 (String.length line - 1)
-               else line
-             in
-             lines := line :: !lines
-           end
-         done
-       with End_of_file -> ());
-      close_in ic;
-      List.rev !lines
-    end
-  in
-  let fresh =
-    List.rev_map
-      (fun (id, dt) ->
-        Printf.sprintf
-          "  {\"section\": %S, \"scale\": %S, \"jobs\": %d, \"seconds\": \
-           %.3f, \"host\": %S, \"cores\": %d, \"git_rev\": %S, \"ocaml\": \
-           %S, \"seed\": %d}"
-          id scale jobs dt manifest.hostname manifest.cores manifest.git_rev
-          manifest.ocaml_version manifest.seed)
-      !timings
-  in
-  let records = existing @ fresh @ List.rev !extra_records in
-  let oc = open_out path in
-  Printf.fprintf oc "[\n%s\n]\n" (String.concat ",\n" records);
-  close_out oc
 
 (* --- Tuning-service load generator --------------------------------- *)
 
@@ -114,8 +82,8 @@ let write_harness_json ~path ~scale ~jobs ~(manifest : Manifest.t) =
    the server's memory reflects the sessions in flight rather than every
    session ever opened.  The returned summary is deterministic
    (simulated quantities only); the wall-derived sessions/sec rate goes
-   into the harness record. *)
-let run_serve_load ~manifest ~scale_label ~jobs ~sessions ?snapshots () =
+   into the section's record. *)
+let run_serve_load ~manifest ~jobs ~sessions ?snapshots () =
   let module Server = Altune_serve.Server in
   let module P = Altune_serve.Protocol in
   let benches = Array.of_list Altune_spapt.Kernels.names in
@@ -169,7 +137,7 @@ let run_serve_load ~manifest ~scale_label ~jobs ~sessions ?snapshots () =
         (match request P.Stats_full with
         | P.R_stats_full data ->
             write_file (base ^ "-statsfull.json")
-              (Altune_obs.Json.to_string data ^ "\n")
+              (Json.to_string data ^ "\n")
         | _ -> failwith "serve load: unexpected stats_full reply");
         (match request P.Prom with
         | P.R_prom text -> write_file (base ^ "-prom.txt") text
@@ -231,22 +199,27 @@ let run_serve_load ~manifest ~scale_label ~jobs ~sessions ?snapshots () =
   let rate =
     if seconds > 0.0 then float_of_int sessions /. seconds else 0.0
   in
-  let m : Manifest.t = manifest in
-  extra_records :=
-    Printf.sprintf
-      "  {\"section\": \"serve\", \"scale\": %S, \"jobs\": %d, \"seconds\": \
-       %.3f, \"host\": %S, \"cores\": %d, \"git_rev\": %S, \"ocaml\": %S, \
-       \"seed\": %d, \"sessions\": %d, \"sessions_per_sec\": %.2f, \
-       \"memo_lookups\": %d, \"memo_entries\": %d, \"memo_hits\": %d, \
-       \"memo_shared_keys\": %d, \"memo_cross_hits\": %d, \
-       \"memo_cross_hit_rate\": %.4f}"
-      scale_label jobs seconds m.hostname m.cores m.git_rev m.ocaml_version
-      m.seed sessions rate memo.P.m_lookups memo.P.m_entries memo.P.m_hits
-      memo.P.m_shared_keys memo.P.m_cross_hits
-      (if memo.P.m_lookups = 0 then 0.0
-       else float_of_int memo.P.m_cross_hits /. float_of_int memo.P.m_lookups)
-    :: !extra_records;
-  Printf.sprintf
+  let record =
+    Bench_diff.record ~manifest ~section:"serve" ~seconds
+      ~rate:(rate, "sess/s")
+      ~extras:
+        [
+          ("sessions", Json.Int sessions);
+          ("memo_lookups", Json.Int memo.P.m_lookups);
+          ("memo_entries", Json.Int memo.P.m_entries);
+          ("memo_hits", Json.Int memo.P.m_hits);
+          ("memo_shared_keys", Json.Int memo.P.m_shared_keys);
+          ("memo_cross_hits", Json.Int memo.P.m_cross_hits);
+          ( "memo_cross_hit_rate",
+            Json.Float
+              (if memo.P.m_lookups = 0 then 0.0
+               else
+                 float_of_int memo.P.m_cross_hits
+                 /. float_of_int memo.P.m_lookups) );
+        ]
+      ()
+  in
+  ( Printf.sprintf
     "serve load: %d sessions over %d kernels x %d seeds (%d distinct \
      workloads)\n\
      admission : %d live slots, FIFO queue, %d ticks of %d iterations\n\
@@ -262,48 +235,19 @@ let run_serve_load ~manifest ~scale_label ~jobs ~sessions ?snapshots () =
     stats.P.s_queued n_max memo.P.m_lookups memo.P.m_entries memo.P.m_hits
     (pct memo.P.m_hits memo.P.m_lookups)
     memo.P.m_shared_keys memo.P.m_cross_hits
-    (pct memo.P.m_cross_hits memo.P.m_lookups)
+    (pct memo.P.m_cross_hits memo.P.m_lookups),
+    [ record ] )
 
 (* --- Surrogate hot-path microbenchmark ------------------------------ *)
 
 (* Measure the dynamic-tree inner loop at a learner-shaped workload
    (ensemble observe throughput, fast incremental ALC, and the pre-PR
-   full-recompute ALC kept behind [Dynatree.force_full_alc]) and write
-   the records to BENCH_surrogate.json in the Bench_diff format, so CI
-   can gate them against the committed bench/surrogate_baseline.json.
-   Rates use a generic "rate"/"rate_unit" pair; allocations are reported
-   as minor words per operation (Gc.minor_words delta), which is exact
-   and deterministic, unlike the wall-clock rates. *)
-let surrogate_json_path = "BENCH_surrogate.json"
-
-let append_surrogate_records ~path records =
-  let existing =
-    if not (Sys.file_exists path) then []
-    else begin
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.length line > 3 && String.sub line 0 3 = "  {" then begin
-             let line =
-               if line.[String.length line - 1] = ',' then
-                 String.sub line 0 (String.length line - 1)
-               else line
-             in
-             lines := line :: !lines
-           end
-         done
-       with End_of_file -> ());
-      close_in ic;
-      List.rev !lines
-    end
-  in
-  let oc = open_out path in
-  Printf.fprintf oc "[\n%s\n]\n" (String.concat ",\n" (existing @ records));
-  close_out oc
-
-let run_surrogate ~(manifest : Manifest.t) ~scale_label ~jobs =
+   full-recompute ALC kept behind [Dynatree.force_full_alc]) as four
+   records, which CI gates against the committed
+   bench/surrogate_baseline.json.  Allocations are reported as minor
+   words per operation (Gc.minor_words delta), which is exact and
+   deterministic, unlike the wall-clock rates. *)
+let run_surrogate ~manifest =
   let module Rng = Altune_prng.Rng in
   let module Dt = Altune_dynatree.Dynatree in
   let dim = 8 and n_particles = 300 in
@@ -378,32 +322,12 @@ let run_surrogate ~(manifest : Manifest.t) ~scale_label ~jobs =
   in
   let iter_rate = float_of_int iter_n /. iter_s in
   let per op_words ops = op_words /. float_of_int ops in
-  let m = manifest in
-  let record ~section ~seconds ~rate ~rate_unit ~words_per_op =
-    Printf.sprintf
-      "  {\"section\": %S, \"scale\": %S, \"jobs\": %d, \"seconds\": %.3f, \
-       \"host\": %S, \"cores\": %d, \"git_rev\": %S, \"ocaml\": %S, \
-       \"seed\": %d, \"rate\": %.1f, \"rate_unit\": %S, \
-       \"minor_words_per_op\": %.1f}"
-      section scale_label jobs seconds m.hostname m.cores m.git_rev
-      m.ocaml_version m.seed rate rate_unit words_per_op
+  let record ~section ~seconds ~rate ~words_per_op =
+    Bench_diff.record ~manifest ~section ~seconds ~rate
+      ~extras:[ ("minor_words_per_op", Json.Float words_per_op) ]
+      ()
   in
-  append_surrogate_records ~path:surrogate_json_path
-    [
-      record ~section:"surrogate-observe" ~seconds:obs_s ~rate:obs_rate
-        ~rate_unit:"particles/s"
-        ~words_per_op:(per obs_words n_timed_obs);
-      record ~section:"surrogate-alc" ~seconds:fast_s ~rate:fast_rate
-        ~rate_unit:"scores/s"
-        ~words_per_op:(per fast_words alc_fast_iters);
-      record ~section:"surrogate-alc-full" ~seconds:slow_s ~rate:slow_rate
-        ~rate_unit:"scores/s"
-        ~words_per_op:(per slow_words alc_slow_iters);
-      record ~section:"surrogate-iteration" ~seconds:iter_s ~rate:iter_rate
-        ~rate_unit:"iterations/s"
-        ~words_per_op:(per iter_words iter_n);
-    ];
-  Printf.sprintf
+  ( Printf.sprintf
     "surrogate hot path: %d particles, dim %d, %d refs, %d candidates\n\
      observe   : %d ensemble updates in %.3fs — %.0f particles/s (%.0f \
      minor words/observe)\n\
@@ -411,8 +335,7 @@ let run_surrogate ~(manifest : Manifest.t) ~scale_label ~jobs =
      alc full  : %d calls in %.3fs — %.3e scores/s (%.0f minor words/call)\n\
      fast/full : %.1fx on identical model state\n\
      iteration : %d observe+score steps in %.3fs — %.1f iterations/s \
-     (%.0f minor words/iter)\n\
-     [surrogate records appended to %s]\n"
+     (%.0f minor words/iter)\n"
     n_particles dim n_refs n_cands n_timed_obs obs_s obs_rate
     (per obs_words n_timed_obs)
     alc_fast_iters fast_s fast_rate
@@ -420,8 +343,21 @@ let run_surrogate ~(manifest : Manifest.t) ~scale_label ~jobs =
     alc_slow_iters slow_s slow_rate
     (per slow_words alc_slow_iters)
     (fast_rate /. slow_rate)
-    iter_n iter_s iter_rate (per iter_words iter_n)
-    surrogate_json_path
+    iter_n iter_s iter_rate (per iter_words iter_n),
+    [
+      record ~section:"surrogate-observe" ~seconds:obs_s
+        ~rate:(obs_rate, "particles/s")
+        ~words_per_op:(per obs_words n_timed_obs);
+      record ~section:"surrogate-alc" ~seconds:fast_s
+        ~rate:(fast_rate, "scores/s")
+        ~words_per_op:(per fast_words alc_fast_iters);
+      record ~section:"surrogate-alc-full" ~seconds:slow_s
+        ~rate:(slow_rate, "scores/s")
+        ~words_per_op:(per slow_words alc_slow_iters);
+      record ~section:"surrogate-iteration" ~seconds:iter_s
+        ~rate:(iter_rate, "iterations/s")
+        ~words_per_op:(per iter_words iter_n);
+    ] )
 
 (* --- Transformation-prefix forking benchmark ------------------------ *)
 
@@ -434,12 +370,10 @@ let run_surrogate ~(manifest : Manifest.t) ~scale_label ~jobs =
    priced the same way.  The two must agree float-for-float (the trie is
    designed to be byte-inert), so the section doubles as a differential
    audit; the record carries the measured prefix-reuse rate and the
-   from-scratch/trie time ratio.  Records land in BENCH_fork.json for the
-   bench-diff gate against bench/fork_baseline.json and in
-   BENCH_harness.json alongside the section wall times. *)
-let fork_json_path = "BENCH_fork.json"
-
-let run_fork ~(manifest : Manifest.t) ~scale_label =
+   from-scratch/trie time ratio, and is gated against
+   bench/fork_baseline.json.  It is timed on one domain, so it says
+   jobs 1 whatever the run's --jobs. *)
+let run_fork ~(manifest : Manifest.t) =
   let module Rng = Altune_prng.Rng in
   let module Spapt = Altune_spapt.Spapt in
   let module Fork = Altune_spapt.Fork in
@@ -527,31 +461,30 @@ let run_fork ~(manifest : Manifest.t) ~scale_label =
     else float_of_int reused /. float_of_int (reused + applied)
   in
   let speedup = if fork_s > 0.0 then flat_s /. fork_s else 0.0 in
-  let m = manifest in
   let record =
-    Printf.sprintf
-      "  {\"section\": \"fork\", \"scale\": %S, \"jobs\": 1, \"seconds\": \
-       %.3f, \"host\": %S, \"cores\": %d, \"git_rev\": %S, \"ocaml\": %S, \
-       \"seed\": %d, \"rate\": %.2f, \"rate_unit\": \"x-from-scratch\", \
-       \"reuse_rate\": %.4f, \"configs\": %d, \"trie_nodes\": %d, \
-       \"flat_seconds\": %.3f}"
-      scale_label fork_s m.hostname m.cores m.git_rev m.ocaml_version
-      m.seed speedup reuse n_configs nodes flat_s
+    Bench_diff.record ~manifest:{ manifest with jobs = 1 } ~section:"fork"
+      ~seconds:fork_s ~rate:(speedup, "x-from-scratch")
+      ~extras:
+        [
+          ("reuse_rate", Json.Float reuse);
+          ("configs", Json.Int n_configs);
+          ("trie_nodes", Json.Int nodes);
+          ("flat_seconds", Json.Float flat_s);
+        ]
+      ()
   in
-  append_surrogate_records ~path:fork_json_path [ record ];
-  extra_records := record :: !extra_records;
-  Printf.sprintf
+  ( Printf.sprintf
     "prefix forking: %d benchmarks, %d sibling-heavy batches, %d configs\n\
      from-scratch : %.3fs (Spapt's evaluation path, one domain)\n\
      trie         : %.3fs (prefix-trie resolve + pricing, one domain)\n\
      ratio        : %.2fx; identical evaluations float-for-float\n\
      trie         : %d nodes; %d/%d steps served from a cached prefix \
-     (%.0f%% reuse)\n\
-     [fork record appended to %s]\n"
+     (%.0f%% reuse)\n"
     (List.length benches)
     (List.length benches * n_bases)
     n_configs flat_s fork_s speedup nodes reused (reused + applied)
-    (100.0 *. reuse) fork_json_path
+    (100.0 *. reuse),
+    [ record ] )
 
 (* --- Bechamel micro-benchmarks of the implementation's hot paths --- *)
 
@@ -830,45 +763,46 @@ let () =
      seconds; the shapes, not the absolute numbers, are the reproduction\n\
      target.\n\n%!"
     scale.Scale.label seed jobs;
+  let section = section ~manifest ~faulty:(Option.is_some fault) in
   let run_all () =
     if wanted "fig1" then
       section "fig1" "Figure 1 (mm unroll plane: MAE and optimal samples)"
-        (fun () -> Drivers.fig1 ~scale ~seed ());
+        (fun () -> (Drivers.fig1 ~scale ~seed (), []));
     if wanted "fig2" then
       section "fig2" "Figure 2 (adi runtime vs unroll factor)" (fun () ->
-          Drivers.fig2 ~scale ~seed ());
+          (Drivers.fig2 ~scale ~seed (), []));
     if wanted "table2" then
       section "table2" "Table 2 (noise spread across each space)" (fun () ->
-          Drivers.table2 ?benchmarks ~scale ~seed ());
+          (Drivers.table2 ?benchmarks ~scale ~seed (), []));
     if wanted "table1" then
       section "table1" "Table 1 (lowest common error, cost, speed-up)"
-        (fun () -> Drivers.table1 ?benchmarks ~scale ~seed ());
+        (fun () -> (Drivers.table1 ?benchmarks ~scale ~seed (), []));
     if wanted "fig5" then
       section "fig5" "Figure 5 (profiling-cost reduction)" (fun () ->
-          Drivers.fig5 ?benchmarks ~scale ~seed ());
+          (Drivers.fig5 ?benchmarks ~scale ~seed (), []));
     if wanted "fig6" then
       section "fig6" "Figure 6 (error vs cost for three sampling plans)"
-        (fun () -> Drivers.fig6 ?benchmarks ~scale ~seed ());
+        (fun () -> (Drivers.fig6 ?benchmarks ~scale ~seed (), []));
     if wanted "ablation" then
       section "ablation" "Ablation (design choices of the adaptive learner)"
-        (fun () -> Drivers.ablation ~scale ~seed ());
+        (fun () -> (Drivers.ablation ~scale ~seed (), []));
     if wanted "serve" then
       section "serve"
         (Printf.sprintf
            "Serve (tuning-as-a-service load: %d multi-tenant sessions)"
            serve_load) (fun () ->
-          run_serve_load ~manifest ~scale_label:scale.Scale.label ~jobs
-            ~sessions:serve_load ?snapshots ());
+          run_serve_load ~manifest ~jobs ~sessions:serve_load ?snapshots ());
     if wanted "surrogate" then
       section "surrogate"
         "Surrogate hot path (observe + incremental vs full ALC)" (fun () ->
-          run_surrogate ~manifest ~scale_label:scale.Scale.label ~jobs);
+          run_surrogate ~manifest);
     if wanted "fork" then
       section "fork"
         "Prefix forking (trie-resolved candidate batches vs from scratch)"
-        (fun () -> run_fork ~manifest ~scale_label:scale.Scale.label);
+        (fun () -> run_fork ~manifest);
     if wanted "micro" then
-      section "micro" "Micro-benchmarks (Bechamel)" (fun () -> run_micro ())
+      section "micro" "Micro-benchmarks (Bechamel)" (fun () ->
+          (run_micro (), []))
   in
   let run_all () =
     match events with
@@ -880,7 +814,5 @@ let () =
   | None -> run_all ()
   | Some path ->
       Trace.with_file path ~manifest:(Manifest.to_json manifest) run_all);
-  write_harness_json ~path:"BENCH_harness.json" ~scale:scale.Scale.label
-    ~jobs ~manifest;
-  Printf.printf "[per-section wall times written to BENCH_harness.json]\n%!";
+  Printf.printf "[records appended to %s]\n%!" harness_path;
   if metrics then prerr_string (Metrics.render ())

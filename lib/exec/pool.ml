@@ -7,7 +7,7 @@ type event =
 
 (* A batch is one map call; tasks carry their batch so that a helper
    draining the queue can complete tasks of any in-flight batch.
-   [enqueued_ns]/[submitter] feed the queue-wait histogram and the
+   [enqueued_ns]/[submitter] feed the queue-wait sketch and the
    helping-scheduler steal counter, which [run] records.  [b_loc] names
    the [remaining] counter to the race checker (each batch is its own
    cell). *)
@@ -26,8 +26,8 @@ type task = {
    [Metrics.reset] anyway. *)
 let m_tasks = Metrics.counter "pool.tasks"
 let m_steals = Metrics.counter "pool.steals"
-let m_wait = Metrics.histogram "pool.queue_wait_seconds"
-let m_run = Metrics.histogram "pool.task_seconds"
+let m_wait = Metrics.sketch "pool.queue_wait_seconds"
+let m_run = Metrics.sketch "pool.task_seconds"
 
 (* All synchronization and shared-access instrumentation goes through
    [Sync]: real primitives in production (byte-identical behaviour), the
@@ -175,7 +175,7 @@ let mapi ?label t f xs =
   let thunks =
     Array.init n (fun i ~queued_s ~stolen ->
         match
-          Metrics.observe m_wait queued_s;
+          Metrics.record m_wait queued_s;
           if stolen then Metrics.incr m_steals;
           let lbl = label i in
           let t0 = Unix.gettimeofday () in
@@ -188,7 +188,7 @@ let mapi ?label t f xs =
                   (fun () -> f i items.(i)))
           in
           let wall_seconds = Unix.gettimeofday () -. t0 in
-          Metrics.observe m_run wall_seconds;
+          Metrics.record m_run wall_seconds;
           emit t (Task_finished { index = i; label = lbl; wall_seconds });
           v
         with

@@ -26,8 +26,8 @@
     submitter's span context, so traced span trees are identical at any
     job count.  The pool also feeds process-wide metrics: counters
     ["pool.tasks"] and ["pool.steals"] (tasks executed by a domain other
-    than their submitter — the helping scheduler at work) and histograms
-    ["pool.queue_wait_seconds"] and ["pool.task_seconds"]. *)
+    than their submitter — the helping scheduler at work) and quantile
+    sketches ["pool.queue_wait_seconds"] and ["pool.task_seconds"]. *)
 
 type t
 

@@ -37,42 +37,17 @@ let record_of_json j =
   let float key = Option.bind (Json.member key j) Json.to_float_opt in
   match (str "section", str "scale", int "jobs", float "seconds") with
   | Some section, Some scale, Some jobs, Some seconds ->
-      (* A record tagged ["manifest": null] predates manifest stamping:
-         keep it loadable but unmatched (host/cores stay [None]), so
-         diffs skip it deterministically. *)
-      let null_manifest =
-        match Json.member "manifest" j with Some Json.Null -> true | _ -> false
-      in
-      let host = if null_manifest then None else str "host" in
-      let cores = if null_manifest then None else int "cores" in
-      (* Throughput-style records carry a rate alongside their wall time;
-         plain timing records don't.  New-style records say so directly
-         with "rate"/"rate_unit"; older sections used bespoke keys
-         (concheck's schedules/sec, serve's sessions/sec), kept readable
-         so committed baselines survive. *)
-      let rate, rate_unit =
-        match (float "rate", str "rate_unit") with
-        | Some r, Some u -> (Some r, Some u)
-        | Some r, None -> (Some r, Some "ops/s")
-        | None, _ -> (
-            match float "schedules_per_sec" with
-            | Some r -> (Some r, Some "sched/s")
-            | None -> (
-                match float "sessions_per_sec" with
-                | Some r -> (Some r, Some "sess/s")
-                | None -> (None, None)))
-      in
       Ok
         {
           section;
           scale;
           jobs;
           seconds;
-          host;
-          cores;
+          host = str "host";
+          cores = int "cores";
           git_rev = str "git_rev";
-          rate;
-          rate_unit;
+          rate = float "rate";
+          rate_unit = str "rate_unit";
         }
   | _ -> Error "bench record: missing section/scale/jobs/seconds"
 
@@ -96,6 +71,64 @@ let load path =
     close_in ic;
     Result.bind (Json.of_string s) of_json
   with Sys_error e -> Error e
+
+(* --- Writing ----------------------------------------------------------- *)
+
+let record ~manifest ~section ~seconds ?rate ?(extras = []) () =
+  let rate =
+    match rate with
+    | None -> []
+    | Some (r, u) -> [ ("rate", Json.Float r); ("rate_unit", Json.String u) ]
+  in
+  Json.Obj
+    ((("section", Json.String section) :: ("seconds", Json.Float seconds)
+     :: Manifest.fields manifest)
+    @ rate @ extras)
+
+let read_fd fd =
+  let len = (Unix.fstat fd).Unix.st_size in
+  let buf = Bytes.create len in
+  let rec go off =
+    if off >= len then off
+    else
+      match Unix.read fd buf off (len - off) with
+      | 0 -> off
+      | n -> go (off + n)
+  in
+  Bytes.sub_string buf 0 (go 0)
+
+let parse_array text =
+  if String.trim text = "" then Ok []
+  else
+    match Json.of_string text with
+    | Ok (Json.List items) -> Ok items
+    | Ok _ -> Error "bench file: expected a JSON array of records"
+    | Error e -> Error e
+
+(* Read-modify-write under an exclusive lock: dune runs bench aliases in
+   parallel, all appending to one file, and neither run may lose or tear
+   the other's records.  The lock is released when [fd] closes.  The
+   existing array is parsed with [Json], so its layout does not matter,
+   and the file is rewritten only if every record, old and new, loads. *)
+let append path records =
+  let ( let* ) = Result.bind in
+  try
+    let fd =
+      Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644
+    in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    Unix.lockf fd Unix.F_LOCK 0;
+    Result.map_error (fun e -> path ^ ": " ^ e)
+      (let* existing = parse_array (read_fd fd) in
+       let all = existing @ records in
+       let* _ = of_json (Json.List all) in
+       let lines = List.map (fun j -> "  " ^ Json.to_string j) all in
+       let out = "[\n" ^ String.concat ",\n" lines ^ "\n]\n" in
+       Unix.ftruncate fd 0;
+       ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+       ignore (Unix.write_substring fd out 0 (String.length out));
+       Ok ())
+  with Unix.Unix_error (e, _, _) -> Error (path ^ ": " ^ Unix.error_message e)
 
 (* --- Matching ---------------------------------------------------------- *)
 
@@ -192,7 +225,7 @@ let render ?max_regress d =
         match (dl.baseline_rate, dl.current_rate) with
         | Some b, Some c ->
             Printf.sprintf "  (%.0f -> %.0f %s)" b c
-              (Option.value ~default:"sched/s" dl.rate_unit)
+              (Option.value ~default:"" dl.rate_unit)
         | _ -> ""
       in
       Buffer.add_string buf

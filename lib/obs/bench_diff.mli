@@ -1,13 +1,19 @@
-(** Compare two [BENCH_harness.json] files and flag timing regressions.
+(** Bench records: the one format every benchmark writes, and the diff
+    that flags timing regressions between two record files.
 
-    The harness appends one record per section per run, stamped with the
-    run manifest (host, cores, git rev).  A diff only compares records
-    whose {e matching key} — (section, scale, jobs, host, cores) — is
-    identical on both sides: a timing from another machine, another core
-    count, or the pre-manifest era (tagged ["manifest": null]) is
-    skipped, never silently compared.  Within a key the {e last} record
-    wins, since the file is append-only and the newest timing is the
-    current truth.
+    A bench file ([BENCH_harness.json]) is a flat JSON array of records,
+    one per line.  A record is a section name, its wall time in seconds
+    and the run manifest (host, cores, git rev, scale, jobs, seed),
+    optionally a throughput [rate] with its [rate_unit], and any
+    section-specific extra fields.  {!record} builds one, {!append} is
+    the only writer.
+
+    A diff only compares records whose {e matching key} — (section,
+    scale, jobs, host, cores) — is identical on both sides: a timing
+    from another machine, another core count, or the pre-manifest era
+    (no [host]) is skipped, never silently compared.  Within a key the
+    {e last} record wins, since the file is append-only and the newest
+    timing is the current truth.
 
     Drives [altune bench-diff BASELINE CURRENT --max-regress PCT], the
     CI gate that fails a build whose benchmark sections slowed down more
@@ -22,13 +28,12 @@ type record = {
   cores : int option;
   git_rev : string option;
   rate : float option;
-      (** Throughput records ([concheck]'s [schedules_per_sec], the
-          serve load generator's [sessions_per_sec]); [None] for plain
+      (** Throughput of sections that measure one ([concheck], the serve
+          load, the surrogate and fork sections); [None] for plain
           timing records.  Purely informational — matching and
           regression gating stay seconds-based, so mixing throughput
           records into a bench file never breaks the baseline diff. *)
-  rate_unit : string option;
-      (** Display unit of [rate]: ["sched/s"] or ["sess/s"]. *)
+  rate_unit : string option;  (** Display unit of [rate], e.g. ["sess/s"]. *)
 }
 
 type delta = {
@@ -54,7 +59,27 @@ val record_of_json : Json.t -> (record, string) result
 val of_json : Json.t -> (record list, string) result
 
 val load : string -> (record list, string) result
-(** Read a flat JSON array of bench records, as written by the harness. *)
+(** Read a flat JSON array of bench records, as written by {!append}. *)
+
+val record :
+  manifest:Manifest.t ->
+  section:string ->
+  seconds:float ->
+  ?rate:float * string ->
+  ?extras:(string * Json.t) list ->
+  unit ->
+  Json.t
+(** One bench record: [section], [seconds] and {!Manifest.fields} (so
+    the manifest's [scale] and [jobs] are the record's), then [rate] as
+    a ["rate"]/["rate_unit"] pair, then [extras]. *)
+
+val append : string -> Json.t list -> (unit, string) result
+(** Append records to the bench file at the path, creating it if
+    missing, and rewrite the array one record per line.  Holds an
+    exclusive [Unix.lockf] lock for the whole read-modify-write, so
+    processes appending at once never lose or tear each other's
+    records.  Refuses, leaving the file untouched, when the file is not
+    a JSON array or when any record, old or new, does not load. *)
 
 val diff : baseline:record list -> current:record list -> diff
 

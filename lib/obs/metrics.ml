@@ -5,28 +5,13 @@
    use, so instruments created before a reset keep working and show up
    again — the hot path pays one atomic load and an int compare. *)
 
-type hist_cell = {
-  edges : float array;  (* strictly increasing upper bounds *)
-  h_buckets : int Atomic.t array;  (* length = Array.length edges + 1 *)
-  h_sum : float Atomic.t;
-  h_count : int Atomic.t;
-}
-
 type instrument =
   | C of int Atomic.t
   | G of float Atomic.t
-  | H of hist_cell
   | S of Quantile.t
 
 type counter = { c_name : string; mutable c_cell : int Atomic.t; mutable c_seen : int }
 type gauge = { g_name : string; mutable g_cell : float Atomic.t; mutable g_seen : int }
-
-type histogram = {
-  h_name : string;
-  h_edges : float array;
-  mutable h_cell : hist_cell;
-  mutable h_seen : int;
-}
 
 type sketch = {
   s_name : string;
@@ -110,91 +95,6 @@ let gauge_cell h =
 let set_gauge h v = Atomic.set (gauge_cell h) v
 let gauge_value h = Atomic.get (gauge_cell h)
 
-(* --- Histograms -------------------------------------------------------- *)
-
-let default_buckets =
-  [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 0.1; 1.0; 10.0; 100.0 |]
-
-let validate_edges edges =
-  if Array.length edges = 0 then
-    invalid_arg "Metrics.histogram: empty bucket edges";
-  Array.iteri
-    (fun i e ->
-      if not (Float.is_finite e) then
-        invalid_arg "Metrics.histogram: non-finite bucket edge";
-      if i > 0 && e <= edges.(i - 1) then
-        invalid_arg "Metrics.histogram: bucket edges must strictly increase")
-    edges
-
-let histogram_resolve name edges =
-  resolve name
-    ~adopt:(function
-      | H h ->
-          if h.edges <> edges then
-            invalid_arg
-              (Printf.sprintf
-                 "Metrics: %S already registered with different buckets" name);
-          h
-      | _ -> kind_error name "histogram")
-    ~fresh:(fun () ->
-      let h =
-        {
-          edges = Array.copy edges;
-          h_buckets =
-            Array.init (Array.length edges + 1) (fun _ -> Atomic.make 0);
-          h_sum = Atomic.make 0.0;
-          h_count = Atomic.make 0;
-        }
-      in
-      (h, H h))
-
-let histogram ?(buckets = default_buckets) name =
-  validate_edges buckets;
-  let edges = Array.copy buckets in
-  with_registry (fun () ->
-      let cell, seen = histogram_resolve name edges in
-      { h_name = name; h_edges = edges; h_cell = cell; h_seen = seen })
-
-let hist_cell h =
-  if h.h_seen = Atomic.get epoch then h.h_cell
-  else
-    with_registry (fun () ->
-        let cell, seen = histogram_resolve h.h_name h.h_edges in
-        h.h_cell <- cell;
-        h.h_seen <- seen;
-        cell)
-
-let bucket_index cell v =
-  let n = Array.length cell.edges in
-  let rec find i =
-    if i >= n then n else if v <= cell.edges.(i) then i else find (i + 1)
-  in
-  find 0
-
-let observe h v =
-  let cell = hist_cell h in
-  Atomic.incr cell.h_buckets.(bucket_index cell v);
-  Atomic.incr cell.h_count;
-  let rec cas_add () =
-    let old = Atomic.get cell.h_sum in
-    if not (Atomic.compare_and_set cell.h_sum old (old +. v)) then cas_add ()
-  in
-  cas_add ()
-
-let histogram_count h = Atomic.get (hist_cell h).h_count
-let histogram_sum h = Atomic.get (hist_cell h).h_sum
-
-let cell_bucket_counts cell =
-  List.init
-    (Array.length cell.h_buckets)
-    (fun i ->
-      let edge =
-        if i < Array.length cell.edges then cell.edges.(i) else infinity
-      in
-      (edge, Atomic.get cell.h_buckets.(i)))
-
-let bucket_counts h = cell_bucket_counts (hist_cell h)
-
 (* --- Sketches ---------------------------------------------------------- *)
 
 let sketch_resolve name alpha =
@@ -243,25 +143,7 @@ let snapshot () =
            match i with
            | C c -> Json.Int (Atomic.get c)
            | G g -> Json.Float (Atomic.get g)
-           | S s -> Quantile.summary_json s
-           | H h ->
-               Json.Obj
-                 [
-                   ("count", Json.Int (Atomic.get h.h_count));
-                   ("sum", Json.Float (Atomic.get h.h_sum));
-                   ( "buckets",
-                     Json.List
-                       (List.map
-                          (fun (edge, n) ->
-                            Json.Obj
-                              [
-                                ( "le",
-                                  if Float.is_finite edge then Json.Float edge
-                                  else Json.String "inf" );
-                                ("n", Json.Int n);
-                              ])
-                          (cell_bucket_counts h)) );
-                 ] ))
+           | S s -> Quantile.summary_json s ))
        (sorted_instruments ()))
 
 let render () =
@@ -284,24 +166,7 @@ let render () =
             Buffer.add_string buf
               (Printf.sprintf "%-32s count=%d p50=%.6g p99=%.6g max=%.6g\n"
                  name count (Quantile.quantile s 0.5) (Quantile.quantile s 0.99)
-                 (Quantile.max_value s))
-      | H h ->
-          let count = Atomic.get h.h_count in
-          let sum = Atomic.get h.h_sum in
-          let mean = if count = 0 then 0.0 else sum /. float_of_int count in
-          Buffer.add_string buf
-            (Printf.sprintf "%-32s count=%d sum=%.6g mean=%.6g\n" name count
-               sum mean);
-          List.iter
-            (fun (edge, n) ->
-              if n > 0 then
-                Buffer.add_string buf
-                  (if Float.is_finite edge then
-                     Printf.sprintf "  %-30s %d\n"
-                       (Printf.sprintf "le %.0e" edge)
-                       n
-                   else Printf.sprintf "  %-30s %d\n" "le inf" n))
-            (cell_bucket_counts h))
+                 (Quantile.max_value s)))
     (sorted_instruments ());
   Buffer.contents buf
 
@@ -335,19 +200,6 @@ let render_prom () =
       | G g ->
           line "# TYPE %s gauge" n;
           line "%s %s" n (prom_float (Atomic.get g))
-      | H h ->
-          line "# TYPE %s histogram" n;
-          let cum = ref 0 in
-          List.iter
-            (fun (edge, cnt) ->
-              cum := !cum + cnt;
-              let le =
-                if Float.is_finite edge then prom_float edge else "+Inf"
-              in
-              line "%s_bucket{le=\"%s\"} %d" n le !cum)
-            (cell_bucket_counts h);
-          line "%s_sum %s" n (prom_float (Atomic.get h.h_sum));
-          line "%s_count %d" n (Atomic.get h.h_count)
       | S s ->
           line "# TYPE %s summary" n;
           if Quantile.count s > 0 then

@@ -1,20 +1,21 @@
-(** Process-wide metrics registry: counters, gauges, and fixed-bucket
-    histograms with lock-free atomic updates, safe under
-    {!Altune_exec.Pool} parallelism.
+(** Process-wide metrics registry: counters, gauges and quantile
+    sketches with lock-free atomic updates, safe under
+    {!Altune_exec.Pool} parallelism.  Every latency is a sketch,
+    including the pool's ["pool.queue_wait_seconds"] and
+    ["pool.task_seconds"].
 
     Instruments are registered by name; asking for an existing name
     returns the same instrument (so a library and its caller can share
     ["pool.steals"] without plumbing).  Registering a name as two
-    different kinds, or a histogram with different bucket edges, raises
+    different kinds, or a sketch with a different [alpha], raises
     [Invalid_argument].
 
-    Updates never allocate under contention except the histogram sum's
-    CAS retry loop; reads ({!snapshot}, {!render}) are O(instruments)
-    and safe at any time. *)
+    Updates never allocate except in a sketch's float CAS loops (sum,
+    min, max); reads ({!snapshot}, {!render}) are O(instruments) and
+    safe at any time. *)
 
 type counter
 type gauge
-type histogram
 type sketch
 
 val counter : string -> counter
@@ -25,23 +26,6 @@ val counter_value : counter -> int
 val gauge : string -> gauge
 val set_gauge : gauge -> float -> unit
 val gauge_value : gauge -> float
-
-val default_buckets : float array
-(** Log-spaced seconds: 1us .. 100s. *)
-
-val histogram : ?buckets:float array -> string -> histogram
-(** [buckets] are strictly increasing upper bounds; an implicit
-    overflow bucket collects values above the last edge.  A value [v]
-    lands in the first bucket with [v <= edge]. *)
-
-val observe : histogram -> float -> unit
-
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
-
-val bucket_counts : histogram -> (float * int) list
-(** [(upper_edge, count)] per bucket; the overflow bucket reports
-    [infinity] as its edge. *)
 
 val sketch : ?alpha:float -> string -> sketch
 (** A mergeable {!Quantile} sketch as a registry instrument (default
@@ -61,13 +45,13 @@ val snapshot : unit -> Json.t
     {!Quantile.summary_json}. *)
 
 val render : unit -> string
-(** Human-readable dump, sorted by name, for [--metrics]. *)
+(** Human-readable dump, sorted by name, for [--metrics]: a sketch
+    prints its count, p50, p99 and max. *)
 
 val render_prom : unit -> string
 (** Prometheus text exposition (format 0.0.4): counters and gauges as
-    single samples, histograms with cumulative [_bucket{le=...}] plus
-    [_sum]/[_count], sketches as summaries with [quantile] labels.
-    Dots in names become underscores. *)
+    single samples, sketches as summaries with [quantile] labels plus
+    [_sum]/[_count].  Dots in names become underscores. *)
 
 val reset : unit -> unit
 (** Drop every registered instrument (tests).  Handles created before

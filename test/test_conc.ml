@@ -293,7 +293,7 @@ let test_bench_diff_mixed_records () =
   let concheck seconds rate =
     record_exn
       (Printf.sprintf
-         {|{"section": "concheck", "scale": "conc", "jobs": 1, "seconds": %f, "host": "h", "cores": 8, "schedules": 20000, "schedules_per_sec": %f}|}
+         {|{"section": "concheck", "scale": "conc", "jobs": 1, "seconds": %f, "host": "h", "cores": 8, "schedules": 20000, "rate": %f, "rate_unit": "sched/s"}|}
          seconds rate)
   in
   (* Baseline without any concheck record: the new record is unmatched,

@@ -1,8 +1,9 @@
 (* The observability layer: JSON round-trips, span nesting and ordering
    under Pool fan-out (the span tree must be identical at any job count),
-   histogram bucket edges, atomic counter contention, manifest
-   round-trips, trace-summary self-time attribution, and the guarantee
-   that tracing never changes experiment output. *)
+   atomic counter and sketch contention, manifest round-trips,
+   trace-summary self-time attribution, bench records written and read
+   back, and the guarantee that tracing never changes experiment
+   output. *)
 
 module Json = Altune_obs.Json
 module Bench_diff = Altune_obs.Bench_diff
@@ -233,27 +234,6 @@ let test_add_attrs () =
 
 (* --- Metrics ------------------------------------------------------------ *)
 
-let test_histogram_edges () =
-  Metrics.reset ();
-  let h = Metrics.histogram ~buckets:[| 1.0; 2.0; 5.0 |] "t.hist" in
-  List.iter (Metrics.observe h) [ 0.5; 1.0; 1.5; 2.0; 5.0; 7.0 ];
-  Alcotest.(check int) "count" 6 (Metrics.histogram_count h);
-  Alcotest.(check (float 1e-9)) "sum" 17.0 (Metrics.histogram_sum h);
-  (* A value lands in the first bucket with v <= edge; 7.0 overflows. *)
-  Alcotest.(check (list (pair (float 0.0) int)))
-    "bucket counts"
-    [ (1.0, 2); (2.0, 2); (5.0, 1); (infinity, 1) ]
-    (Metrics.bucket_counts h)
-
-let test_histogram_bad_buckets () =
-  Metrics.reset ();
-  (match Metrics.histogram ~buckets:[||] "t.empty" with
-  | _ -> Alcotest.fail "empty buckets accepted"
-  | exception Invalid_argument _ -> ());
-  match Metrics.histogram ~buckets:[| 1.0; 1.0 |] "t.flat" with
-  | _ -> Alcotest.fail "non-increasing buckets accepted"
-  | exception Invalid_argument _ -> ()
-
 let test_registry_identity_and_kinds () =
   Metrics.reset ();
   let c1 = Metrics.counter "t.shared" in
@@ -264,15 +244,15 @@ let test_registry_identity_and_kinds () =
   (match Metrics.gauge "t.shared" with
   | _ -> Alcotest.fail "kind mismatch accepted"
   | exception Invalid_argument _ -> ());
-  let _h = Metrics.histogram ~buckets:[| 1.0 |] "t.h" in
-  match Metrics.histogram ~buckets:[| 2.0 |] "t.h" with
-  | _ -> Alcotest.fail "bucket mismatch accepted"
+  let _s = Metrics.sketch ~alpha:0.01 "t.s" in
+  match Metrics.sketch ~alpha:0.02 "t.s" with
+  | _ -> Alcotest.fail "alpha mismatch accepted"
   | exception Invalid_argument _ -> ()
 
 let test_counter_contention () =
   Metrics.reset ();
   let c = Metrics.counter "t.contended" in
-  let h = Metrics.histogram ~buckets:[| 0.5; 1.5 |] "t.contended.h" in
+  let s = Metrics.sketch "t.contended.s" in
   let per_task = 10_000 in
   Pool.with_pool ~jobs:4 (fun p ->
       ignore
@@ -280,16 +260,16 @@ let test_counter_contention () =
            (fun _ ->
              for _ = 1 to per_task do
                Metrics.incr c;
-               Metrics.observe h 1.0
+               Metrics.record s 1.0
              done)
            (List.init 8 (fun i -> i))));
   Alcotest.(check int) "no lost increments" (8 * per_task)
     (Metrics.counter_value c);
-  Alcotest.(check int) "no lost observations" (8 * per_task)
-    (Metrics.histogram_count h);
+  let data = Metrics.sketch_data s in
+  Alcotest.(check int) "no lost records" (8 * per_task) (Quantile.count data);
   Alcotest.(check (float 1e-6))
     "atomic float sum" (float_of_int (8 * per_task))
-    (Metrics.histogram_sum h)
+    (Quantile.sum data)
 
 (* --- Quantile sketches --------------------------------------------------- *)
 
@@ -460,8 +440,6 @@ let test_render_prom () =
   Metrics.reset ();
   Metrics.add (Metrics.counter "t.prom.requests") 3;
   Metrics.set_gauge (Metrics.gauge "t.prom.depth") 2.0;
-  let h = Metrics.histogram ~buckets:[| 1.0; 2.0 |] "t.prom.lat" in
-  List.iter (Metrics.observe h) [ 0.5; 1.5; 5.0 ];
   let s = Metrics.sketch "t.prom.wire" in
   List.iter (Metrics.record s) [ 0.1; 0.2; 0.3 ];
   let out = Metrics.render_prom () in
@@ -474,11 +452,6 @@ let test_render_prom () =
       "t_prom_requests 3";
       "# TYPE t_prom_depth gauge";
       "t_prom_depth 2";
-      "# TYPE t_prom_lat histogram";
-      "t_prom_lat_bucket{le=\"1\"} 1";
-      "t_prom_lat_bucket{le=\"2\"} 2";
-      "t_prom_lat_bucket{le=\"+Inf\"} 3";
-      "t_prom_lat_count 3";
       "# TYPE t_prom_wire summary";
       "t_prom_wire{quantile=\"0.5\"}";
       "t_prom_wire{quantile=\"0.99\"}";
@@ -749,6 +722,188 @@ let test_bench_diff_parses_null_manifest () =
           Alcotest.(check bool) "not comparable" true (r.host = None);
           Alcotest.(check (float 0.0)) "seconds kept" 96.9 r.seconds)
 
+(* --- Bench records: the writer ------------------------------------------- *)
+
+let bench_manifest =
+  {
+    Manifest.git_rev = "abc123";
+    ocaml_version = "5.1.1";
+    hostname = "h";
+    cores = 4;
+    scale = "smoke";
+    jobs = 2;
+    seed = 42;
+  }
+
+let bench_record =
+  Alcotest.testable
+    (fun fmt (r : Bench_diff.record) ->
+      Format.fprintf fmt "%s/%s/jobs %d: %gs on %s (%s cores), rate %s %s"
+        r.section r.scale r.jobs r.seconds
+        (Option.value ~default:"-" r.host)
+        (Option.fold ~none:"-" ~some:string_of_int r.cores)
+        (Option.fold ~none:"-" ~some:string_of_float r.rate)
+        (Option.value ~default:"-" r.rate_unit))
+    ( = )
+
+(* Plain, rate and extras records survive the text round trip with every
+   field the diff matches and reports on; the fork-style record takes its
+   jobs from the manifest it is given. *)
+let test_bench_record_roundtrip () =
+  let m = bench_manifest in
+  let expected ?rate ~section ~jobs seconds =
+    {
+      (record ~host:"h" ~cores:4 ~section ~jobs seconds) with
+      git_rev = Some "abc123";
+      rate = Option.map fst rate;
+      rate_unit = Option.map snd rate;
+    }
+  in
+  let fork =
+    Bench_diff.record ~manifest:{ m with jobs = 1 } ~section:"fork"
+      ~seconds:6.934 ~rate:(1.19, "x-from-scratch")
+      ~extras:[ ("reuse_rate", Json.Float 0.71); ("configs", Json.Int 2352) ]
+      ()
+  in
+  List.iter
+    (fun (j, (want : Bench_diff.record)) ->
+      match
+        Result.bind (Json.of_string (Json.to_string j)) Bench_diff.record_of_json
+      with
+      | Error e -> Alcotest.failf "%s: %s" want.section e
+      | Ok r -> Alcotest.check bench_record want.section want r)
+    [
+      ( Bench_diff.record ~manifest:m ~section:"table1" ~seconds:5.826 (),
+        expected ~section:"table1" ~jobs:2 5.826 );
+      ( Bench_diff.record ~manifest:m ~section:"serve" ~seconds:15.27
+          ~rate:(13.1, "sess/s") (),
+        expected ~rate:(13.1, "sess/s") ~section:"serve" ~jobs:2 15.27 );
+      ( fork,
+        expected ~rate:(1.19, "x-from-scratch") ~section:"fork" ~jobs:1 6.934 );
+    ];
+  Alcotest.(check (option (float 0.0)))
+    "extra field kept" (Some 0.71)
+    (Option.bind (Json.member "reuse_rate" fork) Json.to_float_opt)
+
+let with_temp_file contents f =
+  let path = Filename.temp_file "bench" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+      f path)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* A pretty-printed array, as [jq .] writes it: each record spans several
+   lines and none starts a line with exactly "  {", so only a real JSON
+   parse keeps them. *)
+let jq_array =
+  {|[
+  {
+    "section": "table1",
+    "scale": "smoke",
+    "jobs": 2,
+    "seconds": 3.5,
+    "host": "h",
+    "cores": 4
+  },
+  {
+    "section": "fig6",
+    "scale": "smoke",
+    "jobs": 2,
+    "seconds": 7.25,
+    "host": "h",
+    "cores": 4
+  }
+]
+|}
+
+let test_bench_append_keeps_pretty_records () =
+  with_temp_file jq_array (fun path ->
+      let fresh =
+        Bench_diff.record ~manifest:bench_manifest ~section:"fig5" ~seconds:1.5 ()
+      in
+      (match Bench_diff.append path [ fresh ] with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "append: %s" e);
+      match Bench_diff.load path with
+      | Error e -> Alcotest.failf "load: %s" e
+      | Ok records ->
+          Alcotest.(check (list (pair string (float 0.0))))
+            "old records kept, new one appended"
+            [ ("table1", 3.5); ("fig6", 7.25); ("fig5", 1.5) ]
+            (List.map
+               (fun (r : Bench_diff.record) -> (r.section, r.seconds))
+               records);
+          Alcotest.(check int) "one record per line" 5
+            (List.length
+               (String.split_on_char '\n' (String.trim (read_file path)))))
+
+let test_bench_append_refuses_malformed () =
+  let fresh =
+    Bench_diff.record ~manifest:bench_manifest ~section:"fig5" ~seconds:1.5 ()
+  in
+  List.iter
+    (fun contents ->
+      with_temp_file contents (fun path ->
+          (match Bench_diff.append path [ fresh ] with
+          | Ok () -> Alcotest.failf "appended onto %S" contents
+          | Error _ -> ());
+          Alcotest.(check string) "file untouched" contents (read_file path)))
+    [
+      {|[
+  {"section": "table1", "scale": "smoke", "jobs": 2,|};
+      {|{"section": "table1"}|};
+      {|[{"section": "table1", "scale": "smoke"}]|};
+    ]
+
+(* Processes appending to one file at once: the lock must keep every
+   record.  Each child is this executable re-run with [append_child_var]
+   set (a process that has spawned domains may not fork). *)
+let append_child_var = "ALTUNE_TEST_APPEND_CHILD"
+let appends_per_child = 25
+
+let append_child path =
+  let record =
+    Bench_diff.record ~manifest:bench_manifest ~section:"child" ~seconds:1.0 ()
+  in
+  for _ = 1 to appends_per_child do
+    match Bench_diff.append path [ record ] with
+    | Ok () -> ()
+    | Error e ->
+        prerr_endline e;
+        exit 1
+  done;
+  exit 0
+
+let test_bench_append_concurrent () =
+  with_temp_file "" (fun path ->
+      let children = 6 in
+      let env =
+        Array.append
+          [| append_child_var ^ "=" ^ path |]
+          (Unix.environment ())
+      in
+      let pids =
+        List.init children (fun _ ->
+            Unix.create_process_env Sys.executable_name
+              [| Sys.executable_name |]
+              env Unix.stdin Unix.stdout Unix.stderr)
+      in
+      List.iter
+        (fun pid ->
+          match Unix.waitpid [] pid with
+          | _, Unix.WEXITED 0 -> ()
+          | _ -> Alcotest.fail "an appending child failed")
+        pids;
+      match Bench_diff.load path with
+      | Error e -> Alcotest.failf "load: %s" e
+      | Ok records ->
+          Alcotest.(check int) "every record kept"
+            (children * appends_per_child)
+            (List.length records))
+
 let test_bench_diff_last_record_wins () =
   let baseline = [ record ~host:"vm" ~cores:1 ~section:"t" ~jobs:1 10.0 ] in
   let current =
@@ -763,6 +918,7 @@ let test_bench_diff_last_record_wins () =
   | ds -> Alcotest.failf "expected one delta, got %d" (List.length ds)
 
 let () =
+  Option.iter append_child (Sys.getenv_opt append_child_var);
   Alcotest.run "obs"
     [
       ( "json",
@@ -781,8 +937,6 @@ let () =
         ] );
       ( "metrics",
         [
-          Alcotest.test_case "histogram edges" `Quick test_histogram_edges;
-          Alcotest.test_case "bad buckets" `Quick test_histogram_bad_buckets;
           Alcotest.test_case "registry identity and kinds" `Quick
             test_registry_identity_and_kinds;
           Alcotest.test_case "counter contention" `Quick
@@ -838,6 +992,14 @@ let () =
             test_bench_diff_parses_null_manifest;
           Alcotest.test_case "last record wins" `Quick
             test_bench_diff_last_record_wins;
+          Alcotest.test_case "writer round-trips through record_of_json"
+            `Quick test_bench_record_roundtrip;
+          Alcotest.test_case "append keeps pretty-printed records" `Quick
+            test_bench_append_keeps_pretty_records;
+          Alcotest.test_case "append refuses malformed files" `Quick
+            test_bench_append_refuses_malformed;
+          Alcotest.test_case "concurrent appends keep every record" `Quick
+            test_bench_append_concurrent;
         ] );
       ( "integration",
         [
