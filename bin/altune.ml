@@ -648,37 +648,41 @@ let tune_cmd name doc =
           let injector =
             Option.map (fun s -> Fault.create s ~seed:fault_seed) fault
           in
-          let checkpoint =
-            Option.map
-              (fun path ->
-                let meta =
-                  {
-                    Checkpoint.bench;
-                    scale = scale.Scale.label;
-                    seed;
-                    every;
-                    fault =
-                      Option.map
-                        (fun s -> (Fault.to_string s, fault_seed))
-                        fault;
-                  }
-                in
-                ( every,
-                  fun (st : Learner.state) ->
-                    Checkpoint.save ~path ~meta dataset st;
-                    match halt_at with
-                    | Some n when st.Learner.st_iteration >= n -> `Halt
-                    | _ -> `Continue ))
-              ckpt
+          let meta =
+            {
+              Checkpoint.bench;
+              scale = scale.Scale.label;
+              seed;
+              every;
+              fault =
+                Option.map (fun s -> (Fault.to_string s, fault_seed)) fault;
+            }
           in
           let outcome =
             Events.with_run run_key (fun () ->
-                try
-                  Some
-                    (Learner.run ?fault:injector ?checkpoint
-                       ~exec_pool:(Runs.pool ()) problem dataset
-                       scale.Scale.adaptive ~rng:(Rng.create ~seed))
-                with Learner.Halted -> None)
+                match ckpt with
+                | Some path when every > 0 ->
+                    let learner =
+                      Learner.start ?fault:injector ~exec_pool:(Runs.pool ())
+                        problem dataset scale.Scale.adaptive
+                        ~rng:(Rng.create ~seed)
+                    in
+                    let rec go () =
+                      match Learner.step learner ~iterations:every with
+                      | Some outcome -> Some outcome
+                      | None -> (
+                          let st = Learner.state learner in
+                          Checkpoint.save ~path ~meta dataset st;
+                          match halt_at with
+                          | Some n when st.Learner.st_iteration >= n -> None
+                          | _ -> go ())
+                    in
+                    go ()
+                | _ ->
+                    Some
+                      (Learner.run ?fault:injector ~exec_pool:(Runs.pool ())
+                         problem dataset scale.Scale.adaptive
+                         ~rng:(Rng.create ~seed)))
           in
           match outcome with
           | None ->

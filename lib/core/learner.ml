@@ -101,7 +101,12 @@ type state = {
   st_curve : eval_point list;
 }
 
-exception Halted
+(* A run between steps: closures over [start_run]'s local state. *)
+type t = {
+  problem_name : string;
+  advance : int -> outcome option;
+  capture : unit -> state;
+}
 
 (* Fault-injection instruments (process-wide).  Eager, not [lazy]:
    learner runs on different domains would force a lazy handle
@@ -144,7 +149,7 @@ let strategy_string = function
   | Mackay -> "mackay"
   | Random_selection -> "random"
 
-let run_loop ?fault ?checkpoint ?resume ?exec_pool (problem : Problem.t)
+let start_run ?fault ?resume ?exec_pool (problem : Problem.t)
     (dataset : Dataset.t) settings ~rng:rng0 =
   validate settings;
   (* The learner's private stream lives in a cell so that resume can point
@@ -363,8 +368,8 @@ let run_loop ?fault ?checkpoint ?resume ?exec_pool (problem : Problem.t)
             (fun () -> sample_unseen settings.n_init)
         in
         (* Every seed configuration is about to be profiled: warm their
-           deterministic evaluations as one batch (shared transformation
-           prefixes, optional pool fan-out).  No rng is consumed, so the
+           deterministic evaluations as one batch (a pool fan-out when
+           the problem has a pool).  No rng is consumed, so the
            measurement stream below is untouched. *)
         if List.length seed_configs > 1 then
           Trace.with_span ~name:"learner.prepare" ~phase:"profiling"
@@ -471,8 +476,7 @@ let run_loop ?fault ?checkpoint ?resume ?exec_pool (problem : Problem.t)
            n_max = settings.n_max;
          });
   (* The ordered observation log is what lets a checkpoint rebuild the
-     surrogate; only maintained when checkpointing is requested. *)
-  let tracking = Option.is_some checkpoint in
+     surrogate. *)
   let observe_log =
     ref (match resume with None -> [] | Some st -> List.rev st.st_observe_log)
   in
@@ -480,7 +484,7 @@ let run_loop ?fault ?checkpoint ?resume ?exec_pool (problem : Problem.t)
     Trace.with_span ~name:"learner.observe" ~phase:"tree-update" (fun () ->
         let f = problem.features config in
         let z = standardize scaler y in
-        if tracking then observe_log := (f, z) :: !observe_log;
+        observe_log := (f, z) :: !observe_log;
         Surrogate.observe model f z)
   in
   List.iter (fun (config, mean) -> observe_raw config mean) seed_means;
@@ -624,9 +628,10 @@ let run_loop ?fault ?checkpoint ?resume ?exec_pool (problem : Problem.t)
       st_curve = List.rev !curve;
     }
   in
-  let last_checkpoint = ref !iteration in
   let stopped = ref (should_stop !iteration) in
-  while not !stopped do
+  (* One pass of the active-learning loop: candidate generation,
+     selection, and the profiling of one batch. *)
+  let loop_body () =
     let fresh, revisits =
       Trace.with_span ~name:"learner.candidates" ~phase:"candidate-gen"
         (fun () ->
@@ -667,10 +672,10 @@ let run_loop ?fault ?checkpoint ?resume ?exec_pool (problem : Problem.t)
     in
     if batch = [] then stopped := true
     else begin
-      (* Multi-candidate batches share recipe prefixes; warming them as a
-         group is where the fork trie and the pool earn their keep.
-         Deterministic, rng-free, hence byte-inert on the sequential
-         measurement path below. *)
+      (* Warm a multi-candidate batch as one group, so a problem with a
+         pool evaluates its members in parallel.  Deterministic,
+         rng-free, hence byte-inert on the sequential measurement path
+         below. *)
       if List.length batch > 1 then
         Trace.with_span ~name:"learner.prepare" ~phase:"profiling" (fun () ->
             problem.prepare (List.map (fun (config, _, _) -> config) batch));
@@ -716,55 +721,72 @@ let run_loop ?fault ?checkpoint ?resume ?exec_pool (problem : Problem.t)
             || !iteration = settings.n_max
           then record !iteration)
         batch;
-      stopped := should_stop !iteration;
-      match checkpoint with
-      | Some (every, save)
-        when (not !stopped) && every > 0
-             && !iteration - !last_checkpoint >= every -> (
-          last_checkpoint := !iteration;
-          match
-            Trace.with_span ~name:"learner.checkpoint" ~phase:"eval" (fun () ->
-                save (capture_state ()))
-          with
-          | `Continue -> ()
-          | `Halt -> raise Halted)
-      | _ -> ()
+      stopped := should_stop !iteration
     end
-  done;
-  (* Runs cut short by a stop criterion still end with a recorded point. *)
-  (match !curve with
-  | last :: _ when last.iteration = !iteration -> ()
-  | _ -> record !iteration);
-  let curve = List.rev !curve in
-  let final_rmse =
-    match List.rev curve with [] -> nan | last :: _ -> last.rmse
   in
-  if Events.enabled () then
-    Events.emit
-      (Finish
-         {
-           iterations = !iteration;
-           examples = Hashtbl.length obs_count;
-           observations = !run_counter;
-           cost_s = Cost.total_seconds cost;
-           rmse = final_rmse;
-         });
-  {
-    curve;
-    total_cost = Cost.total_seconds cost;
-    total_runs = Cost.runs cost;
-    distinct_examples = Hashtbl.length obs_count;
-    final_rmse;
-    predict =
-      (fun config ->
-        unstandardize scaler
-          (Surrogate.predict model (problem.features config)).mean);
-  }
+  (* Runs cut short by a stop criterion still end with a recorded point. *)
+  let finish () =
+    (match !curve with
+    | last :: _ when last.iteration = !iteration -> ()
+    | _ -> record !iteration);
+    let curve = List.rev !curve in
+    let final_rmse =
+      match List.rev curve with [] -> nan | last :: _ -> last.rmse
+    in
+    if Events.enabled () then
+      Events.emit
+        (Finish
+           {
+             iterations = !iteration;
+             examples = Hashtbl.length obs_count;
+             observations = !run_counter;
+             cost_s = Cost.total_seconds cost;
+             rmse = final_rmse;
+           });
+    {
+      curve;
+      total_cost = Cost.total_seconds cost;
+      total_runs = Cost.runs cost;
+      distinct_examples = Hashtbl.length obs_count;
+      final_rmse;
+      predict =
+        (fun config ->
+          unstandardize scaler
+            (Surrogate.predict model (problem.features config)).mean);
+    }
+  in
+  let last_pause = ref !iteration in
+  let finished = ref None in
+  let advance iterations =
+    while (not !stopped) && !iteration - !last_pause < iterations do
+      loop_body ()
+    done;
+    last_pause := !iteration;
+    if !stopped && Option.is_none !finished then finished := Some (finish ());
+    !finished
+  in
+  { problem_name = problem.name; advance; capture = capture_state }
 
-let run ?fault ?checkpoint ?resume ?exec_pool (problem : Problem.t) dataset
-    settings ~rng =
+let traced problem_name f =
   Trace.with_span ~name:"learner.run"
-    ~attrs:[ ("problem", Trace.String problem.name) ]
-    (fun () ->
-      run_loop ?fault ?checkpoint ?resume ?exec_pool problem dataset settings
-        ~rng)
+    ~attrs:[ ("problem", Trace.String problem_name) ]
+    f
+
+let start ?fault ?resume ?exec_pool (problem : Problem.t) dataset settings
+    ~rng =
+  traced problem.name (fun () ->
+      start_run ?fault ?resume ?exec_pool problem dataset settings ~rng)
+
+let step t ~iterations =
+  if iterations < 1 then invalid_arg "Learner.step: iterations < 1";
+  traced t.problem_name (fun () -> t.advance iterations)
+
+let state t = t.capture ()
+
+let run ?fault ?resume ?exec_pool (problem : Problem.t) dataset settings ~rng
+    =
+  traced problem.name (fun () ->
+      let t =
+        start_run ?fault ?resume ?exec_pool problem dataset settings ~rng
+      in
+      Option.get (t.advance max_int))

@@ -86,14 +86,16 @@ type outcome = {
       (** The trained model, as a runtime predictor in seconds. *)
 }
 
-(** {1 Checkpointing}
+(** {1 Running and checkpointing}
 
-    A {!state} is everything {!run} needs to continue a training run from
-    a loop boundary and reproduce the uninterrupted run byte-for-byte.
-    The surrogate itself is not serialized: its posterior is a
-    deterministic function of its creation-time rng cursor and the
-    ordered observation log, so resume restores [st_rng_model], re-runs
-    the factory, and replays [st_observe_log] — exact for any surrogate.
+    A run is {!start}ed, then {!step}ped from one loop boundary to a
+    later one; {!run} steps it to completion.  A {!state} is everything
+    {!start} needs to continue a run from a loop boundary and reproduce
+    the uninterrupted run byte-for-byte.  The surrogate itself is not
+    serialized: its posterior is a deterministic function of its
+    creation-time rng cursor and the ordered observation log, which
+    every run keeps, so resume restores [st_rng_model], re-runs the
+    factory, and replays [st_observe_log] — exact for any surrogate.
     Serialize with {!Checkpoint}. *)
 
 type obs_entry = {
@@ -123,21 +125,22 @@ type state = {
   st_curve : eval_point list;  (** Chronological. *)
 }
 
-exception Halted
-(** Raised by {!run} when the checkpoint callback returns [`Halt]: the
-    state passed to the callback is the resume point. *)
+type t
+(** A run in progress, paused at a loop boundary. *)
 
-val run :
+val start :
   ?fault:Altune_exec.Fault.t ->
-  ?checkpoint:int * (state -> [ `Continue | `Halt ]) ->
   ?resume:state ->
   ?exec_pool:Altune_exec.Pool.t ->
   Problem.t ->
   Dataset.t ->
   settings ->
   rng:Altune_prng.Rng.t ->
-  outcome
-(** One training run.  Deterministic given the rng state.
+  t
+(** Validate [settings] and run everything before the loop: the seed
+    phase, or with [?resume] the restore of a {!state} (pass the same
+    problem, dataset, settings, fault spec and seed) and the replay of
+    its observation log.  Deterministic given the rng state.
 
     [?fault] injects deterministic failures into every profiling attempt:
     a failed attempt is retried with exponential simulated-cost backoff
@@ -147,14 +150,29 @@ val run :
     aborting.  Fault draws never touch the learner's stream, so omitting
     [?fault] reproduces the historical behavior exactly.
 
-    [?checkpoint:(every, save)] calls [save] with the current {!state} at
-    the first loop boundary at least [every] iterations after the last
-    checkpoint; [save] returning [`Halt] raises {!Halted}.  [?resume]
-    continues from such a state (pass the same problem, dataset, settings,
-    fault spec and seed) and reproduces the uninterrupted run's outcome
-    byte-for-byte.
-
     [?exec_pool] hands the surrogate a worker pool for its internal data
     parallelism (particle reweighting, ALC candidate scoring).  Purely a
     performance knob: outcomes are bit-identical with or without it, at
     any job count. *)
+
+val step : t -> iterations:int -> outcome option
+(** Run the loop to the first boundary at least [iterations] (>= 1)
+    past the last pause and pause there ([None]), or until the run stops
+    ([Some outcome], which later steps return again).  Any sequence of
+    steps gives the outcome and events of one uninterrupted run.  Step a
+    run from one domain at a time. *)
+
+val state : t -> state
+(** The resume point at the current loop boundary, in O(observations). *)
+
+val run :
+  ?fault:Altune_exec.Fault.t ->
+  ?resume:state ->
+  ?exec_pool:Altune_exec.Pool.t ->
+  Problem.t ->
+  Dataset.t ->
+  settings ->
+  rng:Altune_prng.Rng.t ->
+  outcome
+(** {!start}, then {!step} until the run stops.  [run], {!start} and
+    {!step} each trace one [learner.run] span. *)

@@ -24,14 +24,14 @@ type ('k, 'v) t = {
   evictions : Metrics.counter;
 }
 
-let create ?(size = 64) ?capacity ?(name = "memo") () =
+let create ?capacity ?(name = "memo") () =
   (match capacity with
   | Some c when c < 1 -> invalid_arg "Memo.create: capacity must be >= 1"
   | _ -> ());
   {
     lock = Sync.mutex ();
     done_cond = Sync.cond ();
-    tbl = Hashtbl.create size;
+    tbl = Hashtbl.create 64;
     tbl_loc = Sync.loc (name ^ ".tbl");
     capacity;
     ring = Queue.create ();
@@ -58,9 +58,7 @@ let make_room t cap =
     | Some In_progress | None -> ()
   done
 
-type outcome = Computed | Hit | Waited
-
-let find_or_compute_outcome t k compute =
+let find_or_compute t k compute =
   Sync.lock t.lock;
   let rec acquire ~waited =
     Sync.read t.tbl_loc ~site:"memo.find_or_compute: lookup";
@@ -69,7 +67,7 @@ let find_or_compute_outcome t k compute =
         r.referenced <- true;
         Sync.unlock t.lock;
         Metrics.incr t.hits;
-        (r.value, if waited then Waited else Hit)
+        r.value
     | Some In_progress ->
         if not waited then Metrics.incr t.waits;
         Sync.wait t.done_cond t.lock;
@@ -93,7 +91,7 @@ let find_or_compute_outcome t k compute =
             Hashtbl.replace t.tbl k (Ready { value = v; referenced = false });
             Sync.broadcast t.done_cond;
             Sync.unlock t.lock;
-            (v, Computed)
+            v
         | exception e ->
             let bt = Printexc.get_raw_backtrace () in
             Sync.lock t.lock;
@@ -104,8 +102,6 @@ let find_or_compute_outcome t k compute =
             Printexc.raise_with_backtrace e bt)
   in
   acquire ~waited:false
-
-let find_or_compute t k compute = fst (find_or_compute_outcome t k compute)
 
 let find_opt t k =
   Sync.lock t.lock;

@@ -18,8 +18,7 @@
 
 type ('k, 'v) t
 
-val create :
-  ?size:int -> ?capacity:int -> ?name:string -> unit -> ('k, 'v) t
+val create : ?capacity:int -> ?name:string -> unit -> ('k, 'v) t
 (** [capacity] (default unbounded) caps the published entries;
     [Invalid_argument] if it is below 1.  [name] (default ["memo"])
     prefixes the table's [Altune_obs.Metrics] counters [<name>.hits],
@@ -33,21 +32,6 @@ val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
     outside the table lock, so unrelated keys never serialize; it must not
     recursively ask for [k] (that would deadlock by definition of
     compute-once). *)
-
-type outcome =
-  | Computed  (** this caller ran [compute]. *)
-  | Hit  (** the value was already published. *)
-  | Waited  (** blocked on another caller's in-flight computation. *)
-
-val find_or_compute_outcome :
-  ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v * outcome
-(** {!find_or_compute} plus how the value was obtained — the sharing
-    hook consumers (e.g. a multi-tenant server attributing cross-session
-    cache traffic) build their accounting on.  Note the outcome is a
-    property of the {e schedule} (who got there first), so deterministic
-    accounting must aggregate outcomes into schedule-independent
-    quantities (e.g. lookups and distinct keys), not record them
-    per-caller. *)
 
 val find_opt : ('k, 'v) t -> 'k -> 'v option
 (** Completed entries only; [None] for absent or in-flight keys.  A

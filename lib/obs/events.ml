@@ -275,25 +275,24 @@ type sink = {
 let sink_state : sink option Atomic.t = Atomic.make None
 let enabled () = Option.is_some (Atomic.get sink_state)
 
-(* Per-domain run context: the key under which events are recorded and the
-   per-run sequence counter.  [with_run] scopes a fresh context; emission
-   outside any [with_run] is recorded under [""] (deterministic for
-   sequential callers, e.g. `altune tune`). *)
-type run_ctx = { mutable key : string; mutable seq : int }
+(* Per-domain run context: the stream (key and per-run sequence counter)
+   under which events are recorded.  [with_stream] scopes one; emission
+   outside any scope is recorded under [""] (deterministic for sequential
+   callers, e.g. `altune tune`). *)
+type stream = { key : string; mutable seq : int }
 
-let tls : run_ctx Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { key = ""; seq = 0 })
+let stream key = { key; seq = 0 }
 
-let with_run key f =
-  let st = Domain.DLS.get tls in
-  let saved = { key = st.key; seq = st.seq } in
-  st.key <- key;
-  st.seq <- 0;
-  Fun.protect
-    ~finally:(fun () ->
-      st.key <- saved.key;
-      st.seq <- saved.seq)
-    f
+let tls : stream ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref (stream ""))
+
+let with_stream s f =
+  let cur = Domain.DLS.get tls in
+  let saved = !cur in
+  cur := s;
+  Fun.protect ~finally:(fun () -> cur := saved) f
+
+let with_run key f = with_stream (stream key) f
 
 let compare_entries (r1, s1, l1) (r2, s2, l2) =
   match String.compare r1 r2 with
@@ -323,7 +322,7 @@ let emit kind =
   match Atomic.get sink_state with
   | None -> ()
   | Some s ->
-      let ctx = Domain.DLS.get tls in
+      let ctx = !(Domain.DLS.get tls) in
       let seq = ctx.seq in
       ctx.seq <- seq + 1;
       let line = Json.to_string (to_json { run = ctx.key; seq; kind }) in

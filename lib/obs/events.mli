@@ -105,6 +105,20 @@ val with_run : string -> (unit -> 'a) -> 'a
     previous context afterwards.  Every parallel learner run must get a
     distinct key, or their streams interleave under one sort key. *)
 
+type stream
+(** A run context that outlives one scope: a key and its sequence
+    counter. *)
+
+val stream : string -> stream
+(** A fresh stream for run [key], at sequence 0. *)
+
+val with_stream : stream -> (unit -> 'a) -> 'a
+(** {!with_run} on an existing stream: events emitted by [f] continue
+    the stream's sequence where its previous scope left it, so a run
+    advanced in several scopes (a serve session's steps, on any domains)
+    records one contiguous stream.  Scope a stream on one domain at a
+    time.  [with_run key f] is [with_stream (stream key) f]. *)
+
 val install : ?on_line:(string -> unit) -> ?close:(unit -> unit) -> unit -> unit
 (** Install the process-wide sink.  Lines are delivered to [on_line]
     {e sorted}, all at uninstall time. *)

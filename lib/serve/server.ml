@@ -316,7 +316,7 @@ let handle_open t (p : Protocol.open_params) =
               t.opened <- t.opened + 1;
               let bench = cfg.Session.bench in
               let s =
-                Session.create ~id ~bench:(instance t bench)
+                Session.create ~id ~bench:(instance t bench) ~pool:t.pool
                   ~note:(note_for t ~session_id:id ~bench)
                   cfg
               in
@@ -568,7 +568,7 @@ let graceful_stop t =
 
 let timed_step t s ~iterations =
   let t0 = Trace.now_ns () in
-  let r = Session.step ~exec_pool:t.pool s ~iterations in
+  let r = Session.step s ~iterations in
   Metrics.record t.tele.step (seconds_between t0 (Trace.now_ns ()));
   r
 

@@ -8,6 +8,7 @@ module Cost = Altune_core.Cost
 module Fault = Altune_exec.Fault
 module Rng = Altune_prng.Rng
 module Events = Altune_obs.Events
+module Pool = Altune_exec.Pool
 
 type config = {
   name : string;
@@ -22,39 +23,31 @@ type config = {
 
 type phase = Queued | Live | Done | Closed
 
-(* Heavy per-session resources, built at the first step. *)
-type mat = {
-  problem : Altune_core.Problem.t;
-  dataset : Altune_core.Dataset.t;
-  settings : Learner.settings;
-  fault : Fault.t option;
-  fault_seed : int;
-}
-
 type t = {
   sid : int;
   config : config;
   bench : Spapt.t;
+  pool : Pool.t;
   note : int array -> (unit -> float) -> float;
-  run_key : string;
+  events : Events.stream;
   mutable phase : phase;
-  mutable mat : mat option;
-  mutable state : Learner.state option;  (* resume point after a halt *)
+  mutable learner : Learner.t option;
+      (* Live from the first step until the run completes or closes. *)
   mutable outcome : Learner.outcome option;
   mutable closed_view : Protocol.session_view option;
       (* Frozen at close, when everything else is dropped. *)
 }
 
-let create ~id ~bench ~note config =
+let create ~id ~bench ~pool ~note config =
   {
     sid = id;
     config;
     bench;
+    pool;
     note;
-    run_key = "serve/" ^ config.name;
+    events = Events.stream ("serve/" ^ config.name);
     phase = Queued;
-    mat = None;
-    state = None;
+    learner = None;
     outcome = None;
     closed_view = None;
   }
@@ -80,92 +73,65 @@ let settings_of (c : config) =
   | None -> s
   | Some b -> { s with Learner.stop = Learner.Cost_budget b :: s.Learner.stop }
 
-let materialize t =
-  match t.mat with
-  | Some m -> m
-  | None ->
-      (* Only the learner's own evaluations pass through [note]: the
-         dataset is generated on the shared instance without it, since
-         charging the (process-wide cached) dataset to whichever session
-         generated it first would make the accounting depend on the
-         schedule.  [prepare] does nothing without a pool, so no
-         evaluation bypasses [measure] and [compile_seconds]. *)
-      let p = Adapter.problem_of t.bench in
-      let problem =
-        {
-          p with
-          measure =
-            (fun ~rng ~run_index c ->
-              t.note c (fun () -> p.measure ~rng ~run_index c));
-          compile_seconds =
-            (fun c -> t.note c (fun () -> p.compile_seconds c));
-        }
-      in
-      let dataset =
-        Runs.dataset_for t.bench t.config.scale ~seed:t.config.seed
-      in
-      (* Fault seed exactly as [altune tune] derives it, so a served
-         session (and its checkpoints) reproduces the standalone run. *)
-      let tune_key =
-        Printf.sprintf "%s/%s/tune/0" t.config.bench t.config.scale.Scale.label
-      in
-      let fault_seed =
-        Rng.derive ~seed:t.config.seed [ S "fault"; S tune_key ]
-      in
-      let fault =
-        Option.map (fun sp -> Fault.create sp ~seed:fault_seed) t.config.fault
-      in
-      let m =
-        {
-          problem;
-          dataset;
-          settings = settings_of t.config;
-          fault;
-          fault_seed;
-        }
-      in
-      t.mat <- Some m;
-      m
+(* Fault seed exactly as [altune tune] derives it, so a served session
+   (and its checkpoints) reproduces the standalone run. *)
+let fault_seed (c : config) =
+  let tune_key = Printf.sprintf "%s/%s/tune/0" c.bench c.scale.Scale.label in
+  Rng.derive ~seed:c.seed [ S "fault"; S tune_key ]
 
-let step ?exec_pool t ~iterations =
+(* The dataset is a pure function of (kernel, scale, seed), cached per
+   process, so a checkpoint fetches it again rather than the session
+   holding it. *)
+let dataset t = Runs.dataset_for t.bench t.config.scale ~seed:t.config.seed
+
+let start t =
+  (* Only the learner's own evaluations pass through [note]: the dataset
+     is generated on the shared instance without it, since charging the
+     (process-wide cached) dataset to whichever session generated it
+     first would make the accounting depend on the schedule.  [prepare]
+     does nothing without a pool, so no evaluation bypasses [measure]
+     and [compile_seconds]. *)
+  let p = Adapter.problem_of t.bench in
+  let problem =
+    {
+      p with
+      measure =
+        (fun ~rng ~run_index c ->
+          t.note c (fun () -> p.measure ~rng ~run_index c));
+      compile_seconds = (fun c -> t.note c (fun () -> p.compile_seconds c));
+    }
+  in
+  let fault =
+    Option.map
+      (fun sp -> Fault.create sp ~seed:(fault_seed t.config))
+      t.config.fault
+  in
+  Learner.start ?fault ~exec_pool:t.pool problem (dataset t)
+    (settings_of t.config)
+    ~rng:(Rng.create ~seed:t.config.seed)
+
+let step t ~iterations =
   if t.phase <> Live then
     Error
       (Printf.sprintf "session %S is %s, not live" t.config.name
          (phase_name t.phase))
   else if iterations < 1 then Error "iterations must be at least 1"
   else begin
-    let m = materialize t in
-    let target =
-      (match t.state with
-      | Some st -> st.Learner.st_iteration
-      | None -> m.settings.Learner.n_init)
-      + iterations
-    in
-    let saved = ref None in
-    let checkpoint =
-      ( 1,
-        fun (st : Learner.state) ->
-          if st.Learner.st_iteration >= target then begin
-            saved := Some st;
-            `Halt
-          end
-          else `Continue )
-    in
-    let halted =
-      Events.with_run t.run_key (fun () ->
-          try
-            Some
-              (Learner.run ?fault:m.fault ~checkpoint ?resume:t.state
-                 ?exec_pool m.problem m.dataset m.settings
-                 ~rng:(Rng.create ~seed:t.config.seed))
-          with Learner.Halted -> None)
-    in
-    (match halted with
-    | Some outcome ->
-        t.outcome <- Some outcome;
-        t.state <- None;
-        t.phase <- Done
-    | None -> t.state <- !saved);
+    Events.with_stream t.events (fun () ->
+        let learner =
+          match t.learner with
+          | Some l -> l
+          | None ->
+              let l = start t in
+              t.learner <- Some l;
+              l
+        in
+        match Learner.step learner ~iterations with
+        | None -> ()
+        | Some outcome ->
+            t.outcome <- Some outcome;
+            t.learner <- None;
+            t.phase <- Done);
     Ok ()
   end
 
@@ -178,7 +144,7 @@ let save_checkpoint t ~path =
           would not resume faithfully"
          t.config.name)
   else
-    match (t.phase, t.state) with
+    match (t.phase, t.learner) with
     | Done, _ ->
         Error
           (Printf.sprintf "session %S already completed" t.config.name)
@@ -188,8 +154,7 @@ let save_checkpoint t ~path =
         Error
           (Printf.sprintf "session %S has no progress to checkpoint"
              t.config.name)
-    | _, Some st ->
-        let m = materialize t in
+    | _, Some learner ->
         let meta =
           {
             Checkpoint.bench = t.config.bench;
@@ -198,11 +163,12 @@ let save_checkpoint t ~path =
             every = 1;
             fault =
               Option.map
-                (fun sp -> (Fault.to_string sp, m.fault_seed))
+                (fun sp -> (Fault.to_string sp, fault_seed t.config))
                 t.config.fault;
           }
         in
-        Checkpoint.save ~path ~meta m.dataset st;
+        let st = Learner.state learner in
+        Checkpoint.save ~path ~meta (dataset t) st;
         Ok st.Learner.st_iteration
 
 let live_view t ~position =
@@ -225,7 +191,7 @@ let live_view t ~position =
       v_rmse = None;
     }
   in
-  match (t.outcome, t.state) with
+  match (t.outcome, t.learner) with
   | Some (o : Learner.outcome), _ ->
       let iteration =
         match List.rev o.curve with
@@ -240,7 +206,8 @@ let live_view t ~position =
         v_cost_s = o.total_cost;
         v_rmse = Some o.final_rmse;
       }
-  | None, Some (st : Learner.state) ->
+  | None, Some learner ->
+      let st = Learner.state learner in
       let c = st.st_cost in
       {
         base with
@@ -264,7 +231,6 @@ let close t =
   if t.phase <> Closed then begin
     t.phase <- Closed;
     t.closed_view <- Some (live_view t ~position:None);
-    t.mat <- None;
-    t.state <- None;
+    t.learner <- None;
     t.outcome <- None
   end

@@ -1,4 +1,4 @@
-(** One tenant's tuning session: a resumable {!Altune_core.Learner.run}
+(** One tenant's tuning session: a live {!Altune_core.Learner.t}
     advanced in increments.
 
     A session is the same run [altune tune] would perform for its
@@ -11,11 +11,13 @@
     for an evaluation, never its value: a served session's learner
     stream is byte-identical to the standalone run's.
 
-    Stepping works by running the learner with a checkpoint callback at
-    every iteration that halts once the target iteration is reached and
-    holds the captured state as the next step's resume point; a run that
-    completes (iteration cap or cost budget) before the target instead
-    yields its final outcome and the session becomes [Done]. *)
+    The first step starts the learner ({!Altune_core.Learner.start}) and
+    the session holds it between requests; each step advances it with
+    {!Altune_core.Learner.step}, so a session's steps together run the
+    same loop, emit the same events and cost the same surrogate updates
+    as one uninterrupted run.  A run that completes (iteration cap or
+    cost budget) yields its final outcome, the session drops its learner
+    and becomes [Done]. *)
 
 type config = {
   name : string;
@@ -37,13 +39,16 @@ type t
 val create :
   id:int ->
   bench:Altune_spapt.Spapt.t ->
+  pool:Altune_exec.Pool.t ->
   note:(int array -> (unit -> float) -> float) ->
   config ->
   t
 (** A fresh session in phase [Queued] on [bench], the instance of
     [config.bench] the server shares between its sessions.  Heavy
-    resources (problem, dataset, fault injector) materialize lazily at
-    the first step, so queueing hundreds of sessions is cheap.
+    resources (problem, dataset, fault injector, learner) materialize at
+    the first step, so queueing hundreds of sessions is cheap.  [pool]
+    is the surrogate's worker pool for its internal parallelism (results
+    are identical at any job count).
 
     [note c eval] wraps each of the learner's evaluations of
     configuration [c] — every call of the problem's [measure] and
@@ -62,19 +67,18 @@ val admit : t -> unit
 
 val close : t -> unit
 (** Any phase -> [Closed].  Freezes the session's {!view} and drops
-    everything else it holds (problem, dataset reference, learner state,
-    outcome and its model), so a closed session costs only its view. *)
+    everything else it holds (learner, outcome and its model), so a
+    closed session costs only its view. *)
 
-val step :
-  ?exec_pool:Altune_exec.Pool.t -> t -> iterations:int -> (unit, string) result
+val step : t -> iterations:int -> (unit, string) result
 (** Advance a [Live] session by [iterations] learner iterations (at
-    least 1); afterwards the phase is [Live] (halted at the target) or
-    [Done] (the run completed first).  Safe to call concurrently for
-    {e distinct} sessions (the server's tick fans sessions out over its
-    pool); a single session must only be stepped by one domain at a
-    time.  [?exec_pool] is forwarded to {!Altune_core.Learner.run} for
-    the surrogate's internal parallelism (results are identical without
-    it). *)
+    least 1) with {!Altune_core.Learner.step}, starting its learner at
+    the first step; afterwards the phase is [Live] (paused at the
+    target) or [Done] (the run completed first).  Safe to call
+    concurrently for {e distinct} sessions (the server's tick fans
+    sessions out over its pool); a single session must only be stepped
+    by one domain at a time.  The learner's events are recorded as one
+    stream keyed [serve/<name>], whichever domains run the steps. *)
 
 val stock_settings : t -> bool
 (** Whether the session runs its scale's unmodified settings — the
@@ -82,7 +86,7 @@ val stock_settings : t -> bool
     rebuilds settings from the scale label alone. *)
 
 val save_checkpoint : t -> path:string -> (int, string) result
-(** Serialize the session's resume state with
+(** Serialize the live learner's {!Altune_core.Learner.state} with
     {!Altune_core.Checkpoint.save}, returning its iteration.  The file
     is a regular tune checkpoint: [altune resume] continues it to the
     same bytes the uninterrupted standalone run would print.  Errors if
@@ -91,5 +95,6 @@ val save_checkpoint : t -> path:string -> (int, string) result
 
 val view : t -> position:int option -> Protocol.session_view
 (** Deterministic snapshot for status replies ([position] is the queue
-    slot when queued).  A closed session returns the view frozen by
+    slot when queued).  A live session reads its learner's state, in
+    O(observations).  A closed session returns the view frozen by
     {!close}. *)

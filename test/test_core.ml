@@ -231,6 +231,106 @@ let test_settings_validation () =
   invalid { tiny_settings with eval_every = 0 };
   invalid { tiny_settings with batch_size = 0 }
 
+(* --- Stepping --- *)
+
+module Events = Altune_obs.Events
+module Fault = Altune_exec.Fault
+
+let bits = Int64.bits_of_float
+
+let check_same_outcome what (d : Dataset.t) (a : Learner.outcome)
+    (b : Learner.outcome) =
+  let point (p : Learner.eval_point) =
+    [
+      Int64.of_int p.iteration;
+      Int64.of_int p.examples;
+      Int64.of_int p.observations;
+      bits p.cost_seconds;
+      bits p.rmse;
+    ]
+  in
+  let predictions (o : Learner.outcome) =
+    Array.map (fun c -> bits (o.predict c)) d.test_configs
+  in
+  Alcotest.(check (list (list int64)))
+    (what ^ ": curve") (List.map point a.curve) (List.map point b.curve);
+  Alcotest.(check int64) (what ^ ": cost") (bits a.total_cost)
+    (bits b.total_cost);
+  Alcotest.(check int) (what ^ ": runs") a.total_runs b.total_runs;
+  Alcotest.(check int)
+    (what ^ ": examples") a.distinct_examples b.distinct_examples;
+  Alcotest.(check (array int64))
+    (what ^ ": test-panel predictions") (predictions a) (predictions b)
+
+(* Starting a run and stepping it in increments of 1, 3 and 7, at batch
+   sizes 1 and 2, with and without injected faults, gives [run]'s
+   outcome and event stream bit for bit; each step pauses at the first
+   batch boundary at least its increment past the last pause; and
+   resuming a fresh run from the state at any pause gives the same
+   outcome again. *)
+let test_step_matches_run () =
+  let problem = synthetic () in
+  let d = make_dataset problem in
+  let fault_spec =
+    match Fault.of_string "crash=0.05,timeout=0.02,corrupt=0.01" with
+    | Ok sp -> sp
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun (batch_size, faults) ->
+      let settings = { tiny_settings with n_max = 40; batch_size } in
+      let fault () =
+        if faults then Some (Fault.create fault_spec ~seed:99) else None
+      in
+      let rng () = Rng.create ~seed:37 in
+      let full, full_events =
+        Events.with_memory (fun () ->
+            Events.with_run "r" (fun () ->
+                Learner.run ?fault:(fault ()) problem d settings ~rng:(rng ())))
+      in
+      List.iter
+        (fun increment ->
+          let what =
+            Printf.sprintf "batch %d, faults %b, steps of %d" batch_size faults
+              increment
+          in
+          let (stepped, pauses), events =
+            Events.with_memory (fun () ->
+                Events.with_run "r" (fun () ->
+                    let l =
+                      Learner.start ?fault:(fault ()) problem d settings
+                        ~rng:(rng ())
+                    in
+                    let rec go pauses =
+                      match Learner.step l ~iterations:increment with
+                      | Some o -> (o, List.rev pauses)
+                      | None -> go (Learner.state l :: pauses)
+                    in
+                    go []))
+          in
+          check_same_outcome what d full stepped;
+          Alcotest.(check (list string)) (what ^ ": events") full_events events;
+          ignore
+            (List.fold_left
+               (fun last (st : Learner.state) ->
+                 let gap = st.st_iteration - last in
+                 Alcotest.(check bool)
+                   (Printf.sprintf "%s: pause at %d" what st.st_iteration)
+                   true
+                   (gap >= increment && gap < increment + batch_size);
+                 st.st_iteration)
+               settings.n_init pauses);
+          List.iter
+            (fun (st : Learner.state) ->
+              check_same_outcome
+                (Printf.sprintf "%s, resumed at %d" what st.st_iteration)
+                d full
+                (Learner.run ?fault:(fault ()) ~resume:st problem d settings
+                   ~rng:(rng ())))
+            pauses)
+        [ 1; 3; 7 ])
+    [ (1, false); (2, false); (1, true); (2, true) ]
+
 (* --- Raced profiles --- *)
 
 module Race = Altune_core.Race
@@ -454,6 +554,8 @@ let () =
           Alcotest.test_case "stop on error" `Quick test_stop_error_below;
           Alcotest.test_case "settings validation" `Quick
             test_settings_validation;
+          Alcotest.test_case "stepping matches one run" `Quick
+            test_step_matches_run;
         ] );
       ( "race",
         [

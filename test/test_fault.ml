@@ -253,23 +253,19 @@ let test_all_seeds_dead () =
 
 (* --- Checkpoint serialization ------------------------------------------- *)
 
+(* The state at the first 10-iteration pause at or past [halt_at]. *)
 let capture_mid_state problem d ?fault ~halt_at () =
-  let captured = ref None in
-  let checkpoint =
-    ( 10,
-      fun (st : Learner.state) ->
-        captured := Some st;
-        if st.Learner.st_iteration >= halt_at then `Halt else `Continue )
+  let l =
+    Learner.start ?fault problem d tiny_settings ~rng:(Rng.create ~seed:5)
   in
-  (match
-     Learner.run ?fault ~checkpoint problem d tiny_settings
-       ~rng:(Rng.create ~seed:5)
-   with
-  | _ -> Alcotest.fail "expected Halted"
-  | exception Learner.Halted -> ());
-  match !captured with
-  | Some st -> st
-  | None -> Alcotest.fail "no checkpoint captured"
+  let rec go () =
+    match Learner.step l ~iterations:10 with
+    | Some _ -> Alcotest.fail "run finished before the halt point"
+    | None ->
+        let st = Learner.state l in
+        if st.Learner.st_iteration >= halt_at then st else go ()
+  in
+  go ()
 
 let test_checkpoint_roundtrip () =
   let problem = synthetic () in

@@ -9,6 +9,13 @@ module Protocol = Altune_serve.Protocol
 module Server = Altune_serve.Server
 module Json = Altune_obs.Json
 module Metrics = Altune_obs.Metrics
+module Events = Altune_obs.Events
+module Learner = Altune_core.Learner
+module Spapt = Altune_spapt.Spapt
+module Scale = Altune_experiments.Scale
+module Adapter = Altune_experiments.Adapter
+module Runs = Altune_experiments.Runs
+module Rng = Altune_prng.Rng
 
 let server ?(jobs = 1) ?(max_live = 8) ?(max_queue = 64) ?budget_cap
     ?checkpoint_dir ?snapshot_path ?flight ?ledger_path () =
@@ -384,6 +391,99 @@ let test_shared_instance () =
   Alcotest.(check bool) "same progress" true
     ({ vb with Protocol.v_session = "a" } = va)
 
+(* The run `altune tune --bench hessian --scale smoke --seed 42` makes,
+   under its event run key. *)
+let standalone_hessian () =
+  let b = Spapt.create "hessian" in
+  Events.with_run "hessian/smoke/tune/0" (fun () ->
+      Learner.run (Adapter.problem_of b)
+        (Runs.dataset_for b Scale.smoke ~seed:42)
+        Scale.smoke.adaptive ~rng:(Rng.create ~seed:42))
+
+(* A session holds its learner between requests: stepped one iteration
+   at a time to its cap, it updates the surrogate exactly as often as
+   one standalone run does (no request replays the observation log),
+   and ends with the standalone run's figures, bit for bit. *)
+let test_live_learner () =
+  let observes = Metrics.counter "surrogate.observes" in
+  let before = Metrics.counter_value observes in
+  let o = standalone_hessian () in
+  let per_run = Metrics.counter_value observes - before in
+  let s = server () in
+  ignore (ok (Server.handle s (open_req ~n_max:None "a" "hessian")));
+  let before = Metrics.counter_value observes in
+  let rec finish steps =
+    let v =
+      view (ok (Server.handle s (Protocol.Step { session = "a"; iterations = 1 })))
+    in
+    if v.Protocol.v_state = Protocol.Done then (v, steps + 1)
+    else finish (steps + 1)
+  in
+  let v, steps = finish 0 in
+  let n_max = Scale.smoke.adaptive.Learner.n_max in
+  Alcotest.(check int) "one step per iteration"
+    (n_max - Scale.smoke.adaptive.Learner.n_init)
+    steps;
+  Alcotest.(check int) "observes of one run" per_run
+    (Metrics.counter_value observes - before);
+  let bits = Int64.bits_of_float in
+  Alcotest.(check int) "iteration" n_max v.Protocol.v_iteration;
+  Alcotest.(check int) "examples" o.distinct_examples v.Protocol.v_examples;
+  Alcotest.(check int) "observations" o.total_runs v.Protocol.v_observations;
+  Alcotest.(check int64) "cost" (bits o.total_cost) (bits v.Protocol.v_cost_s);
+  Alcotest.(check (option int64))
+    "rmse"
+    (Some (bits o.final_rmse))
+    (Option.map bits v.Protocol.v_rmse)
+
+(* The learner events of a served session form one stream: the stock
+   session of bench/serve_script.jsonl, stepped by two ticks on a
+   two-domain pool and then one step, emits the events of the
+   standalone tune run up to its iteration 20 — one [start], in order —
+   under its own run key. *)
+let test_session_events () =
+  let events key lines =
+    match Events.of_lines lines with
+    | Error e -> Alcotest.fail e
+    | Ok f ->
+        List.filter_map
+          (fun (e : Events.t) ->
+            if e.run = key then
+              Some (e, Json.to_string (Events.to_json { e with run = "" }))
+            else None)
+          f.events
+  in
+  let upto_20 ((e : Events.t), _) =
+    match e.kind with
+    | Events.Select { iteration; _ } | Events.Eval { iteration; _ } ->
+        iteration <= 20
+    | Events.Finish _ -> false
+    | Events.Start _ | Events.Fault _ -> true
+  in
+  let _, tune_lines =
+    Events.with_memory (fun () -> ignore (standalone_hessian ()))
+  in
+  let _, serve_lines =
+    Events.with_memory (fun () ->
+        let s = server ~jobs:2 ~max_live:2 () in
+        List.iter
+          (fun req -> ignore (ok (Server.handle s req)))
+          [
+            open_req ~n_max:None "ck" "hessian";
+            open_req "t1" "lu";
+            open_req "t2" "lu";
+            Protocol.Tick { iterations = 4 };
+            Protocol.Tick { iterations = 4 };
+            Protocol.Step { session = "ck"; iterations = 8 };
+          ])
+  in
+  let tune = List.filter upto_20 (events "hessian/smoke/tune/0" tune_lines) in
+  let ck = events "serve/ck" serve_lines in
+  Alcotest.(check (list string))
+    "session ck's events" (List.map snd tune) (List.map snd ck);
+  (* start, evals at iterations 4, 10 and 20, selects 5 to 20 *)
+  Alcotest.(check int) "events up to iteration 20" 20 (List.length ck)
+
 (* A closed session keeps only its view: status replies are unchanged
    but for the state, and there is nothing left to checkpoint. *)
 let test_closed_session () =
@@ -597,6 +697,10 @@ let () =
           Alcotest.test_case "admission control" `Quick test_admission;
           Alcotest.test_case "checkpoint rules" `Quick test_checkpoint_rules;
           Alcotest.test_case "graceful shutdown" `Quick test_shutdown;
+          Alcotest.test_case "live learner, no replays" `Quick
+            test_live_learner;
+          Alcotest.test_case "one event stream per session" `Quick
+            test_session_events;
         ] );
       ( "memo",
         [
