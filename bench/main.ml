@@ -516,9 +516,22 @@ let micro_tests () =
                    mm_kernel)
                 (Transform.unroll ~index:"k" ~factor:4))))
   in
-  let analyzed = Analysis.analyze mm_kernel in
+  (* The two passes behind an evaluation-cache miss, on the costliest
+     miss there is: hessian's all-maximum configuration 5,5,7,29 (32x32
+     tiles, jam 8, unroll 30). *)
+  let hessian = Spapt.create "hessian" in
+  let max_config =
+    Array.of_list
+      (List.map (fun k -> Spapt.knob_cardinality k - 1) (Spapt.knobs hessian))
+  in
+  let max_kernel = Spapt.transformed hessian max_config in
+  let analysis_test =
+    Test.make ~name:"analysis.analyze(hessian max)"
+      (Staged.stage (fun () -> ignore (Analysis.analyze max_kernel)))
+  in
+  let analyzed = Analysis.analyze max_kernel in
   let machine_test =
-    Test.make ~name:"machine.estimate"
+    Test.make ~name:"machine.estimate(hessian max)"
       (Staged.stage (fun () ->
            ignore (Machine.estimate Machine.default analyzed)))
   in
@@ -586,6 +599,7 @@ let micro_tests () =
     rng_test;
     parse_test;
     transform_test;
+    analysis_test;
     machine_test;
     spapt_test;
     observe_test;

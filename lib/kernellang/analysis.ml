@@ -24,64 +24,109 @@ type t = {
 }
 
 (* Environment: parameters and average values of live loop indices.
+   [zeroed] is [values] with every live index at zero: evaluating a
+   subscript under it yields the constant term of its affine form.
    [expansion] maps a live index whose lower bound depends on enclosing
    indices (strip-mined point loops: [for i = i_t to min(i_t + T - 1, ...)])
    to the fully-folded affine coefficients of that bound, so that an access
    subscripted by [i] is correctly seen to sweep with [i_t] as well. *)
 type env = {
   values : (string * float) list;
+  zeroed : (string * float) list;
   live : string list;
   expansion : (string * (string * float) list) list;
 }
 
 exception Non_affine
 
-(* Numeric evaluation of an expression under average index values.  Used
-   for loop bounds; Min/Max/Idiv are common there (tile edges, unroll
-   remainder bounds). *)
-let rec eval_avg env (e : Ast.expr) : float =
+(* Association lists keyed by index, parameter and array names, looked up
+   with [String.equal] rather than polymorphic equality. *)
+let rec assoc_opt name = function
+  | [] -> None
+  | (k, v) :: rest ->
+      if String.equal k name then Some v else assoc_opt name rest
+
+let lookup alist v = match assoc_opt v alist with Some c -> c | None -> 0.0
+
+(* Numeric evaluation of an expression under the variable values [values]
+   (average index values, or [env.zeroed]).  Used for loop bounds;
+   Min/Max/Idiv are common there (tile edges, unroll remainder bounds). *)
+let rec eval_avg values (e : Ast.expr) : float =
   match e with
   | Int_lit n -> float_of_int n
   | Float_lit x -> x
   | Var x -> (
-      match List.assoc_opt x env.values with
+      match assoc_opt x values with
       | Some v -> v
       | None -> raise Non_affine)
   | Index _ -> raise Non_affine
   | Binop (op, a, b) -> (
-      let x = eval_avg env a and y = eval_avg env b in
+      let x = eval_avg values a and y = eval_avg values b in
       match op with
       | Add -> x +. y
       | Sub -> x -. y
       | Mul -> x *. y
       | Div -> x /. y
-      | Idiv -> if y = 0.0 then raise Non_affine else Float.of_int (int_of_float x / int_of_float y)
+      | Idiv ->
+          (* Truncated division: a divisor in (-1, 1) truncates to zero. *)
+          let d = int_of_float y in
+          if d = 0 then raise Non_affine
+          else Float.of_int (int_of_float x / d)
       | Mod -> if y = 0.0 then raise Non_affine else Float.rem x y
       | Min -> Float.min x y
       | Max -> Float.max x y)
-  | Neg a -> -.eval_avg env a
-  | Sqrt a -> sqrt (eval_avg env a)
+  | Neg a -> -.eval_avg values a
+  | Sqrt a -> sqrt (eval_avg values a)
+
+(* Whether [e] mentions a live index. *)
+let rec depends env (e : Ast.expr) =
+  match e with
+  | Int_lit _ | Float_lit _ -> false
+  | Var x -> List.exists (String.equal x) env.live
+  | Index (_, subs) -> List.exists (depends env) subs
+  | Binop (_, a, b) -> depends env a || depends env b
+  | Neg a | Sqrt a -> depends env a
 
 (* Affine coefficient of [var] in an integer expression, with all other
    live indices treated as symbolic (coefficient extraction) and parameters
    as constants.  Raises [Non_affine] on products of two var-dependent
    terms, or Idiv/Mod/Min/Max applied to var-dependent operands. *)
 let rec coeff env var (e : Ast.expr) : float =
-  let depends e = List.exists (fun v -> List.mem v env.live) (Ast.free_vars e) in
   match e with
   | Int_lit _ | Float_lit _ -> 0.0
-  | Var x -> if x = var then 1.0 else 0.0
+  | Var x -> if String.equal x var then 1.0 else 0.0
   | Index _ -> raise Non_affine
   | Neg a -> -.coeff env var a
-  | Sqrt a -> if depends a then raise Non_affine else 0.0
+  | Sqrt a -> if depends env a then raise Non_affine else 0.0
   | Binop (Add, a, b) -> coeff env var a +. coeff env var b
   | Binop (Sub, a, b) -> coeff env var a -. coeff env var b
   | Binop (Mul, a, b) ->
-      if not (depends a) then eval_avg env a *. coeff env var b
-      else if not (depends b) then coeff env var a *. eval_avg env b
+      if not (depends env a) then eval_avg env.values a *. coeff env var b
+      else if not (depends env b) then coeff env var a *. eval_avg env.values b
       else raise Non_affine
   | Binop ((Div | Idiv | Mod | Min | Max), a, b) ->
-      if depends a || depends b then raise Non_affine else 0.0
+      if depends env a || depends env b then raise Non_affine else 0.0
+
+(* Fold bound-induced dependence into the coefficients [raw]: a
+   coefficient on a strip-mined point index also sweeps with the indices
+   its lower bound ranges over.  Returns every live index with its total
+   coefficient, in [env.live] order. *)
+let expand env raw =
+  let expanded =
+    List.filter_map
+      (fun (u, cu) ->
+        Option.map (fun exp_u -> (cu, exp_u)) (assoc_opt u env.expansion))
+      raw
+  in
+  List.map
+    (fun v ->
+      let extra =
+        List.fold_left
+          (fun acc (cu, exp_u) -> acc +. (cu *. lookup exp_u v))
+          0.0 expanded
+      in
+      (v, lookup raw v +. extra))
+    env.live
 
 let count_ops (e : Ast.expr) =
   (* flops: operators outside subscripts; iops: operators inside them. *)
@@ -107,66 +152,28 @@ let count_ops (e : Ast.expr) =
 (* Row-major flat-offset coefficient: sum over dimensions of the subscript
    coefficient times the product of the extents of later dimensions. *)
 let access_of ~env ~dims ~is_write array subs =
-  let rank = List.length subs in
   let extents =
-    match List.assoc_opt array dims with
+    match assoc_opt array dims with
     | Some e -> e
-    | None -> Array.make rank 1.0
+    | None -> Array.make (List.length subs) 1.0
   in
-  let row_stride k =
-    let s = ref 1.0 in
-    for j = k + 1 to Array.length extents - 1 do
-      s := !s *. extents.(j)
-    done;
-    !s
+  let row_strides =
+    List.mapi
+      (fun k _ ->
+        let s = ref 1.0 in
+        for j = k + 1 to Array.length extents - 1 do
+          s := !s *. extents.(j)
+        done;
+        !s)
+      subs
   in
-  let env0 =
-    (* All live indices at zero: evaluating a subscript in env0 yields the
-       constant term of its affine form. *)
-    {
-      env with
-      values =
-        List.map
-          (fun (name, v) -> if List.mem name env.live then (name, 0.0) else (name, v))
-          env.values;
-    }
+  let flat f =
+    List.fold_left2 (fun acc sub stride -> acc +. (f sub *. stride)) 0.0 subs
+      row_strides
   in
   match
-    let raw =
-      List.map
-        (fun var ->
-          let c = ref 0.0 in
-          List.iteri
-            (fun k sub -> c := !c +. (coeff env var sub *. row_stride k))
-            subs;
-          (var, !c))
-        env.live
-    in
-    let lookup alist v =
-      match List.assoc_opt v alist with Some c -> c | None -> 0.0
-    in
-    (* Fold bound-induced dependence: a subscript coefficient on a
-       strip-mined point index also sweeps with the indices its lower
-       bound ranges over. *)
-    let coeffs =
-      List.map
-        (fun v ->
-          let extra =
-            List.fold_left
-              (fun acc (u, cu) ->
-                match List.assoc_opt u env.expansion with
-                | Some exp_u -> acc +. (cu *. lookup exp_u v)
-                | None -> acc)
-              0.0 raw
-          in
-          (v, lookup raw v +. extra))
-        env.live
-    in
-    let offset = ref 0.0 in
-    List.iteri
-      (fun k sub -> offset := !offset +. (eval_avg env0 sub *. row_stride k))
-      subs;
-    (coeffs, !offset)
+    let raw = List.map (fun var -> (var, flat (coeff env var))) env.live in
+    (expand env raw, flat (eval_avg env.zeroed))
   with
   | coeffs, offset ->
       let coeffs = List.filter (fun (_, c) -> c <> 0.0) coeffs in
@@ -180,23 +187,27 @@ let rec exprs_of_cond (c : Ast.cond) =
   | And (a, b) | Or (a, b) -> exprs_of_cond a @ exprs_of_cond b
   | Not a -> exprs_of_cond a
 
-(* Direct statistics of statements under [s], stopping at nested loops,
-   which are returned separately for recursion. *)
-let rec direct_stats ~env ~dims (s : Ast.stmt) =
+(* Direct statistics of statements under [s], stopping at nested loops.
+   The accesses and nested loops found are pushed onto the pair [found],
+   which holds them in reverse source order; the flop, iop and statement
+   counts are returned, summed in the shape of the statement tree. *)
+let rec direct_stats ~env ~dims found (s : Ast.stmt) =
   match s with
   | Assign (lhs, rhs) ->
-      let rec accesses_of_expr e =
+      let rec push_reads acc e =
         match e with
-        | Ast.Int_lit _ | Float_lit _ | Var _ -> []
+        | Ast.Int_lit _ | Float_lit _ | Var _ -> acc
         | Index (a, subs) ->
-            access_of ~env ~dims ~is_write:false a subs
-            :: List.concat_map accesses_of_expr subs
-        | Binop (_, a, b) -> accesses_of_expr a @ accesses_of_expr b
-        | Neg a | Sqrt a -> accesses_of_expr a
+            List.fold_left push_reads
+              (access_of ~env ~dims ~is_write:false a subs :: acc)
+              subs
+        | Binop (_, a, b) -> push_reads (push_reads acc a) b
+        | Neg a | Sqrt a -> push_reads acc a
       in
-      let write, wf, wi =
+      let accesses, loops = found in
+      let accesses, wf, wi =
         match lhs with
-        | Scalar_lhs _ -> ([], 0, 0)
+        | Scalar_lhs _ -> (accesses, 0, 0)
         | Array_lhs (a, subs) ->
             let f, i =
               List.fold_left
@@ -205,22 +216,22 @@ let rec direct_stats ~env ~dims (s : Ast.stmt) =
                   (f + f', i + i' + 1))
                 (0, 0) subs
             in
-            ([ access_of ~env ~dims ~is_write:true a subs ], f, i)
+            (access_of ~env ~dims ~is_write:true a subs :: accesses, f, i)
       in
       let rf, ri = count_ops rhs in
-      let reads = accesses_of_expr rhs in
-      ( write @ reads,
+      ( (push_reads accesses rhs, loops),
         float_of_int (rf + wf),
         float_of_int (ri + wi),
-        1.0,
-        [] )
+        1.0 )
   | Seq ss ->
       List.fold_left
-        (fun (a, f, i, n, loops) s ->
-          let a', f', i', n', loops' = direct_stats ~env ~dims s in
-          (a @ a', f +. f', i +. i', n +. n', loops @ loops'))
-        ([], 0.0, 0.0, 0.0, []) ss
-  | For l -> ([], 0.0, 0.0, 0.0, [ l ])
+        (fun (found, f, i, n) s ->
+          let found, f', i', n' = direct_stats ~env ~dims found s in
+          (found, f +. f', i +. i', n +. n'))
+        (found, 0.0, 0.0, 0.0) ss
+  | For l ->
+      let accesses, loops = found in
+      ((accesses, l :: loops), 0.0, 0.0, 0.0)
   | If (c, t, e) ->
       (* Count both branches at half weight: a cheap expected-cost model of
          data-dependent branches. *)
@@ -231,31 +242,26 @@ let rec direct_stats ~env ~dims (s : Ast.stmt) =
             acc + f + i)
           0 (exprs_of_cond c)
       in
-      let at, ft, it, nt, lt = direct_stats ~env ~dims t in
-      let ae, fe, ie, ne, le =
+      let found, ft, it, nt = direct_stats ~env ~dims found t in
+      let found, fe, ie, ne =
         match e with
-        | None -> ([], 0.0, 0.0, 0.0, [])
-        | Some e -> direct_stats ~env ~dims e
+        | None -> (found, 0.0, 0.0, 0.0)
+        | Some e -> direct_stats ~env ~dims found e
       in
-      ( at @ ae,
+      ( found,
         ((ft +. fe) /. 2.0) +. float_of_int cond_iops,
         (it +. ie) /. 2.0,
-        ((nt +. ne) /. 2.0) +. 1.0,
-        lt @ le )
+        ((nt +. ne) /. 2.0) +. 1.0 )
 
 let rec build_loop ~env ~dims (l : Ast.loop) : loop_node =
-  let lo = try eval_avg env l.lo with Non_affine -> 0.0 in
-  let hi = try eval_avg env l.hi with Non_affine -> lo -. 1.0 in
+  let lo = try eval_avg env.values l.lo with Non_affine -> 0.0 in
+  let hi = try eval_avg env.values l.hi with Non_affine -> lo -. 1.0 in
   (* Constant bounds get the exact floored trip count; bounds involving
      enclosing indices are mid-range averages, where keeping the
      fractional part is the better estimator (e.g. triangular loops). *)
-  let depends_on_live e =
-    List.exists (fun v -> List.mem v env.live) (Ast.free_vars e)
-  in
   let raw = (hi -. lo) /. float_of_int l.step in
   let trips =
-    if depends_on_live l.lo || depends_on_live l.hi then
-      Float.max 0.0 (raw +. 1.0)
+    if depends env l.lo || depends env l.hi then Float.max 0.0 (raw +. 1.0)
     else Float.max 0.0 (Float.floor raw +. 1.0)
   in
   let mid = (lo +. hi) /. 2.0 in
@@ -271,56 +277,43 @@ let rec build_loop ~env ~dims (l : Ast.loop) : loop_node =
           | exception Non_affine -> None)
         env.live
     in
-    let lookup alist v =
-      match List.assoc_opt v alist with Some c -> c | None -> 0.0
-    in
-    List.filter_map
-      (fun v ->
-        let extra =
-          List.fold_left
-            (fun acc (u, cu) ->
-              match List.assoc_opt u env.expansion with
-              | Some exp_u -> acc +. (cu *. lookup exp_u v)
-              | None -> acc)
-            0.0 raw
-        in
-        let total = lookup raw v +. extra in
-        if total = 0.0 then None else Some (v, total))
-      env.live
+    List.filter (fun (_, total) -> total <> 0.0) (expand env raw)
   in
   let env' =
     {
       values = (l.index, mid) :: env.values;
+      zeroed = (l.index, 0.0) :: env.zeroed;
       live = l.index :: env.live;
       expansion =
-        (if lo_expansion = [] then env.expansion
-         else (l.index, lo_expansion) :: env.expansion);
+        (match lo_expansion with
+        | [] -> env.expansion
+        | e -> (l.index, e) :: env.expansion);
     }
   in
-  let accesses, flops, iops, stmts, loops =
-    direct_stats ~env:env' ~dims l.body
+  let (accesses, loops), flops, iops, stmts =
+    direct_stats ~env:env' ~dims ([], []) l.body
   in
-  let children = List.map (build_loop ~env:env' ~dims) loops in
-  { index = l.index; trips; step = l.step; accesses; flops; iops; stmts;
-    children }
+  let children = List.rev_map (build_loop ~env:env' ~dims) loops in
+  { index = l.index; trips; step = l.step; accesses = List.rev accesses;
+    flops; iops; stmts; children }
 
 let analyze ?(param_overrides = []) (kernel : Ast.kernel) =
   let params =
     List.map
       (fun (name, v) ->
-        match List.assoc_opt name param_overrides with
+        match assoc_opt name param_overrides with
         | Some v' -> (name, float_of_int v')
         | None -> (name, float_of_int v))
       kernel.params
   in
-  let env = { values = params; live = []; expansion = [] } in
+  let env = { values = params; zeroed = params; live = []; expansion = [] } in
   let dims =
     List.map
       (fun (d : Ast.array_decl) ->
         let extents =
           Array.of_list
             (List.map
-               (fun e -> try eval_avg env e with Non_affine -> 1.0)
+               (fun e -> try eval_avg params e with Non_affine -> 1.0)
                d.dims)
         in
         (d.array_name, extents))
@@ -331,8 +324,10 @@ let analyze ?(param_overrides = []) (kernel : Ast.kernel) =
       (fun (name, extents) -> (name, Array.fold_left ( *. ) 1.0 extents))
       dims
   in
-  let _, _, _, straightline, loops = direct_stats ~env ~dims kernel.body in
-  let roots = List.map (build_loop ~env ~dims) loops in
+  let (_, loops), _, _, straightline =
+    direct_stats ~env ~dims ([], []) kernel.body
+  in
+  let roots = List.rev_map (build_loop ~env ~dims) loops in
   { roots; array_elements; straightline_stmts = straightline }
 
 let rec fold_loops f acc ~entered node =

@@ -62,34 +62,75 @@ type breakdown = {
    [mult] total accesses per iteration (for latency accounting). *)
 type stream = { rep : Analysis.access; distinct : float; mult : float }
 
-let streams_of_accesses (accesses : Analysis.access list) : stream list =
-  let module M = Map.Make (struct
-    type t = string * (string * float) list * bool
+(* Polymorphic [compare]'s order on coefficient lists, without its
+   generic traversal. *)
+let rec compare_coeffs a b =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | (x, c) :: a, (y, d) :: b ->
+      let k = String.compare x y in
+      if k <> 0 then k
+      else
+        let k = Float.compare c d in
+        if k <> 0 then k else compare_coeffs a b
 
-    let compare = compare
-  end) in
+module Stream_key = Map.Make (struct
+  type t = string * (string * float) list * bool
+
+  (* Streams are summed in this order, so it must stay polymorphic
+     [compare]'s order on the key. *)
+  let compare (a, c, f) (b, d, g) =
+    let k = String.compare a b in
+    if k <> 0 then k
+    else
+      let k = compare_coeffs c d in
+      if k <> 0 then k else Bool.compare f g
+end)
+
+(* The streams of [accesses] in descending key order, whatever order the
+   accesses come in. *)
+let streams_of_accesses (accesses : Analysis.access list) : stream list =
   let add acc (a : Analysis.access) =
-    let key = (a.array, a.coeffs, a.affine) in
-    let offsets, mult =
-      match M.find_opt key acc with
-      | Some (offsets, mult) -> (offsets, mult)
-      | None -> ([], 0.0)
-    in
-    let offsets =
-      if List.mem a.offset offsets then offsets else a.offset :: offsets
-    in
-    M.add key (offsets, mult +. 1.0) acc
+    Stream_key.update (a.array, a.coeffs, a.affine)
+      (function
+        | Some (offsets, mult) -> Some (a.offset :: offsets, mult +. 1.0)
+        | None -> Some ([ a.offset ], 1.0))
+      acc
   in
-  let grouped = List.fold_left add M.empty accesses in
-  M.fold
+  let by_key = List.fold_left add Stream_key.empty accesses in
+  Stream_key.fold
     (fun (array, coeffs, affine) (offsets, mult) acc ->
       {
         rep = { array; coeffs; affine; offset = 0.0; is_write = false };
-        distinct = float_of_int (List.length offsets);
+        distinct =
+          float_of_int (List.length (List.sort_uniq Float.compare offsets));
         mult;
       }
       :: acc)
-    grouped []
+    by_key []
+
+(* A loop node with its accesses grouped into streams.  [estimate] groups
+   every node once, for its own memory cost and for the working set of
+   each enclosing loop. *)
+type grouped = {
+  loop : Analysis.loop_node;
+  streams : stream list;
+  inner : grouped list;
+}
+
+let rec group (node : Analysis.loop_node) =
+  {
+    loop = node;
+    streams = streams_of_accesses node.accesses;
+    inner = List.map group node.children;
+  }
+
+let rec coeff_of index = function
+  | [] -> None
+  | (v, c) :: rest ->
+      if String.equal v index then Some c else coeff_of index rest
 
 (* Distinct bytes a stream touches across one full execution of the loop
    window [chain] (outermost first).  Bounded both by the iteration-space
@@ -108,7 +149,7 @@ let footprint cfg (chain : Analysis.loop_node list) (st : stream) =
     let min_stride = ref infinity in
     List.iter
       (fun (l : Analysis.loop_node) ->
-        match List.assoc_opt l.index a.coeffs with
+        match coeff_of l.index a.coeffs with
         | Some c when c <> 0.0 ->
             let stride = Float.abs c *. float_of_int l.step in
             product := !product *. Float.max 1.0 l.trips;
@@ -136,19 +177,18 @@ let footprint cfg (chain : Analysis.loop_node list) (st : stream) =
    every access in its subtree, each taken over the loops between [node]
    and the access.  Overlap between accesses to the same array is ignored
    (conservative). *)
-let working_set cfg (node : Analysis.loop_node) =
-  let rec go chain node =
+let working_set cfg (g : grouped) =
+  let rec go chain g =
     let own =
       List.fold_left
         (fun acc st -> acc +. footprint cfg chain st)
-        0.0
-        (streams_of_accesses node.Analysis.accesses)
+        0.0 g.streams
     in
     List.fold_left
-      (fun acc child -> acc +. go (chain @ [ child ]) child)
-      own node.Analysis.children
+      (fun acc child -> acc +. go (chain @ [ child.loop ]) child)
+      own g.inner
   in
-  go [ node ] node
+  go [ g.loop ] g
 
 (* Memory cost of one access executed [executions] times total, where
    [path] is the chain of enclosing loops outermost-first (last element is
@@ -231,7 +271,7 @@ let register_pressure (node : Analysis.loop_node) =
   let invariant =
     List.filter
       (fun (a : Analysis.access) ->
-        a.affine && not (List.mem_assoc node.index a.coeffs))
+        a.affine && Option.is_none (coeff_of node.index a.coeffs))
       node.accesses
   in
   (* Identical invariant references (e.g. the read and write of an
@@ -244,11 +284,12 @@ let register_pressure (node : Analysis.loop_node) =
   in
   List.length distinct + int_of_float node.stmts + 4
 
-let rec cost_of_node cfg ~path ~path_ws (node : Analysis.loop_node) =
+let rec cost_of_node cfg ~path ~path_ws (g : grouped) =
   (* [path_ws] carries the working set of each ancestor (computed once at
      that level) so suffix lookups do not recompute subtree footprints. *)
+  let node = g.loop in
   let path = path @ [ node ] in
-  let path_ws = path_ws @ [ working_set cfg node ] in
+  let path_ws = path_ws @ [ working_set cfg g ] in
   let n = List.length path in
   let entries =
     List.fold_left
@@ -262,8 +303,7 @@ let rec cost_of_node cfg ~path ~path_ws (node : Analysis.loop_node) =
   let mem =
     List.fold_left
       (fun acc st -> acc +. access_cost cfg ~path ~ws_of_suffix st)
-      0.0
-      (streams_of_accesses node.accesses)
+      0.0 g.streams
   in
   let insts = (2.0 *. node.stmts) +. node.flops +. node.iops in
   let compute_per_iter =
@@ -306,13 +346,14 @@ let rec cost_of_node cfg ~path ~path_ws (node : Analysis.loop_node) =
   in
   List.fold_left
     (fun acc child -> add_breakdown acc (cost_of_node cfg ~path ~path_ws child))
-    own node.children
+    own g.inner
 
 let estimate cfg (a : Analysis.t) =
   let b =
     List.fold_left
       (fun acc root ->
-        add_breakdown acc (cost_of_node cfg ~path:[] ~path_ws:[] root))
+        add_breakdown acc
+          (cost_of_node cfg ~path:[] ~path_ws:[] (group root)))
       zero a.roots
   in
   let straightline = a.straightline_stmts *. 2.0 /. cfg.issue_width in
@@ -367,5 +408,3 @@ let evaluate cfg (k : Ast.kernel) =
     runtime = runtime_seconds cfg (Analysis.analyze k);
     compile = compile_seconds cfg k;
   }
-
-let evaluate_all cfg ks = List.map (evaluate cfg) ks

@@ -84,7 +84,3 @@ val evaluate : config -> Altune_kernellang.Ast.kernel -> evaluation
 (** [{runtime = runtime_seconds cfg (Analysis.analyze k); compile =
     compile_seconds cfg k}].  Pure, so batch callers may fan kernels out
     across domains and keep slot-indexed results deterministic. *)
-
-val evaluate_all :
-  config -> Altune_kernellang.Ast.kernel list -> evaluation list
-(** [evaluate] over a batch, in input order. *)

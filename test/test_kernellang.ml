@@ -635,6 +635,96 @@ let test_analysis_code_size_grows () =
   let after = size (Analysis.analyze t).roots in
   Alcotest.(check bool) "code grows with unrolling" true (after > before)
 
+(* A loop body of nested sequences with a loop in the middle and an
+   [If] with both branches, built by hand because the parser flattens
+   sequences. *)
+let source_order_kernel () =
+  let stmt = Parser.parse_stmt in
+  let body =
+    Ast.Seq
+      [
+        Seq
+          [
+            stmt "A[i][0] = B[i][1] + C[i];";
+            Seq [ stmt "D[i] = A[i][2] * C[i + 1];" ];
+          ];
+        stmt "for j = 0 to N - 1 { A[i][j] = 0.0; }";
+        Seq
+          [
+            stmt
+              "if (i + 1 < 4) { C[i] = D[i]; B[i][i] = 1.0; } else { D[i] \
+               = B[0][i] - C[0]; }";
+            stmt "for k = 0 to N - 1 { C[k] = 1.0; }";
+          ];
+      ]
+  in
+  let k =
+    Parser.parse_kernel
+      {|
+kernel order(N = 8) {
+  array A[N][N];
+  array B[N][N];
+  array C[N];
+  array D[N];
+  for i = 0 to N - 1 {
+    C[i] = 0.0;
+  }
+}
+|}
+  in
+  match k.body with
+  | For l -> { k with body = For { l with body } }
+  | _ -> Alcotest.fail "expected one loop"
+
+let test_analysis_source_order () =
+  match (Analysis.analyze (source_order_kernel ())).roots with
+  | [ root ] ->
+      let seen =
+        List.map
+          (fun (a : Analysis.access) -> (a.array, a.is_write, a.offset))
+          root.accesses
+      in
+      Alcotest.(check (list (triple string bool (float 0.0))))
+        "write first, then reads left to right, statement by statement"
+        [
+          ("A", true, 0.0); ("B", false, 1.0); ("C", false, 0.0);
+          ("D", true, 0.0); ("A", false, 2.0); ("C", false, 1.0);
+          ("C", true, 0.0); ("D", false, 0.0); ("B", true, 0.0);
+          ("D", true, 0.0); ("B", false, 0.0); ("C", false, 0.0);
+        ]
+        seen;
+      Alcotest.(check (list string))
+        "children in source order" [ "j"; "k" ]
+        (List.map (fun (c : Analysis.loop_node) -> c.index) root.children);
+      (* The If counts each branch at half weight plus its condition's
+         operations and one statement of its own: then-branch 0 flops,
+         3 iops, 2 statements; else-branch 1, 1, 1; condition 1 op. *)
+      Alcotest.(check (float 0.0)) "flops" (1.0 +. 1.0 +. 1.5) root.flops;
+      Alcotest.(check (float 0.0)) "iops" (2.0 +. 2.0 +. 2.0) root.iops;
+      Alcotest.(check (float 0.0)) "stmts" (1.0 +. 1.0 +. 2.5) root.stmts
+  | _ -> Alcotest.fail "expected one root"
+
+(* A loop bound whose divisor averages to a value in (-1, 1) truncates to
+   zero: the bound is not affine, so the loop gets no trips. *)
+let test_analysis_fractional_divisor () =
+  let k =
+    Parser.parse_kernel
+      {|
+kernel divz(N = 8) {
+  array A[N][2];
+  for j = 0 to 1 {
+    for i = 0 to N %/ j {
+      A[i][j] = 1.0;
+    }
+  }
+}
+|}
+  in
+  match (Analysis.analyze k).roots with
+  | [ { children = [ inner ]; _ } ] ->
+      Alcotest.(check (float 0.0)) "inner trips" 0.0 inner.trips
+  | _ -> Alcotest.fail "expected a two-deep nest"
+
 (* --- Simplify tests --- *)
 
 let test_simplify_expr_folds () =
@@ -847,6 +937,9 @@ let () =
             test_analysis_unroll_reduces_iterations;
           Alcotest.test_case "code size grows" `Quick
             test_analysis_code_size_grows;
+          Alcotest.test_case "source order" `Quick test_analysis_source_order;
+          Alcotest.test_case "fractional divisor" `Quick
+            test_analysis_fractional_divisor;
         ] );
       ( "simplify",
         [

@@ -6,6 +6,9 @@ module Parser = Altune_kernellang.Parser
 module Transform = Altune_kernellang.Transform
 module Analysis = Altune_kernellang.Analysis
 module Machine = Altune_machine.Machine
+module Ast = Altune_kernellang.Ast
+module Spapt = Altune_spapt.Spapt
+module Rng = Altune_prng.Rng
 
 let mm n =
   Parser.parse_kernel
@@ -209,11 +212,103 @@ let prop_flops_invariant_runtime_bounded =
           let r = rt k' /. rt k in
           r > 0.05 && r < 20.0)
 
+(* Reverse every sequence made only of assignments, at any depth: the
+   same statements in the opposite order, so each loop lists the same
+   accesses in a different order. *)
+let rec reverse_assignment_seqs (s : Ast.stmt) : Ast.stmt =
+  match s with
+  | Assign _ -> s
+  | Seq ss when List.for_all (function Ast.Assign _ -> true | _ -> false) ss
+    ->
+      Seq (List.rev ss)
+  | Seq ss -> Seq (List.map reverse_assignment_seqs ss)
+  | For l -> For { l with body = reverse_assignment_seqs l.body }
+  | If (c, t, e) ->
+      If
+        ( c,
+          reverse_assignment_seqs t,
+          Option.map reverse_assignment_seqs e )
+
+(* The model sums footprints and memory costs over streams in key
+   order, not in the order their accesses appear, so permuting the
+   statements of a body leaves every price bit-identical. *)
+let prop_price_independent_of_statement_order =
+  let kernels = Array.of_list (Spapt.all ()) in
+  QCheck.Test.make ~name:"price independent of statement order" ~count:440
+    QCheck.(pair (int_bound (Array.length kernels - 1)) (int_bound 1_000_000))
+    (fun (ki, seed) ->
+      let t = kernels.(ki) in
+      let config = Spapt.random_config t (Rng.create ~seed) in
+      let k = Spapt.transformed t config in
+      let k' = { k with body = reverse_assignment_seqs k.body } in
+      let r = rt k and r' = rt k' in
+      if Int64.bits_of_float r <> Int64.bits_of_float r' then
+        QCheck.Test.fail_reportf "%s %s: %h <> %h" (Spapt.name t)
+          (String.concat ","
+             (Array.to_list (Array.map string_of_int config)))
+          r r'
+      else true)
+
+(* Six statements, one stream each, under a loop whose averaged trip
+   count is inexact, so that summing their costs in a different order
+   would move the last bits of the price.  Every order of the statements
+   must price the same. *)
+let test_price_independent_of_access_order () =
+  let k =
+    Parser.parse_kernel
+      {|
+kernel perm(N = 1000) {
+  array A[N][N];
+  array B[N][N];
+  array C[N];
+  array D[N][N];
+  array E[N];
+  array F[N][N];
+  for i = 0 to N - 1 {
+    for j = 0 to i / 7 {
+      A[i][j] = 1.0;
+      B[j][i] = 2.0;
+      C[j] = 3.0;
+      D[i][2 * j] = 4.0;
+      E[3 * j] = 5.0;
+      F[j][j] = 6.0;
+    }
+  }
+}
+|}
+  in
+  let outer, inner, stmts =
+    match k.body with
+    | For ({ body = For ({ body = Seq stmts; _ } as inner); _ } as outer) ->
+        (outer, inner, stmts)
+    | _ -> Alcotest.fail "expected a two-deep nest"
+  in
+  let rec orders = function
+    | [] -> [ [] ]
+    | l ->
+        List.concat_map
+          (fun x ->
+            List.map (List.cons x) (orders (List.filter (( != ) x) l)))
+          l
+  in
+  let price order =
+    let inner = Ast.For { inner with body = Seq order } in
+    rt { k with body = For { outer with body = inner } }
+  in
+  let expected = price stmts in
+  List.iter
+    (fun order ->
+      let r = price order in
+      if Int64.bits_of_float r <> Int64.bits_of_float expected then
+        Alcotest.failf "%h <> %h" r expected)
+    (orders stmts)
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
       [ prop_runtime_positive_under_transform;
-        prop_flops_invariant_runtime_bounded ]
+        prop_flops_invariant_runtime_bounded;
+        prop_price_independent_of_statement_order ]
   in
   Alcotest.run "machine"
     [
@@ -225,6 +320,8 @@ let () =
           Alcotest.test_case "breakdown adds up" `Quick
             test_breakdown_adds_up;
           Alcotest.test_case "deterministic" `Quick test_determinism;
+          Alcotest.test_case "price independent of access order" `Quick
+            test_price_independent_of_access_order;
         ] );
       ( "shapes",
         [
