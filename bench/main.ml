@@ -13,22 +13,22 @@
    --events FILE to record the learner decision stream (render with
    `altune report`), --metrics to dump the metrics registry to stderr
    at exit, or a subset of section names (table1 table2 fig1 fig2 fig5
-   fig6 ablation serve surrogate fork micro) to run only those.  The
+   fig6 ablation serve surrogate micro) to run only those.  The
    surrogate section (alias --surrogate) benchmarks the dynamic-tree hot
-   path — observe throughput, incremental vs full-recompute ALC.  The
-   fork section (alias --fork) times trie-resolved candidate batches
-   against from-scratch evaluation.  The serve section drives
-   --serve-load N (default 200) synthetic tuning sessions with
-   overlapping config demand through the in-process tuning server,
-   recording sessions/sec and the cross-session memo hit rate.
+   path — observe throughput, incremental vs from-scratch ALC.  The
+   serve section drives --serve-load N (default 200) synthetic tuning
+   sessions with overlapping config demand through the in-process
+   tuning server, recording sessions/sec and the cross-session memo hit
+   rate.
 
    Every record lands in one file, BENCH_harness.json, in one format:
    built by Bench_diff.record and appended by Bench_diff.append, stamped
    with the run manifest (host, cores, git rev, ...) so the performance
    trajectory stays interpretable across machines and commits.  A
    section is recorded by its wall time unless it measures its own
-   records (serve, surrogate, fork); under --fault-spec the wall-time
-   records are named "<section>+fault". *)
+   records (serve, surrogate); under --fault-spec the wall-time records
+   are named "<section>+fault".  `dune build @bench` gates them against
+   bench/baseline.json. *)
 
 module Drivers = Altune_experiments.Drivers
 module Scale = Altune_experiments.Scale
@@ -241,12 +241,12 @@ let run_serve_load ~manifest ~jobs ~sessions ?snapshots () =
 (* --- Surrogate hot-path microbenchmark ------------------------------ *)
 
 (* Measure the dynamic-tree inner loop at a learner-shaped workload
-   (ensemble observe throughput, fast incremental ALC, and the pre-PR
-   full-recompute ALC kept behind [Dynatree.force_full_alc]) as four
-   records, which CI gates against the committed
-   bench/surrogate_baseline.json.  Allocations are reported as minor
-   words per operation (Gc.minor_words delta), which is exact and
-   deterministic, unlike the wall-clock rates. *)
+   (ensemble observe throughput, fast incremental ALC, and its
+   from-scratch reference [Dynatree.alc_scores_full]) as four records,
+   which @bench gates against the committed bench/baseline.json.
+   Allocations are reported as minor words per operation (Gc.minor_words
+   delta), which is exact and deterministic, unlike the wall-clock
+   rates. *)
 let run_surrogate ~manifest =
   let module Rng = Altune_prng.Rng in
   let module Dt = Altune_dynatree.Dynatree in
@@ -288,7 +288,7 @@ let run_surrogate ~manifest =
   in
   let obs_rate = float_of_int (n_particles * n_timed_obs) /. obs_s in
   (* ALC scoring throughput, fast (incremental caches) and slow (the
-     pre-PR full recompute) paths over the identical model state. *)
+     from-scratch reference) paths over the identical model state. *)
   let alc_work iters = float_of_int (iters * n_cands * n_particles) in
   let fast_s, fast_words =
     timed (fun () ->
@@ -297,14 +297,12 @@ let run_surrogate ~manifest =
         done)
   in
   let fast_rate = alc_work alc_fast_iters /. fast_s in
-  Dt.force_full_alc := true;
   let slow_s, slow_words =
     timed (fun () ->
         for _ = 1 to alc_slow_iters do
-          ignore (Dt.alc_scores model ~candidates:cands ~refs)
+          ignore (Dt.alc_scores_full model ~candidates:cands ~refs)
         done)
   in
-  Dt.force_full_alc := false;
   let slow_rate = alc_work alc_slow_iters /. slow_s in
   (* Full learner iteration: ingest one observation, then score the whole
      candidate pool — the unit of work an active-learning tuning step
@@ -358,133 +356,6 @@ let run_surrogate ~manifest =
         ~rate:(iter_rate, "iterations/s")
         ~words_per_op:(per iter_words iter_n);
     ] )
-
-(* --- Transformation-prefix forking benchmark ------------------------ *)
-
-(* Sibling-heavy candidate batches — one random base configuration per
-   batch with its last knob swept over every value, the shape a batched
-   learner iteration produces — evaluated twice on one domain, with no
-   pool: through Spapt's from-scratch evaluation path (recipe,
-   Verify.apply_steps, machine-model pricing), then with every recipe
-   resolved through one transformation-prefix trie per benchmark and
-   priced the same way.  The two must agree float-for-float (the trie is
-   designed to be byte-inert), so the section doubles as a differential
-   audit; the record carries the measured prefix-reuse rate and the
-   from-scratch/trie time ratio, and is gated against
-   bench/fork_baseline.json.  It is timed on one domain, so it says
-   jobs 1 whatever the run's --jobs. *)
-let run_fork ~(manifest : Manifest.t) =
-  let module Rng = Altune_prng.Rng in
-  let module Spapt = Altune_spapt.Spapt in
-  let module Fork = Altune_spapt.Fork in
-  let module Machine = Altune_machine.Machine in
-  let benches = [ "mm"; "mvt"; "hessian"; "lu" ] in
-  let n_bases = 24 in
-  let batches_of name =
-    let b = Spapt.create name in
-    let rng =
-      Rng.create ~seed:(Rng.derive ~seed:42 [ Rng.S "bench.fork"; Rng.S name ])
-    in
-    let knobs = Array.of_list (Spapt.knobs b) in
-    let last = Array.length knobs - 1 in
-    let card = Spapt.knob_cardinality knobs.(last) in
-    List.init n_bases (fun _ ->
-        let base = Spapt.random_config b rng in
-        List.init card (fun v ->
-            let c = Array.copy base in
-            c.(last) <- v;
-            c))
-  in
-  let plans = List.map (fun name -> (name, batches_of name)) benches in
-  let n_configs =
-    List.fold_left
-      (fun acc (_, bs) -> acc + List.fold_left (fun a b -> a + List.length b) 0 bs)
-      0 plans
-  in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let configs batches = List.concat batches in
-  (* From scratch: a fresh instance per benchmark, every configuration
-     transformed and priced independently. *)
-  let flat_values, flat_s =
-    timed (fun () ->
-        List.map
-          (fun (name, batches) ->
-            let b = Spapt.create name in
-            List.map
-              (fun c -> (Spapt.true_runtime b c, Spapt.compile_seconds b c))
-              (configs batches))
-          plans)
-  in
-  (* Trie: the same configurations, each recipe resolved through the
-     benchmark's trie, then priced. *)
-  let (fork_values, stats), fork_s =
-    timed (fun () ->
-        let stats = ref [] in
-        let values =
-          List.map
-            (fun (name, batches) ->
-              let b = Spapt.create name in
-              let trie = Fork.create (Spapt.kernel b) in
-              let vs =
-                List.map
-                  (fun c ->
-                    match Fork.resolve trie (Spapt.recipe b c) with
-                    | Ok k ->
-                        let e = Machine.evaluate Machine.default k in
-                        (e.Machine.runtime, e.Machine.compile)
-                    | Error e ->
-                        failwith
-                          ("fork bench: "
-                          ^ Altune_kernellang.Transform.error_to_string e))
-                  (configs batches)
-              in
-              stats := Fork.stats trie :: !stats;
-              vs)
-            plans
-        in
-        (values, !stats))
-  in
-  if flat_values <> fork_values then
-    failwith
-      "fork bench: trie-resolved evaluations diverged from the from-scratch \
-       path";
-  let sum f = List.fold_left (fun a s -> a + f s) 0 stats in
-  let reused = sum (fun (s : Fork.stats) -> s.steps_reused) in
-  let applied = sum (fun (s : Fork.stats) -> s.steps_applied) in
-  let nodes = sum (fun (s : Fork.stats) -> s.nodes) in
-  let reuse =
-    if reused + applied = 0 then 0.0
-    else float_of_int reused /. float_of_int (reused + applied)
-  in
-  let speedup = if fork_s > 0.0 then flat_s /. fork_s else 0.0 in
-  let record =
-    Bench_diff.record ~manifest:{ manifest with jobs = 1 } ~section:"fork"
-      ~seconds:fork_s ~rate:(speedup, "x-from-scratch")
-      ~extras:
-        [
-          ("reuse_rate", Json.Float reuse);
-          ("configs", Json.Int n_configs);
-          ("trie_nodes", Json.Int nodes);
-          ("flat_seconds", Json.Float flat_s);
-        ]
-      ()
-  in
-  ( Printf.sprintf
-    "prefix forking: %d benchmarks, %d sibling-heavy batches, %d configs\n\
-     from-scratch : %.3fs (Spapt's evaluation path, one domain)\n\
-     trie         : %.3fs (prefix-trie resolve + pricing, one domain)\n\
-     ratio        : %.2fx; identical evaluations float-for-float\n\
-     trie         : %d nodes; %d/%d steps served from a cached prefix \
-     (%.0f%% reuse)\n"
-    (List.length benches)
-    (List.length benches * n_bases)
-    n_configs flat_s fork_s speedup nodes reused (reused + applied)
-    (100.0 *. reuse),
-    [ record ] )
 
 (* --- Bechamel micro-benchmarks of the implementation's hot paths --- *)
 
@@ -754,14 +625,13 @@ let () =
     let named =
       List.filter_map
         (fun a ->
-          (* `--surrogate`/`--fork` are accepted as aliases for the
-             section names, matching the CI invocations. *)
+          (* `--surrogate` is accepted as an alias for the section name,
+             matching the @bench invocation. *)
           let a = if a = "--surrogate" then "surrogate" else a in
-          let a = if a = "--fork" then "fork" else a in
           if
             List.mem a
               [ "table1"; "table2"; "fig1"; "fig2"; "fig5"; "fig6";
-                "ablation"; "serve"; "micro"; "surrogate"; "fork" ]
+                "ablation"; "serve"; "micro"; "surrogate" ]
           then Some a
           else None)
         (List.tl args)
@@ -810,10 +680,6 @@ let () =
       section "surrogate"
         "Surrogate hot path (observe + incremental vs full ALC)" (fun () ->
           run_surrogate ~manifest);
-    if wanted "fork" then
-      section "fork"
-        "Prefix forking (trie-resolved candidate batches vs from scratch)"
-        (fun () -> run_fork ~manifest);
     if wanted "micro" then
       section "micro" "Micro-benchmarks (Bechamel)" (fun () ->
           (run_micro (), []))

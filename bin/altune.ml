@@ -3,8 +3,6 @@
 
 module Spapt = Altune_spapt.Spapt
 module Kernels = Altune_spapt.Kernels
-module Fork = Altune_spapt.Fork
-module Machine = Altune_machine.Machine
 module Pretty = Altune_kernellang.Pretty
 module Lint = Altune_kernellang.Lint
 module Verify = Altune_kernellang.Verify
@@ -289,70 +287,9 @@ let check_cmd name doc =
             "Random configurations to audit per benchmark, in addition to \
              the default configuration.")
   in
-  let fork_audit_term =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fork-audit" ] ~docv:"N"
-          ~doc:
-            "Differential audit of the transformation-prefix trie: \
-             resolve $(docv) random configurations per benchmark through \
-             one trie and compare them with the benchmark's from-scratch \
-             evaluation path, requiring byte-identical kernels and \
-             bit-identical priced runtimes and compile costs.")
-  in
-  (* Resolve [n] random configurations through one prefix trie and price
-     them, against Spapt's from-scratch path on the same configurations.
-     Measurements derive from the priced pair alone, so agreeing on the
-     kernel and the pair is agreeing on everything a learner observes.
-     Returns the number of mismatches (0 = the trie is inert, as
-     designed). *)
-  let fork_audit ~seed name n =
-    let b = Spapt.create name in
-    let trie = Fork.create (Spapt.kernel b) in
-    let rng =
-      Rng.create ~seed:(Rng.derive ~seed [ S "fork-audit"; S name ])
-    in
-    let configs =
-      Array.make (Spapt.dim b) 0
-      :: List.init n (fun _ -> Spapt.random_config b rng)
-    in
-    let mismatches = ref 0 in
-    List.iter
-      (fun c ->
-        let complain what =
-          incr mismatches;
-          Printf.printf "%-12s fork : MISMATCH (%s) at config [%s]\n" name
-            what
-            (Altune_core.Problem.key c)
-        in
-        match Fork.resolve trie (Spapt.recipe b c) with
-        | Error e ->
-            complain
-              ("trie: " ^ Altune_kernellang.Transform.error_to_string e)
-        | Ok k ->
-            if k <> Spapt.transformed b c then complain "transformed kernel"
-            else begin
-              let e = Machine.evaluate Machine.default k in
-              if
-                e.Machine.runtime <> Spapt.true_runtime b c
-                || e.Machine.compile <> Spapt.compile_seconds b c
-              then complain "evaluation"
-            end)
-      configs;
-    let stats = Fork.stats trie in
-    Printf.printf
-      "%-12s fork : %d/%d configurations identical (%d nodes, %.0f%% steps \
-       reused)\n"
-      name
-      (List.length configs - !mismatches)
-      (List.length configs) stats.Fork.nodes
-      (100.0 *. Fork.reuse_rate stats);
-    !mismatches
-  in
   let term =
     Term.(
-      const (fun seed benchmarks samples fork_samples ->
+      const (fun seed benchmarks samples ->
           check_benchmarks benchmarks;
           let samples = max 0 samples in
           let names =
@@ -396,10 +333,7 @@ let check_cmd name doc =
                   end)
                 configs;
               Printf.printf "%-12s audit: %d/%d configurations sound\n" name
-                !sound (List.length configs);
-              match fork_samples with
-              | None -> ()
-              | Some n -> failures := !failures + fork_audit ~seed name (max 0 n))
+                !sound (List.length configs))
             names;
           if !failures > 0 then begin
             Printf.printf "check: %d failure(s)\n" !failures;
@@ -409,7 +343,7 @@ let check_cmd name doc =
             print_endline
               "check: all kernels lint clean and all audited recipes are \
                sound")
-      $ seed_term $ benchmarks_term $ samples_term $ fork_audit_term)
+      $ seed_term $ benchmarks_term $ samples_term)
   in
   Cmd.v (Cmd.info name ~doc) term
 
@@ -511,7 +445,10 @@ let bench_diff_cmd name doc =
     Arg.(
       required
       & pos 0 (some file) None
-      & info [] ~docv:"BASELINE" ~doc:"Baseline BENCH_harness.json.")
+      & info [] ~docv:"BASELINE"
+          ~doc:
+            "Baseline records, each comparable one with its own \
+             $(b,max_regress) bound in percent (bench/baseline.json).")
   in
   let current_term =
     Arg.(
@@ -519,19 +456,11 @@ let bench_diff_cmd name doc =
       & pos 1 (some file) None
       & info [] ~docv:"CURRENT" ~doc:"Current BENCH_harness.json.")
   in
-  let max_regress_term =
-    Arg.(
-      value & opt float 25.0
-      & info [ "max-regress" ] ~docv:"PCT"
-          ~doc:
-            "Fail (exit 1) if any comparable section slowed down by more \
-             than $(docv) percent.")
-  in
   let term =
     Term.(
-      const (fun baseline current max_regress ->
-          let load name path =
-            match Bench_diff.load path with
+      const (fun baseline current ->
+          let load name read path =
+            match read path with
             | Ok records -> records
             | Error e ->
                 Printf.eprintf "bench-diff: %s: %s\n" name e;
@@ -539,22 +468,22 @@ let bench_diff_cmd name doc =
           in
           let d =
             Bench_diff.diff
-              ~baseline:(load "baseline" baseline)
-              ~current:(load "current" current)
+              ~baseline:(load "baseline" Bench_diff.load_baseline baseline)
+              ~current:(load "current" Bench_diff.load current)
           in
-          print_string (Bench_diff.render ~max_regress d);
-          match Bench_diff.regressions ~max_regress d with
+          print_string (Bench_diff.render d);
+          match Bench_diff.regressions d with
           | [] ->
               Printf.printf
-                "bench-diff: no regression beyond %.1f%% (%d comparable \
+                "bench-diff: no regression beyond its bound (%d comparable \
                  section(s))\n"
-                max_regress
                 (List.length d.deltas)
           | rs ->
-              Printf.printf "bench-diff: %d section(s) regressed beyond %.1f%%\n"
-                (List.length rs) max_regress;
+              Printf.printf
+                "bench-diff: %d section(s) regressed beyond their bound\n"
+                (List.length rs);
               Stdlib.exit 1)
-      $ baseline_term $ current_term $ max_regress_term)
+      $ baseline_term $ current_term)
   in
   Cmd.v (Cmd.info name ~doc) term
 
@@ -1202,10 +1131,12 @@ let command_table =
        bars) — no external assets.",
       report_cmd );
     ( "bench-diff",
-      "Compare two BENCH_harness.json files and fail on timing \
-       regressions.  Only records whose manifest matches (same host, \
-       cores, scale and job count) are compared; anything else — other \
-       machines, pre-manifest history — is skipped, never guessed at.",
+      "Compare a BENCH_harness.json file with a baseline and fail when a \
+       section slowed down by more than its baseline record's \
+       max_regress percent.  Only records whose manifest matches (same \
+       host, cores, scale and job count) are compared; anything else — \
+       other machines, pre-manifest history — is skipped, never guessed \
+       at.",
       bench_diff_cmd );
     ( "concheck",
       "Model-check the execution engine's concurrency: run bounded \

@@ -304,22 +304,17 @@ let start_run ?fault ?resume ?exec_pool (problem : Problem.t)
         in
         go 0
   in
-  (* [n] usable measurements of [config], or [None] once it goes dead.
-     The fault-free path must keep the exact allocation/evaluation shape
-     of the original code ([List.init] with an effectful body), because
-     its call order is part of the byte-compatibility contract. *)
+  (* [n] usable measurements of [config], in order, or [None] once it
+     goes dead. *)
   let measure_many config n =
-    match fault with
-    | None -> Some (List.init n (fun _ -> measure config))
-    | Some _ ->
-        let rec go i acc =
-          if i = n then Some (List.rev acc)
-          else
-            match measure_faulty config with
-            | Some y -> go (i + 1) (y :: acc)
-            | None -> None
-        in
-        go 0 []
+    let rec go i acc =
+      if i = n then Some (List.rev acc)
+      else
+        match measure_faulty config with
+        | Some y -> go (i + 1) (y :: acc)
+        | None -> None
+    in
+    go 0 []
   in
   let sample_unseen n =
     (* Rejection sampling from the pool; the pool is much larger than the

@@ -12,11 +12,6 @@ type params = {
 let default_params =
   { n_particles = 300; tree = Tree.default_params; resample_threshold = 1.0 }
 
-(* Debug flag: force the O(particles × candidates × refs) full ALC
-   recompute instead of the cached fast path.  The differential tests
-   flip this to check the incremental scores are bit-identical. *)
-let force_full_alc = ref false
-
 (* Parallelism gates.  Both are in units of *work items*, not jobs: the
    decision to fan out must be a pure function of the problem size so the
    code path (and therefore the output) is the same at any [--jobs].
@@ -24,8 +19,8 @@ let force_full_alc = ref false
    slot-indexed writes and a sequential in-order reduction, so fan-out
    never changes a single bit — these gates only keep pool overhead away
    from ensembles too small to amortize it. *)
-let reweight_par_min_particles = ref 256
-let alc_par_min_work = ref 16_384
+let reweight_par_min_particles = 256
+let alc_par_min_work = 16_384
 
 (* surrogate.* telemetry.  Eager, not [lazy]: models on different
    domains would force a lazy handle concurrently, which raises
@@ -35,7 +30,6 @@ let m_resamples = Metrics.counter "surrogate.resamples"
 let m_leaves_created = Metrics.counter "surrogate.leaves.created"
 let m_alc_calls = Metrics.counter "surrogate.alc.calls"
 let m_alc_scores = Metrics.counter "surrogate.alc.scores"
-let m_alc_slow_calls = Metrics.counter "surrogate.alc.slow_calls"
 let m_alc_reinits = Metrics.counter "surrogate.alc.reinits"
 
 type t = {
@@ -136,7 +130,7 @@ let observe t x y =
       t.log_w.(i) <- log t.weights.(i) +. Tree.log_predictive t.particles.(i) x y
     done
   in
-  (match use_pool t ~work:n ~min_work:!reweight_par_min_particles with
+  (match use_pool t ~work:n ~min_work:reweight_par_min_particles with
   | Some pool ->
       ignore
         (Pool.map
@@ -226,8 +220,8 @@ let average_variance t ~refs =
 (* Full recompute: partition [refs] down every particle from the root and
    rebuild every leaf's sufficient-statistics payoff.  This is the
    pre-incremental implementation, kept verbatim as the differential
-   oracle behind [force_full_alc]. *)
-let alc_scores_slow t ~candidates ~refs =
+   oracle of [alc_scores]. *)
+let alc_scores_full t ~candidates ~refs =
   let nrefs = float_of_int (max 1 (Array.length refs)) in
   (* Per particle: how many reference points share each leaf. *)
   let ref_counts = Array.map (fun p -> Tree.leaf_ref_counts p refs) t.particles in
@@ -301,7 +295,7 @@ let alc_scores_fast t ~candidates ~refs =
       scores.(ci) <- !score /. nrefs
     done
   in
-  (match use_pool t ~work:(n * nc) ~min_work:!alc_par_min_work with
+  (match use_pool t ~work:(n * nc) ~min_work:alc_par_min_work with
   | Some pool ->
       ignore
         (Pool.map
@@ -317,11 +311,7 @@ let alc_scores t ~candidates ~refs =
   Metrics.incr m_alc_calls;
   Metrics.add m_alc_scores
     (Array.length candidates * Array.length t.particles);
-  if !force_full_alc then begin
-    Metrics.incr m_alc_slow_calls;
-    alc_scores_slow t ~candidates ~refs
-  end
-  else alc_scores_fast t ~candidates ~refs
+  alc_scores_fast t ~candidates ~refs
 
 type stats = {
   particles : int;

@@ -81,16 +81,21 @@ val average_variance : t -> refs:float array array -> float
 (** Current average predictive variance over a reference set (diagnostic,
     and the quantity ALC estimates reductions of). *)
 
-val force_full_alc : bool ref
-(** Debug: route {!alc_scores} through the full recompute instead of the
-    incremental caches.  The differential tests assert both paths agree
-    to exact float equality. *)
+val alc_scores_full :
+  t -> candidates:float array array -> refs:float array array -> float array
+(** {!alc_scores} recomputed from scratch: [refs] partitioned down every
+    particle and every leaf's payoff rebuilt from its sufficient
+    statistics, without the incremental caches, the pool, metrics or a
+    trace span.  The reference the differential tests hold {!alc_scores}
+    to, at exact float equality. *)
 
-val reweight_par_min_particles : int ref
-val alc_par_min_work : int ref
-(** Minimum work (particles; candidates × particles) before a sweep fans
-    out on the attached pool.  Exposed so tests can force the parallel
-    path at toy sizes; outputs do not depend on these. *)
+val reweight_par_min_particles : int
+(** 256: particles at or above which {!observe}'s reweighting sweep fans
+    out on the attached pool. *)
+
+val alc_par_min_work : int
+(** 16,384: candidates × particles at or above which {!alc_scores} fans
+    out on the attached pool.  Outputs depend on neither gate. *)
 
 val mean_n_leaves : t -> float
 val mean_depth : t -> float

@@ -12,7 +12,7 @@ type t = {
   fig1_max_grid : int;
 }
 
-(* Small enough for CI smoke runs (@bench-smoke): seconds, not minutes,
+(* Small enough for CI smoke runs (@bench): seconds, not minutes,
    while still exercising datasets, all three plans and repetitions. *)
 let smoke =
   {

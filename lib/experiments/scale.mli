@@ -19,7 +19,7 @@ type t = {
 }
 
 val smoke : t
-(** Seconds-long preset for CI smoke runs (the [@bench-smoke] alias). *)
+(** Seconds-long preset for CI smoke runs (the [@bench] alias). *)
 
 val quick : t
 val standard : t

@@ -449,8 +449,7 @@ let dependences (k : Ast.kernel) =
 (* A summary is the dependence set computed once and queried many times:
    the legality predicates below only ever inspect direction vectors, so
    callers that ask several questions about the same kernel (tile-nest
-   permutability is a pairwise sweep; the fork trie re-audits cached
-   nodes) can pay for [dependences] once. *)
+   permutability is a pairwise sweep) can pay for [dependences] once. *)
 type summary = { all : dependence list }
 
 let summarize k = { all = dependences k }

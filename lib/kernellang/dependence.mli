@@ -49,15 +49,14 @@ type summary
     shared across the [_in] query variants below.  Everything the
     interchange/jam/reversal predicates need is the direction vectors, so
     a caller asking several legality questions about the same kernel (a
-    pairwise tile-nest permutability sweep, the fork trie's cached-node
-    audit) pays for {!dependences} once instead of per query. *)
+    pairwise tile-nest permutability sweep) pays for {!dependences} once
+    instead of per query. *)
 
 val summarize : Ast.kernel -> summary
 
 val summary_dependences : summary -> dependence list
 (** The underlying dependence list, identical to {!dependences} on the
-    summarized kernel (used by audits that compare a cached summary
-    against a fresh analysis). *)
+    summarized kernel. *)
 
 val carried_by : Ast.kernel -> string -> dependence list
 (** Dependences carried by the named loop: direction at that loop is

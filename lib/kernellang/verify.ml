@@ -35,46 +35,6 @@ let apply_step step k =
 let apply_steps steps k =
   List.fold_left (fun acc s -> Result.bind acc (apply_step s)) (Ok k) steps
 
-(* Drop the steps {!Transform} treats as exact no-ops, so that two recipes
-   differing only in identity steps share one canonical form.  This is
-   byte-preserving: unroll / unroll-and-jam at factor 1 return the kernel
-   unchanged, and [Transform.tile_nest] ignores every spec entry with tile
-   <= 1 (an all-identity nest applies no rewrite at all).  Factors < 1 are
-   kept — those are refusals, and normalization must not turn an error
-   into a success.  The one behavioral caveat: a factor-1 step naming a
-   missing loop fails in Transform but vanishes here; recipe generators
-   only emit existing loops, and the fork-audit differential check covers
-   the trie's use of this. *)
-let normalize_steps steps =
-  List.filter_map
-    (fun s ->
-      match s with
-      | Unroll { factor = 1; _ } | Unroll_and_jam { factor = 1; _ } -> None
-      | Tile_nest spec -> (
-          match List.filter (fun (_, t) -> t > 1) spec with
-          | [] -> None
-          | spec' -> Some (Tile_nest spec'))
-      | Unroll _ | Unroll_and_jam _ | Skew _ | Reverse _ | Fuse _
-      | Distribute _ ->
-          Some s)
-    steps
-
-(* Canonical injective key for a (normalized) step: trie edges are keyed
-   by these.  Loop indices are identifiers (no ':' or '='), so the
-   tag/separator scheme cannot collide across or within variants. *)
-let step_key = function
-  | Unroll { index; factor } -> Printf.sprintf "u:%s:%d" index factor
-  | Tile_nest spec ->
-      "t:"
-      ^ String.concat ":"
-          (List.map (fun (l, t) -> Printf.sprintf "%s=%d" l t) spec)
-  | Unroll_and_jam { index; factor } -> Printf.sprintf "j:%s:%d" index factor
-  | Skew { outer; inner; factor } ->
-      Printf.sprintf "s:%s:%s:%d" outer inner factor
-  | Reverse { index } -> "r:" ^ index
-  | Fuse { first; second } -> Printf.sprintf "f:%s:%s" first second
-  | Distribute { index } -> "d:" ^ index
-
 type status = Pass | Fail of string | Skipped of string
 
 type check = { check_name : string; status : status }

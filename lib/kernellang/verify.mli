@@ -48,20 +48,6 @@ val apply_steps :
   step list -> Ast.kernel -> (Ast.kernel, Transform.error) result
 (** Left-to-right application, stopping at the first refusal. *)
 
-val normalize_steps : step list -> step list
-(** Drop the steps {!Transform} treats as exact no-ops (unroll and
-    unroll-and-jam at factor 1; tile-nest entries with tile <= 1, the
-    whole step when nothing remains), so that recipes differing only in
-    identity steps share one canonical form.  Applying the normalized
-    list yields a byte-identical kernel to applying the original,
-    provided every dropped step names an existing loop (recipe
-    generators guarantee this; the fork audit re-checks it
-    differentially). *)
-
-val step_key : step -> string
-(** Canonical injective key for a step — equal keys iff equal steps.
-    The transformation-prefix trie uses these as edge labels. *)
-
 type status = Pass | Fail of string | Skipped of string
 
 type check = { check_name : string; status : status }
@@ -83,23 +69,10 @@ val legality : Ast.kernel -> step -> status
 (** Dependence-derived legality of applying [step] to the kernel,
     computed without consulting {!Transform}. *)
 
-val legality_in : Dependence.summary -> Ast.kernel -> step -> status
-(** {!legality} against a precomputed dependence summary of the same
-    kernel: callers holding a cached summary (the fork trie) skip the
-    per-query re-analysis.  Fusion and distribution still consult the
-    kernel directly — their predicates are regional, not summary-based. *)
-
-val well_formed : ?param_overrides:(string * int) list -> Ast.kernel -> status
-(** {!Ast.validate} plus {!Lint} with no errors — the "well-formed" check
-    of {!run} and {!check_pair}. *)
-
 val dependences_sound : Ast.kernel -> status
 (** Re-run the dependence analysis and require every direction vector to
     be lexicographically non-negative (the analysis' normalization
     invariant) — the "dependences" check of {!run} and {!check_pair}. *)
-
-val summary_sound : Dependence.summary -> status
-(** {!dependences_sound} against a precomputed summary. *)
 
 val check_pair :
   ?param_overrides:(string * int) list ->

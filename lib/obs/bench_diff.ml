@@ -8,6 +8,7 @@ type record = {
   git_rev : string option;
   rate : float option;
   rate_unit : string option;
+  max_regress : float option;
 }
 
 type delta = {
@@ -20,6 +21,7 @@ type delta = {
   baseline_rate : float option;
   current_rate : float option;
   rate_unit : string option;
+  max_regress : float option;
 }
 
 type diff = {
@@ -48,6 +50,7 @@ let record_of_json j =
           git_rev = str "git_rev";
           rate = float "rate";
           rate_unit = str "rate_unit";
+          max_regress = float "max_regress";
         }
   | _ -> Error "bench record: missing section/scale/jobs/seconds"
 
@@ -137,6 +140,20 @@ let append path records =
    diffed. *)
 let comparable (r : record) = Option.is_some r.host && Option.is_some r.cores
 
+(* A baseline gates with the bound each record carries: a comparable
+   record without one would gate at a guessed threshold, so it fails the
+   load instead. *)
+let load_baseline path =
+  Result.bind (load path) (fun records ->
+      match
+        List.find_opt (fun r -> comparable r && r.max_regress = None) records
+      with
+      | None -> Ok records
+      | Some r ->
+          Error
+            (Printf.sprintf "%s: baseline record %s/%s/jobs %d has no max_regress"
+               path r.section r.scale r.jobs))
+
 let key (r : record) =
   ( r.section,
     r.scale,
@@ -196,6 +213,7 @@ let diff ~baseline ~current =
                     rate_unit = (match r.rate_unit with
                       | Some _ as u -> u
                       | None -> b.rate_unit);
+                    max_regress = b.max_regress;
                   }
                   :: deltas,
                   unmatched )
@@ -204,22 +222,25 @@ let diff ~baseline ~current =
   in
   { deltas = List.rev deltas; skipped_baseline; skipped_current; unmatched }
 
-let regressions ~max_regress d =
-  List.filter (fun dl -> dl.delta_pct > max_regress) d.deltas
+let regressed dl =
+  match dl.max_regress with Some m -> dl.delta_pct > m | None -> false
+
+let regressions d = List.filter regressed d.deltas
 
 (* --- Rendering --------------------------------------------------------- *)
 
-let render ?max_regress d =
+let render d =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
-    (Printf.sprintf "%-10s %-9s %4s %12s %12s %9s\n" "section" "scale" "jobs"
-       "baseline(s)" "current(s)" "delta");
+    (Printf.sprintf "%-10s %-9s %4s %12s %12s %9s %6s\n" "section" "scale"
+       "jobs" "baseline(s)" "current(s)" "delta" "bound");
   List.iter
     (fun dl ->
-      let flag =
-        match max_regress with
-        | Some m when dl.delta_pct > m -> "  REGRESSION"
-        | _ -> ""
+      let flag = if regressed dl then "  REGRESSION" else "" in
+      let bound =
+        match dl.max_regress with
+        | Some m -> Printf.sprintf "%.0f%%" m
+        | None -> "-"
       in
       let rate =
         match (dl.baseline_rate, dl.current_rate) with
@@ -229,8 +250,9 @@ let render ?max_regress d =
         | _ -> ""
       in
       Buffer.add_string buf
-        (Printf.sprintf "%-10s %-9s %4d %12.3f %12.3f %+8.1f%%%s%s\n" dl.section
-           dl.scale dl.jobs dl.baseline_s dl.current_s dl.delta_pct flag rate))
+        (Printf.sprintf "%-10s %-9s %4d %12.3f %12.3f %+8.1f%% %6s%s%s\n"
+           dl.section dl.scale dl.jobs dl.baseline_s dl.current_s dl.delta_pct
+           bound flag rate))
     d.deltas;
   if d.deltas = [] then
     Buffer.add_string buf "(no comparable sections: manifests differ)\n";

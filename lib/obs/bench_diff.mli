@@ -15,9 +15,11 @@
     {e last} record wins, since the file is append-only and the newest
     timing is the current truth.
 
-    Drives [altune bench-diff BASELINE CURRENT --max-regress PCT], the
-    CI gate that fails a build whose benchmark sections slowed down more
-    than the threshold on a comparable host. *)
+    A baseline record also carries its own regression bound,
+    [max_regress], in percent.  Drives [altune bench-diff BASELINE
+    CURRENT], the CI gate that fails a build when a benchmark section on
+    a comparable host slowed down by more than its baseline record's
+    bound. *)
 
 type record = {
   section : string;
@@ -29,11 +31,14 @@ type record = {
   git_rev : string option;
   rate : float option;
       (** Throughput of sections that measure one ([concheck], the serve
-          load, the surrogate and fork sections); [None] for plain
-          timing records.  Purely informational — matching and
-          regression gating stay seconds-based, so mixing throughput
-          records into a bench file never breaks the baseline diff. *)
+          load, the surrogate section); [None] for plain timing records.
+          Purely informational — matching and regression gating stay
+          seconds-based, so mixing throughput records into a bench file
+          never breaks the baseline diff. *)
   rate_unit : string option;  (** Display unit of [rate], e.g. ["sess/s"]. *)
+  max_regress : float option;
+      (** Regression bound in percent.  Every comparable record of a
+          baseline has one ({!load_baseline}); the harness writes none. *)
 }
 
 type delta = {
@@ -46,6 +51,7 @@ type delta = {
   baseline_rate : float option;
   current_rate : float option;
   rate_unit : string option;  (** From the current record when present. *)
+  max_regress : float option;  (** The baseline record's bound. *)
 }
 
 type diff = {
@@ -60,6 +66,9 @@ val of_json : Json.t -> (record list, string) result
 
 val load : string -> (record list, string) result
 (** Read a flat JSON array of bench records, as written by {!append}. *)
+
+val load_baseline : string -> (record list, string) result
+(** {!load}, failing if a comparable record has no [max_regress]. *)
 
 val record :
   manifest:Manifest.t ->
@@ -83,8 +92,10 @@ val append : string -> Json.t list -> (unit, string) result
 
 val diff : baseline:record list -> current:record list -> diff
 
-val regressions : max_regress:float -> diff -> delta list
-(** Deltas slower than [max_regress] percent. *)
+val regressions : diff -> delta list
+(** Deltas slower than their bound; a delta without one never
+    regresses. *)
 
-val render : ?max_regress:float -> diff -> string
-(** Plain-text table; marks deltas beyond [max_regress] as REGRESSION. *)
+val render : diff -> string
+(** Plain-text table with each delta's bound; marks the {!regressions}
+    as REGRESSION. *)

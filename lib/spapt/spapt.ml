@@ -274,8 +274,7 @@ let create bench_name =
     store = Memo.create ~capacity:8192 ~name:"spapt.cache" ();
   }
 
-let fork_stats _ =
-  { Fork.nodes = 0; resolves = 0; steps_reused = 0; steps_applied = 0 }
+let fork_stats _ = { Fork.nodes = 0; steps_reused = 0; steps_applied = 0 }
 
 let all () = List.map (fun (n, _) -> create n) specs
 

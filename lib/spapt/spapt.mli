@@ -24,14 +24,15 @@ type t
 (** A benchmark: an immutable description plus one evaluation store.
 
     The store caches each configuration's (true runtime, compile
-    seconds) — the transform, dependence re-analysis and machine-model
-    pricing behind every measurement — compute-once and domain-safe
-    ({!Altune_exec.Memo}), so one instance can be shared by every task,
-    repetition and session that tunes the benchmark.  It holds at most
-    8192 entries, evicted second-chance ("clock") oldest-unreferenced
-    first; eviction only ever costs recomputation, because every stored
-    value is a deterministic function of its configuration.  It exports
-    the [spapt.cache.hits]/[.misses]/[.waits]/[.evictions] counters to
+    seconds) — the transform, access and stride analysis and
+    machine-model pricing behind every measurement — compute-once and
+    domain-safe ({!Altune_exec.Memo}), so one instance can be shared by
+    every task, repetition and session that tunes the benchmark.  It
+    holds at most 8192 entries, evicted second-chance ("clock")
+    oldest-unreferenced first; eviction only ever costs recomputation,
+    because every stored value is a deterministic function of its
+    configuration.  It exports the
+    [spapt.cache.hits]/[.misses]/[.waits]/[.evictions] counters to
     {!Altune_obs.Metrics}. *)
 
 val name : t -> string
@@ -69,9 +70,8 @@ val transformed : t -> int array -> Altune_kernellang.Ast.kernel
     total over valid configurations. *)
 
 val fork_stats : t -> Fork.stats
-(** All zero: evaluation no longer goes through a prefix trie ({!Fork}
-    is measured against this module's from-scratch path instead).  Kept
-    for callers that report trie counters. *)
+(** All zero: evaluation does not go through a prefix trie.  Kept for
+    perfbench, which still reports the trie's counters. *)
 
 val prepare : ?pool:Altune_exec.Pool.t -> t -> int array list -> unit
 (** Warm the store for a batch of configurations about to be measured:

@@ -304,7 +304,7 @@ let test_bench_diff_mixed_records () =
   Alcotest.(check (list string)) "no regression" []
     (List.map
        (fun (dl : Bench_diff.delta) -> dl.section)
-       (Bench_diff.regressions ~max_regress:25.0 d));
+       (Bench_diff.regressions d));
   (* Both sides carry the concheck record: compared on seconds, rate
      rendered for context. *)
   let d2 =
@@ -313,7 +313,7 @@ let test_bench_diff_mixed_records () =
       ~current:[ concheck 1.1 18000.0 ]
   in
   Alcotest.(check int) "concheck pair matched" 1 (List.length d2.deltas);
-  let rendered = Bench_diff.render ~max_regress:25.0 d2 in
+  let rendered = Bench_diff.render d2 in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in

@@ -267,12 +267,7 @@ let prop_alc_incremental_matches_full =
            across many observes between registrations, not just once. *)
         if k mod 7 = 0 || k = n then begin
           let fast = Dynatree.alc_scores m ~candidates ~refs in
-          Dynatree.force_full_alc := true;
-          let slow =
-            Fun.protect
-              ~finally:(fun () -> Dynatree.force_full_alc := false)
-              (fun () -> Dynatree.alc_scores m ~candidates ~refs)
-          in
+          let slow = Dynatree.alc_scores_full m ~candidates ~refs in
           if fast <> slow then ok := false
         end
       done;
@@ -295,12 +290,17 @@ let prop_tree_stats_incremental =
       !ok)
 
 let test_parallel_paths_bit_identical () =
-  (* Force the parallel gates open at toy sizes and compare the
-     sequential run against a 4-domain pool: predictions and ALC scores
-     must match bit for bit (OCaml [=] on floats is exact here). *)
+  (* Size the ensemble and the candidate batch at the parallel gates, so
+     that both sweeps fan out, and compare the sequential run against a
+     4-domain pool: predictions and ALC scores must match bit for bit
+     (OCaml [=] on floats is exact here). *)
+  let n_particles = Dynatree.reweight_par_min_particles in
+  let n_candidates =
+    (Dynatree.alc_par_min_work + n_particles - 1) / n_particles
+  in
   let run pool =
     let rng = Rng.create ~seed:61 in
-    let params = { Dynatree.default_params with n_particles = 40 } in
+    let params = { Dynatree.default_params with n_particles } in
     let m = Dynatree.create ~params ~rng 2 in
     Dynatree.set_pool m pool;
     let data = Rng.create ~seed:67 in
@@ -310,23 +310,25 @@ let test_parallel_paths_bit_identical () =
         ((if x.(0) < 0.5 then 1.0 else 3.0) +. Rng.normal ~sigma:0.2 data)
     done;
     let refs = grid2 40 (fun u -> [| u; 1.0 -. u |]) in
-    let candidates = grid2 16 (fun u -> [| u; u |]) in
+    let candidates = grid2 n_candidates (fun u -> [| u; u |]) in
     let scores = Dynatree.alc_scores m ~candidates ~refs in
     let p = Dynatree.predict m [| 0.3; 0.7 |] in
     (Array.to_list scores, p.mean, p.variance)
   in
-  let saved_rw = !Dynatree.reweight_par_min_particles in
-  let saved_alc = !Dynatree.alc_par_min_work in
-  Dynatree.reweight_par_min_particles := 1;
-  Dynatree.alc_par_min_work := 1;
-  Fun.protect
-    ~finally:(fun () ->
-      Dynatree.reweight_par_min_particles := saved_rw;
-      Dynatree.alc_par_min_work := saved_alc)
-    (fun () ->
-      let seq = run None in
-      let par = Pool.with_pool ~jobs:4 (fun pool -> run (Some pool)) in
-      Alcotest.(check bool) "jobs 1 = jobs 4, bit for bit" true (seq = par))
+  (* Count the fanned-out tasks by label, so that the test cannot pass
+     with both sweeps running sequentially. *)
+  let reweight = Atomic.make 0 and alc = Atomic.make 0 in
+  let on_event = function
+    | Pool.Task_started { label; _ } ->
+        if String.starts_with ~prefix:"reweight " label then Atomic.incr reweight
+        else if String.starts_with ~prefix:"alc " label then Atomic.incr alc
+    | Pool.Task_finished _ -> ()
+  in
+  let seq = run None in
+  let par = Pool.with_pool ~on_event ~jobs:4 (fun pool -> run (Some pool)) in
+  Alcotest.(check bool) "reweighting fanned out" true (Atomic.get reweight > 0);
+  Alcotest.(check bool) "ALC scoring fanned out" true (Atomic.get alc > 0);
+  Alcotest.(check bool) "jobs 1 = jobs 4, bit for bit" true (seq = par)
 
 let prop_tree_observation_conservation =
   QCheck.Test.make ~name:"trees never lose observations" ~count:30

@@ -635,7 +635,7 @@ let test_output_identical_with_tracing () =
 
 (* --- Bench-diff --------------------------------------------------------- *)
 
-let record ?host ?cores ~section ~jobs seconds =
+let record ?host ?cores ?max_regress ~section ~jobs seconds =
   {
     Bench_diff.section;
     scale = "smoke";
@@ -646,13 +646,16 @@ let record ?host ?cores ~section ~jobs seconds =
     git_rev = None;
     rate = None;
     rate_unit = None;
+    max_regress;
   }
 
 let test_bench_diff_regression () =
   let baseline =
     [
-      record ~host:"vm" ~cores:1 ~section:"table1" ~jobs:2 10.0;
-      record ~host:"vm" ~cores:1 ~section:"fig6" ~jobs:2 10.0;
+      record ~host:"vm" ~cores:1 ~max_regress:25.0 ~section:"table1" ~jobs:2
+        10.0;
+      record ~host:"vm" ~cores:1 ~max_regress:25.0 ~section:"fig6" ~jobs:2
+        10.0;
     ]
   in
   let current =
@@ -664,20 +667,21 @@ let test_bench_diff_regression () =
   in
   let d = Bench_diff.diff ~baseline ~current in
   Alcotest.(check int) "two comparable sections" 2 (List.length d.deltas);
-  (match Bench_diff.regressions ~max_regress:25.0 d with
+  (match Bench_diff.regressions d with
   | [ r ] ->
       Alcotest.(check string) "regressed section" "table1" r.section;
       Alcotest.(check (float 1e-9)) "delta is +100%" 100.0 r.delta_pct
   | rs -> Alcotest.failf "expected one regression, got %d" (List.length rs));
-  (* The threshold is strict: exactly +25% is not a regression. *)
+  (* The bound is strict: exactly +25% is not a regression. *)
   let d25 =
     Bench_diff.diff
-      ~baseline:[ record ~host:"vm" ~cores:1 ~section:"t" ~jobs:1 8.0 ]
+      ~baseline:
+        [ record ~host:"vm" ~cores:1 ~max_regress:25.0 ~section:"t" ~jobs:1 8.0 ]
       ~current:[ record ~host:"vm" ~cores:1 ~section:"t" ~jobs:1 10.0 ]
   in
-  Alcotest.(check int) "+25% passes at --max-regress 25" 0
-    (List.length (Bench_diff.regressions ~max_regress:25.0 d25));
-  let rendered = Bench_diff.render ~max_regress:25.0 d in
+  Alcotest.(check int) "+25% passes a 25% bound" 0
+    (List.length (Bench_diff.regressions d25));
+  let rendered = Bench_diff.render d in
   Alcotest.(check bool) "render flags the regression" true
     (let n = String.length rendered in
      let rec go i =
@@ -707,7 +711,7 @@ let test_bench_diff_skips_incompatible () =
   Alcotest.(check int) "skipped current" 1 d.skipped_current;
   Alcotest.(check int) "unmatched current" 2 d.unmatched;
   Alcotest.(check int) "nothing regresses" 0
-    (List.length (Bench_diff.regressions ~max_regress:25.0 d))
+    (List.length (Bench_diff.regressions d))
 
 let test_bench_diff_parses_null_manifest () =
   let line =
@@ -747,8 +751,8 @@ let bench_record =
     ( = )
 
 (* Plain, rate and extras records survive the text round trip with every
-   field the diff matches and reports on; the fork-style record takes its
-   jobs from the manifest it is given. *)
+   field the diff matches and reports on; a record takes its jobs from
+   the manifest it is given. *)
 let test_bench_record_roundtrip () =
   let m = bench_manifest in
   let expected ?rate ~section ~jobs seconds =
@@ -759,10 +763,10 @@ let test_bench_record_roundtrip () =
       rate_unit = Option.map snd rate;
     }
   in
-  let fork =
-    Bench_diff.record ~manifest:{ m with jobs = 1 } ~section:"fork"
-      ~seconds:6.934 ~rate:(1.19, "x-from-scratch")
-      ~extras:[ ("reuse_rate", Json.Float 0.71); ("configs", Json.Int 2352) ]
+  let one_job =
+    Bench_diff.record ~manifest:{ m with jobs = 1 } ~section:"surrogate-alc"
+      ~seconds:6.934 ~rate:(1.19, "scores/s")
+      ~extras:[ ("minor_words_per_op", Json.Float 0.71) ]
       ()
   in
   List.iter
@@ -778,12 +782,13 @@ let test_bench_record_roundtrip () =
       ( Bench_diff.record ~manifest:m ~section:"serve" ~seconds:15.27
           ~rate:(13.1, "sess/s") (),
         expected ~rate:(13.1, "sess/s") ~section:"serve" ~jobs:2 15.27 );
-      ( fork,
-        expected ~rate:(1.19, "x-from-scratch") ~section:"fork" ~jobs:1 6.934 );
+      ( one_job,
+        expected ~rate:(1.19, "scores/s") ~section:"surrogate-alc" ~jobs:1
+          6.934 );
     ];
   Alcotest.(check (option (float 0.0)))
     "extra field kept" (Some 0.71)
-    (Option.bind (Json.member "reuse_rate" fork) Json.to_float_opt)
+    (Option.bind (Json.member "minor_words_per_op" one_job) Json.to_float_opt)
 
 let with_temp_file contents f =
   let path = Filename.temp_file "bench" ".json" in
@@ -917,6 +922,47 @@ let test_bench_diff_last_record_wins () =
   | [ dl ] -> Alcotest.(check (float 1e-9)) "newest compared" 10.5 dl.current_s
   | ds -> Alcotest.failf "expected one delta, got %d" (List.length ds)
 
+(* Each baseline record gates with its own bound: both sections are 30%
+   slower, which only the record bounded at 25% rejects.  A comparable
+   baseline record without a bound fails to load; one without a manifest
+   is never compared, so it needs none. *)
+let test_bench_diff_bounds_per_record () =
+  let baseline bound =
+    Printf.sprintf
+      {|[
+  {"section": "table1", "scale": "smoke", "jobs": 2, "seconds": 10.0, "host": "vm", "cores": 1%s},
+  {"section": "serve", "scale": "smoke", "jobs": 4, "seconds": 10.0, "host": "vm", "cores": 1, "max_regress": 50},
+  {"section": "fig6", "scale": "smoke", "jobs": 2, "seconds": 10.0}
+]|}
+      bound
+  in
+  let current =
+    [
+      record ~host:"vm" ~cores:1 ~section:"table1" ~jobs:2 13.0;
+      record ~host:"vm" ~cores:1 ~section:"serve" ~jobs:4 13.0;
+    ]
+  in
+  with_temp_file (baseline {|, "max_regress": 25|}) (fun path ->
+      match Bench_diff.load_baseline path with
+      | Error e -> Alcotest.failf "load_baseline: %s" e
+      | Ok baseline ->
+          let d = Bench_diff.diff ~baseline ~current in
+          Alcotest.(check (list (pair string (option (float 0.0)))))
+            "bounds come from the baseline"
+            [ ("table1", Some 25.0); ("serve", Some 50.0) ]
+            (List.map
+               (fun (dl : Bench_diff.delta) -> (dl.section, dl.max_regress))
+               d.deltas);
+          Alcotest.(check (list string))
+            "only the 25% record regresses" [ "table1" ]
+            (List.map
+               (fun (dl : Bench_diff.delta) -> dl.section)
+               (Bench_diff.regressions d)));
+  with_temp_file (baseline "") (fun path ->
+      match Bench_diff.load_baseline path with
+      | Ok _ -> Alcotest.fail "loaded a comparable record without a bound"
+      | Error _ -> ())
+
 let () =
   Option.iter append_child (Sys.getenv_opt append_child_var);
   Alcotest.run "obs"
@@ -1000,6 +1046,8 @@ let () =
             test_bench_append_refuses_malformed;
           Alcotest.test_case "concurrent appends keep every record" `Quick
             test_bench_append_concurrent;
+          Alcotest.test_case "bounds per record" `Quick
+            test_bench_diff_bounds_per_record;
         ] );
       ( "integration",
         [

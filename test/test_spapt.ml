@@ -1,8 +1,9 @@
 (* Tests for the SPAPT benchmark suite: every recipe must be total over
    its configuration space, transformation recipes must preserve kernel
    semantics (checked through the reference interpreter at small problem
-   sizes), and the measurement interface must be deterministic where it
-   claims to be. *)
+   sizes), the measurement interface must be deterministic where it
+   claims to be, and the evaluation store must never change a value —
+   whether it is warmed through a pool or evicts. *)
 
 module Spapt = Altune_spapt.Spapt
 module Kernels = Altune_spapt.Kernels
@@ -10,6 +11,10 @@ module Ast = Altune_kernellang.Ast
 module Interp = Altune_kernellang.Interp
 module Rng = Altune_prng.Rng
 module Welford = Altune_stats.Welford
+module Machine = Altune_machine.Machine
+module Pool = Altune_exec.Pool
+module Memo = Altune_exec.Memo
+module Metrics = Altune_obs.Metrics
 
 let all_names = Kernels.names
 
@@ -244,6 +249,77 @@ let prop_recipe_total =
       | t -> ( match Ast.validate t with Ok () -> true | Error _ -> false)
       | exception _ -> false)
 
+(* --- The evaluation store is inert ---------------------------------- *)
+
+let spapt_pair b c = (Spapt.true_runtime b c, Spapt.compile_seconds b c)
+
+(* A tiny bounded store of evaluations priced from scratch, outside
+   Spapt's own store, must still produce Spapt's values: eviction only
+   ever costs recomputation, never a wrong answer. *)
+let test_cache_eviction_correct () =
+  let b = Spapt.create "lu" in
+  let tiny : (int array, float * float) Memo.t =
+    Memo.create ~capacity:4 ~name:"test.spapt.tiny" ()
+  in
+  let evictions = Metrics.counter "test.spapt.tiny.evictions" in
+  let e0 = Metrics.counter_value evictions in
+  let priced c =
+    let e = Machine.evaluate Machine.default (Spapt.transformed b c) in
+    (e.Machine.runtime, e.Machine.compile)
+  in
+  let rng = Rng.create ~seed:13 in
+  let configs = List.init 30 (fun _ -> Spapt.random_config b rng) in
+  (* Two passes so the second pass re-reads keys the first evicted. *)
+  for _ = 1 to 2 do
+    List.iter
+      (fun c ->
+        let rt, ct = Memo.find_or_compute tiny c (fun () -> priced c) in
+        let rt', ct' = spapt_pair b c in
+        Alcotest.(check (float 0.0)) "evicting store agrees: runtime" rt' rt;
+        Alcotest.(check (float 0.0)) "evicting store agrees: compile" ct' ct)
+      configs
+  done;
+  Alcotest.(check bool) "bounded" true (Memo.length tiny <= 4);
+  Alcotest.(check bool) "evicted" true (Metrics.counter_value evictions > e0)
+
+(* Batched preparation at jobs 1 vs 4: warming the store through the
+   pool must leave every evaluation bit-identical to an instance that
+   never prepared.  At jobs 4 the read-back is all store hits; at jobs 1
+   [prepare] does nothing. *)
+let test_prepare_jobs_bit_identity () =
+  let name = "mvt" in
+  let rng = Rng.create ~seed:11 in
+  let reference = Spapt.create name in
+  let configs = List.init 40 (fun _ -> Spapt.random_config reference rng) in
+  let baseline = List.map (spapt_pair reference) configs in
+  let misses = Metrics.counter "spapt.cache.misses" in
+  List.iter
+    (fun jobs ->
+      let b = Spapt.create name in
+      let pool = Pool.create ~jobs () in
+      let m0 = Metrics.counter_value misses in
+      Spapt.prepare ~pool b configs;
+      let m1 = Metrics.counter_value misses in
+      let got = List.map (spapt_pair b) configs in
+      let m2 = Metrics.counter_value misses in
+      Pool.shutdown pool;
+      if jobs = 1 then
+        Alcotest.(check int) "jobs 1: prepare evaluates nothing" 0 (m1 - m0)
+      else
+        Alcotest.(check int)
+          (Printf.sprintf "jobs %d: read-back is all hits" jobs)
+          0 (m2 - m1);
+      List.iter2
+        (fun (rt0, cs0) (rt1, cs1) ->
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "runtime bit-identical at jobs=%d" jobs)
+            rt0 rt1;
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "compile bit-identical at jobs=%d" jobs)
+            cs0 cs1)
+        baseline got)
+    [ 1; 4 ]
+
 let () =
   Alcotest.run "spapt"
     [
@@ -276,6 +352,13 @@ let () =
           Alcotest.test_case "mean runtime" `Quick test_mean_runtime;
           Alcotest.test_case "features normalized" `Quick
             test_features_normalized;
+        ] );
+      ( "inertness",
+        [
+          Alcotest.test_case "cache eviction only recomputes" `Quick
+            test_cache_eviction_correct;
+          Alcotest.test_case "prepare jobs 1 vs 4 bit-identity" `Quick
+            test_prepare_jobs_bit_identity;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_recipe_total ]);
     ]
