@@ -131,7 +131,7 @@ let run_serve_load ~manifest ~jobs ~sessions ?snapshots () =
   in
   let on_tick ticks =
     if snapshots <> None && ticks mod snapshot_every_ticks = 0 then
-      ignore (Server.snapshot server);
+      Server.snapshot server;
     match scrape_base with
     | Some base when ticks = scrape_at_tick ->
         (match request P.Stats_full with
@@ -620,7 +620,6 @@ let () =
             Printf.eprintf "[pool] done   %s (%.1fs)\n%!" label wall_seconds)
   in
   Runs.set_jobs ?on_event jobs;
-  Runs.set_fault fault;
   let wanted name =
     let named =
       List.filter_map
@@ -660,16 +659,16 @@ let () =
           (Drivers.table2 ?benchmarks ~scale ~seed (), []));
     if wanted "table1" then
       section "table1" "Table 1 (lowest common error, cost, speed-up)"
-        (fun () -> (Drivers.table1 ?benchmarks ~scale ~seed (), []));
+        (fun () -> (Drivers.table1 ?benchmarks ?fault ~scale ~seed (), []));
     if wanted "fig5" then
       section "fig5" "Figure 5 (profiling-cost reduction)" (fun () ->
-          (Drivers.fig5 ?benchmarks ~scale ~seed (), []));
+          (Drivers.fig5 ?benchmarks ?fault ~scale ~seed (), []));
     if wanted "fig6" then
       section "fig6" "Figure 6 (error vs cost for three sampling plans)"
-        (fun () -> (Drivers.fig6 ?benchmarks ~scale ~seed (), []));
+        (fun () -> (Drivers.fig6 ?benchmarks ?fault ~scale ~seed (), []));
     if wanted "ablation" then
       section "ablation" "Ablation (design choices of the adaptive learner)"
-        (fun () -> (Drivers.ablation ~scale ~seed (), []));
+        (fun () -> (Drivers.ablation ?fault ~scale ~seed (), []));
     if wanted "serve" then
       section "serve"
         (Printf.sprintf

@@ -125,7 +125,7 @@ let fault_term =
            timeout), $(b,max_retries) (attempts beyond the first before a \
            configuration is marked dead) and $(b,backoff) (base simulated \
            backoff seconds, doubled per retry).  Fault draws are seeded \
-           from each run's key, so results stay bit-identical at any \
+           per learner run, so results stay bit-identical at any \
            $(b,--jobs) count.")
 
 (* Run [f] under the observability requested on the command line: JSONL
@@ -182,53 +182,45 @@ let check_benchmarks = function
           end)
         names
 
-let simple_cmd name ~doc f =
+(* An experiment command.  Every one takes --scale, --seed, --jobs,
+   --trace and --metrics; [args] parses the driver's own options into the
+   event file it writes, if it runs the learner, and the driver applied
+   to them. *)
+let experiment_cmd name ~doc args =
   let command = name in
   let term =
     Term.(
-      const (fun scale seed jobs benchmarks fault trace events metrics ->
-          check_benchmarks benchmarks;
+      const (fun scale seed jobs trace metrics (events, driver) ->
           apply_jobs jobs;
-          Runs.set_fault fault;
           with_obs ~command ~trace ~events ~metrics
             ~scale_label:scale.Scale.label ~seed (fun () ->
-              print_string (f ?benchmarks ~scale ~seed ());
+              print_string (driver ~scale ~seed ());
               print_newline ()))
-      $ scale_term $ seed_term $ jobs_term $ benchmarks_term $ fault_term
-      $ trace_term $ events_term $ metrics_term)
+      $ scale_term $ seed_term $ jobs_term $ trace_term $ metrics_term
+      $ args)
   in
   Cmd.v (Cmd.info name ~doc) term
 
-let nobench_cmd name ~doc f =
-  let command = name in
-  let term =
-    Term.(
-      const (fun scale seed jobs fault trace events metrics ->
-          apply_jobs jobs;
-          Runs.set_fault fault;
-          with_obs ~command ~trace ~events ~metrics
-            ~scale_label:scale.Scale.label ~seed (fun () ->
-              print_string (f ~scale ~seed ());
-              print_newline ()))
-      $ scale_term $ seed_term $ jobs_term $ fault_term $ trace_term
-      $ events_term $ metrics_term)
-  in
-  Cmd.v (Cmd.info name ~doc) term
+let benchmarks_arg =
+  Term.(
+    const (fun benchmarks ->
+        check_benchmarks benchmarks;
+        benchmarks)
+    $ benchmarks_term)
 
-let ablation_cmd name doc =
-  let term =
-    Term.(
-      const (fun scale seed jobs bench fault trace events metrics ->
-          apply_jobs jobs;
-          Runs.set_fault fault;
-          with_obs ~command:"ablation" ~trace ~events ~metrics
-            ~scale_label:scale.Scale.label ~seed (fun () ->
-              print_string (Drivers.ablation ~bench ~scale ~seed ());
-              print_newline ()))
-      $ scale_term $ seed_term $ jobs_term $ bench_term ~default:"gemver"
-      $ fault_term $ trace_term $ events_term $ metrics_term)
-  in
-  Cmd.v (Cmd.info name ~doc) term
+(* A driver that runs the learner also takes a fault spec and writes an
+   event stream. *)
+let learner_args driver =
+  Term.(
+    const (fun benchmarks fault events ->
+        (events, driver ?benchmarks ?fault))
+    $ benchmarks_arg $ fault_term $ events_term)
+
+let ablation_args =
+  Term.(
+    const (fun bench fault events ->
+        (events, Drivers.ablation ~bench ?fault))
+    $ bench_term ~default:"gemver" $ fault_term $ events_term)
 
 let list_cmd name doc =
   let term =
@@ -487,10 +479,10 @@ let bench_diff_cmd name doc =
   in
   Cmd.v (Cmd.info name ~doc) term
 
-(* The run key tune stamps on its event stream; resume reuses it so the
-   resumed stream is a continuation of the interrupted one. *)
-let tune_run_key ~bench ~scale_label =
-  Printf.sprintf "%s/%s/tune/0" bench scale_label
+(* The run key tune stamps on its event stream and derives its fault
+   seed from; resume reuses it so the resumed stream is a continuation of
+   the interrupted one. *)
+let tune_run_key ~bench scale = Runs.run_key ~bench scale "tune" 0
 
 (* Everything tune prints after training — shared with [resume] so a
    resumed run's stdout is byte-identical to the uninterrupted run's. *)
@@ -569,11 +561,8 @@ let tune_cmd name doc =
           let b = Spapt.create bench in
           let problem = Adapter.problem_of ~pool:(Runs.pool ()) b in
           let dataset = Runs.dataset_for b scale ~seed in
-          let run_key = tune_run_key ~bench ~scale_label:scale.Scale.label in
-          (* Same derivation as Runs.curves_for: the fault seed comes from
-             the run key, never from a stream, so it is schedule-free and
-             can be recorded verbatim in the checkpoint. *)
-          let fault_seed = Rng.derive ~seed [ S "fault"; S run_key ] in
+          let run_key = tune_run_key ~bench scale in
+          let fault_seed = Runs.fault_seed ~seed run_key in
           let injector =
             Option.map (fun s -> Fault.create s ~seed:fault_seed) fault
           in
@@ -673,9 +662,7 @@ let resume_cmd name doc =
               @@ fun () ->
               let b = Spapt.create meta.bench in
               let problem = Adapter.problem_of ~pool:(Runs.pool ()) b in
-              let run_key =
-                tune_run_key ~bench:meta.bench ~scale_label:meta.scale
-              in
+              let run_key = tune_run_key ~bench:meta.bench scale in
               let outcome =
                 Events.with_run run_key (fun () ->
                     Learner.run ?fault:injector ~resume:state
@@ -1069,24 +1056,32 @@ let command_table =
   [
     ( "table1",
       "Lowest common RMSE, cost, and speed-up (Table 1).",
-      fun name doc -> simple_cmd name ~doc Drivers.table1 );
+      fun name doc -> experiment_cmd name ~doc (learner_args Drivers.table1)
+    );
     ( "table2",
       "Variance and CI/mean spreads across each space (Table 2).",
-      fun name doc -> simple_cmd name ~doc Drivers.table2 );
+      fun name doc ->
+        experiment_cmd name ~doc
+          Term.(
+            const (fun benchmarks -> (None, Drivers.table2 ?benchmarks))
+            $ benchmarks_arg) );
     ( "fig1",
       "MAE and optimal sample count over the mm unroll plane (Figure 1).",
-      fun name doc -> nobench_cmd name ~doc Drivers.fig1 );
+      fun name doc -> experiment_cmd name ~doc (Term.const (None, Drivers.fig1))
+    );
     ( "fig2",
       "adi runtime vs. unroll factor, single samples (Figure 2).",
-      fun name doc -> nobench_cmd name ~doc Drivers.fig2 );
+      fun name doc -> experiment_cmd name ~doc (Term.const (None, Drivers.fig2))
+    );
     ( "fig5",
       "Profiling-cost reduction bars (Figure 5).",
-      fun name doc -> simple_cmd name ~doc Drivers.fig5 );
+      fun name doc -> experiment_cmd name ~doc (learner_args Drivers.fig5) );
     ( "fig6",
       "RMSE-vs-cost curves for the three sampling plans (Figure 6).",
-      fun name doc -> simple_cmd name ~doc Drivers.fig6 );
-    ("ablation", "Design-choice ablations of the adaptive learner.",
-     ablation_cmd);
+      fun name doc -> experiment_cmd name ~doc (learner_args Drivers.fig6) );
+    ( "ablation",
+      "Design-choice ablations of the adaptive learner.",
+      fun name doc -> experiment_cmd name ~doc ablation_args );
     ("list", "List benchmarks and their tunable spaces.", list_cmd);
     ( "show",
       "Print a benchmark kernel, optionally after transformations.",

@@ -1,5 +1,3 @@
-module Rng = Altune_prng.Rng
-
 type curve = Learner.eval_point list
 
 let average_curves curves =
@@ -30,20 +28,6 @@ let average_curves curves =
             cost_seconds = avg (fun p -> p.cost_seconds);
             rmse = avg (fun p -> p.rmse);
           })
-
-let repeat problem dataset settings ~seeds hook =
-  let curves =
-    List.map
-      (fun seed ->
-        match hook with
-        | Some f -> (f seed).Learner.curve
-        | None ->
-            (Learner.run problem dataset settings
-               ~rng:(Rng.create ~seed))
-              .curve)
-      seeds
-  in
-  average_curves curves
 
 let cost_to_reach curve err =
   let rec go = function

@@ -9,18 +9,6 @@ val average_curves : curve list -> curve
     repetitions share the evaluation schedule); costs and errors are both
     averaged, as in the paper's 10-run averages. *)
 
-val repeat :
-  Problem.t ->
-  Dataset.t ->
-  Learner.settings ->
-  seeds:int list ->
-  (int -> Learner.outcome) option ->
-  curve
-(** [repeat problem dataset settings ~seeds hook] runs one training per
-    seed and averages the curves.  [hook], when provided, replaces the
-    runner (used by tests); otherwise {!Learner.run} is used with an rng
-    seeded by each seed. *)
-
 val cost_to_reach : curve -> float -> float option
 (** [cost_to_reach curve err] is the cumulative cost at the first recorded
     point whose RMSE is [<= err]. *)

@@ -7,6 +7,7 @@ module Descriptive = Altune_stats.Descriptive
 module Report = Altune_report.Report
 module Pool = Altune_exec.Pool
 module Fault = Altune_exec.Fault
+module Events = Altune_obs.Events
 
 let default_benchmarks = Altune_spapt.Kernels.names
 
@@ -14,12 +15,10 @@ let bench_list = function
   | Some names -> List.map Spapt.create names
   | None -> List.map Spapt.create default_benchmarks
 
-(* Fan a per-benchmark computation out across the shared pool.  Each task
-   owns its benchmark value exclusively (Spapt.t memoizes ground truth
-   internally, so it must not be shared between concurrent tasks); results
-   come back in benchmark order, keeping reports schedule-independent.
-   The whole fan-out is one traced span, with each benchmark a child
-   [pool.task] span. *)
+(* Fan a per-benchmark computation out across the shared pool, one task
+   per benchmark; results come back in benchmark order, keeping reports
+   schedule-independent.  The whole fan-out is one traced span, with each
+   benchmark a child [pool.task] span. *)
 let map_benches ~section f benches =
   let names = Array.of_list (List.map Spapt.name benches) in
   Altune_obs.Trace.with_span
@@ -44,10 +43,10 @@ let geo_mean_cell speedups =
 
 (* --- Table 1 --- *)
 
-let table1_rows ~scale ~seed benches =
+let table1_rows ?fault ~scale ~seed benches =
   map_benches ~section:"table1"
     (fun bench ->
-      let pc = Runs.curves_for bench scale ~seed in
+      let pc = Runs.curves_for ?fault bench scale ~seed in
       let cmp =
         Experiment.compare_curves ~baseline:pc.all_observations
           ~ours:pc.variable_observations
@@ -55,8 +54,8 @@ let table1_rows ~scale ~seed benches =
       (Spapt.name bench, Spapt.space_size bench, cmp))
     benches
 
-let table1 ?benchmarks ~scale ~seed () =
-  let rows = table1_rows ~scale ~seed (bench_list benchmarks) in
+let table1 ?benchmarks ?fault ~scale ~seed () =
+  let rows = table1_rows ?fault ~scale ~seed (bench_list benchmarks) in
   let speedups = List.map (fun (_, _, c) -> c.Experiment.speedup) rows in
   let geo = geo_mean_cell speedups in
   let body =
@@ -324,8 +323,8 @@ let fig2 ~scale ~seed () =
 
 (* --- Figure 5: cost-reduction bars --- *)
 
-let fig5 ?benchmarks ~scale ~seed () =
-  let rows = table1_rows ~scale ~seed (bench_list benchmarks) in
+let fig5 ?benchmarks ?fault ~scale ~seed () =
+  let rows = table1_rows ?fault ~scale ~seed (bench_list benchmarks) in
   let entries =
     List.map (fun (name, _, c) -> (name, c.Experiment.speedup)) rows
   in
@@ -363,13 +362,13 @@ let fig6_default = [ "adi"; "atax"; "correlation"; "gemver"; "jacobi"; "mvt" ]
 let curve_points (c : Experiment.curve) =
   List.map (fun (p : Learner.eval_point) -> (p.cost_seconds, p.rmse)) c
 
-let fig6 ?benchmarks ~scale ~seed () =
+let fig6 ?benchmarks ?fault ~scale ~seed () =
   let names = Option.value ~default:fig6_default benchmarks in
   let sections =
     map_benches ~section:"fig6"
       (fun bench ->
         let name = Spapt.name bench in
-        let pc = Runs.curves_for bench scale ~seed in
+        let pc = Runs.curves_for ?fault bench scale ~seed in
         (* The paper plots the shared time window where all plans are
            active; clip each plan's curve at the fastest plan's end. *)
         let horizon =
@@ -400,33 +399,32 @@ let fig6 ?benchmarks ~scale ~seed () =
 
 (* --- Ablations --- *)
 
-let ablation ?(bench = "gemver") ~scale ~seed () =
+let ablation ?(bench = "gemver") ?fault ~scale ~seed () =
   let b = Spapt.create bench in
   let dataset = Runs.dataset_for b scale ~seed in
   let base = scale.Scale.adaptive in
   let run_with tag settings =
-    (* Variants run concurrently; they share [b]'s domain-safe store. *)
+    (* Variants run concurrently; they share [b]'s domain-safe store.
+       Each repetition streams its events under its own run key, but its
+       seeds come from the variant tag and the repetition, not from the
+       key: test/oracle/ablation.expected pins the numbers they give. *)
     let problem = Adapter.problem_of b in
-    let seeds =
-      List.init scale.Scale.reps (fun r -> Rng.derive ~seed [ S tag; I r ])
-    in
-    (* Under [--fault-spec] each repetition gets an injector seeded from
-       its own rep seed, threading faults through [Experiment.repeat]'s
-       hook without changing its interface. *)
-    let hook =
-      match Runs.fault_spec () with
-      | None -> None
-      | Some spec ->
-          Some
-            (fun rep_seed ->
-              Learner.run
-                ~fault:
-                  (Fault.create spec
+    let curve =
+      Experiment.average_curves
+        (List.init scale.Scale.reps (fun r ->
+             let rep_seed = Rng.derive ~seed [ S tag; I r ] in
+             let fault =
+               Option.map
+                 (fun spec ->
+                   Fault.create spec
                      ~seed:(Rng.derive ~seed:rep_seed [ S "fault" ]))
-                ~exec_pool:(Runs.pool ()) problem dataset settings
-                ~rng:(Rng.create ~seed:rep_seed))
+                 fault
+             in
+             Events.with_run (Runs.run_key ~bench scale tag r) (fun () ->
+                 (Learner.run ?fault ~exec_pool:(Runs.pool ()) problem
+                    dataset settings ~rng:(Rng.create ~seed:rep_seed))
+                   .curve)))
     in
-    let curve = Experiment.repeat problem dataset settings ~seeds hook in
     let final =
       match List.rev curve with
       | [] -> nan

@@ -12,10 +12,22 @@
     - {!fig6}: RMSE-vs-cost curves for the three sampling plans on six
       representative benchmarks.
     - {!ablation}: selection-strategy / revisit / particle-count ablations
-      on one benchmark (design-choice experiments beyond the paper). *)
+      on one benchmark (design-choice experiments beyond the paper).
+
+    The drivers that run the learner ({!table1}, {!fig5}, {!fig6},
+    {!ablation}) take [?fault] (the CLI's [--fault-spec]): every learner
+    run gets a deterministic fault injector, seeded per run, so output
+    stays bit-identical at any job count.  Each run streams its events
+    under its own {!Runs.run_key}.  {!table2}, {!fig1} and {!fig2} run no
+    learner and take no fault spec. *)
 
 val table1 :
-  ?benchmarks:string list -> scale:Scale.t -> seed:int -> unit -> string
+  ?benchmarks:string list ->
+  ?fault:Altune_exec.Fault.spec ->
+  scale:Scale.t ->
+  seed:int ->
+  unit ->
+  string
 
 val table2 :
   ?benchmarks:string list -> scale:Scale.t -> seed:int -> unit -> string
@@ -24,10 +36,25 @@ val fig1 : scale:Scale.t -> seed:int -> unit -> string
 val fig2 : scale:Scale.t -> seed:int -> unit -> string
 
 val fig5 :
-  ?benchmarks:string list -> scale:Scale.t -> seed:int -> unit -> string
+  ?benchmarks:string list ->
+  ?fault:Altune_exec.Fault.spec ->
+  scale:Scale.t ->
+  seed:int ->
+  unit ->
+  string
 
 val fig6 :
-  ?benchmarks:string list -> scale:Scale.t -> seed:int -> unit -> string
+  ?benchmarks:string list ->
+  ?fault:Altune_exec.Fault.spec ->
+  scale:Scale.t ->
+  seed:int ->
+  unit ->
+  string
 
 val ablation :
-  ?bench:string -> scale:Scale.t -> seed:int -> unit -> string
+  ?bench:string ->
+  ?fault:Altune_exec.Fault.spec ->
+  scale:Scale.t ->
+  seed:int ->
+  unit ->
+  string

@@ -67,15 +67,16 @@ let pool () =
   Mutex.unlock pool_lock;
   p
 
-(* --- Fault injection --------------------------------------------------- *)
+(* --- Run identity ------------------------------------------------------ *)
 
-(* Process-wide fault spec (the CLI's [--fault-spec]).  Like [set_jobs],
-   set it before experiments start; every learner run then gets a fault
-   injector seeded from its own run key, so faults are deterministic per
-   run and independent of scheduling. *)
-let fault_state = ref (None : Fault.spec option)
-let set_fault s = fault_state := s
-let fault_spec () = !fault_state
+(* The one place a learner run's key and fault seed are spelled out: the
+   fault seed is derived from the key, never drawn from a stream, so a
+   run sees the same faults at any job count and a checkpoint can record
+   the seed verbatim. *)
+let run_key ~bench (scale : Scale.t) tag rep =
+  Printf.sprintf "%s/%s/%s/%d" bench scale.label tag rep
+
+let fault_seed ~seed key = Rng.derive ~seed [ S "fault"; S key ]
 
 (* --- Caches ----------------------------------------------------------- *)
 
@@ -110,15 +111,14 @@ let dataset_for bench (scale : Scale.t) ~seed =
 (* Every (plan, repetition) pair is one pool task on the benchmark
    instance it is given, whose evaluation store is domain-safe and
    deterministic, so the tasks share each other's evaluations.  Each task
-   builds its own problem (its audit table is per-problem state) and
-   derives a private RNG seed, so the result is independent of the
-   interleaving — curves are bit-identical at any job count. *)
-let curves_for bench (scale : Scale.t) ~seed =
+   derives a private RNG seed and its own run key, so the result is
+   independent of the interleaving — curves are bit-identical at any job
+   count. *)
+let curves_for ?fault bench (scale : Scale.t) ~seed =
   let name = Spapt.name bench in
-  let fspec = fault_spec () in
   let key =
     Printf.sprintf "%s/%s/%d%s" name scale.label seed
-      (match fspec with
+      (match fault with
       | None -> ""
       | Some s -> "|fault:" ^ Fault.to_string s)
   in
@@ -153,24 +153,14 @@ let curves_for bench (scale : Scale.t) ~seed =
                scheduler runs subtasks on the waiting worker), so each
                rep's batch prepares can still use every idle core. *)
             let problem = Adapter.problem_of ~pool:(pool ()) bench in
-            (* A distinct run key per (bench, scale, plan, rep) keeps event
-               streams separable and their on-disk order independent of how
-               the pool interleaves tasks across domains. *)
-            let run_key =
-              Printf.sprintf "%s/%s/%s/%d" name scale.label tag r
-            in
-            (* The fault seed is derived from the run key, not drawn from
-               any stream: the same (bench, scale, plan, rep) sees the
-               same faults at any job count. *)
+            let id = run_key ~bench:name scale tag r in
             let fault =
               Option.map
-                (fun s ->
-                  Fault.create s
-                    ~seed:(Rng.derive ~seed [ S "fault"; S run_key ]))
-                fspec
+                (fun s -> Fault.create s ~seed:(fault_seed ~seed id))
+                fault
             in
             ( tag,
-              Events.with_run run_key (fun () ->
+              Events.with_run id (fun () ->
                   (Learner.run ?fault ~exec_pool:(pool ()) problem dataset
                      settings ~rng:(Rng.create ~seed:rep_seed))
                     .curve) ))

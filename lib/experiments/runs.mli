@@ -25,27 +25,37 @@ val set_jobs : ?on_event:(Altune_exec.Pool.event -> unit) -> int -> unit
 val jobs : unit -> int
 (** Parallelism of the shared pool ([set_jobs]'s value, or the default). *)
 
-val set_fault : Altune_exec.Fault.spec option -> unit
-(** [set_fault (Some spec)] injects deterministic faults (the CLI's
-    [--fault-spec]) into every learner run launched by {!curves_for} and
-    the drivers; each run's injector is seeded from its run key, so
-    results stay bit-identical at any job count.  Set it before
-    experiments start (cached curves are keyed by the spec).  [None]
-    (the default) disables injection. *)
-
-val fault_spec : unit -> Altune_exec.Fault.spec option
-
 val pool : unit -> Altune_exec.Pool.t
 (** The shared pool, created on first use.  Drivers fan benchmarks out on
     it; {!curves_for} fans repetitions out on it (nested use is safe). *)
+
+val run_key : bench:string -> Scale.t -> string -> int -> string
+(** [run_key ~bench scale tag rep] is ["<bench>/<scale>/<tag>/<rep>"],
+    the identity of one learner run: the key of its event stream
+    ({!Altune_obs.Events.with_run}) and the input of {!fault_seed}.
+    [altune tune] and [altune resume] run as [tag = "tune"], [rep = 0],
+    and a serve session derives its fault seed from the same key, so a
+    checkpoint taken by any of them resumes with the same faults. *)
+
+val fault_seed : seed:int -> string -> int
+(** [fault_seed ~seed key] seeds the fault injector of the run [key]
+    under master seed [seed].  Derived from the key, not drawn from any
+    stream, so the run sees the same faults at any job count. *)
 
 val dataset_for :
   Altune_spapt.Spapt.t -> Scale.t -> seed:int -> Altune_core.Dataset.t
 (** Cached dataset for a benchmark at a scale (deterministic per seed). *)
 
 val curves_for :
-  Altune_spapt.Spapt.t -> Scale.t -> seed:int -> plan_curves
+  ?fault:Altune_exec.Fault.spec ->
+  Altune_spapt.Spapt.t ->
+  Scale.t ->
+  seed:int ->
+  plan_curves
 (** Curves for all three plans, averaged over [scale.reps] repetitions
-    with seeds derived from [seed]; cached per (benchmark, scale, seed). *)
+    with seeds derived from [seed]; cached per (benchmark, scale, seed,
+    fault spec).  Each (plan, repetition) runs under its own {!run_key};
+    with [fault] (the CLI's [--fault-spec]) its injector is seeded by
+    {!fault_seed} of that key. *)
 
 val clear_cache : unit -> unit

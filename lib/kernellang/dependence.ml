@@ -446,16 +446,7 @@ let dependences (k : Ast.kernel) =
     scalars_written;
   List.rev !deps
 
-(* A summary is the dependence set computed once and queried many times:
-   the legality predicates below only ever inspect direction vectors, so
-   callers that ask several questions about the same kernel (tile-nest
-   permutability is a pairwise sweep) can pay for [dependences] once. *)
-type summary = { all : dependence list }
-
-let summarize k = { all = dependences k }
-let summary_dependences s = s.all
-
-let carried_in s loop =
+let carried_by k loop =
   List.filter
     (fun d ->
       let rec go = function
@@ -469,9 +460,7 @@ let carried_in s loop =
             else false (* definitely carried by an outer loop *)
       in
       go d.directions)
-    s.all
-
-let carried_by k loop = carried_in (summarize k) loop
+    (dependences k)
 
 let parallel k loop = carried_by k loop = []
 
@@ -527,8 +516,7 @@ let permute order v =
     order
   @ List.filter (fun (l, _) -> not (List.mem l order)) v
 
-let interchange_in s ~outer ~inner =
-  let deps = s.all in
+let interchange_legal k ~outer ~inner =
   List.for_all
     (fun d ->
       let relevant =
@@ -549,15 +537,12 @@ let interchange_in s ~outer ~inner =
              in
              not (lex_negative (permute swapped v)))
            (expansions d.directions))
-    deps
+    (dependences k)
 
-let interchange_legal k ~outer ~inner = interchange_in (summarize k) ~outer ~inner
-
-let jam_in s loop =
+let jam_legal k loop =
   (* Unroll-and-jam of [loop] interleaves its iterations inside all loops
      nested within it: legal iff sinking [loop] to the innermost position
      never reverses a dependence. *)
-  let deps = s.all in
   List.for_all
     (fun d ->
       let loops = List.map fst d.directions in
@@ -569,9 +554,7 @@ let jam_in s loop =
              in
              not (lex_negative (permute order v)))
            (expansions d.directions))
-    deps
-
-let jam_legal k loop = jam_in (summarize k) loop
+    (dependences k)
 
 (* Shared safety core for fusion and distribution: every access pair
    between an "earlier" and a "later" code region touching a common array

@@ -44,26 +44,9 @@ val dependences : Ast.kernel -> dependence list
     Scalar dependences are reported with [array] = the scalar name and
     all-[Star] directions (scalars defeat analysis conservatively). *)
 
-type summary
-(** The dependence set of one kernel, computed once by {!summarize} and
-    shared across the [_in] query variants below.  Everything the
-    interchange/jam/reversal predicates need is the direction vectors, so
-    a caller asking several legality questions about the same kernel (a
-    pairwise tile-nest permutability sweep) pays for {!dependences} once
-    instead of per query. *)
-
-val summarize : Ast.kernel -> summary
-
-val summary_dependences : summary -> dependence list
-(** The underlying dependence list, identical to {!dependences} on the
-    summarized kernel. *)
-
 val carried_by : Ast.kernel -> string -> dependence list
 (** Dependences carried by the named loop: direction at that loop is
     [Lt], [Gt] or [Star] (and [Eq] at all enclosing outer loops). *)
-
-val carried_in : summary -> string -> dependence list
-(** {!carried_by} against a precomputed summary. *)
 
 val parallel : Ast.kernel -> string -> bool
 (** [parallel k loop] is [true] when no dependence is carried by [loop] —
@@ -73,15 +56,9 @@ val interchange_legal : Ast.kernel -> outer:string -> inner:string -> bool
 (** Conservative: [true] only when no dependence has direction pair
     [(Lt, Gt)] (or involving [Star]) at the two loops. *)
 
-val interchange_in : summary -> outer:string -> inner:string -> bool
-(** {!interchange_legal} against a precomputed summary. *)
-
 val jam_legal : Ast.kernel -> string -> bool
 (** Unroll-and-jam of [loop] is safe when interchanging [loop] with every
     loop nested inside it down to the innermost level is legal. *)
-
-val jam_in : summary -> string -> bool
-(** {!jam_legal} against a precomputed summary. *)
 
 val fusion_legal : Ast.kernel -> first:string -> second:string -> bool
 (** May the two (bound-compatible, adjacent) loops be fused?  True when

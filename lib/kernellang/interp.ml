@@ -11,7 +11,7 @@ type env = {
   scalars : (string, float) Hashtbl.t;
   arrays : (string, array_storage) Hashtbl.t;
   indices : (string, int) Hashtbl.t;  (* live loop indices *)
-  mutable access_hook : (string -> int -> bool -> unit) option;
+  on_access : (string -> int -> bool -> unit) option;
       (* array, flat offset, is_write: called on every load/store *)
 }
 
@@ -90,12 +90,12 @@ and flat_offset env a indices =
 
 and load env a indices =
   let storage, off = flat_offset env a indices in
-  (match env.access_hook with Some f -> f a off false | None -> ());
+  (match env.on_access with Some f -> f a off false | None -> ());
   storage.data.(off)
 
 let store env a indices value =
   let storage, off = flat_offset env a indices in
-  (match env.access_hook with Some f -> f a off true | None -> ());
+  (match env.on_access with Some f -> f a off true | None -> ());
   storage.data.(off) <- value
 
 let rec eval_cond env (c : Ast.cond) =
@@ -137,7 +137,7 @@ let rec exec env (s : Ast.stmt) =
       if eval_cond env c then exec env t
       else Option.iter (exec env) e
 
-let init ?(param_overrides = []) ?(array_init = fun _ _ -> 0.0)
+let init ?(param_overrides = []) ?(array_init = fun _ _ -> 0.0) ?on_access
     (kernel : Ast.kernel) =
   let env =
     {
@@ -145,7 +145,7 @@ let init ?(param_overrides = []) ?(array_init = fun _ _ -> 0.0)
       scalars = Hashtbl.create 8;
       arrays = Hashtbl.create 8;
       indices = Hashtbl.create 8;
-      access_hook = None;
+      on_access;
     }
   in
   List.iter (fun (name, value) -> Hashtbl.replace env.params name value)
@@ -193,8 +193,6 @@ let run_kernel ?param_overrides ?array_init (kernel : Ast.kernel) =
   List.map
     (fun (d : Ast.array_decl) -> (d.array_name, read_array env d.array_name))
     kernel.arrays
-
-let set_access_hook env f = env.access_hook <- Some f
 
 let array_extent env name =
   match Hashtbl.find_opt env.arrays name with

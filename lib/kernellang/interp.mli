@@ -18,12 +18,17 @@ exception Runtime_error of string
 val init :
   ?param_overrides:(string * int) list ->
   ?array_init:(string -> int -> float) ->
+  ?on_access:(string -> int -> bool -> unit) ->
   Ast.kernel ->
   env
 (** [init kernel] allocates every declared array (flattened, row-major) and
     binds parameters to their defaults, overridden by [param_overrides].
     [array_init name i] gives the initial value of flat element [i] of array
-    [name]; default is [0.]. *)
+    [name]; default is [0.].  [on_access array offset is_write] is called on
+    every array load and store that {!run} makes, with the array name, the
+    flat element offset and whether it is a write: the exact memory access
+    stream of the execution, which the trace-driven cache simulator and the
+    soundness audit's access counts observe. *)
 
 val run : env -> Ast.kernel -> unit
 (** Execute the kernel body. *)
@@ -40,12 +45,6 @@ val eval_int_expr : env -> Ast.expr -> int
 (** Evaluate an index-typed expression in the current environment (loop
     indices visible only during {!run}; intended for bounds made of
     parameters and literals). *)
-
-val set_access_hook : env -> (string -> int -> bool -> unit) -> unit
-(** Install a callback invoked on every array load/store with the array
-    name, the flat element offset, and whether it is a write — the hook
-    the trace-driven cache simulator uses to observe the exact memory
-    access stream of a kernel execution. *)
 
 val array_extent : env -> string -> int
 (** Total flattened element count of an array (for address-space

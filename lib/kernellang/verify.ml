@@ -95,7 +95,7 @@ let verdict_to_string v = Format.asprintf "%a" pp_verdict v
 
 (* --- Legality, re-derived from the dependence analysis --- *)
 
-let legality_in summary k step : status =
+let legality k step : status =
   try
     match step with
     | Unroll _ ->
@@ -119,7 +119,7 @@ let legality_in summary k step : status =
         match
           List.find_opt
             (fun (a, b) ->
-              not (Dependence.interchange_in summary ~outer:a ~inner:b))
+              not (Dependence.interchange_legal k ~outer:a ~inner:b))
             (pairs tiled)
         with
         | None -> Pass
@@ -130,7 +130,7 @@ let legality_in summary k step : status =
                   would reverse a dependence"
                  a b))
     | Unroll_and_jam { index; _ } ->
-        if Dependence.jam_in summary index then Pass
+        if Dependence.jam_legal k index then Pass
         else
           Fail
             (Printf.sprintf
@@ -138,7 +138,7 @@ let legality_in summary k step : status =
                 iterations are interleaved innermost"
                index)
     | Reverse { index } -> (
-        match Dependence.carried_in summary index with
+        match Dependence.carried_by k index with
         | [] -> Pass
         | d :: _ ->
             Fail
@@ -146,9 +146,6 @@ let legality_in summary k step : status =
                  "loop %s carries a %a, which reversal would flip" index
                  Dependence.pp_dependence d))
     | Fuse { first; second } ->
-        (* Fusion/distribution legality works on per-region access sets,
-           not the kernel-wide dependence list, so the summary does not
-           apply — these recompute from the kernel. *)
         if Dependence.fusion_legal k ~first ~second then Pass
         else
           Fail
@@ -166,15 +163,6 @@ let legality_in summary k step : status =
                index)
   with e -> Fail ("legality analysis raised: " ^ Printexc.to_string e)
 
-let legality k step : status =
-  match step with
-  | Unroll _ | Skew _ -> Pass
-  | Tile_nest _ | Unroll_and_jam _ | Reverse _ | Fuse _ | Distribute _ -> (
-      match Dependence.summarize k with
-      | exception e ->
-          Fail ("legality analysis raised: " ^ Printexc.to_string e)
-      | summary -> legality_in summary k step)
-
 (* --- Interpreter-based checks --- *)
 
 let default_array_init name i =
@@ -188,14 +176,17 @@ type run_result = {
 }
 
 let execute ?param_overrides (k : Ast.kernel) =
-  let env = Interp.init ?param_overrides ~array_init:default_array_init k in
   let counts : (string, int * int) Hashtbl.t = Hashtbl.create 8 in
-  Interp.set_access_hook env (fun a _off is_write ->
-      let loads, stores =
-        Option.value ~default:(0, 0) (Hashtbl.find_opt counts a)
-      in
-      Hashtbl.replace counts a
-        (if is_write then (loads, stores + 1) else (loads + 1, stores)));
+  let on_access a _off is_write =
+    let loads, stores =
+      Option.value ~default:(0, 0) (Hashtbl.find_opt counts a)
+    in
+    Hashtbl.replace counts a
+      (if is_write then (loads, stores + 1) else (loads + 1, stores))
+  in
+  let env =
+    Interp.init ?param_overrides ~array_init:default_array_init ~on_access k
+  in
   Interp.run env k;
   {
     arrays =
@@ -229,12 +220,13 @@ let lex_negative dirs =
   in
   go dirs
 
-let summary_sound summary : status =
+let dependences_sound k : status =
   match
     List.find_opt
       (fun (d : Dependence.dependence) -> lex_negative d.directions)
-      (Dependence.summary_dependences summary)
+      (Dependence.dependences k)
   with
+  | exception e -> Fail ("dependence analysis raised: " ^ Printexc.to_string e)
   | None -> Pass
   | Some d ->
       Fail
@@ -242,11 +234,6 @@ let summary_sound summary : status =
            "normalization invariant violated: %a is lexicographically \
             negative"
            Dependence.pp_dependence d)
-
-let dependences_sound k : status =
-  match Dependence.summarize k with
-  | exception e -> Fail ("dependence analysis raised: " ^ Printexc.to_string e)
-  | summary -> summary_sound summary
 
 let approx_equal ~tolerance a b =
   Float.abs (a -. b)

@@ -83,8 +83,7 @@ val check_pair :
   check list
 (** The post-state checks alone (lint, dependence re-analysis, access
     counts, differential execution) for an original/transformed pair,
-    without knowledge of which steps produced it — the cheap whole-recipe
-    variant the [~verify] problem gate uses. *)
+    without knowledge of which steps produced it. *)
 
 val run :
   ?param_overrides:(string * int) list ->

@@ -89,11 +89,16 @@ let hierarchy_reset h =
 
 let simulate_kernel ?param_overrides ?(element_bytes = 8) h
     (kernel : Ast.kernel) =
-  let env = Interp.init ?param_overrides kernel in
+  (* The access stream reads [bases], which is filled below, before
+     [Interp.run]. *)
+  let bases = Hashtbl.create 8 in
+  let on_access array offset _is_write =
+    hierarchy_access h (Hashtbl.find bases array + (offset * element_bytes))
+  in
+  let env = Interp.init ?param_overrides ~on_access kernel in
   (* Contiguous layout, line-aligned bases, declaration order. *)
   let line = h.l1.line_bytes in
   let align a = (a + line - 1) / line * line in
-  let bases = Hashtbl.create 8 in
   let next = ref 0 in
   List.iter
     (fun (d : Ast.array_decl) ->
@@ -101,8 +106,5 @@ let simulate_kernel ?param_overrides ?(element_bytes = 8) h
       next :=
         align (!next + (Interp.array_extent env d.array_name * element_bytes)))
     kernel.arrays;
-  Interp.set_access_hook env (fun array offset _is_write ->
-      let base = Hashtbl.find bases array in
-      hierarchy_access h (base + (offset * element_bytes)));
   Interp.run env kernel;
   hierarchy_stats h

@@ -32,7 +32,7 @@ let pump ?usr1 ?(flight_dump = "flight-dump.jsonl") server =
       let now = Unix.gettimeofday () in
       if now -. !last >= Server.snapshot_every server then begin
         last := now;
-        ignore (Server.snapshot server)
+        Server.snapshot server
       end
     end
 

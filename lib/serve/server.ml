@@ -52,9 +52,11 @@ type telemetry = {
   requests : Metrics.counter;
   errors : Metrics.counter;
   started_ns : int64;
-  manifest : Manifest.t;
   queued_at : (string, int64) Hashtbl.t;  (* session -> ns when queued *)
-  writer : Snapshot.writer option;
+  writer : (Snapshot.writer * Manifest.t) option;
+      (* The snapshot series and the manifest stamped on its records,
+         captured only when there is a series to stamp: capturing runs
+         [git rev-parse]. *)
   mutable snap_seq : int;
   mutable last_gc : Gc.stat;
 }
@@ -105,9 +107,12 @@ let create config =
         requests = Metrics.counter "serve.requests";
         errors = Metrics.counter "serve.errors";
         started_ns = Trace.now_ns ();
-        manifest = Manifest.capture ~jobs:config.jobs ();
         queued_at = Hashtbl.create 64;
-        writer = Option.map Snapshot.create config.snapshot_path;
+        writer =
+          Option.map
+            (fun path ->
+              (Snapshot.create path, Manifest.capture ~jobs:config.jobs ()))
+            config.snapshot_path;
         snap_seq = 0;
         last_gc = Gc.quick_stat ();
       };
@@ -411,7 +416,7 @@ let sketch_summaries t =
    level, so two records differing only in load are textually comparable
    — the snapshot determinism contract (DESIGN.md §10): the *shape* is a
    pure function of the schema version, only the measured values vary. *)
-let snapshot_record t =
+let snapshot_record t manifest =
   let s = stats t in
   let now = Gc.quick_stat () in
   let prev = t.tele.last_gc in
@@ -453,13 +458,13 @@ let snapshot_record t =
        ( "uptime_s",
          Json.Float (seconds_between t.tele.started_ns (Trace.now_ns ())) );
      ]
-    @ Manifest.fields t.tele.manifest)
+    @ Manifest.fields manifest)
 
 let snapshot t =
-  let record = snapshot_record t in
-  if not t.stopped then
-    Option.iter (fun w -> Snapshot.write w record) t.tele.writer;
-  record
+  match t.tele.writer with
+  | Some (w, manifest) when not t.stopped ->
+      Snapshot.write w (snapshot_record t manifest)
+  | Some _ | None -> ()
 
 let snapshot_every t = t.config.snapshot_every
 let snapshots_on t = Option.is_some t.tele.writer
@@ -543,8 +548,8 @@ let graceful_stop t =
   else begin
     (* Final snapshot before the writer closes, so even a short scripted
        run leaves at least one record in the series. *)
-    (try ignore (snapshot t) with Sys_error _ -> ());
-    Option.iter Snapshot.close t.tele.writer;
+    (try snapshot t with Sys_error _ -> ());
+    Option.iter (fun (w, _) -> Snapshot.close w) t.tele.writer;
     t.stopped <- true;
     let checkpointed =
       List.filter_map

@@ -87,12 +87,12 @@ val memo_stats : t -> Protocol.memo_stats
     never touch the protocol stream: response bytes are identical with
     telemetry on or off, at any job count. *)
 
-val snapshot : t -> Altune_obs.Json.t
-(** Build one snapshot record — counters, gauges, sketch summaries,
+val snapshot : t -> unit
+(** Append one snapshot record — counters, gauges, sketch summaries,
     [Gc.quick_stat] deltas since the previous snapshot, queue depth,
     memo hit rate, stamped with the run manifest, every object's keys
-    sorted — and append it to [snapshot_path]'s rotating series when
-    configured.  Returns the record either way. *)
+    sorted — to [snapshot_path]'s rotating series.  No-op without a
+    series or once the server has stopped. *)
 
 val snapshot_every : t -> float
 (** The configured pump cadence (for the transport loops). *)

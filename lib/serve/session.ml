@@ -76,8 +76,7 @@ let settings_of (c : config) =
 (* Fault seed exactly as [altune tune] derives it, so a served session
    (and its checkpoints) reproduces the standalone run. *)
 let fault_seed (c : config) =
-  let tune_key = Printf.sprintf "%s/%s/tune/0" c.bench c.scale.Scale.label in
-  Rng.derive ~seed:c.seed [ S "fault"; S tune_key ]
+  Runs.fault_seed ~seed:c.seed (Runs.run_key ~bench:c.bench c.scale "tune" 0)
 
 (* The dataset is a pure function of (kernel, scale, seed), cached per
    process, so a checkpoint fetches it again rather than the session

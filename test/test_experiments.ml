@@ -8,6 +8,7 @@ module Adapter = Altune_experiments.Adapter
 module Spapt = Altune_spapt.Spapt
 module Learner = Altune_core.Learner
 module Rng = Altune_prng.Rng
+module Events = Altune_obs.Events
 
 let tiny : Scale.t =
   {
@@ -51,19 +52,6 @@ let test_adapter () =
   Alcotest.(check int) "feature dim" p.dim (Array.length (p.features c));
   let y = p.measure ~rng ~run_index:1 c in
   Alcotest.(check bool) "measure positive" true (y > 0.0)
-
-let test_adapter_verify_gate () =
-  (* With the gate on, a measurement first audits the configuration's
-     transformation recipe; a sound recipe measures normally. *)
-  let b = Spapt.create "mm" in
-  let p = Adapter.problem_of ~verify:true b in
-  let rng = Rng.create ~seed:2 in
-  let c = [| 1; 0; 0; 0; 1; 2 |] in
-  let y1 = p.measure ~rng ~run_index:1 c in
-  Alcotest.(check bool) "verified measure positive" true (y1 > 0.0);
-  (* Second measurement of the same config reuses the cached approval. *)
-  let y2 = p.measure ~rng ~run_index:2 c in
-  Alcotest.(check bool) "repeat measure positive" true (y2 > 0.0)
 
 let test_runs_cached () =
   Runs.clear_cache ();
@@ -120,14 +108,44 @@ let test_ablation () =
     (contains s "alc (paper)" && contains s "mackay"
     && contains s "random")
 
+let test_ablation_streams () =
+  (* Every repetition of every variant streams under its own run key, so
+     the event file is the same at any job count. *)
+  let run jobs =
+    Runs.set_jobs jobs;
+    snd
+      (Events.with_memory (fun () ->
+           Drivers.ablation ~bench:"lu" ~scale:tiny ~seed:1 ()))
+  in
+  let seq, par =
+    Fun.protect
+      ~finally:(fun () -> Runs.set_jobs 1)
+      (fun () ->
+        let seq = run 1 in
+        (seq, run 4))
+  in
+  Alcotest.(check (list string)) "identical at jobs 1 and 4" seq par;
+  let starts = Hashtbl.create 16 in
+  List.iter
+    (fun line ->
+      match Events.of_lines [ line ] with
+      | Ok { events = [ { run; kind; _ } ]; _ } ->
+          let n = Option.value ~default:0 (Hashtbl.find_opt starts run) in
+          Hashtbl.replace starts run
+            (match kind with Events.Start _ -> n + 1 | _ -> n)
+      | Ok _ | Error _ -> Alcotest.failf "unexpected event line %s" line)
+    seq;
+  Alcotest.(check int) "one run key per variant" 11 (Hashtbl.length starts);
+  Hashtbl.iter
+    (fun run n -> Alcotest.(check int) (run ^ " starts once") 1 n)
+    starts
+
 let () =
   Alcotest.run "experiments"
     [
       ( "glue",
         [
           Alcotest.test_case "adapter" `Quick test_adapter;
-          Alcotest.test_case "adapter verify gate" `Quick
-            test_adapter_verify_gate;
           Alcotest.test_case "runs cached" `Slow test_runs_cached;
         ] );
       ( "drivers",
@@ -139,5 +157,6 @@ let () =
           Alcotest.test_case "fig5" `Slow test_fig5;
           Alcotest.test_case "fig6" `Slow test_fig6;
           Alcotest.test_case "ablation" `Slow test_ablation;
+          Alcotest.test_case "ablation streams" `Slow test_ablation_streams;
         ] );
     ]

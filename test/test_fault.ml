@@ -382,15 +382,12 @@ let test_fault_events_identical_across_jobs () =
   in
   let run jobs =
     Runs.set_jobs jobs;
-    Runs.set_fault (Some spec);
     Runs.clear_cache ();
     Events.with_memory (fun () ->
-        Runs.curves_for (Spapt.create "lu") Scale.smoke ~seed:3)
+        Runs.curves_for ~fault:spec (Spapt.create "lu") Scale.smoke ~seed:3)
   in
   Fun.protect
-    ~finally:(fun () ->
-      Runs.set_fault None;
-      Runs.set_jobs 1)
+    ~finally:(fun () -> Runs.set_jobs 1)
     (fun () ->
       let seq, seq_lines = run 1 in
       let par, par_lines = run 4 in
