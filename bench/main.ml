@@ -1,73 +1,27 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section at the `quick` scale, then runs Bechamel
-   micro-benchmarks over the hot paths of the implementation.
+(* Timing harness: the three sections whose records `dune build @bench`
+   gates against bench/baseline.json, each at fixed parameters so its
+   record keeps one matching key: table1 (Table 1 on hessian and lu at
+   the smoke scale, seed 42, 2 domains, timed by its wall time),
+   surrogate (the dynamic-tree hot path at 2 domains) and serve (200
+   multi-tenant sessions through the in-process tuning server at 4
+   domains).  The paper's tables and figures come from `altune all`.
 
-   Run with: dune exec bench/main.exe
-   Pass --scale standard (or paper) for larger experiment scales,
-   --jobs N to fan experiments out over N domains (results are
-   bit-identical at any job count), --benchmarks a,b to restrict the
-   benchmark set, --fault-spec crash=0.05,timeout=0.02 to inject
-   deterministic simulated faults into every learner run,
-   --progress for live per-task reporting, --trace FILE
-   to record a JSONL span trace (summarize with `altune trace-summary`),
-   --events FILE to record the learner decision stream (render with
-   `altune report`), --metrics to dump the metrics registry to stderr
-   at exit, or a subset of section names (table1 table2 fig1 fig2 fig5
-   fig6 ablation serve surrogate micro) to run only those.  The
-   surrogate section (alias --surrogate) benchmarks the dynamic-tree hot
-   path — observe throughput, incremental vs from-scratch ALC.  The
-   serve section drives --serve-load N (default 200) synthetic tuning
-   sessions with overlapping config demand through the in-process
-   tuning server, recording sessions/sec and the cross-session memo hit
-   rate.
-
-   Every record lands in one file, BENCH_harness.json, in one format:
-   built by Bench_diff.record and appended by Bench_diff.append, stamped
-   with the run manifest (host, cores, git rev, ...) so the performance
-   trajectory stays interpretable across machines and commits.  A
-   section is recorded by its wall time unless it measures its own
-   records (serve, surrogate); under --fault-spec the wall-time records
-   are named "<section>+fault".  `dune build @bench` gates them against
-   bench/baseline.json. *)
+   Run with: dune exec bench/main.exe -- [table1] [surrogate] [serve]
+   [--snapshots FILE].  No section name runs all three; --snapshots
+   writes the serve load's telemetry series.  Every record is appended
+   by Bench_diff.append to BENCH_harness.json in the working directory,
+   stamped with the run manifest (host, cores, git rev, ...). *)
 
 module Drivers = Altune_experiments.Drivers
 module Scale = Altune_experiments.Scale
 module Runs = Altune_experiments.Runs
-module Pool = Altune_exec.Pool
-module Trace = Altune_obs.Trace
-module Metrics = Altune_obs.Metrics
 module Manifest = Altune_obs.Manifest
-module Events = Altune_obs.Events
 module Bench_diff = Altune_obs.Bench_diff
 module Json = Altune_obs.Json
 
 let harness_path = "BENCH_harness.json"
-
-(* Run one section and append its records to BENCH_harness.json.  [f]
-   returns the section's report and the records it measured itself; a
-   section that measured none is recorded by its wall time.  A
-   fault-injected run records that wall time under its own key, so a
-   clean baseline is never compared with it. *)
-let section ~manifest ~faulty id name f =
-  Printf.printf "==============================================================\n";
-  Printf.printf "%s\n" name;
-  Printf.printf "==============================================================\n%!";
-  let t0 = Unix.gettimeofday () in
-  let report, records = Trace.with_span ~name:("bench." ^ id) f in
-  print_string report;
-  let dt = Unix.gettimeofday () -. t0 in
-  let records =
-    if records <> [] then records
-    else
-      let section = if faulty then id ^ "+fault" else id in
-      [ Bench_diff.record ~manifest ~section ~seconds:dt () ]
-  in
-  (match Bench_diff.append harness_path records with
-  | Ok () -> ()
-  | Error e ->
-      Printf.eprintf "bench: %s\n" e;
-      exit 1);
-  Printf.printf "\n[%s regenerated in %.1fs wall time]\n\n%!" name dt
+let scale = Scale.smoke
+let seed = 42
 
 (* --- Tuning-service load generator --------------------------------- *)
 
@@ -75,12 +29,12 @@ let section ~manifest ~faulty id name f =
    server API: smoke-scale adaptive runs capped at 16 iterations, spread
    over all 11 kernels x a few seeds so many sessions demand the same
    (kernel, config) evaluations — the overlap the server's shared
-   per-kernel stores exist to exploit.  All sessions are opened up front (most of
-   them queue under admission control), then tick requests step every
-   live session in parallel until the whole fleet has completed; like a
-   client, the load closes each session once a tick reports it done, so
-   the server's memory reflects the sessions in flight rather than every
-   session ever opened.  The returned summary is deterministic
+   per-kernel stores exist to exploit.  All sessions are opened up front
+   (most of them queue under admission control), then tick requests step
+   every live session in parallel until the whole fleet has completed;
+   like a client, the load closes each session once a tick reports it
+   done, so the server's memory reflects the sessions in flight rather
+   than every session ever opened.  The returned summary is deterministic
    (simulated quantities only); the wall-derived sessions/sec rate goes
    into the section's record. *)
 let run_serve_load ~manifest ~jobs ~sessions ?snapshots () =
@@ -120,20 +74,15 @@ let run_serve_load ~manifest ~jobs ~sessions ?snapshots () =
      record count is load-determined, and scrape the live-introspection
      verbs once mid-load, the way an external monitor would. *)
   let snapshot_every_ticks = 8 in
-  let scrape_at_tick = snapshot_every_ticks in
-  let scrape_base =
-    Option.map (fun p -> Filename.remove_extension p) snapshots
-  in
+  let scrape_base = Option.map Filename.remove_extension snapshots in
   let write_file path contents =
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc
+    Out_channel.with_open_text path (fun oc -> output_string oc contents)
   in
   let on_tick ticks =
     if snapshots <> None && ticks mod snapshot_every_ticks = 0 then
       Server.snapshot server;
     match scrape_base with
-    | Some base when ticks = scrape_at_tick ->
+    | Some base when ticks = snapshot_every_ticks ->
         (match request P.Stats_full with
         | P.R_stats_full data ->
             write_file (base ^ "-statsfull.json")
@@ -307,8 +256,7 @@ let run_surrogate ~manifest =
   (* Full learner iteration: ingest one observation, then score the whole
      candidate pool — the unit of work an active-learning tuning step
      performs (observe the new measurement, pick the next configuration
-     by ALC).  This is the end-to-end rate a tuning session feels, and
-     the headline number for the flat-array + incremental-ALC rework. *)
+     by ALC).  This is the end-to-end rate a tuning session feels. *)
   let iter_n = 40 in
   let iter_s, iter_words =
     timed (fun () ->
@@ -357,341 +305,48 @@ let run_surrogate ~manifest =
         ~words_per_op:(per iter_words iter_n);
     ] )
 
-(* --- Bechamel micro-benchmarks of the implementation's hot paths --- *)
-
-let micro_tests () =
-  let open Bechamel in
-  let module Rng = Altune_prng.Rng in
-  let module Dt = Altune_dynatree.Dynatree in
-  let module Spapt = Altune_spapt.Spapt in
-  let module Parser = Altune_kernellang.Parser in
-  let module Analysis = Altune_kernellang.Analysis in
-  let module Machine = Altune_machine.Machine in
-  let module Transform = Altune_kernellang.Transform in
-  let rng = Rng.create ~seed:1 in
-  let rng_test =
-    Test.make ~name:"rng.normal" (Staged.stage (fun () -> Rng.normal rng))
+(* Run one section on a [jobs]-domain pool and append its records to
+   BENCH_harness.json.  [f] returns the section's report and the records
+   it measured itself; a section that measured none is recorded by its
+   wall time. *)
+let run_section ~jobs id f =
+  Runs.set_jobs jobs;
+  let manifest = Manifest.capture ~scale:scale.Scale.label ~jobs ~seed () in
+  Printf.printf "=== %s (jobs=%d) ===\n%!" id jobs;
+  let t0 = Unix.gettimeofday () in
+  let report, records = f manifest in
+  print_string report;
+  let dt = Unix.gettimeofday () -. t0 in
+  let records =
+    if records <> [] then records
+    else [ Bench_diff.record ~manifest ~section:id ~seconds:dt () ]
   in
-  let mm_src = Altune_spapt.Kernels.source "mm" in
-  let parse_test =
-    Test.make ~name:"parser.mm"
-      (Staged.stage (fun () -> ignore (Parser.parse_kernel mm_src)))
-  in
-  let mm_kernel = Parser.parse_kernel mm_src in
-  let transform_test =
-    Test.make ~name:"transform.tile+unroll"
-      (Staged.stage (fun () ->
-           ignore
-             (Result.bind
-                (Transform.tile_nest [ ("i", 16); ("j", 16); ("k", 16) ]
-                   mm_kernel)
-                (Transform.unroll ~index:"k" ~factor:4))))
-  in
-  (* The two passes behind an evaluation-cache miss, on the costliest
-     miss there is: hessian's all-maximum configuration 5,5,7,29 (32x32
-     tiles, jam 8, unroll 30). *)
-  let hessian = Spapt.create "hessian" in
-  let max_config =
-    Array.of_list
-      (List.map (fun k -> Spapt.knob_cardinality k - 1) (Spapt.knobs hessian))
-  in
-  let max_kernel = Spapt.transformed hessian max_config in
-  let analysis_test =
-    Test.make ~name:"analysis.analyze(hessian max)"
-      (Staged.stage (fun () -> ignore (Analysis.analyze max_kernel)))
-  in
-  let analyzed = Analysis.analyze max_kernel in
-  let machine_test =
-    Test.make ~name:"machine.estimate(hessian max)"
-      (Staged.stage (fun () ->
-           ignore (Machine.estimate Machine.default analyzed)))
-  in
-  let bench = Spapt.create "mvt" in
-  let eval_rng = Rng.create ~seed:3 in
-  let spapt_test =
-    Test.make ~name:"spapt.measure(memoized)"
-      (Staged.stage (fun () ->
-           let c = Spapt.random_config bench eval_rng in
-           ignore (Spapt.measure bench ~rng:eval_rng ~run_index:1 c)))
-  in
-  (* Dynamic tree: trained once, then benchmark observe / predict / alc. *)
-  let params = { Dt.default_params with n_particles = 60 } in
-  let model = Dt.create ~params ~rng:(Rng.create ~seed:5) 5 in
-  let obs_rng = Rng.create ~seed:7 in
-  for _ = 1 to 200 do
-    let x = Array.init 5 (fun _ -> Rng.uniform obs_rng) in
-    Dt.observe model x (Rng.normal obs_rng)
-  done;
-  let observe_test =
-    Test.make ~name:"dynatree.observe"
-      (Staged.stage (fun () ->
-           let x = Array.init 5 (fun _ -> Rng.uniform obs_rng) in
-           Dt.observe model x (Rng.normal obs_rng)))
-  in
-  let q = Array.init 5 (fun _ -> 0.5) in
-  let predict_test =
-    Test.make ~name:"dynatree.predict"
-      (Staged.stage (fun () -> ignore (Dt.predict model q)))
-  in
-  let refs =
-    Array.init 100 (fun _ -> Array.init 5 (fun _ -> Rng.uniform obs_rng))
-  in
-  let cands =
-    Array.init 50 (fun _ -> Array.init 5 (fun _ -> Rng.uniform obs_rng))
-  in
-  let alc_test =
-    Test.make ~name:"dynatree.alc(50 cands,100 refs)"
-      (Staged.stage (fun () ->
-           ignore (Dt.alc_scores model ~candidates:cands ~refs)))
-  in
-  (* The paper's Section 3.2 argument made measurable: a dynamic-tree
-     update is incremental while a GP update refactorizes the kernel
-     matrix (O(n^3)); compare both at 200 accumulated observations. *)
-  let module Gp = Altune_gp.Gp in
-  let gp = Gp.create ~dim:5 () in
-  let gp_rng = Rng.create ~seed:9 in
-  for _ = 1 to 200 do
-    let x = Array.init 5 (fun _ -> Rng.uniform gp_rng) in
-    Gp.observe gp x (Rng.normal gp_rng)
-  done;
-  ignore (Gp.predict gp (Array.make 5 0.5));
-  let gp_update_test =
-    Test.make ~name:"gp.observe+refit(n=200)"
-      (Staged.stage (fun () ->
-           let x = Array.init 5 (fun _ -> Rng.uniform gp_rng) in
-           Gp.observe gp x (Rng.normal gp_rng);
-           ignore (Gp.predict gp x)))
-  in
-  let gp_predict_test =
-    Test.make ~name:"gp.predict(n=200)"
-      (Staged.stage (fun () -> ignore (Gp.predict gp (Array.make 5 0.3))))
-  in
-  [
-    rng_test;
-    parse_test;
-    transform_test;
-    analysis_test;
-    machine_test;
-    spapt_test;
-    observe_test;
-    predict_test;
-    alc_test;
-    gp_update_test;
-    gp_predict_test;
-  ]
-
-let run_micro () =
-  let open Bechamel in
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~kde:(Some 500) ()
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let tests = micro_tests () in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "%-34s %16s\n%s\n" "micro-benchmark" "ns/run"
-       (String.make 52 '-'));
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg instances test in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false
-          ~predictors:[| Measure.run |]
-      in
-      let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-              Buffer.add_string buf (Printf.sprintf "%-34s %16.1f\n" name est)
-          | Some _ | None ->
-              Buffer.add_string buf (Printf.sprintf "%-34s %16s\n" name "?"))
-        results)
-    tests;
-  Buffer.contents buf
+  match Bench_diff.append harness_path records with
+  | Ok () -> Printf.printf "[%s: %.1fs wall time]\n\n%!" id dt
+  | Error e ->
+      Printf.eprintf "bench: %s\n" e;
+      exit 1
 
 let () =
-  let args = Array.to_list Sys.argv in
-  let scale =
-    let rec find = function
-      | "--scale" :: label :: _ -> (
-          match Scale.of_label label with
-          | Some s -> s
-          | None ->
-              Printf.eprintf "unknown scale %s\n" label;
-              exit 2)
-      | _ :: rest -> find rest
-      | [] -> Scale.quick
-    in
-    find args
+  let names = [ "table1"; "surrogate"; "serve" ] in
+  let rec parse wanted snapshots = function
+    | [] -> (wanted, snapshots)
+    | "--snapshots" :: path :: rest -> parse wanted (Some path) rest
+    | name :: rest when List.mem name names ->
+        parse (name :: wanted) snapshots rest
+    | arg :: _ ->
+        Printf.eprintf "bench: unexpected argument %S; usage: main.exe \
+           [%s]... [--snapshots FILE]\n"
+          arg (String.concat "|" names);
+        exit 2
   in
-  let jobs =
-    let rec find = function
-      | ("--jobs" | "-j") :: n :: _ -> (
-          match int_of_string_opt n with
-          | Some j when j >= 1 -> j
-          | Some _ | None ->
-              Printf.eprintf "--jobs needs a positive integer, got %s\n" n;
-              exit 2)
-      | _ :: rest -> find rest
-      | [] -> Pool.default_jobs ()
-    in
-    find args
+  let wanted, snapshots = parse [] None (List.tl (Array.to_list Sys.argv)) in
+  let section id ~jobs f =
+    if wanted = [] || List.mem id wanted then run_section ~jobs id f
   in
-  let benchmarks =
-    let rec find = function
-      | "--benchmarks" :: names :: _ ->
-          Some (String.split_on_char ',' names)
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    let known = Altune_spapt.Kernels.names in
-    Option.iter
-      (List.iter (fun n ->
-           if not (List.mem n known) then begin
-             Printf.eprintf "unknown benchmark %S; known: %s\n" n
-               (String.concat ", " known);
-             exit 2
-           end))
-      (find args);
-    find args
-  in
-  let trace =
-    let rec find = function
-      | "--trace" :: path :: _ -> Some path
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  let events =
-    let rec find = function
-      | "--events" :: path :: _ -> Some path
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  let fault =
-    let rec find = function
-      | "--fault-spec" :: spec :: _ -> (
-          match Altune_exec.Fault.of_string spec with
-          | Ok sp -> Some sp
-          | Error e ->
-              Printf.eprintf "--fault-spec: %s\n" e;
-              exit 2)
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  let serve_load =
-    let rec find = function
-      | "--serve-load" :: n :: _ -> (
-          match int_of_string_opt n with
-          | Some s when s >= 1 -> s
-          | Some _ | None ->
-              Printf.eprintf "--serve-load needs a positive integer, got %s\n"
-                n;
-              exit 2)
-      | _ :: rest -> find rest
-      | [] -> 200
-    in
-    find args
-  in
-  let snapshots =
-    let rec find = function
-      | "--snapshots" :: path :: _ -> Some path
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  let metrics = List.mem "--metrics" args in
-  let progress = List.mem "--progress" args in
-  let on_event =
-    if not progress then None
-    else
-      Some
-        (function
-        | Pool.Task_started { label; _ } ->
-            Printf.eprintf "[pool] start  %s\n%!" label
-        | Pool.Task_finished { label; wall_seconds; _ } ->
-            Printf.eprintf "[pool] done   %s (%.1fs)\n%!" label wall_seconds)
-  in
-  Runs.set_jobs ?on_event jobs;
-  let wanted name =
-    let named =
-      List.filter_map
-        (fun a ->
-          (* `--surrogate` is accepted as an alias for the section name,
-             matching the @bench invocation. *)
-          let a = if a = "--surrogate" then "surrogate" else a in
-          if
-            List.mem a
-              [ "table1"; "table2"; "fig1"; "fig2"; "fig5"; "fig6";
-                "ablation"; "serve"; "micro"; "surrogate" ]
-          then Some a
-          else None)
-        (List.tl args)
-    in
-    named = [] || List.mem name named
-  in
-  let seed = 42 in
-  let manifest = Manifest.capture ~scale:scale.Scale.label ~jobs ~seed () in
-  Printf.printf
-    "altune benchmark harness — reproducing every table and figure of\n\
-     'Minimizing the Cost of Iterative Compilation with Active Learning'\n\
-     (CGO 2017) at scale=%s, seed=%d, jobs=%d.  Costs are simulated\n\
-     seconds; the shapes, not the absolute numbers, are the reproduction\n\
-     target.\n\n%!"
-    scale.Scale.label seed jobs;
-  let section = section ~manifest ~faulty:(Option.is_some fault) in
-  let run_all () =
-    if wanted "fig1" then
-      section "fig1" "Figure 1 (mm unroll plane: MAE and optimal samples)"
-        (fun () -> (Drivers.fig1 ~scale ~seed (), []));
-    if wanted "fig2" then
-      section "fig2" "Figure 2 (adi runtime vs unroll factor)" (fun () ->
-          (Drivers.fig2 ~scale ~seed (), []));
-    if wanted "table2" then
-      section "table2" "Table 2 (noise spread across each space)" (fun () ->
-          (Drivers.table2 ?benchmarks ~scale ~seed (), []));
-    if wanted "table1" then
-      section "table1" "Table 1 (lowest common error, cost, speed-up)"
-        (fun () -> (Drivers.table1 ?benchmarks ?fault ~scale ~seed (), []));
-    if wanted "fig5" then
-      section "fig5" "Figure 5 (profiling-cost reduction)" (fun () ->
-          (Drivers.fig5 ?benchmarks ?fault ~scale ~seed (), []));
-    if wanted "fig6" then
-      section "fig6" "Figure 6 (error vs cost for three sampling plans)"
-        (fun () -> (Drivers.fig6 ?benchmarks ?fault ~scale ~seed (), []));
-    if wanted "ablation" then
-      section "ablation" "Ablation (design choices of the adaptive learner)"
-        (fun () -> (Drivers.ablation ?fault ~scale ~seed (), []));
-    if wanted "serve" then
-      section "serve"
-        (Printf.sprintf
-           "Serve (tuning-as-a-service load: %d multi-tenant sessions)"
-           serve_load) (fun () ->
-          run_serve_load ~manifest ~jobs ~sessions:serve_load ?snapshots ());
-    if wanted "surrogate" then
-      section "surrogate"
-        "Surrogate hot path (observe + incremental vs full ALC)" (fun () ->
-          run_surrogate ~manifest);
-    if wanted "micro" then
-      section "micro" "Micro-benchmarks (Bechamel)" (fun () ->
-          (run_micro (), []))
-  in
-  let run_all () =
-    match events with
-    | None -> run_all ()
-    | Some path ->
-        Events.with_file path ~manifest:(Manifest.to_json manifest) run_all
-  in
-  (match trace with
-  | None -> run_all ()
-  | Some path ->
-      Trace.with_file path ~manifest:(Manifest.to_json manifest) run_all);
-  Printf.printf "[records appended to %s]\n%!" harness_path;
-  if metrics then prerr_string (Metrics.render ())
+  section "table1" ~jobs:2 (fun _ ->
+      (Drivers.table1 ~benchmarks:[ "hessian"; "lu" ] ~scale ~seed (), []));
+  section "surrogate" ~jobs:2 (fun manifest -> run_surrogate ~manifest);
+  section "serve" ~jobs:4 (fun manifest ->
+      run_serve_load ~manifest ~jobs:4 ~sessions:200 ?snapshots ());
+  Printf.printf "[records appended to %s]\n%!" harness_path

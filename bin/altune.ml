@@ -170,17 +170,11 @@ let bench_term ~default =
     value & opt string default
     & info [ "bench" ] ~docv:"NAME" ~doc:"Benchmark name.")
 
-let check_benchmarks = function
-  | None -> ()
-  | Some names ->
-      List.iter
-        (fun n ->
-          if not (List.mem n Kernels.names) then begin
-            Printf.eprintf "unknown benchmark %S; known: %s\n" n
-              (String.concat ", " Kernels.names);
-            exit 2
-          end)
-        names
+let check_benchmarks names =
+  try Option.iter Drivers.check_benchmarks names
+  with Invalid_argument msg ->
+    prerr_endline msg;
+    exit 2
 
 (* An experiment command.  Every one takes --scale, --seed, --jobs,
    --trace and --metrics; [args] parses the driver's own options into the
@@ -215,6 +209,21 @@ let learner_args driver =
     const (fun benchmarks fault events ->
         (events, driver ?benchmarks ?fault))
     $ benchmarks_arg $ fault_term $ events_term)
+
+(* Every table and figure in one process, in the paper's order, so that
+   Table 1 and Figures 5 and 6 share their learner runs through the
+   [Runs.curves_for] memo instead of each recomputing them. *)
+let all ?benchmarks ?fault ~scale ~seed () =
+  String.concat "\n"
+    [
+      Drivers.fig1 ~scale ~seed ();
+      Drivers.fig2 ~scale ~seed ();
+      Drivers.table2 ?benchmarks ~scale ~seed ();
+      Drivers.table1 ?benchmarks ?fault ~scale ~seed ();
+      Drivers.fig5 ?benchmarks ?fault ~scale ~seed ();
+      Drivers.fig6 ?benchmarks ?fault ~scale ~seed ();
+      Drivers.ablation ?fault ~scale ~seed ();
+    ]
 
 let ablation_args =
   Term.(
@@ -464,17 +473,9 @@ let bench_diff_cmd name doc =
               ~current:(load "current" Bench_diff.load current)
           in
           print_string (Bench_diff.render d);
-          match Bench_diff.regressions d with
-          | [] ->
-              Printf.printf
-                "bench-diff: no regression beyond its bound (%d comparable \
-                 section(s))\n"
-                (List.length d.deltas)
-          | rs ->
-              Printf.printf
-                "bench-diff: %d section(s) regressed beyond their bound\n"
-                (List.length rs);
-              Stdlib.exit 1)
+          let verdict, line = Bench_diff.verdict d in
+          print_endline line;
+          if verdict = Bench_diff.Regression then Stdlib.exit 1)
       $ baseline_term $ current_term)
   in
   Cmd.v (Cmd.info name ~doc) term
@@ -1004,7 +1005,7 @@ let dashboard_cmd name doc =
       & info [] ~docv:"SNAPSHOTS"
           ~doc:
             "Snapshot JSONL series written by $(b,altune serve \
-             --snapshots) (or the bench harness's $(b,--serve-load)).  \
+             --snapshots) (or by bench/main.exe's serve section).  \
              Rotated predecessors ($(i,FILE.1), $(i,FILE.2), ...) are \
              loaded automatically, oldest first.")
   in
@@ -1082,6 +1083,11 @@ let command_table =
     ( "ablation",
       "Design-choice ablations of the adaptive learner.",
       fun name doc -> experiment_cmd name ~doc ablation_args );
+    ( "all",
+      "fig1, fig2, table2, table1, fig5, fig6 and ablation in one \
+       process, sharing their learner runs; $(b,--benchmarks) restricts \
+       table2, table1, fig5 and fig6.",
+      fun name doc -> experiment_cmd name ~doc (learner_args all) );
     ("list", "List benchmarks and their tunable spaces.", list_cmd);
     ( "show",
       "Print a benchmark kernel, optionally after transformations.",
@@ -1131,7 +1137,8 @@ let command_table =
        max_regress percent.  Only records whose manifest matches (same \
        host, cores, scale and job count) are compared; anything else — \
        other machines, pre-manifest history — is skipped, never guessed \
-       at.",
+       at, and a run that compared no record ends with a skip line \
+       instead of a pass.",
       bench_diff_cmd );
     ( "concheck",
       "Model-check the execution engine's concurrency: run bounded \

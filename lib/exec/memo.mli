@@ -31,7 +31,11 @@ val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
     computing (and caching) it with [compute] on a miss.  [compute] runs
     outside the table lock, so unrelated keys never serialize; it must not
     recursively ask for [k] (that would deadlock by definition of
-    compute-once). *)
+    compute-once).  That includes asking indirectly: a [compute] that
+    fans out on an {!Altune_exec.Pool} helps drain the pool's queue, so
+    it can run a queued sibling task under its own frame, and a sibling
+    that asks for [k] then waits forever on the computation beneath
+    it. *)
 
 val find_opt : ('k, 'v) t -> 'k -> 'v option
 (** Completed entries only; [None] for absent or in-flight keys.  A

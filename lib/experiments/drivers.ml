@@ -11,9 +11,21 @@ module Events = Altune_obs.Events
 
 let default_benchmarks = Altune_spapt.Kernels.names
 
-let bench_list = function
-  | Some names -> List.map Spapt.create names
-  | None -> List.map Spapt.create default_benchmarks
+let rec check_benchmarks = function
+  | [] -> ()
+  | name :: rest ->
+      if not (List.mem name default_benchmarks) then
+        invalid_arg
+          (Printf.sprintf "unknown benchmark %S; known: %s" name
+             (String.concat ", " default_benchmarks));
+      if List.mem name rest then
+        invalid_arg (Printf.sprintf "benchmark %S is listed twice" name);
+      check_benchmarks rest
+
+let bench_list ?(default = default_benchmarks) benchmarks =
+  let names = Option.value ~default benchmarks in
+  check_benchmarks names;
+  List.map Spapt.create names
 
 (* Fan a per-benchmark computation out across the shared pool, one task
    per benchmark; results come back in benchmark order, keeping reports
@@ -363,7 +375,6 @@ let curve_points (c : Experiment.curve) =
   List.map (fun (p : Learner.eval_point) -> (p.cost_seconds, p.rmse)) c
 
 let fig6 ?benchmarks ?fault ~scale ~seed () =
-  let names = Option.value ~default:fig6_default benchmarks in
   let sections =
     map_benches ~section:"fig6"
       (fun bench ->
@@ -393,7 +404,7 @@ let fig6 ?benchmarks ?fault ~scale ~seed () =
             ("one observation", clip pc.one_observation);
             ("variable observations (ours)", clip pc.variable_observations);
           ])
-      (List.map Spapt.create names)
+      (bench_list ~default:fig6_default benchmarks)
   in
   String.concat "\n" sections
 

@@ -21,6 +21,12 @@
     under its own {!Runs.run_key}.  {!table2}, {!fig1} and {!fig2} run no
     learner and take no fault spec. *)
 
+val check_benchmarks : string list -> unit
+(** Raises [Invalid_argument] naming the first benchmark that is unknown
+    or listed twice, as every driver taking [?benchmarks] does: a name
+    listed twice deadlocks a learner driver on its {!Runs.curves_for}
+    key (see {!Altune_exec.Memo.find_or_compute}). *)
+
 val table1 :
   ?benchmarks:string list ->
   ?fault:Altune_exec.Fault.spec ->

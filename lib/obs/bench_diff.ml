@@ -26,10 +26,14 @@ type delta = {
 
 type diff = {
   deltas : delta list;
+  baseline_records : int;
+  current_records : int;
   skipped_baseline : int;
   skipped_current : int;
   unmatched : int;
 }
+
+type verdict = Pass | Skip | Regression
 
 (* --- Loading ----------------------------------------------------------- *)
 
@@ -220,12 +224,35 @@ let diff ~baseline ~current =
           end)
       ([], 0) current
   in
-  { deltas = List.rev deltas; skipped_baseline; skipped_current; unmatched }
+  let baseline_records = List.length baseline in
+  let current_records = List.length current in
+  { deltas = List.rev deltas; baseline_records; current_records;
+    skipped_baseline; skipped_current; unmatched }
 
 let regressed dl =
   match dl.max_regress with Some m -> dl.delta_pct > m | None -> false
 
 let regressions d = List.filter regressed d.deltas
+
+let verdict d =
+  match regressions d with
+  | _ :: _ as rs ->
+      ( Regression,
+        Printf.sprintf "bench-diff: %d section(s) regressed beyond their bound"
+          (List.length rs) )
+  | [] when d.deltas = [] ->
+      ( Skip,
+        Printf.sprintf
+          "bench-diff: skipped, nothing compared: none of %d current \
+           record(s) shares section, scale, jobs, host and cores with one \
+           of %d baseline record(s)"
+          d.current_records d.baseline_records )
+  | [] ->
+      ( Pass,
+        Printf.sprintf
+          "bench-diff: no regression beyond its bound (%d comparable \
+           section(s))"
+          (List.length d.deltas) )
 
 (* --- Rendering --------------------------------------------------------- *)
 
@@ -254,8 +281,6 @@ let render d =
            dl.section dl.scale dl.jobs dl.baseline_s dl.current_s dl.delta_pct
            bound flag rate))
     d.deltas;
-  if d.deltas = [] then
-    Buffer.add_string buf "(no comparable sections: manifests differ)\n";
   if d.skipped_baseline > 0 || d.skipped_current > 0 then
     Buffer.add_string buf
       (Printf.sprintf

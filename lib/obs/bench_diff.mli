@@ -56,6 +56,8 @@ type delta = {
 
 type diff = {
   deltas : delta list;  (** Matched pairs, in current-file order. *)
+  baseline_records : int;  (** Records read on each side. *)
+  current_records : int;
   skipped_baseline : int;  (** Baseline records without a manifest. *)
   skipped_current : int;
   unmatched : int;  (** Comparable current records with no baseline. *)
@@ -95,6 +97,17 @@ val diff : baseline:record list -> current:record list -> diff
 val regressions : diff -> delta list
 (** Deltas slower than their bound; a delta without one never
     regresses. *)
+
+type verdict =
+  | Pass  (** At least one section compared, none beyond its bound. *)
+  | Skip  (** No record was comparable, so nothing was gated. *)
+  | Regression  (** Some section slowed down beyond its bound. *)
+
+val verdict : diff -> verdict * string
+(** The gate's verdict and the line that states it.  A diff that
+    compared no record is a [Skip], whose line names the record counts
+    of both sides, never a pass over 0 sections.  Only a [Regression]
+    fails the gate. *)
 
 val render : diff -> string
 (** Plain-text table with each delta's bound; marks the {!regressions}

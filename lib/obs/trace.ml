@@ -13,7 +13,8 @@ type sink = {
   t0 : int64;  (* monotonic origin: span times are seconds since t0 *)
 }
 
-let now_ns () = Monotonic_clock.now ()
+external now_ns : unit -> (int64[@unboxed])
+  = "altune_monotonic_now_byte" "altune_monotonic_now" [@@noalloc]
 
 let sink_state : sink option Atomic.t = Atomic.make None
 let next_id = Atomic.make 1

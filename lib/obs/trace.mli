@@ -7,7 +7,7 @@
     {e tree} of a traced run is identical at any job count — only the
     timings and the interleaving of emitted lines differ.
 
-    Durations come from the monotonic clock (bechamel's
+    Durations come from the monotonic clock (a
     [clock_gettime(CLOCK_MONOTONIC)] stub), so they are immune to
     wall-clock adjustments.  Each completed span is emitted as one JSON
     line through the installed sink; emission is serialized by a mutex,

@@ -80,6 +80,13 @@ let test_table2 () =
   Alcotest.(check bool) "has benchmark" true (contains s "lu");
   Alcotest.(check bool) "has CI columns" true (contains s "35s CI/m mean")
 
+(* A benchmark listed twice is refused up front: in the learner drivers,
+   its second task could wait on the memo key its own stack computes. *)
+let test_repeated_benchmark () =
+  Alcotest.check_raises "lu listed twice"
+    (Invalid_argument "benchmark \"lu\" is listed twice") (fun () ->
+      ignore (Drivers.table2 ~benchmarks:[ "lu"; "lu" ] ~scale:tiny ~seed:1 ()))
+
 let test_fig1 () =
   let s = Drivers.fig1 ~scale:tiny ~seed:1 () in
   Alcotest.(check bool) "three panels" true
@@ -152,6 +159,8 @@ let () =
         [
           Alcotest.test_case "table1" `Slow test_table1;
           Alcotest.test_case "table2" `Slow test_table2;
+          Alcotest.test_case "repeated benchmark" `Quick
+            test_repeated_benchmark;
           Alcotest.test_case "fig1" `Slow test_fig1;
           Alcotest.test_case "fig2" `Quick test_fig2;
           Alcotest.test_case "fig5" `Slow test_fig5;

@@ -713,6 +713,52 @@ let test_bench_diff_skips_incompatible () =
   Alcotest.(check int) "nothing regresses" 0
     (List.length (Bench_diff.regressions d))
 
+(* One case per verdict of the gate.  A diff that compared nothing is a
+   skip with its own line naming both sides' record counts, not a pass
+   over 0 sections. *)
+let verdict =
+  Alcotest.testable
+    (fun fmt v ->
+      Format.pp_print_string fmt
+        (match v with
+        | Bench_diff.Pass -> "pass"
+        | Skip -> "skip"
+        | Regression -> "regression"))
+    ( = )
+
+let check_verdict ~current want_verdict want_line =
+  let baseline =
+    [ record ~host:"vm" ~cores:1 ~max_regress:25.0 ~section:"table1" ~jobs:2
+        10.0 ]
+  in
+  let v, line = Bench_diff.verdict (Bench_diff.diff ~baseline ~current) in
+  Alcotest.(check verdict) "verdict" want_verdict v;
+  Alcotest.(check string) "verdict line" want_line line
+
+let test_bench_diff_verdict_pass () =
+  check_verdict
+    ~current:[ record ~host:"vm" ~cores:1 ~section:"table1" ~jobs:2 11.0 ]
+    Bench_diff.Pass
+    "bench-diff: no regression beyond its bound (1 comparable section(s))"
+
+let test_bench_diff_verdict_skip () =
+  check_verdict
+    ~current:
+      [
+        record ~host:"other-box" ~cores:8 ~section:"table1" ~jobs:2 99.0;
+        record ~section:"fig6" ~jobs:2 1.0;
+      ]
+    Bench_diff.Skip
+    "bench-diff: skipped, nothing compared: none of 2 current record(s) \
+     shares section, scale, jobs, host and cores with one of 1 baseline \
+     record(s)"
+
+let test_bench_diff_verdict_regression () =
+  check_verdict
+    ~current:[ record ~host:"vm" ~cores:1 ~section:"table1" ~jobs:2 20.0 ]
+    Bench_diff.Regression
+    "bench-diff: 1 section(s) regressed beyond their bound"
+
 let test_bench_diff_parses_null_manifest () =
   let line =
     {|{"section": "table1", "scale": "quick", "jobs": 1, "seconds": 96.9, "manifest": null}|}
@@ -1048,6 +1094,12 @@ let () =
             test_bench_append_concurrent;
           Alcotest.test_case "bounds per record" `Quick
             test_bench_diff_bounds_per_record;
+          Alcotest.test_case "pass verdict" `Quick
+            test_bench_diff_verdict_pass;
+          Alcotest.test_case "skip verdict" `Quick
+            test_bench_diff_verdict_skip;
+          Alcotest.test_case "regression verdict" `Quick
+            test_bench_diff_verdict_regression;
         ] );
       ( "integration",
         [
