@@ -194,16 +194,17 @@ let capped_variance (pr : Leaf_model.predictive) =
   if Float.is_finite pr.variance then Float.min pr.variance variance_cap
   else variance_cap
 
+(* A loop rather than [Array.iteri]: the accumulators stay unboxed, so a
+   query allocates only its result. *)
 let predict t x =
   let mean = ref 0.0 and second = ref 0.0 in
-  Array.iteri
-    (fun i p ->
-      let pr = Tree.predict p x in
-      let v = capped_variance pr in
-      let w = t.weights.(i) in
-      mean := !mean +. (w *. pr.mean);
-      second := !second +. (w *. (v +. (pr.mean *. pr.mean))))
-    t.particles;
+  for i = 0 to Array.length t.particles - 1 do
+    let pr = Tree.predict t.particles.(i) x in
+    let v = capped_variance pr in
+    let w = t.weights.(i) in
+    mean := !mean +. (w *. pr.mean);
+    second := !second +. (w *. (v +. (pr.mean *. pr.mean)))
+  done;
   let mean = !mean in
   { mean; variance = Float.max 0.0 (!second -. (mean *. mean)) }
 

@@ -50,10 +50,12 @@ let store_get st i d = Array.unsafe_get st.xs ((i * st.dim) + d)
 let store_x st i = Array.sub st.xs (i * st.dim) st.dim
 let store_y st i = st.ys.(i)
 
-(* Per-leaf ALC cache (see Dynatree.alc_scores): [evr] is the raw
-   expected variance reduction of one more observation in this leaf — a
-   pure function of the sufficient statistics, so it is computed once at
-   leaf creation and never invalidated.  [members]/[m_epoch] cache which
+(* Per-leaf caches.  [pred] is the leaf's posterior predictive, read by
+   every prediction and every particle reweighting, and [evr] the raw
+   expected variance reduction of one more observation in this leaf (see
+   Dynatree.alc_scores).  Both are pure functions of the sufficient
+   statistics and the prior, so they are computed once at leaf creation
+   and never invalidated.  [members]/[m_epoch] cache which
    reference points of the registered reference set fall inside the
    leaf's region; valid only while [m_epoch] equals the ensemble's
    current registration epoch.  Leaves are immutable except for these
@@ -64,6 +66,7 @@ type leaf = {
   id : int;
   indices : int list;
   suff : Leaf_model.suff;
+  pred : Leaf_model.predictive;
   evr : float;
   mutable m_epoch : int;
   mutable members : int array;
@@ -120,6 +123,7 @@ let make_leaf_with params store indices suff =
     id = fresh_id store;
     indices;
     suff;
+    pred = Leaf_model.predict params.prior suff;
     evr = Leaf_model.expected_variance_reduction params.prior suff;
     m_epoch = 0;
     members = no_members;
@@ -151,13 +155,13 @@ let rec find_leaf node x =
 
 let leaf_at t x = find_leaf t.root x
 
-let predict t x =
-  let l = find_leaf t.root x in
-  Leaf_model.predict t.params.prior l.suff
+let predict t x = (find_leaf t.root x).pred
 
+(* The same density as [Leaf_model.log_predictive_density prior suff y],
+   which evaluates the Student-t at [Leaf_model.predict prior suff]. *)
 let log_predictive t x y =
-  let l = find_leaf t.root x in
-  Leaf_model.log_predictive_density t.params.prior l.suff y
+  let { Leaf_model.mean; df; scale; _ } = (find_leaf t.root x).pred in
+  Altune_stats.Distributions.log_student_t_pdf ~mu:mean ~scale ~df y
 
 let leaf_stats_at t x =
   let l = find_leaf t.root x in
@@ -372,17 +376,9 @@ let update ~rng t i =
       }
   in
   let add_to_leaf (l : leaf) =
-    let indices = i :: l.indices in
-    let suff = Leaf_model.add_suff l.suff y in
     Leaf
-      {
-        id = fresh_id store;
-        indices;
-        suff;
-        evr = Leaf_model.expected_variance_reduction prior suff;
-        m_epoch = 0;
-        members = no_members;
-      }
+      (make_leaf_with params store (i :: l.indices)
+         (Leaf_model.add_suff l.suff y))
   in
   (* Stats bookkeeping: each move's effect on the cached shape record.
      [delta] is filled by the leaf-level handlers below. *)

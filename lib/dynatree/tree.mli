@@ -31,6 +31,10 @@ type leaf = {
   id : int;  (** Globally unique per store; fresh on every update. *)
   indices : int list;  (** Store indices of the leaf's observations. *)
   suff : Leaf_model.suff;
+  pred : Leaf_model.predictive;
+      (** [Leaf_model.predict prior suff], computed at leaf creation — a
+          pure function of [suff], so never stale.  {!predict} and
+          {!log_predictive} read it. *)
   evr : float;
       (** [Leaf_model.expected_variance_reduction prior suff], computed at
           leaf creation — a pure function of [suff], so never stale. *)

@@ -235,6 +235,10 @@ type t = {
   spec : spec;
   noise : Noise.t;
   salt : int;  (* per-benchmark seed of the noise field *)
+  feature_table : float array array;
+      (* Knob [i]'s feature value for each of its raw values, in knob
+         order: one row of length [knob_cardinality] per knob, so the row
+         lengths also bound a valid configuration. *)
   store : (int array, float * float) Memo.t;
       (* config -> (true runtime, compile seconds).  The only mutable
          state, and domain-safe: an instance can be shared by every task
@@ -244,12 +248,21 @@ type t = {
 let name t = t.bench_name
 let kernel t = t.kernel
 let knobs t = t.spec.knobs
-let dim t = List.length t.spec.knobs
+let dim t = Array.length t.feature_table
 
 let space_size t =
   List.fold_left
     (fun acc k -> acc *. float_of_int (knob_cardinality k))
     1.0 t.spec.knobs
+
+(* Scale and centre against the uniform distribution over the knob's
+   range: mean (c-1)/2, standard deviation sqrt((c^2 - 1) / 12). *)
+let feature_row k =
+  let c = float_of_int (knob_cardinality k) in
+  let mean = (c -. 1.0) /. 2.0 in
+  let sd = sqrt (((c *. c) -. 1.0) /. 12.0) in
+  Array.init (knob_cardinality k) (fun raw ->
+      if sd = 0.0 then 0.0 else (float_of_int raw -. mean) /. sd)
 
 let create bench_name =
   let spec = List.assoc bench_name specs in
@@ -271,6 +284,7 @@ let create bench_name =
        field of every simulated measurement. *)
     salt =
       Rng.derive ~seed:0x5eed [ Rng.S "spapt.noise-field"; Rng.S bench_name ];
+    feature_table = Array.of_list (List.map feature_row spec.knobs);
     store = Memo.create ~capacity:8192 ~name:"spapt.cache" ();
   }
 
@@ -279,11 +293,10 @@ let fork_stats _ = { Fork.nodes = 0; steps_reused = 0; steps_applied = 0 }
 let all () = List.map (fun (n, _) -> create n) specs
 
 let config_valid t config =
-  Array.length config = dim t
-  && List.for_all2
-       (fun k v -> v >= 0 && v < knob_cardinality k)
-       t.spec.knobs
-       (Array.to_list config)
+  Array.length config = Array.length t.feature_table
+  && Array.for_all2
+       (fun row v -> v >= 0 && v < Array.length row)
+       t.feature_table config
 
 let check_config t config =
   if not (config_valid t config) then
@@ -291,8 +304,7 @@ let check_config t config =
       (Printf.sprintf "Spapt: invalid configuration for %s" t.bench_name)
 
 let random_config t rng =
-  let ks = Array.of_list t.spec.knobs in
-  Array.map (fun k -> Rng.int rng (knob_cardinality k)) ks
+  Array.map (fun row -> Rng.int rng (Array.length row)) t.feature_table
 
 (* Knob value (tile size or factor) from the raw configuration entry. *)
 let knob_value k raw =
@@ -379,16 +391,7 @@ let verify_config t config =
 
 let features t config =
   check_config t config;
-  let ks = Array.of_list t.spec.knobs in
-  Array.mapi
-    (fun i raw ->
-      (* Scale and centre against the uniform distribution over the knob's
-         range: mean (c-1)/2, standard deviation sqrt((c^2 - 1) / 12). *)
-      let c = float_of_int (knob_cardinality ks.(i)) in
-      let mean = (c -. 1.0) /. 2.0 in
-      let sd = sqrt (((c *. c) -. 1.0) /. 12.0) in
-      if sd = 0.0 then 0.0 else (float_of_int raw -. mean) /. sd)
-    config
+  Array.mapi (fun i raw -> t.feature_table.(i).(raw)) config
 
 (* The expensive step behind every measurement: transform the kernel
    from scratch, re-analyze it, and price it on the machine model.  A

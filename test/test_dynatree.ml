@@ -273,6 +273,15 @@ let prop_alc_incremental_matches_full =
       done;
       !ok)
 
+(* Every leaf's cached predictive must be the closed form of its current
+   statistics, bit for bit, after every update, and so must the density
+   read from it. *)
+let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let same_predictive (a : Leaf_model.predictive) (b : Leaf_model.predictive) =
+  same a.mean b.mean && same a.variance b.variance && same a.df b.df
+  && same a.scale b.scale
+
 let prop_tree_stats_incremental =
   QCheck.Test.make ~name:"incremental stats = full traversal" ~count:30
     QCheck.(pair small_int (int_range 1 120))
@@ -285,7 +294,19 @@ let prop_tree_stats_incremental =
         let x = [| Rng.uniform rng; Rng.uniform rng |] in
         let i = Tree.append store x (Rng.normal rng) in
         t := fst (Tree.update ~rng !t i);
-        if Tree.stats !t <> Tree.recompute_stats !t then ok := false
+        if Tree.stats !t <> Tree.recompute_stats !t then ok := false;
+        for j = 0 to i do
+          let x = Tree.store_x store j and y = Tree.store_y store j in
+          let l = Tree.leaf_at !t x in
+          let prior = Tree.default_params.prior in
+          if
+            not
+              (same_predictive l.Tree.pred
+                 (Leaf_model.predict prior l.Tree.suff)
+              && same (Tree.log_predictive !t x y)
+                   (Leaf_model.log_predictive_density prior l.Tree.suff y))
+          then ok := false
+        done
       done;
       !ok)
 

@@ -725,6 +725,39 @@ kernel divz(N = 8) {
       Alcotest.(check (float 0.0)) "inner trips" 0.0 inner.trips
   | _ -> Alcotest.fail "expected a two-deep nest"
 
+(* A subscript scaled by a non-finite constant: [inf *. 0.0] makes the
+   coefficient of every live index NaN, including [k], which no subscript
+   mentions, and NaN survives the zero-coefficient filter. *)
+let test_analysis_nonfinite_factor () =
+  let k =
+    Parser.parse_kernel
+      {|
+kernel nonfinite(N = 8) {
+  array A[N][N];
+  for i = 0 to N - 1 {
+    for j = 0 to N - 1 {
+      for k = 0 to N - 1 {
+        A[1e999 * i][j] = 1.0;
+      }
+    }
+  }
+}
+|}
+  in
+  match (Analysis.analyze k).roots with
+  | [ { children = [ { children = [ { accesses = [ a ]; _ } ]; _ } ]; _ } ] ->
+      Alcotest.(check bool) "affine" true a.affine;
+      Alcotest.(check (list string)) "indices" [ "k"; "j"; "i" ]
+        (List.map fst a.coeffs);
+      Alcotest.(check (list string)) "coefficients" [ "nan"; "nan"; "inf" ]
+        (List.map
+           (fun (_, c) ->
+             if Float.is_nan c then "nan" else if c = infinity then "inf"
+             else Printf.sprintf "%h" c)
+           a.coeffs);
+      Alcotest.(check bool) "offset is NaN" true (Float.is_nan a.offset)
+  | _ -> Alcotest.fail "expected a three-deep nest with one access"
+
 (* --- Simplify tests --- *)
 
 let test_simplify_expr_folds () =
@@ -940,6 +973,8 @@ let () =
           Alcotest.test_case "source order" `Quick test_analysis_source_order;
           Alcotest.test_case "fractional divisor" `Quick
             test_analysis_fractional_divisor;
+          Alcotest.test_case "non-finite factor" `Quick
+            test_analysis_nonfinite_factor;
         ] );
       ( "simplify",
         [

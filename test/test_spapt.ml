@@ -193,12 +193,55 @@ let test_features_normalized () =
         Alcotest.failf "feature %d std %.3f (should be ~1)" i (Welford.std w))
     acc
 
+(* Every value of every knob of every kernel maps to the closed-form
+   feature, bit for bit: scaled and centred against the uniform
+   distribution over the knob's values, 0.0 for a one-value knob. *)
+let test_features_closed_form () =
+  List.iter
+    (fun name ->
+      let b = Spapt.create name in
+      let cards =
+        Array.of_list (List.map Spapt.knob_cardinality (Spapt.knobs b))
+      in
+      let closed i raw =
+        let c = float_of_int cards.(i) in
+        if cards.(i) = 1 then 0.0
+        else
+          (float_of_int raw -. ((c -. 1.0) /. 2.0))
+          /. sqrt (((c *. c) -. 1.0) /. 12.0)
+      in
+      Array.iteri
+        (fun i card ->
+          for raw = 0 to card - 1 do
+            let config = Array.make (Array.length cards) 0 in
+            config.(i) <- raw;
+            Array.iteri
+              (fun j f ->
+                let want = closed j config.(j) in
+                if Int64.bits_of_float f <> Int64.bits_of_float want then
+                  Alcotest.failf "%s knob %d at %d: feature %d is %h, want %h"
+                    name i raw j f want)
+              (Spapt.features b config)
+          done)
+        cards)
+    all_names
+
 let test_invalid_config_rejected () =
   let b = Spapt.create "mm" in
   Alcotest.(check bool) "short config invalid" false
     (Spapt.config_valid b [| 0; 0 |]);
   Alcotest.(check bool) "out-of-range invalid" false
     (Spapt.config_valid b [| 99; 0; 0; 0; 0; 0 |]);
+  let rejects what config =
+    match Spapt.features b config with
+    | exception Invalid_argument _ -> ()
+    | _ ->
+        Alcotest.failf "features of a %s config: expected Invalid_argument"
+          what
+  in
+  rejects "short" [| 0; 0 |];
+  rejects "negative" [| 0; -1; 0; 0; 0; 0 |];
+  rejects "out-of-range" [| 99; 0; 0; 0; 0; 0 |];
   match Spapt.transformed b [| 99; 0; 0; 0; 0; 0 |] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
@@ -352,6 +395,8 @@ let () =
           Alcotest.test_case "mean runtime" `Quick test_mean_runtime;
           Alcotest.test_case "features normalized" `Quick
             test_features_normalized;
+          Alcotest.test_case "features closed form" `Quick
+            test_features_closed_form;
         ] );
       ( "inertness",
         [
