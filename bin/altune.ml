@@ -8,10 +8,9 @@ module Lint = Altune_kernellang.Lint
 module Verify = Altune_kernellang.Verify
 module Drivers = Altune_experiments.Drivers
 module Scale = Altune_experiments.Scale
-module Adapter = Altune_experiments.Adapter
 module Runs = Altune_experiments.Runs
+module Tune_run = Altune_experiments.Tune_run
 module Learner = Altune_core.Learner
-module Checkpoint = Altune_core.Checkpoint
 module Fault = Altune_exec.Fault
 module Rng = Altune_prng.Rng
 module Trace = Altune_obs.Trace
@@ -480,11 +479,6 @@ let bench_diff_cmd name doc =
   in
   Cmd.v (Cmd.info name ~doc) term
 
-(* The run key tune stamps on its event stream and derives its fault
-   seed from; resume reuses it so the resumed stream is a continuation of
-   the interrupted one. *)
-let tune_run_key ~bench scale = Runs.run_key ~bench scale "tune" 0
-
 (* Everything tune prints after training — shared with [resume] so a
    resumed run's stdout is byte-identical to the uninterrupted run's. *)
 let report_tuned b (outcome : Learner.outcome) ~seed =
@@ -560,58 +554,34 @@ let tune_cmd name doc =
             ~scale_label:scale.Scale.label ~seed
           @@ fun () ->
           let b = Spapt.create bench in
-          let problem = Adapter.problem_of ~pool:(Runs.pool ()) b in
-          let dataset = Runs.dataset_for b scale ~seed in
-          let run_key = tune_run_key ~bench scale in
-          let fault_seed = Runs.fault_seed ~seed run_key in
-          let injector =
-            Option.map (fun s -> Fault.create s ~seed:fault_seed) fault
+          let run =
+            Tune_run.start ~pool:(Runs.pool ()) b
+              { bench; scale; seed; fault; n_max = None; budget = None }
           in
-          let meta =
-            {
-              Checkpoint.bench;
-              scale = scale.Scale.label;
-              seed;
-              every;
-              fault =
-                Option.map (fun s -> (Fault.to_string s, fault_seed)) fault;
-            }
+          (* One loop: with a checkpoint file the run pauses every
+             [every] iterations to write it; without one, the first step
+             runs to the end. *)
+          let ckpt = if every > 0 then ckpt else None in
+          let iterations = if ckpt = None then max_int else every in
+          let halt_at = Option.value halt_at ~default:max_int in
+          let rec go () =
+            match (Tune_run.step run ~iterations, ckpt) with
+            | Some outcome, _ -> report_tuned b outcome ~seed
+            | None, None -> go ()
+            | None, Some path -> (
+                match Tune_run.save run ~path with
+                | Error e -> failwith e
+                | Ok iteration when iteration >= halt_at ->
+                    (* Nothing on stdout: the resumed run must reproduce
+                       the uninterrupted run's stdout byte-for-byte on
+                       its own. *)
+                    Printf.eprintf
+                      "tune: halted at checkpoint; continue with 'altune \
+                       resume %s'\n"
+                      path
+                | Ok _ -> go ())
           in
-          let outcome =
-            Events.with_run run_key (fun () ->
-                match ckpt with
-                | Some path when every > 0 ->
-                    let learner =
-                      Learner.start ?fault:injector ~exec_pool:(Runs.pool ())
-                        problem dataset scale.Scale.adaptive
-                        ~rng:(Rng.create ~seed)
-                    in
-                    let rec go () =
-                      match Learner.step learner ~iterations:every with
-                      | Some outcome -> Some outcome
-                      | None -> (
-                          let st = Learner.state learner in
-                          Checkpoint.save ~path ~meta dataset st;
-                          match halt_at with
-                          | Some n when st.Learner.st_iteration >= n -> None
-                          | _ -> go ())
-                    in
-                    go ()
-                | _ ->
-                    Some
-                      (Learner.run ?fault:injector ~exec_pool:(Runs.pool ())
-                         problem dataset scale.Scale.adaptive
-                         ~rng:(Rng.create ~seed)))
-          in
-          match outcome with
-          | None ->
-              (* Nothing on stdout: the resumed run must reproduce the
-                 uninterrupted run's stdout byte-for-byte on its own. *)
-              Printf.eprintf
-                "tune: halted at checkpoint; continue with 'altune resume \
-                 %s'\n"
-                (Option.get ckpt)
-          | Some outcome -> report_tuned b outcome ~seed)
+          go ())
       $ scale_term $ seed_term $ bench_term ~default:"mm" $ fault_term
       $ ckpt_term $ every_term $ halt_term $ trace_term $ events_term
       $ metrics_term)
@@ -629,49 +599,20 @@ let resume_cmd name doc =
   let term =
     Term.(
       const (fun path trace events metrics ->
-          match Checkpoint.load path with
+          match Tune_run.load path with
           | Error e ->
-              Printf.eprintf "resume: %s: %s\n" path e;
+              Printf.eprintf "resume: %s\n" e;
               Stdlib.exit 1
-          | Ok (meta, dataset, state) ->
-              let scale =
-                match Scale.of_label meta.scale with
-                | Some s -> s
-                | None ->
-                    Printf.eprintf "resume: unknown scale %S in checkpoint\n"
-                      meta.scale;
-                    Stdlib.exit 1
-              in
-              if not (List.mem meta.bench Kernels.names) then begin
-                Printf.eprintf "resume: unknown benchmark %S in checkpoint\n"
-                  meta.bench;
-                Stdlib.exit 1
-              end;
-              let injector =
-                match meta.fault with
-                | None -> None
-                | Some (spec_s, fault_seed) -> (
-                    match Fault.of_string spec_s with
-                    | Ok sp -> Some (Fault.create sp ~seed:fault_seed)
-                    | Error e ->
-                        Printf.eprintf
-                          "resume: bad fault spec in checkpoint: %s\n" e;
-                        Stdlib.exit 1)
-              in
+          | Ok saved ->
+              let spec = Tune_run.saved_spec saved in
               with_obs ~command:"resume" ~trace ~events ~metrics
-                ~scale_label:meta.scale ~seed:meta.seed
+                ~scale_label:spec.scale.Scale.label ~seed:spec.seed
               @@ fun () ->
-              let b = Spapt.create meta.bench in
-              let problem = Adapter.problem_of ~pool:(Runs.pool ()) b in
-              let run_key = tune_run_key ~bench:meta.bench scale in
-              let outcome =
-                Events.with_run run_key (fun () ->
-                    Learner.run ?fault:injector ~resume:state
-                      ~exec_pool:(Runs.pool ()) problem dataset
-                      scale.Scale.adaptive
-                      ~rng:(Rng.create ~seed:meta.seed))
-              in
-              report_tuned b outcome ~seed:meta.seed)
+              let b = Spapt.create spec.bench in
+              let run = Tune_run.resume ~pool:(Runs.pool ()) b saved in
+              Option.iter
+                (fun outcome -> report_tuned b outcome ~seed:spec.seed)
+                (Tune_run.step run ~iterations:max_int))
       $ ckpt_term $ trace_term $ events_term $ metrics_term)
   in
   Cmd.v (Cmd.info name ~doc) term

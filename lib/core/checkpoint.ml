@@ -7,7 +7,6 @@ type meta = {
   bench : string;
   scale : string;
   seed : int;
-  every : int;
   fault : (string * int) option;
 }
 
@@ -108,7 +107,6 @@ let to_json ~meta dataset state =
       ("bench", Json.String meta.bench);
       ("scale", Json.String meta.scale);
       ("seed", Json.Int meta.seed);
-      ("every", Json.Int meta.every);
       ( "fault",
         match meta.fault with
         | None -> Json.Null
@@ -328,7 +326,6 @@ let of_json j =
     let* bench = str_field j "bench" "bench" in
     let* scale = str_field j "scale" "scale" in
     let* seed = int_field j "seed" "seed" in
-    let* every = int_field j "every" "every" in
     let* fault =
       match field j "fault" with
       | None | Some Json.Null -> Ok None
@@ -339,7 +336,7 @@ let of_json j =
     in
     let* dataset = dataset_of_json j in
     let* state = state_of_json j in
-    Ok ({ bench; scale; seed; every; fault }, dataset, state)
+    Ok ({ bench; scale; seed; fault }, dataset, state)
 
 let load path =
   try

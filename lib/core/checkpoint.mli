@@ -19,7 +19,6 @@ type meta = {
   bench : string;  (** SPAPT benchmark name. *)
   scale : string;  (** Scale label ([smoke], [quick], ...). *)
   seed : int;  (** Master seed of the interrupted command. *)
-  every : int;  (** Checkpoint cadence, iterations. *)
   fault : (string * int) option;  (** Fault spec string and fault seed. *)
 }
 (** Everything [altune resume] needs to rebuild the problem, settings and
@@ -30,7 +29,9 @@ val save : path:string -> meta:meta -> Dataset.t -> Learner.state -> unit
 
 val load :
   string -> (meta * Dataset.t * Learner.state, string) result
-(** Parse a checkpoint file; rejects unknown versions. *)
+(** Parse a checkpoint file; rejects unknown versions.  Keys it does not
+    read are ignored, so files that still carry the retired [every]
+    field load unchanged. *)
 
 val to_json : meta:meta -> Dataset.t -> Learner.state -> Altune_obs.Json.t
 val of_json :

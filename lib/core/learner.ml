@@ -101,11 +101,20 @@ type state = {
   st_curve : eval_point list;
 }
 
+type progress = {
+  pr_iteration : int;
+  pr_examples : int;
+  pr_observations : int;
+  pr_cost_s : float;
+  pr_rmse : float option;
+}
+
 (* A run between steps: closures over [start_run]'s local state. *)
 type t = {
   problem_name : string;
   advance : int -> outcome option;
   capture : unit -> state;
+  progress : unit -> progress;
 }
 
 (* Fault-injection instruments (process-wide).  Eager, not [lazy]:
@@ -760,7 +769,16 @@ let start_run ?fault ?resume ?exec_pool (problem : Problem.t)
     if !stopped && Option.is_none !finished then finished := Some (finish ());
     !finished
   in
-  { problem_name = problem.name; advance; capture = capture_state }
+  let progress () =
+    {
+      pr_iteration = !iteration;
+      pr_examples = Hashtbl.length obs_count;
+      pr_observations = Cost.runs cost;
+      pr_cost_s = Cost.total_seconds cost;
+      pr_rmse = (match !curve with [] -> None | last :: _ -> Some last.rmse);
+    }
+  in
+  { problem_name = problem.name; advance; capture = capture_state; progress }
 
 let traced problem_name f =
   Trace.with_span ~name:"learner.run"
@@ -777,6 +795,7 @@ let step t ~iterations =
   traced t.problem_name (fun () -> t.advance iterations)
 
 let state t = t.capture ()
+let progress t = t.progress ()
 
 let run ?fault ?resume ?exec_pool (problem : Problem.t) dataset settings ~rng
     =

@@ -165,6 +165,20 @@ val step : t -> iterations:int -> outcome option
 val state : t -> state
 (** The resume point at the current loop boundary, in O(observations). *)
 
+type progress = {
+  pr_iteration : int;  (** Loop iterations completed. *)
+  pr_examples : int;  (** Distinct configurations profiled. *)
+  pr_observations : int;  (** Profiling runs charged ({!Cost.runs}). *)
+  pr_cost_s : float;  (** {!Cost.total_seconds}: run + compile + failure. *)
+  pr_rmse : float option;  (** The last recorded curve point's RMSE. *)
+}
+
+val progress : t -> progress
+(** Where the run stands, read from the loop's own counters in O(1).
+    After the run stops it agrees with the {!outcome}: the last curve
+    point's iteration, [distinct_examples], [total_runs], [total_cost]
+    and [final_rmse]. *)
+
 val run :
   ?fault:Altune_exec.Fault.t ->
   ?resume:state ->

@@ -361,9 +361,3 @@ let stats (t : t) =
   }
 
 let mean_n_leaves t = (stats t).mean_leaves
-
-let mean_depth (t : t) =
-  let total =
-    Array.fold_left (fun acc p -> acc + Tree.depth p) 0 t.particles
-  in
-  float_of_int total /. float_of_int (Array.length t.particles)

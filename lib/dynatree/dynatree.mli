@@ -98,7 +98,6 @@ val alc_par_min_work : int
     out on the attached pool.  Outputs depend on neither gate. *)
 
 val mean_n_leaves : t -> float
-val mean_depth : t -> float
 
 type stats = {
   particles : int;

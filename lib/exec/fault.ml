@@ -90,7 +90,6 @@ type t = { t_spec : spec; t_seed : int }
 
 let create spec ~seed = { t_spec = spec; t_seed = seed }
 let spec t = t.t_spec
-let seed t = t.t_seed
 
 type verdict = Ok | Crash | Timeout of float | Corrupt
 

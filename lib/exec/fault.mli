@@ -44,7 +44,6 @@ type t
 val create : spec -> seed:int -> t
 
 val spec : t -> spec
-val seed : t -> int
 
 type verdict =
   | Ok  (** the attempt succeeds *)

@@ -22,8 +22,7 @@ type task = {
 
 (* Process-wide instruments (shared across pools): where task time goes.
    Eager, not [lazy]: forcing one lazy value from two domains at once
-   raises [CamlinternalLazy.Undefined], and handles revalidate after
-   [Metrics.reset] anyway. *)
+   raises [CamlinternalLazy.Undefined]. *)
 let m_tasks = Metrics.counter "pool.tasks"
 let m_steals = Metrics.counter "pool.steals"
 let m_wait = Metrics.sketch "pool.queue_wait_seconds"

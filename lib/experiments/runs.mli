@@ -33,9 +33,7 @@ val run_key : bench:string -> Scale.t -> string -> int -> string
 (** [run_key ~bench scale tag rep] is ["<bench>/<scale>/<tag>/<rep>"],
     the identity of one learner run: the key of its event stream
     ({!Altune_obs.Events.with_run}) and the input of {!fault_seed}.
-    [altune tune] and [altune resume] run as [tag = "tune"], [rep = 0],
-    and a serve session derives its fault seed from the same key, so a
-    checkpoint taken by any of them resumes with the same faults. *)
+    A {!Tune_run} is [tag = "tune"], [rep = 0]. *)
 
 val fault_seed : seed:int -> string -> int
 (** [fault_seed ~seed key] seeds the fault injector of the run [key]

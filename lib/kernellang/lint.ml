@@ -426,7 +426,3 @@ let lint ?(param_overrides = []) (k : Ast.kernel) =
             "array %s is declared but never accessed" a)
     k.arrays;
   List.rev !diags
-
-let check ?param_overrides k =
-  let diags = lint ?param_overrides k in
-  if errors diags = [] then Ok () else Error diags

@@ -64,10 +64,3 @@ val errors : diagnostic list -> diagnostic list
 (** The [Error]-severity subset. *)
 
 val count : severity -> diagnostic list -> int
-
-val check :
-  ?param_overrides:(string * int) list ->
-  Ast.kernel ->
-  (unit, diagnostic list) result
-(** [Ok ()] when the kernel lints without errors; [Error all_diagnostics]
-    otherwise (warnings and notes included for context). *)

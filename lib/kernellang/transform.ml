@@ -440,6 +440,3 @@ let distribute ~index k =
           | Assign _ | For _ | If _ | Seq _ ->
               (* Nothing to split. *)
               For l))
-
-let apply_all fs k =
-  List.fold_left (fun acc f -> Result.bind acc f) (Ok k) fs

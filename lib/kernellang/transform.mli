@@ -82,9 +82,3 @@ val distribute : index:string -> Ast.kernel -> (Ast.kernel, error) result
     (loop fission).  Conservatively refused unless all dependences between
     different body statements are aligned ([=]) at the loop index, so no
     cross-statement value flows between iterations get reordered. *)
-
-val apply_all :
-  (Ast.kernel -> (Ast.kernel, error) result) list ->
-  Ast.kernel ->
-  (Ast.kernel, error) result
-(** Left-to-right composition, stopping at the first error. *)

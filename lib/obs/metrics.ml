@@ -1,28 +1,17 @@
-(* Instruments live in a name-keyed registry; callers hold *handles*
-   that point at the registered cell.  [reset] bumps a global epoch and
-   empties the registry; a handle whose epoch is stale re-registers (or
-   adopts the cell someone else registered under its name) on its next
-   use, so instruments created before a reset keep working and show up
-   again — the hot path pays one atomic load and an int compare. *)
+(* Instruments live in a name-keyed registry; callers hold handles that
+   point straight at the registered cell. *)
 
 type instrument =
   | C of int Atomic.t
   | G of float Atomic.t
   | S of Quantile.t
 
-type counter = { c_name : string; mutable c_cell : int Atomic.t; mutable c_seen : int }
-type gauge = { g_name : string; mutable g_cell : float Atomic.t; mutable g_seen : int }
-
-type sketch = {
-  s_name : string;
-  s_alpha : float;
-  mutable s_cell : Quantile.t;
-  mutable s_seen : int;
-}
+type counter = int Atomic.t
+type gauge = float Atomic.t
+type sketch = Quantile.t
 
 let registry : (string, instrument) Hashtbl.t = Hashtbl.create 64
 let registry_lock = Mutex.create ()
-let epoch = Atomic.make 0
 
 let with_registry f =
   Mutex.lock registry_lock;
@@ -31,73 +20,44 @@ let with_registry f =
 let kind_error name want =
   invalid_arg (Printf.sprintf "Metrics: %S is not a %s" name want)
 
-(* Find the cell registered under [name], or register [fresh ()].
-   Must run under the registry lock; returns the current epoch too so
-   the caller can stamp its handle consistently. *)
+(* The cell registered under [name], or [fresh ()] registered now. *)
 let resolve name ~adopt ~fresh =
-  match Hashtbl.find_opt registry name with
-  | Some i -> (adopt i, Atomic.get epoch)
-  | None ->
-      let cell, inst = fresh () in
-      Hashtbl.replace registry name inst;
-      (cell, Atomic.get epoch)
+  with_registry (fun () ->
+      match Hashtbl.find_opt registry name with
+      | Some i -> adopt i
+      | None ->
+          let cell, inst = fresh () in
+          Hashtbl.replace registry name inst;
+          cell)
 
 (* --- Counters ---------------------------------------------------------- *)
 
-let counter_resolve name =
+let counter name =
   resolve name
     ~adopt:(function C c -> c | _ -> kind_error name "counter")
     ~fresh:(fun () ->
       let c = Atomic.make 0 in
       (c, C c))
 
-let counter name =
-  with_registry (fun () ->
-      let cell, seen = counter_resolve name in
-      { c_name = name; c_cell = cell; c_seen = seen })
-
-let counter_cell h =
-  if h.c_seen = Atomic.get epoch then h.c_cell
-  else
-    with_registry (fun () ->
-        let cell, seen = counter_resolve h.c_name in
-        h.c_cell <- cell;
-        h.c_seen <- seen;
-        cell)
-
-let incr h = Atomic.incr (counter_cell h)
-let add h n = ignore (Atomic.fetch_and_add (counter_cell h) n)
-let counter_value h = Atomic.get (counter_cell h)
+let incr = Atomic.incr
+let add h n = ignore (Atomic.fetch_and_add h n)
+let counter_value = Atomic.get
 
 (* --- Gauges ------------------------------------------------------------ *)
 
-let gauge_resolve name =
+let gauge name =
   resolve name
     ~adopt:(function G g -> g | _ -> kind_error name "gauge")
     ~fresh:(fun () ->
       let g = Atomic.make 0.0 in
       (g, G g))
 
-let gauge name =
-  with_registry (fun () ->
-      let cell, seen = gauge_resolve name in
-      { g_name = name; g_cell = cell; g_seen = seen })
-
-let gauge_cell h =
-  if h.g_seen = Atomic.get epoch then h.g_cell
-  else
-    with_registry (fun () ->
-        let cell, seen = gauge_resolve h.g_name in
-        h.g_cell <- cell;
-        h.g_seen <- seen;
-        cell)
-
-let set_gauge h v = Atomic.set (gauge_cell h) v
-let gauge_value h = Atomic.get (gauge_cell h)
+let set_gauge = Atomic.set
+let gauge_value = Atomic.get
 
 (* --- Sketches ---------------------------------------------------------- *)
 
-let sketch_resolve name alpha =
+let sketch ?(alpha = Quantile.default_alpha) name =
   resolve name
     ~adopt:(function
       | S s ->
@@ -111,22 +71,8 @@ let sketch_resolve name alpha =
       let s = Quantile.create ~alpha () in
       (s, S s))
 
-let sketch ?(alpha = Quantile.default_alpha) name =
-  with_registry (fun () ->
-      let cell, seen = sketch_resolve name alpha in
-      { s_name = name; s_alpha = alpha; s_cell = cell; s_seen = seen })
-
-let sketch_cell h =
-  if h.s_seen = Atomic.get epoch then h.s_cell
-  else
-    with_registry (fun () ->
-        let cell, seen = sketch_resolve h.s_name h.s_alpha in
-        h.s_cell <- cell;
-        h.s_seen <- seen;
-        cell)
-
-let record h v = Quantile.add (sketch_cell h) v
-let sketch_data h = sketch_cell h
+let record = Quantile.add
+let sketch_data h = h
 
 (* --- Reporting --------------------------------------------------------- *)
 
@@ -212,8 +158,3 @@ let render_prom () =
           line "%s_count %d" n (Quantile.count s))
     (sorted_instruments ());
   Buffer.contents buf
-
-let reset () =
-  with_registry (fun () ->
-      Hashtbl.reset registry;
-      Atomic.incr epoch)

@@ -52,9 +52,3 @@ val render_prom : unit -> string
 (** Prometheus text exposition (format 0.0.4): counters and gauges as
     single samples, sketches as summaries with [quantile] labels plus
     [_sum]/[_count].  Dots in names become underscores. *)
-
-val reset : unit -> unit
-(** Drop every registered instrument (tests).  Handles created before
-    the reset stay valid: their next use re-registers the name (or
-    adopts whatever instrument was registered under it since), starting
-    from zero. *)

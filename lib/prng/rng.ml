@@ -104,7 +104,6 @@ let uniform t =
   r *. 0x1.0p-53
 
 let float t bound = bound *. uniform t
-let bool t = Int64.logand (bits64 t) 1L = 1L
 let bernoulli t p = uniform t < p
 
 let normal ?(mu = 0.0) ?(sigma = 1.0) t =
@@ -196,15 +195,6 @@ let sample_without_replacement t k n =
     idx.(j) <- tmp
   done;
   Array.sub idx 0 k
-
-let choose t a =
-  if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
-  a.(int t (Array.length a))
-
-let pick_list t l =
-  match l with
-  | [] -> invalid_arg "Rng.pick_list: empty list"
-  | _ :: _ -> List.nth l (int t (List.length l))
 
 (* Defined last: the labels shadow [t]'s mutable fields of the same name,
    so everything above keeps resolving them against [t]. *)

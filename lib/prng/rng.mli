@@ -71,8 +71,6 @@ val float : t -> float -> float
 val uniform : t -> float
 (** [uniform t] is uniform on [\[0, 1)]. *)
 
-val bool : t -> bool
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
@@ -100,9 +98,3 @@ val shuffle : t -> 'a array -> unit
 val sample_without_replacement : t -> int -> int -> int array
 (** [sample_without_replacement t k n] draws [k] distinct indices from
     [\[0, n)].  Raises [Invalid_argument] if [k > n].  Order is random. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
-val pick_list : t -> 'a list -> 'a
-(** Uniform element of a non-empty list. *)

@@ -1,6 +1,7 @@
 module Spapt = Altune_spapt.Spapt
 module Kernels = Altune_spapt.Kernels
 module Scale = Altune_experiments.Scale
+module Tune_run = Altune_experiments.Tune_run
 module Fault = Altune_exec.Fault
 module Pool = Altune_exec.Pool
 module Problem = Altune_core.Problem
@@ -67,12 +68,7 @@ type t = {
   benches : (string, Spapt.t) Hashtbl.t;
       (* One instance per kernel, shared by every session tuning it: its
          evaluation store is the cross-session cache. *)
-  (* Cross-session accounting: per (bench, config-key), how many
-     evaluation lookups each session made.  A multiset, not an event
-     log: under parallel ticks the per-key totals are schedule-free
-     even though the interleaving of lookups is not. *)
-  acc_lock : Mutex.t;
-  acc : (string * string, (int, int) Hashtbl.t) Hashtbl.t;
+  lookups : Lookups.t;  (* cross-session accounting of the stores *)
   sessions : (string, Session.t) Hashtbl.t;
   mutable order : string list;  (* admission order, newest first *)
   mutable queue : string list;  (* FIFO of queued names, head first *)
@@ -89,8 +85,7 @@ let create config =
     config;
     pool = Pool.create ~jobs:config.jobs ();
     benches = Hashtbl.create 16;
-    acc_lock = Mutex.create ();
-    acc = Hashtbl.create 4096;
+    lookups = Lookups.create ();
     sessions = Hashtbl.create 64;
     order = [];
     queue = [];
@@ -122,26 +117,12 @@ let stopped t = t.stopped
 
 (* --- Shared-memo accounting ------------------------------------------- *)
 
-let note_lookup t ~session_id key =
-  Mutex.lock t.acc_lock;
-  let per =
-    match Hashtbl.find_opt t.acc key with
-    | Some h -> h
-    | None ->
-        let h = Hashtbl.create 4 in
-        Hashtbl.replace t.acc key h;
-        h
-  in
-  Hashtbl.replace per session_id
-    (1 + Option.value ~default:0 (Hashtbl.find_opt per session_id));
-  Mutex.unlock t.acc_lock
-
 let seconds_between t0 t1 = Int64.to_float (Int64.sub t1 t0) /. 1e9
 
 (* The [note] callback of a session: count the lookup, then time the
    evaluation it wraps. *)
 let note_for t ~session_id ~bench c eval =
-  note_lookup t ~session_id (bench, Problem.key c);
+  Lookups.note t.lookups ~session:session_id (bench, Problem.key c);
   let t0 = Trace.now_ns () in
   let v = eval () in
   Metrics.record t.tele.memo_wait (seconds_between t0 (Trace.now_ns ()));
@@ -155,30 +136,7 @@ let instance t bench =
       Hashtbl.replace t.benches bench b;
       b
 
-let memo_stats t =
-  Mutex.lock t.acc_lock;
-  let entries = Hashtbl.length t.acc in
-  let lookups = ref 0 in
-  let shared = ref 0 in
-  let cross = ref 0 in
-  Hashtbl.iter
-    (fun _ per ->
-      let total = Hashtbl.fold (fun _ c a -> a + c) per 0 in
-      lookups := !lookups + total;
-      if Hashtbl.length per > 1 then incr shared;
-      (* Canonical owner = lowest admission order, not whoever computed
-         first: compute order depends on scheduling, admission does not. *)
-      let owner = Hashtbl.fold (fun sid _ a -> min sid a) per max_int in
-      cross := !cross + (total - Hashtbl.find per owner))
-    t.acc;
-  Mutex.unlock t.acc_lock;
-  {
-    Protocol.m_lookups = !lookups;
-    m_entries = entries;
-    m_hits = !lookups - entries;
-    m_shared_keys = !shared;
-    m_cross_hits = !cross;
-  }
+let memo_stats t = Lookups.stats t.lookups
 
 (* --- Session store ----------------------------------------------------- *)
 
@@ -281,12 +239,15 @@ let session_config (p : Protocol.open_params) :
               Ok
                 {
                   Session.name = p.o_session;
-                  bench = p.o_bench;
-                  scale;
-                  seed = p.o_seed;
-                  fault;
-                  budget = p.o_budget;
-                  n_max = p.o_n_max;
+                  run =
+                    {
+                      Tune_run.bench = p.o_bench;
+                      scale;
+                      seed = p.o_seed;
+                      fault;
+                      n_max = p.o_n_max;
+                      budget = p.o_budget;
+                    };
                   checkpoint_path = p.o_checkpoint;
                 })
 
@@ -297,7 +258,7 @@ let handle_open t (p : Protocol.open_params) =
     match session_config p with
     | Error e -> Error e
     | Ok cfg -> (
-        match (t.config.budget_cap, cfg.Session.budget) with
+        match (t.config.budget_cap, cfg.Session.run.budget) with
         | Some cap, Some b when b > cap ->
             Error
               (Printf.sprintf
@@ -319,9 +280,9 @@ let handle_open t (p : Protocol.open_params) =
             else begin
               let id = t.opened in
               t.opened <- t.opened + 1;
-              let bench = cfg.Session.bench in
+              let bench = cfg.Session.run.bench in
               let s =
-                Session.create ~id ~bench:(instance t bench) ~pool:t.pool
+                Session.create ~bench:(instance t bench) ~pool:t.pool
                   ~note:(note_for t ~session_id:id ~bench)
                   cfg
               in

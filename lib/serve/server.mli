@@ -8,7 +8,7 @@
     configurations demanded by different tenants are computed once (and
     again only if the bounded store evicted them).  Each session reports
     its evaluations through a [note] callback ({!Session.create}), which
-    feeds the lookup accounting of {!memo_stats} and the
+    feeds the lookup accounting of {!memo_stats} ({!Lookups}) and the
     [serve.memo_wait_seconds] sketch.
 
     {b Admission policy.}  [open] admits a session immediately while
@@ -20,7 +20,7 @@
     admission sequence is a pure function of the request sequence.
 
     {b Determinism.}  Replies carry only simulated quantities, and the
-    lookup accounting is aggregated per key as a session->count multiset
+    lookup accounting is that of the multiset of (key, session) lookups,
     with the lowest-admission-order toucher as each key's canonical
     owner, so every reported figure is independent of domain scheduling:
     a fixed request script produces byte-identical responses at any

@@ -63,5 +63,3 @@ let normalize a =
   let s = std a in
   if s = 0.0 then Array.map (fun _ -> 0.0) a
   else Array.map (fun x -> (x -. m) /. s) a
-
-let normalize_with ~mean ~std x = if std = 0.0 then 0.0 else (x -. mean) /. std

@@ -23,6 +23,3 @@ val summary : float array -> float * float * float
 val normalize : float array -> float array
 (** Scale-and-centre to zero mean, unit variance (the paper's feature
     normalization, Section 4.5).  Constant arrays map to all zeros. *)
-
-val normalize_with : mean:float -> std:float -> float -> float
-(** Apply a precomputed normalization to one value. *)

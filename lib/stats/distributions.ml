@@ -118,15 +118,6 @@ let student_t_quantile ~df p =
     if p > 0.5 then q else -.q
   end
 
-let student_t_pdf ~df x =
-  let l =
-    Special.log_gamma ((df +. 1.0) /. 2.0)
-    -. Special.log_gamma (df /. 2.0)
-    -. (0.5 *. log (df *. Float.pi))
-    -. ((df +. 1.0) /. 2.0 *. log1p (x *. x /. df))
-  in
-  exp l
-
 let log_student_t_pdf ?(mu = 0.0) ?(scale = 1.0) ~df x =
   if scale <= 0.0 then
     invalid_arg "Distributions.log_student_t_pdf: scale <= 0";

@@ -15,8 +15,6 @@ val student_t_quantile : df:float -> float -> float
 (** [student_t_quantile ~df p] inverts {!student_t_cdf} for [0 < p < 1];
     closed-form for df = 1 and 2, otherwise bisection refined to ~1e-10. *)
 
-val student_t_pdf : df:float -> float -> float
-
 val log_student_t_pdf : ?mu:float -> ?scale:float -> df:float -> float -> float
 (** Log-density of the location-scale Student-t: used by dynamic-tree
     marginal likelihoods. *)

@@ -56,6 +56,3 @@ let ci_over_mean ?(level = 0.95) t =
   else Float.abs (ci_halfwidth ~level t /. t.mean)
 
 let of_array a = Array.fold_left add empty a
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.6g std=%.6g" t.n (mean t) (std t)

@@ -40,5 +40,3 @@ val ci_over_mean : ?level:float -> t -> float
     validation (Section 4.3). *)
 
 val of_array : float array -> t
-
-val pp : Format.formatter -> t -> unit

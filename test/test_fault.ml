@@ -276,24 +276,33 @@ let test_checkpoint_roundtrip () =
       Checkpoint.bench = "synthetic";
       scale = "smoke";
       seed = 5;
-      every = 10;
       fault = Some (Fault.to_string fault_spec_mid, 99);
     }
   in
-  match Checkpoint.of_json (Checkpoint.to_json ~meta d st) with
-  | Error e -> Alcotest.fail e
-  | Ok (meta', d', st') ->
-      Alcotest.(check bool) "meta round-trips" true (meta = meta');
-      Alcotest.(check bool) "dataset round-trips exactly" true (d = d');
-      Alcotest.(check bool) "state round-trips exactly" true (st = st')
+  let j = Checkpoint.to_json ~meta d st in
+  (* Files written before the cadence field was retired still load. *)
+  let with_every =
+    match j with
+    | Altune_obs.Json.Obj fields ->
+        Altune_obs.Json.Obj (("every", Altune_obs.Json.Int 10) :: fields)
+    | _ -> Alcotest.fail "a checkpoint is a JSON object"
+  in
+  List.iter
+    (fun j ->
+      match Checkpoint.of_json j with
+      | Error e -> Alcotest.fail e
+      | Ok (meta', d', st') ->
+          Alcotest.(check bool) "meta round-trips" true (meta = meta');
+          Alcotest.(check bool) "dataset round-trips exactly" true (d = d');
+          Alcotest.(check bool) "state round-trips exactly" true (st = st'))
+    [ j; with_every ]
 
 let test_checkpoint_save_load () =
   let problem = synthetic () in
   let d = make_dataset problem in
   let st = capture_mid_state problem d ~halt_at:20 () in
   let meta =
-    { Checkpoint.bench = "synthetic"; scale = "smoke"; seed = 5; every = 10;
-      fault = None }
+    { Checkpoint.bench = "synthetic"; scale = "smoke"; seed = 5; fault = None }
   in
   let path = Filename.temp_file "altune-ckpt" ".json" in
   Fun.protect
@@ -354,8 +363,7 @@ let test_resume_after_serialization () =
   in
   let st = capture_mid_state problem d ~halt_at:20 () in
   let meta =
-    { Checkpoint.bench = "synthetic"; scale = "smoke"; seed = 5; every = 10;
-      fault = None }
+    { Checkpoint.bench = "synthetic"; scale = "smoke"; seed = 5; fault = None }
   in
   match Checkpoint.of_json (Checkpoint.to_json ~meta d st) with
   | Error e -> Alcotest.fail e

@@ -235,7 +235,6 @@ let test_add_attrs () =
 (* --- Metrics ------------------------------------------------------------ *)
 
 let test_registry_identity_and_kinds () =
-  Metrics.reset ();
   let c1 = Metrics.counter "t.shared" in
   let c2 = Metrics.counter "t.shared" in
   Metrics.incr c1;
@@ -250,7 +249,6 @@ let test_registry_identity_and_kinds () =
   | exception Invalid_argument _ -> ()
 
 let test_counter_contention () =
-  Metrics.reset ();
   let c = Metrics.counter "t.contended" in
   let s = Metrics.sketch "t.contended.s" in
   let per_task = 10_000 in
@@ -393,51 +391,12 @@ let test_sketch_jobs_invariant () =
   check_sketch_agreement "jobs 1 = jobs 4" (merged ~jobs:1) (merged ~jobs:4)
     ~with_sum:true
 
-(* --- Metrics reset ------------------------------------------------------- *)
-
-(* Handles created before a reset must stay valid: the next use
-   re-registers the name from zero, or adopts whatever instrument was
-   registered under it since (regression: handles used to keep writing
-   into dropped cells, invisible to snapshot/render). *)
-let test_reset_keeps_handles_valid () =
-  Metrics.reset ();
-  let c = Metrics.counter "t.reset.c" in
-  let g = Metrics.gauge "t.reset.g" in
-  let s = Metrics.sketch "t.reset.s" in
-  Metrics.add c 10;
-  Metrics.set_gauge g 3.5;
-  Metrics.record s 1.0;
-  Metrics.reset ();
-  Metrics.incr c;
-  Alcotest.(check int) "stale counter restarts from zero" 1
-    (Metrics.counter_value c);
-  Alcotest.(check (float 0.0)) "stale gauge restarts from zero" 0.0
-    (Metrics.gauge_value g);
-  Metrics.record s 2.0;
-  Alcotest.(check int) "stale sketch restarts from zero" 1
-    (Quantile.count (Metrics.sketch_data s));
-  (* The re-registered instrument is visible to the registry again. *)
-  (match Json.member "t.reset.c" (Metrics.snapshot ()) with
-  | Some (Json.Int 1) -> ()
-  | _ -> Alcotest.fail "re-registered counter missing from snapshot");
-  (* Adoption: a fresh handle registered after the reset and the stale
-     handle converge on the same cell. *)
-  Metrics.reset ();
-  let c2 = Metrics.counter "t.reset.c" in
-  Metrics.add c2 5;
-  Metrics.incr c;
-  Alcotest.(check int) "stale handle adopts the new instrument" 6
-    (Metrics.counter_value c);
-  Alcotest.(check int) "fresh handle sees the same cell" 6
-    (Metrics.counter_value c2)
-
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
   at 0
 
 let test_render_prom () =
-  Metrics.reset ();
   Metrics.add (Metrics.counter "t.prom.requests") 3;
   Metrics.set_gauge (Metrics.gauge "t.prom.depth") 2.0;
   let s = Metrics.sketch "t.prom.wire" in
@@ -456,8 +415,7 @@ let test_render_prom () =
       "t_prom_wire{quantile=\"0.5\"}";
       "t_prom_wire{quantile=\"0.99\"}";
       "t_prom_wire_count 3";
-    ];
-  Metrics.reset ()
+    ]
 
 (* --- Flight recorder ----------------------------------------------------- *)
 
@@ -1033,6 +991,7 @@ let () =
             test_registry_identity_and_kinds;
           Alcotest.test_case "counter contention" `Quick
             test_counter_contention;
+          Alcotest.test_case "prometheus exposition" `Quick test_render_prom;
         ] );
       ( "quantile",
         [
@@ -1046,12 +1005,6 @@ let () =
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_rank_error; prop_merge_commutative; prop_merge_associative ]
       );
-      ( "reset",
-        [
-          Alcotest.test_case "handles survive reset" `Quick
-            test_reset_keeps_handles_valid;
-          Alcotest.test_case "prometheus exposition" `Quick test_render_prom;
-        ] );
       ( "flight",
         [
           Alcotest.test_case "ring wraparound" `Quick test_flight_wraparound;

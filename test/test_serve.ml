@@ -16,6 +16,10 @@ module Scale = Altune_experiments.Scale
 module Adapter = Altune_experiments.Adapter
 module Runs = Altune_experiments.Runs
 module Rng = Altune_prng.Rng
+module Fault = Altune_exec.Fault
+module Pool = Altune_exec.Pool
+module Tune_run = Altune_experiments.Tune_run
+module Lookups = Altune_serve.Lookups
 
 let server ?(jobs = 1) ?(max_live = 8) ?(max_queue = 64) ?budget_cap
     ?checkpoint_dir ?snapshot_path ?flight ?ledger_path () =
@@ -505,6 +509,237 @@ let test_closed_session () =
   Alcotest.(check bool) "closed session refuses to checkpoint" true
     (String.ends_with ~suffix:"is closed" e)
 
+(* The accounting's running totals equal the multiset definition, in
+   any lookup order: entries are the distinct keys; a key is shared
+   when two or more sessions looked it up; its cross hits are the
+   lookups by sessions other than the lowest id that looked it up. *)
+let prop_lookups_multiset =
+  QCheck.Test.make ~count:300 ~name:"accounting = multiset definition"
+    QCheck.(
+      make
+        Gen.(
+          list_size (int_range 0 80) (pair (int_bound 6) (int_bound 4))
+          >>= fun l -> map (fun order -> (l, order)) (shuffle_l l)))
+    (fun (lookups, order) ->
+      let acc = Lookups.create () in
+      List.iter
+        (fun (k, session) ->
+          Lookups.note acc ~session ("k" ^ string_of_int k, "c"))
+        order;
+      let keys = List.sort_uniq compare (List.map fst lookups) in
+      let sessions k =
+        List.filter_map (fun (k', s) -> if k' = k then Some s else None) lookups
+      in
+      let sum f = List.fold_left (fun a k -> a + f (sessions k)) 0 keys in
+      let distinct l = List.length (List.sort_uniq compare l) in
+      let cross l =
+        let owner = List.fold_left min max_int l in
+        List.length (List.filter (fun s -> s <> owner) l)
+      in
+      let n = List.length lookups and entries = List.length keys in
+      Lookups.stats acc
+      = {
+          Protocol.m_lookups = n;
+          m_entries = entries;
+          m_hits = n - entries;
+          m_shared_keys = sum (fun l -> if distinct l > 1 then 1 else 0);
+          m_cross_hits = sum cross;
+        })
+
+(* --- Tune runs ------------------------------------------------------------ *)
+
+let tune_fault =
+  match Fault.of_string "crash=0.05,timeout=0.02" with
+  | Ok s -> s
+  | Error e -> failwith e
+
+(* `altune tune --bench hessian --scale smoke --seed 42` with the
+   @fault-smoke fault spec. *)
+let faulty_spec =
+  {
+    Tune_run.bench = "hessian";
+    scale = Scale.smoke;
+    seed = 42;
+    fault = Some tune_fault;
+    n_max = None;
+    budget = None;
+  }
+
+let pool1 = lazy (Pool.create ~jobs:1 ())
+
+let to_end run =
+  match Tune_run.step run ~iterations:max_int with
+  | Some o -> o
+  | None -> Alcotest.fail "a step to max_int paused"
+
+let check_same_outcome what (a : Learner.outcome) (b : Learner.outcome) =
+  let bits = Int64.bits_of_float in
+  let curve (o : Learner.outcome) =
+    List.map
+      (fun (p : Learner.eval_point) ->
+        (p.iteration, p.examples, p.observations, bits p.cost_seconds,
+         bits p.rmse))
+      o.curve
+  in
+  Alcotest.(check bool) (what ^ ": curve") true (curve a = curve b);
+  Alcotest.(check int64) (what ^ ": cost") (bits a.total_cost)
+    (bits b.total_cost);
+  Alcotest.(check int) (what ^ ": runs") a.total_runs b.total_runs;
+  Alcotest.(check int) (what ^ ": examples") a.distinct_examples
+    b.distinct_examples;
+  Alcotest.(check int64) (what ^ ": rmse") (bits a.final_rmse)
+    (bits b.final_rmse);
+  let b' = Spapt.create "hessian" in
+  Array.iter
+    (fun c ->
+      Alcotest.(check int64) (what ^ ": prediction")
+        (bits (a.predict c)) (bits (b.predict c)))
+    (Runs.dataset_for b' Scale.smoke ~seed:42).test_configs
+
+let with_ck_file f =
+  let path = Filename.temp_file "altune-tune-run" ".ck.json" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () -> f path)
+
+let resume_from path =
+  match Tune_run.load path with
+  | Error e -> Alcotest.fail e
+  | Ok saved ->
+      (* A scale holds its surrogate factory: compare by label. *)
+      let fields (sp : Tune_run.spec) =
+        (sp.bench, sp.scale.label, sp.seed, sp.fault, sp.n_max, sp.budget)
+      in
+      Alcotest.(check bool) "stored spec" true
+        (fields (Tune_run.saved_spec saved) = fields faulty_spec);
+      to_end
+        (Tune_run.resume ~pool:(Lazy.force pool1) (Spapt.create "hessian")
+           saved)
+
+(* A fault-injected run checkpointed at iteration 20 and read back from
+   the file resumes to the uninterrupted outcome, faults included. *)
+let test_tune_run_resume_under_faults () =
+  let faults () =
+    List.fold_left
+      (fun a n -> a + Metrics.counter_value (Metrics.counter n))
+      0 [ "learner.fault.crash"; "learner.fault.timeout" ]
+  in
+  let before = faults () in
+  let full =
+    to_end
+      (Tune_run.start ~pool:(Lazy.force pool1) (Spapt.create "hessian")
+         faulty_spec)
+  in
+  Alcotest.(check bool) "faults injected" true (faults () > before);
+  with_ck_file (fun path ->
+      let run =
+        Tune_run.start ~pool:(Lazy.force pool1) (Spapt.create "hessian")
+          faulty_spec
+      in
+      Alcotest.(check bool) "paused" true
+        (Tune_run.step run ~iterations:16 = None);
+      (match Tune_run.save run ~path with
+      | Ok iteration -> Alcotest.(check int) "saved at" 20 iteration
+      | Error e -> Alcotest.fail e);
+      check_same_outcome "resumed" full (resume_from path))
+
+(* A served session opened with the same fault spec writes the same
+   run's checkpoint. *)
+let test_session_checkpoint_under_faults () =
+  let full =
+    to_end
+      (Tune_run.start ~pool:(Lazy.force pool1) (Spapt.create "hessian")
+         faulty_spec)
+  in
+  with_ck_file (fun path ->
+      let s = server () in
+      ignore
+        (ok
+           (Server.handle s
+              (open_req ~fault:"crash=0.05,timeout=0.02" ~n_max:None "f"
+                 "hessian")));
+      ignore
+        (ok (Server.handle s (Protocol.Step { session = "f"; iterations = 16 })));
+      (match
+         ok
+           (Server.handle s
+              (Protocol.Checkpoint { session = "f"; path = Some path }))
+       with
+      | Protocol.R_checkpoint { iteration; _ } ->
+          Alcotest.(check int) "saved at" 20 iteration
+      | _ -> Alcotest.fail "expected a checkpoint reply");
+      check_same_outcome "resumed from serve" full (resume_from path))
+
+let test_tune_run_overrides_refuse_save () =
+  let capped = { faulty_spec with Tune_run.n_max = Some 8 } in
+  let budgeted = { faulty_spec with Tune_run.budget = Some 100.0 } in
+  Alcotest.(check bool) "stock run savable" true
+    (Tune_run.savable faulty_spec = Ok ());
+  Alcotest.(check bool) "budget override not savable" true
+    (Result.is_error (Tune_run.savable budgeted));
+  with_ck_file (fun path ->
+      Sys.remove path;
+      let run =
+        Tune_run.start ~pool:(Lazy.force pool1) (Spapt.create "hessian") capped
+      in
+      ignore (Tune_run.step run ~iterations:1);
+      (match (Tune_run.save run ~path, Tune_run.savable capped) with
+      | Error e, Error rule -> Alcotest.(check string) "the stock rule" rule e
+      | _ -> Alcotest.fail "a run with overrides saved");
+      Alcotest.(check bool) "nothing written" false (Sys.file_exists path))
+
+(* [Learner.progress] reads the loop's counters; at every pause it
+   agrees with the resume point and, at the end, with the outcome.
+   Corrupted runs are profiled but not charged as runs, so the fault
+   spec includes them. *)
+let test_progress_agrees () =
+  let b = Spapt.create "hessian" in
+  let fault =
+    Fault.create { tune_fault with corrupt = 0.1; timeout = 0.05 } ~seed:7
+  in
+  let learner =
+    Learner.start ~fault
+      (Adapter.problem_of b)
+      (Runs.dataset_for b Scale.smoke ~seed:42)
+      Scale.smoke.adaptive ~rng:(Rng.create ~seed:42)
+  in
+  let bits = Int64.bits_of_float in
+  let rec go pauses =
+    match Learner.step learner ~iterations:3 with
+    | None ->
+        let p = Learner.progress learner and st = Learner.state learner in
+        let c = st.st_cost in
+        Alcotest.(check int) "iteration" st.st_iteration p.pr_iteration;
+        Alcotest.(check int) "examples" (List.length st.st_obs) p.pr_examples;
+        Alcotest.(check int) "observations" c.snap_runs p.pr_observations;
+        Alcotest.(check int64) "cost"
+          (bits
+             (c.snap_run_seconds +. c.snap_compile_seconds
+            +. c.snap_failure_seconds))
+          (bits p.pr_cost_s);
+        Alcotest.(check (option int64))
+          "rmse"
+          (Option.map
+             (fun (e : Learner.eval_point) -> bits e.rmse)
+             (List.nth_opt (List.rev st.st_curve) 0))
+          (Option.map bits p.pr_rmse);
+        go (pauses + 1)
+    | Some (o : Learner.outcome) ->
+        let p = Learner.progress learner in
+        let last = List.nth o.curve (List.length o.curve - 1) in
+        Alcotest.(check int) "final iteration" last.iteration p.pr_iteration;
+        Alcotest.(check int) "final examples" o.distinct_examples
+          p.pr_examples;
+        Alcotest.(check int) "final observations" o.total_runs
+          p.pr_observations;
+        Alcotest.(check int64) "final cost" (bits o.total_cost)
+          (bits p.pr_cost_s);
+        Alcotest.(check (option int64))
+          "final rmse" (Some (bits o.final_rmse))
+          (Option.map bits p.pr_rmse);
+        pauses
+  in
+  Alcotest.(check bool) "paused along the way" true (go 0 > 10)
+
 (* --- Graceful shutdown --------------------------------------------------- *)
 
 let test_shutdown () =
@@ -710,6 +945,18 @@ let () =
             test_shared_instance;
           Alcotest.test_case "closed sessions keep only their view" `Quick
             test_closed_session;
+          QCheck_alcotest.to_alcotest prop_lookups_multiset;
+        ] );
+      ( "tune run",
+        [
+          Alcotest.test_case "resume from file under faults" `Quick
+            test_tune_run_resume_under_faults;
+          Alcotest.test_case "served checkpoint resumes under faults" `Quick
+            test_session_checkpoint_under_faults;
+          Alcotest.test_case "overrides refuse to save" `Quick
+            test_tune_run_overrides_refuse_save;
+          Alcotest.test_case "progress agrees with state and outcome" `Quick
+            test_progress_agrees;
         ] );
       ( "telemetry",
         [
