@@ -1,34 +1,82 @@
-(* Print a digest of the access and stride analysis of the configurations
-   that prices.ml prices, one line per configuration: the kernel, the
-   configuration and the MD5 of a canonical rendering of
+(* Print a digest of the access and stride analysis of the fixed
+   configurations (configs.ml), one line per configuration: the kernel,
+   the configuration and the MD5 of a canonical rendering of
    [Analysis.analyze (Spapt.transformed t c)], every float in hexadecimal
-   ([%h]).  A price is a many-to-one function of the analysis, and the
-   order of an access's coefficients feeds the machine model's stream
-   keys, so the analysis is pinned on its own: any change to a trip count,
-   an operation count, an access, its coefficient order or a single bit of
-   a stride shows up as a diff. *)
+   ([%h]).  A price is a many-to-one function of the analysis, so the
+   analysis is pinned on its own, in the view the machine model prices:
+   per loop its trips, step, operation counts and children, and its
+   accesses grouped into streams by (array, coefficients, affine), in the
+   model's summation order, each with its count of distinct constant
+   offsets and of accesses.  Any change to a trip count, an operation
+   count, a stream, its coefficient order or a single bit of a stride
+   shows up as a diff. *)
 
-module Spapt = Altune_spapt.Spapt
-module Rng = Altune_prng.Rng
 module Analysis = Altune_kernellang.Analysis
 
-let draws = 40
+(* The streams of a loop's accesses, grouped by the machine model's rule:
+   descending (array, coefficients, affine) order under [String.compare],
+   [Float.compare] on coefficients and [Bool.compare]; the distinct
+   offsets under [Float.compare]; and the access count. *)
+module Key = Map.Make (struct
+  type t = string * (string * float) list * bool
+
+  let rec compare_coeffs a b =
+    match (a, b) with
+    | [], [] -> 0
+    | [], _ :: _ -> -1
+    | _ :: _, [] -> 1
+    | (x, c) :: a, (y, d) :: b ->
+        let k = String.compare x y in
+        if k <> 0 then k
+        else
+          let k = Float.compare c d in
+          if k <> 0 then k else compare_coeffs a b
+
+  let compare (a, c, f) (b, d, g) =
+    let k = String.compare a b in
+    if k <> 0 then k
+    else
+      let k = compare_coeffs c d in
+      if k <> 0 then k else Bool.compare f g
+end)
+
+let streams (accesses : Analysis.access list) =
+  let by_key =
+    List.fold_left
+      (fun m (a : Analysis.access) ->
+        Key.update (a.array, a.coeffs, a.affine)
+          (function
+            | Some (offsets, mult) -> Some (a.offset :: offsets, mult + 1)
+            | None -> Some ([ a.offset ], 1))
+          m)
+      Key.empty accesses
+  in
+  Key.fold
+    (fun (array, coeffs, affine) (offsets, mult) acc ->
+      ( array,
+        coeffs,
+        affine,
+        List.length (List.sort_uniq Float.compare offsets),
+        mult )
+      :: acc)
+    by_key []
 
 let render (a : Analysis.t) =
   let b = Buffer.create 4096 in
   let add fmt = Printf.bprintf b fmt in
-  let access (x : Analysis.access) =
-    add "  access %s write=%b affine=%b offset=%h coeffs=" x.array x.is_write
-      x.affine x.offset;
-    List.iter (fun (v, c) -> add "%s:%h;" v c) x.coeffs;
+  let stream (array, coeffs, affine, distinct, mult) =
+    add "  stream %s affine=%b distinct=%d mult=%d coeffs=" array affine
+      distinct mult;
+    List.iter (fun (v, c) -> add "%s:%h;" v c) coeffs;
     add "\n"
   in
   let rec loop depth (n : Analysis.loop_node) =
-    add "loop %d %s trips=%h step=%d flops=%h iops=%h stmts=%h accesses=%d \
+    let streams = streams n.accesses in
+    add "loop %d %s trips=%h step=%d flops=%h iops=%h stmts=%h streams=%d \
          children=%d\n"
       depth n.index n.trips n.step n.flops n.iops n.stmts
-      (List.length n.accesses) (List.length n.children);
-    List.iter access n.accesses;
+      (List.length streams) (List.length n.children);
+    List.iter stream streams;
     List.iter (loop (depth + 1)) n.children
   in
   add "roots=%d\n" (List.length a.roots);
@@ -37,21 +85,10 @@ let render (a : Analysis.t) =
   add "straightline=%h\n" a.straightline_stmts;
   Buffer.contents b
 
-let print_analysis t config =
-  Printf.printf "%s %s %s\n" (Spapt.name t)
-    (String.concat "," (Array.to_list (Array.map string_of_int config)))
-    (Digest.to_hex
-       (Digest.string (render (Analysis.analyze (Spapt.transformed t config)))))
-
 let () =
-  let rng = Rng.create ~seed:5 in
-  List.iter
-    (fun t ->
-      let knobs = Array.of_list (Spapt.knobs t) in
-      print_analysis t (Array.map (fun _ -> 0) knobs);
-      print_analysis t
-        (Array.map (fun k -> Spapt.knob_cardinality k - 1) knobs);
-      for _ = 1 to draws do
-        print_analysis t (Spapt.random_config t rng)
-      done)
-    (Spapt.all ())
+  Configs.iter (fun t config ->
+      Printf.printf "%s %s\n" (Configs.label t config)
+        (Digest.to_hex
+           (Digest.string
+              (render
+                 (Analysis.analyze (Altune_spapt.Spapt.transformed t config))))))
