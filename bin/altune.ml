@@ -533,7 +533,9 @@ let tune_cmd name doc =
     Arg.(
       value & opt int 10
       & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:"Iterations between checkpoints (with $(b,--checkpoint)).")
+          ~doc:
+            "Iterations between checkpoints (with $(b,--checkpoint)); at \
+             least 1.")
   in
   let halt_term =
     Arg.(
@@ -550,6 +552,14 @@ let tune_cmd name doc =
     Term.(
       const (fun scale seed bench fault ckpt every halt_at trace events
                  metrics ->
+          if halt_at <> None && ckpt = None then begin
+            Printf.eprintf "--halt-at requires --checkpoint\n";
+            Stdlib.exit 2
+          end;
+          if every < 1 then begin
+            Printf.eprintf "--checkpoint-every must be at least 1\n";
+            Stdlib.exit 2
+          end;
           with_obs ~command:"tune" ~trace ~events ~metrics
             ~scale_label:scale.Scale.label ~seed
           @@ fun () ->
@@ -561,7 +571,6 @@ let tune_cmd name doc =
           (* One loop: with a checkpoint file the run pauses every
              [every] iterations to write it; without one, the first step
              runs to the end. *)
-          let ckpt = if every > 0 then ckpt else None in
           let iterations = if ckpt = None then max_int else every in
           let halt_at = Option.value halt_at ~default:max_int in
           let rec go () =

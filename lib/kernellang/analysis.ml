@@ -1,16 +1,16 @@
-type access = {
+type stream = {
   array : string;
-  is_write : bool;
   coeffs : (string * float) list;
-  offset : float;
   affine : bool;
+  distinct : int;
+  mult : int;
 }
 
 type loop_node = {
   index : string;
   trips : float;
   step : int;
-  accesses : access list;
+  streams : stream list;
   flops : float;
   iops : float;
   stmts : float;
@@ -162,14 +162,92 @@ let count_ops (e : Ast.expr) =
   in
   go false e
 
+(* A stream of the loop body under analysis, still taking accesses: its
+   key, the constant offsets seen so far and the number of accesses. *)
+type pending = {
+  key_array : string;
+  key_coeffs : (string * float) list;
+  key_affine : bool;
+  mutable offsets : float list;
+  mutable count : int;
+}
+
+(* What the statements directly under one loop contribute besides their
+   operation counts: the streams of their accesses, in descending key
+   order, and the nested loops, in reverse source order. *)
+type body = { mutable pending : pending list; mutable loops : Ast.loop list }
+
+let rec compare_coeffs a b =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | (x, c) :: a, (y, d) :: b ->
+      let k = String.compare x y in
+      if k <> 0 then k
+      else
+        let k = Float.compare c d in
+        if k <> 0 then k else compare_coeffs a b
+
+(* The order of stream keys: polymorphic [compare]'s order on
+   [(array, coeffs, affine)], without its generic traversal. *)
+let compare_key array coeffs affine p =
+  let k = String.compare array p.key_array in
+  if k <> 0 then k
+  else
+    let k = compare_coeffs coeffs p.key_coeffs in
+    if k <> 0 then k else Bool.compare affine p.key_affine
+
+(* Count one access into the stream of its key, opening the stream in its
+   place if the key is new.  A body has few streams (the translated copies
+   of an access share one), so a scan of the sorted list finds it. *)
+let push body ~array ~coeffs ~affine ~offset =
+  let rec join = function
+    | [] -> false
+    | p :: rest ->
+        let k = compare_key array coeffs affine p in
+        if k = 0 then begin
+          p.offsets <- offset :: p.offsets;
+          p.count <- p.count + 1;
+          true
+        end
+        else k < 0 && join rest
+  in
+  if not (join body.pending) then begin
+    let p =
+      {
+        key_array = array;
+        key_coeffs = coeffs;
+        key_affine = affine;
+        offsets = [ offset ];
+        count = 1;
+      }
+    in
+    let rec insert = function
+      | q :: rest when compare_key array coeffs affine q < 0 -> q :: insert rest
+      | l -> p :: l
+    in
+    body.pending <- insert body.pending
+  end
+
+let close p =
+  {
+    array = p.key_array;
+    coeffs = p.key_coeffs;
+    affine = p.key_affine;
+    distinct = List.length (List.sort_uniq Float.compare p.offsets);
+    mult = p.count;
+  }
+
 (* Row-major flat-offset coefficient: sum over dimensions of the subscript
    coefficient times the product of the extents of later dimensions.  One
    walk of the subscripts yields the constant term and marks the live
    indices they mention; only those get a coefficient walk.  Any other
    index's coefficient is exactly +0.0, unless a non-finite scalar factor
    or extent makes it NaN — and then the constant term is not finite
-   either, so every index is walked. *)
-let access_of ~env ~strides ~is_write array subs =
+   either, so every index is walked.  The access is counted into [body]:
+   a non-affine one with no coefficients and offset 0. *)
+let add_access ~env ~strides body array subs =
   let row_strides =
     match assoc_opt array strides with Some s -> s | None -> [||]
   in
@@ -208,9 +286,9 @@ let access_of ~env ~strides ~is_write array subs =
         let c = totals.(s) in
         if c <> 0.0 then coeffs := (env.live.(s), c) :: !coeffs
       done;
-      { array; is_write; coeffs = !coeffs; offset; affine = true }
+      push body ~array ~coeffs:!coeffs ~affine:true ~offset
   | exception Non_affine ->
-      { array; is_write; coeffs = []; offset = 0.0; affine = false }
+      push body ~array ~coeffs:[] ~affine:false ~offset:0.0
 
 let rec exprs_of_cond (c : Ast.cond) =
   match c with
@@ -219,50 +297,46 @@ let rec exprs_of_cond (c : Ast.cond) =
   | Not a -> exprs_of_cond a
 
 (* Direct statistics of statements under [s], stopping at nested loops.
-   The accesses and nested loops found are pushed onto the pair [found],
-   which holds them in reverse source order; the flop, iop and statement
-   counts are returned, summed in the shape of the statement tree. *)
-let rec direct_stats ~env ~strides found (s : Ast.stmt) =
+   The accesses found are counted into [body]'s streams and the nested
+   loops pushed onto its [loops]; the flop, iop and statement counts are
+   returned, summed in the shape of the statement tree. *)
+let rec direct_stats ~env ~strides body (s : Ast.stmt) =
   match s with
   | Assign (lhs, rhs) ->
-      let rec push_reads acc e =
+      let rec reads (e : Ast.expr) =
         match e with
-        | Ast.Int_lit _ | Float_lit _ | Var _ -> acc
+        | Int_lit _ | Float_lit _ | Var _ -> ()
         | Index (a, subs) ->
-            List.fold_left push_reads
-              (access_of ~env ~strides ~is_write:false a subs :: acc)
-              subs
-        | Binop (_, a, b) -> push_reads (push_reads acc a) b
-        | Neg a | Sqrt a -> push_reads acc a
+            add_access ~env ~strides body a subs;
+            List.iter reads subs
+        | Binop (_, a, b) ->
+            reads a;
+            reads b
+        | Neg a | Sqrt a -> reads a
       in
-      let accesses, loops = found in
-      let accesses, wf, wi =
+      let wf, wi =
         match lhs with
-        | Scalar_lhs _ -> (accesses, 0, 0)
+        | Scalar_lhs _ -> (0, 0)
         | Array_lhs (a, subs) ->
-            let f, i =
-              List.fold_left
-                (fun (f, i) s ->
-                  let f', i' = count_ops s in
-                  (f + f', i + i' + 1))
-                (0, 0) subs
-            in
-            (access_of ~env ~strides ~is_write:true a subs :: accesses, f, i)
+            add_access ~env ~strides body a subs;
+            List.fold_left
+              (fun (f, i) s ->
+                let f', i' = count_ops s in
+                (f + f', i + i' + 1))
+              (0, 0) subs
       in
+      reads rhs;
       let rf, ri = count_ops rhs in
-      ( (push_reads accesses rhs, loops),
-        float_of_int (rf + wf),
-        float_of_int (ri + wi),
-        1.0 )
+      (float_of_int (rf + wf), float_of_int (ri + wi), 1.0)
   | Seq ss ->
       List.fold_left
-        (fun (found, f, i, n) s ->
-          let found, f', i', n' = direct_stats ~env ~strides found s in
-          (found, f +. f', i +. i', n +. n'))
-        (found, 0.0, 0.0, 0.0) ss
+        (fun (f, i, n) s ->
+          let f', i', n' = direct_stats ~env ~strides body s in
+          (f +. f', i +. i', n +. n'))
+        (0.0, 0.0, 0.0) ss
   | For l ->
-      let accesses, loops = found in
-      ((accesses, l :: loops), 0.0, 0.0, 0.0)
+      body.loops <- l :: body.loops;
+      (0.0, 0.0, 0.0)
   | If (c, t, e) ->
       (* Count both branches at half weight: a cheap expected-cost model of
          data-dependent branches. *)
@@ -273,14 +347,13 @@ let rec direct_stats ~env ~strides found (s : Ast.stmt) =
             acc + f + i)
           0 (exprs_of_cond c)
       in
-      let found, ft, it, nt = direct_stats ~env ~strides found t in
-      let found, fe, ie, ne =
+      let ft, it, nt = direct_stats ~env ~strides body t in
+      let fe, ie, ne =
         match e with
-        | None -> (found, 0.0, 0.0, 0.0)
-        | Some e -> direct_stats ~env ~strides found e
+        | None -> (0.0, 0.0, 0.0)
+        | Some e -> direct_stats ~env ~strides body e
       in
-      ( found,
-        ((ft +. fe) /. 2.0) +. float_of_int cond_iops,
+      ( ((ft +. fe) /. 2.0) +. float_of_int cond_iops,
         (it +. ie) /. 2.0,
         ((nt +. ne) /. 2.0) +. 1.0 )
 
@@ -323,12 +396,11 @@ let rec build_loop ~env ~strides (l : Ast.loop) : loop_node =
         | Some row -> Array.append [| (depth, row) |] env.sweeps);
     }
   in
-  let (accesses, loops), flops, iops, stmts =
-    direct_stats ~env:env' ~strides ([], []) l.body
-  in
-  let children = List.rev_map (build_loop ~env:env' ~strides) loops in
-  { index = l.index; trips; step = l.step; accesses = List.rev accesses;
-    flops; iops; stmts; children }
+  let body = { pending = []; loops = [] } in
+  let flops, iops, stmts = direct_stats ~env:env' ~strides body l.body in
+  let children = List.rev_map (build_loop ~env:env' ~strides) body.loops in
+  { index = l.index; trips; step = l.step;
+    streams = List.map close body.pending; flops; iops; stmts; children }
 
 let analyze ?(param_overrides = []) (kernel : Ast.kernel) =
   let params =
@@ -374,10 +446,9 @@ let analyze ?(param_overrides = []) (kernel : Ast.kernel) =
             extents ))
       dims
   in
-  let (_, loops), _, _, straightline =
-    direct_stats ~env ~strides ([], []) kernel.body
-  in
-  let roots = List.rev_map (build_loop ~env ~strides) loops in
+  let body = { pending = []; loops = [] } in
+  let _, _, straightline = direct_stats ~env ~strides body kernel.body in
+  let roots = List.rev_map (build_loop ~env ~strides) body.loops in
   { roots; array_elements; straightline_stmts = straightline }
 
 let rec fold_loops f acc ~entered node =
@@ -401,9 +472,10 @@ let total_flops t =
 let total_memory_accesses t =
   fold t
     (fun acc ~entered node ->
-      acc
-      +. entered *. node.trips
-         *. float_of_int (List.length node.accesses))
+      let accesses =
+        List.fold_left (fun n (st : stream) -> n + st.mult) 0 node.streams
+      in
+      acc +. (entered *. node.trips *. float_of_int accesses))
     0.0
 
 let rec innermost_code_size node =

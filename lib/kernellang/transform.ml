@@ -72,31 +72,81 @@ let trip_count (l : Ast.loop) =
 
 let wrap f = match f () with k -> Ok k | exception Fail e -> Error e
 
-(* Alpha-rename every loop bound in [stmt] to a fresh name, so that
-   replicating a body (unroll copies, remainder loops) preserves the
-   kernel-wide uniqueness of loop indices.  [taken] accumulates names in
-   use across all replicas. *)
-let freshen_loops taken stmt =
-  let fresh base =
-    let rec go n =
-      let c = Printf.sprintf "%s_c%d" base n in
-      if List.mem c !taken then go (n + 1) else c
-    in
-    let name = go 0 in
-    taken := name :: !taken;
-    name
+(* The names in use while loop bodies are copied: every name of the
+   kernel and every name handed out so far, and per base index the lowest
+   [_c] suffix not known to be taken (names are never given back, so the
+   lowest free one only grows). *)
+type names = {
+  taken : (string, unit) Hashtbl.t;
+  next_copy : (string, int) Hashtbl.t;
+}
+
+let names_of k =
+  let taken = Hashtbl.create 64 in
+  List.iter (fun n -> Hashtbl.replace taken n ()) (used_names k);
+  { taken; next_copy = Hashtbl.create 16 }
+
+let take names n = Hashtbl.replace names.taken n ()
+
+(* The lowest free [<base>_c<n>], now taken. *)
+let copy_name names base =
+  let rec go n =
+    let c = base ^ "_c" ^ string_of_int n in
+    if Hashtbl.mem names.taken c then go (n + 1)
+    else begin
+      Hashtbl.replace names.next_copy base (n + 1);
+      take names c;
+      c
+    end
   in
-  let rec go (s : Ast.stmt) : Ast.stmt =
+  go (Option.value (Hashtbl.find_opt names.next_copy base) ~default:0)
+
+(* A copy of [stmt] with [var] replaced by [by] and every loop in it
+   renamed to a fresh [<index>_c<n>], so that replicating a body (unroll
+   copies, remainder loops) preserves the kernel-wide uniqueness of loop
+   indices.  One pass, with the substitutions in scope kept innermost
+   first: a loop's bounds see the enclosing ones, its body its own new
+   name as well.  Names are allocated in pre-order. *)
+let copy names ~var ~by stmt =
+  let rec lookup e x = function
+    | [] -> e
+    | (v, by) :: rest -> if String.equal v x then by else lookup e x rest
+  in
+  let rec expr env (e : Ast.expr) : Ast.expr =
+    match e with
+    | Int_lit _ | Float_lit _ -> e
+    | Var x -> lookup e x env
+    | Index (a, subs) -> Index (a, List.map (expr env) subs)
+    | Binop (op, a, b) -> Binop (op, expr env a, expr env b)
+    | Neg a -> Neg (expr env a)
+    | Sqrt a -> Sqrt (expr env a)
+  in
+  let rec cond env (c : Ast.cond) : Ast.cond =
+    match c with
+    | Cmp (op, a, b) -> Cmp (op, expr env a, expr env b)
+    | And (a, b) -> And (cond env a, cond env b)
+    | Or (a, b) -> Or (cond env a, cond env b)
+    | Not a -> Not (cond env a)
+  in
+  let rec go env (s : Ast.stmt) : Ast.stmt =
     match s with
-    | Assign _ -> s
-    | Seq ss -> Seq (List.map go ss)
-    | If (c, t, e) -> If (c, go t, Option.map go e)
+    | Assign ((Scalar_lhs _ as lhs), e) -> Assign (lhs, expr env e)
+    | Assign (Array_lhs (a, subs), e) ->
+        Assign (Array_lhs (a, List.map (expr env) subs), expr env e)
+    | Seq ss -> Seq (List.map (go env) ss)
+    | If (c, t, e) -> If (cond env c, go env t, Option.map (go env) e)
     | For l ->
-        let name = fresh l.index in
-        let body = Ast.subst ~var:l.index ~by:(Ast.Var name) l.body in
-        For { l with index = name; body = go body }
+        let name = copy_name names l.index in
+        For
+          {
+            l with
+            index = name;
+            lo = expr env l.lo;
+            hi = expr env l.hi;
+            body = go ((l.index, Ast.Var name) :: env) l.body;
+          }
   in
-  go stmt
+  go [ (var, by) ] stmt
 
 let unroll ~index ~factor k =
   wrap (fun () ->
@@ -106,16 +156,16 @@ let unroll ~index ~factor k =
         rewrite_loop k index (fun l -> For l)
       else begin
         let rem_index = fresh_name k index "_r" in
-        let taken = ref (rem_index :: used_names k) in
+        let names = names_of k in
+        take names rem_index;
         rewrite_loop k index (fun l ->
             let copies =
               List.init factor (fun c ->
                   if c = 0 then l.body
                   else
-                    freshen_loops taken
-                      (Ast.subst ~var:l.index
-                         ~by:(add (Ast.Var l.index) (int_lit (c * l.step)))
-                         l.body))
+                    copy names ~var:l.index
+                      ~by:(add (Ast.Var l.index) (int_lit (c * l.step)))
+                      l.body)
             in
             let main_trips = idiv (trip_count l) (int_lit factor) in
             let main_hi =
@@ -145,9 +195,7 @@ let unroll ~index ~factor k =
                   lo = rem_lo;
                   hi = l.hi;
                   step = l.step;
-                  body =
-                    freshen_loops taken
-                      (Ast.subst ~var:l.index ~by:(Ast.Var rem_index) l.body);
+                  body = copy names ~var:l.index ~by:(Ast.Var rem_index) l.body;
                 }
             in
             Ast.seq [ main_loop; remainder ])
@@ -215,32 +263,21 @@ let tile_nest spec k =
      bubble every tile loop above every point loop by repeated
      interchange. *)
   let to_tile = List.filter (fun (_, t) -> t > 1) spec in
+  (* Each strip-mine also returns the tile-loop name it chose. *)
   let strip acc (index, tile) =
-    Result.bind acc (fun k ->
-        strip_mine ~index ~tile ~tile_index:(fresh_name k index "_t") k)
+    Result.bind acc (fun (k, tile_indices) ->
+        let tile_index = fresh_name k index "_t" in
+        Result.map
+          (fun k -> (k, tile_index :: tile_indices))
+          (strip_mine ~index ~tile ~tile_index k))
   in
-  let stripped = List.fold_left strip (Ok k) (List.rev to_tile) in
-  Result.bind stripped (fun k ->
+  let stripped = List.fold_left strip (Ok (k, [])) (List.rev to_tile) in
+  Result.bind stripped (fun (k, tile_indices) ->
       (* After strip-mining, the nest looks like
          i1_t i1 i2_t i2 ... ; point loops of earlier dims must sink below
          tile loops of later dims.  Sort by interchanging adjacent pairs
          (tile loops keep their relative order, as do point loops). *)
       let point_indices = List.map fst to_tile in
-      let tile_indices =
-        List.filter_map
-          (fun (index, tile) ->
-            if tile > 1 then
-              (* The fresh name chosen during stripping: recover it by
-                 looking for "<index>_t" variants present in the kernel. *)
-              List.find_opt
-                (fun n ->
-                  String.length n > String.length index
-                  && String.sub n 0 (String.length index + 2)
-                     = index ^ "_t")
-                (Ast.loop_indices k.body)
-            else None)
-          spec
-      in
       let rec sink k =
         (* Find a point loop immediately containing a tile loop and swap. *)
         let rec find_violation (s : Ast.stmt) =
@@ -275,7 +312,8 @@ let unroll_and_jam ~index ~factor k =
            it must not reverse any dependence. *)
         let jam_ok = Dependence.jam_legal k index in
         let rem_index = fresh_name k index "_j" in
-        let taken = ref (rem_index :: used_names k) in
+        let names = names_of k in
+        take names rem_index;
         rewrite_loop k index (fun l ->
             match immediate_inner l with
             | None -> raise (Fail (Not_perfectly_nested (index, "<body>")))
@@ -290,12 +328,9 @@ let unroll_and_jam ~index ~factor k =
                     (List.init factor (fun c ->
                          if c = 0 then inner.body
                          else
-                           freshen_loops taken
-                             (Ast.subst ~var:l.index
-                                ~by:
-                                  (add (Ast.Var l.index)
-                                     (int_lit (c * l.step)))
-                                inner.body)))
+                           copy names ~var:l.index
+                             ~by:(add (Ast.Var l.index) (int_lit (c * l.step)))
+                             inner.body))
                 in
                 let main_trips = idiv (trip_count l) (int_lit factor) in
                 let main_hi =
@@ -326,9 +361,7 @@ let unroll_and_jam ~index ~factor k =
                       hi = l.hi;
                       step = l.step;
                       body =
-                        freshen_loops taken
-                          (Ast.subst ~var:l.index ~by:(Ast.Var rem_index)
-                             l.body);
+                        copy names ~var:l.index ~by:(Ast.Var rem_index) l.body;
                     }
                 in
                 Ast.seq [ main_loop; remainder ])
@@ -413,7 +446,7 @@ let distribute ~index k =
   wrap (fun () ->
       if not (Dependence.distribution_legal k index) then
         raise (Fail (Unsafe_jam index));
-      let taken = ref (used_names k) in
+      let names = names_of k in
       rewrite_loop k index (fun l ->
           match l.body with
           | Seq (_ :: _ :: _ as stmts) ->
@@ -426,13 +459,13 @@ let distribute ~index k =
                           kernel-wide uniqueness invariant. *)
                        let rec fresh n =
                          let c = Printf.sprintf "%s_d%d" l.index n in
-                         if List.mem c !taken then fresh (n + 1) else c
+                         if Hashtbl.mem names.taken c then fresh (n + 1)
+                         else c
                        in
                        let name = fresh i in
-                       taken := name :: !taken;
+                       take names name;
                        let body =
-                         freshen_loops taken
-                           (Ast.subst ~var:l.index ~by:(Ast.Var name) body)
+                         copy names ~var:l.index ~by:(Ast.Var name) body
                        in
                        Ast.For { l with index = name; body }
                      end)

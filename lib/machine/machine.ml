@@ -56,77 +56,6 @@ type breakdown = {
   seconds : float;
 }
 
-(* A stream groups accesses to the same array with identical affine
-   coefficients: translated copies of one another, as unrolling produces.
-   [distinct] counts distinct constant offsets (separate addresses),
-   [mult] total accesses per iteration (for latency accounting). *)
-type stream = { rep : Analysis.access; distinct : float; mult : float }
-
-(* Polymorphic [compare]'s order on coefficient lists, without its
-   generic traversal. *)
-let rec compare_coeffs a b =
-  match (a, b) with
-  | [], [] -> 0
-  | [], _ :: _ -> -1
-  | _ :: _, [] -> 1
-  | (x, c) :: a, (y, d) :: b ->
-      let k = String.compare x y in
-      if k <> 0 then k
-      else
-        let k = Float.compare c d in
-        if k <> 0 then k else compare_coeffs a b
-
-module Stream_key = Map.Make (struct
-  type t = string * (string * float) list * bool
-
-  (* Streams are summed in this order, so it must stay polymorphic
-     [compare]'s order on the key. *)
-  let compare (a, c, f) (b, d, g) =
-    let k = String.compare a b in
-    if k <> 0 then k
-    else
-      let k = compare_coeffs c d in
-      if k <> 0 then k else Bool.compare f g
-end)
-
-(* The streams of [accesses] in descending key order, whatever order the
-   accesses come in. *)
-let streams_of_accesses (accesses : Analysis.access list) : stream list =
-  let add acc (a : Analysis.access) =
-    Stream_key.update (a.array, a.coeffs, a.affine)
-      (function
-        | Some (offsets, mult) -> Some (a.offset :: offsets, mult +. 1.0)
-        | None -> Some ([ a.offset ], 1.0))
-      acc
-  in
-  let by_key = List.fold_left add Stream_key.empty accesses in
-  Stream_key.fold
-    (fun (array, coeffs, affine) (offsets, mult) acc ->
-      {
-        rep = { array; coeffs; affine; offset = 0.0; is_write = false };
-        distinct =
-          float_of_int (List.length (List.sort_uniq Float.compare offsets));
-        mult;
-      }
-      :: acc)
-    by_key []
-
-(* A loop node with its accesses grouped into streams.  [estimate] groups
-   every node once, for its own memory cost and for the working set of
-   each enclosing loop. *)
-type grouped = {
-  loop : Analysis.loop_node;
-  streams : stream list;
-  inner : grouped list;
-}
-
-let rec group (node : Analysis.loop_node) =
-  {
-    loop = node;
-    streams = streams_of_accesses node.accesses;
-    inner = List.map group node.children;
-  }
-
 let rec coeff_of index = function
   | [] -> None
   | (v, c) :: rest ->
@@ -137,9 +66,8 @@ let rec coeff_of index = function
    product and by the address span of the affine stream; the [distinct]
    translated copies of an unrolled stream fill in the gaps the enlarged
    loop step leaves. *)
-let footprint cfg (chain : Analysis.loop_node list) (st : stream) =
-  let a = st.rep in
-  if not a.affine then
+let footprint cfg (chain : Analysis.loop_node list) (st : Analysis.stream) =
+  if not st.affine then
     (* Unknown pattern: worst case, one line per iteration of the window. *)
     List.fold_left (fun acc (l : Analysis.loop_node) -> acc *. Float.max 1.0 l.trips)
       cfg.l1.line_bytes chain
@@ -149,7 +77,7 @@ let footprint cfg (chain : Analysis.loop_node list) (st : stream) =
     let min_stride = ref infinity in
     List.iter
       (fun (l : Analysis.loop_node) ->
-        match coeff_of l.index a.coeffs with
+        match coeff_of l.index st.coeffs with
         | Some c when c <> 0.0 ->
             let stride = Float.abs c *. float_of_int l.step in
             product := !product *. Float.max 1.0 l.trips;
@@ -157,9 +85,8 @@ let footprint cfg (chain : Analysis.loop_node list) (st : stream) =
             min_stride := Float.min !min_stride stride
         | Some _ | None -> ())
       chain;
-    let elements =
-      Float.min (!product *. st.distinct) (!span +. st.distinct)
-    in
+    let distinct = float_of_int st.distinct in
+    let elements = Float.min (!product *. distinct) (!span +. distinct) in
     (* Cache-line granularity: elements reached with a stride of a full
        line or more each occupy their own line; dense strides pack.  The
        distinct copies of a merged stream divide the effective stride. *)
@@ -168,7 +95,7 @@ let footprint cfg (chain : Analysis.loop_node list) (st : stream) =
       else
         Float.min cfg.l1.line_bytes
           (Float.max cfg.element_bytes
-             (!min_stride /. st.distinct *. cfg.element_bytes))
+             (!min_stride /. distinct *. cfg.element_bytes))
     in
     Float.max cfg.l1.line_bytes (elements *. bytes_per_element)
   end
@@ -177,18 +104,18 @@ let footprint cfg (chain : Analysis.loop_node list) (st : stream) =
    every access in its subtree, each taken over the loops between [node]
    and the access.  Overlap between accesses to the same array is ignored
    (conservative). *)
-let working_set cfg (g : grouped) =
-  let rec go chain g =
+let working_set cfg (node : Analysis.loop_node) =
+  let rec go chain (node : Analysis.loop_node) =
     let own =
       List.fold_left
         (fun acc st -> acc +. footprint cfg chain st)
-        0.0 g.streams
+        0.0 node.streams
     in
     List.fold_left
-      (fun acc child -> acc +. go (chain @ [ child.loop ]) child)
-      own g.inner
+      (fun acc child -> acc +. go (chain @ [ child ]) child)
+      own node.children
   in
-  go [ g.loop ] g
+  go [ node ] node
 
 (* Memory cost of one access executed [executions] times total, where
    [path] is the chain of enclosing loops outermost-first (last element is
@@ -199,8 +126,7 @@ let working_set cfg (g : grouped) =
    during one execution of that loop stays resident, so the number of
    fetches that miss C is (executions of that loop) x (distinct lines the
    access touches during one such execution). *)
-let access_cost cfg ~path ~ws_of_suffix (st : stream) =
-  let a = st.rep in
+let access_cost cfg ~path ~ws_of_suffix (st : Analysis.stream) =
   let n = List.length path in
   (* entries.(j) = number of times loop path[j] is entered; trips
      products of enclosing loops. *)
@@ -210,7 +136,7 @@ let access_cost cfg ~path ~ws_of_suffix (st : stream) =
     entries.(j) <- entries.(j - 1) *. trips.(j - 1)
   done;
   let total_executions = entries.(n - 1) *. trips.(n - 1) in
-  let total_accesses = total_executions *. st.mult in
+  let total_accesses = total_executions *. float_of_int st.mult in
   let lines_touched j =
     (* Distinct lines touched during one full execution of path[j..]. *)
     let window = List.filteri (fun i _ -> i >= j) path in
@@ -230,7 +156,7 @@ let access_cost cfg ~path ~ws_of_suffix (st : stream) =
            access. *)
         total_accesses
   in
-  if not a.affine then
+  if not st.affine then
     (* Gather: every execution reaches L2, half reach memory. *)
     total_accesses
     *. (cfg.l2.latency_cycles +. (0.5 *. cfg.memory_latency))
@@ -266,30 +192,26 @@ let add_breakdown a b =
 
 (* Live float values in an innermost iteration: loop-invariant array
    elements are register-promoted, each statement needs a destination, and
-   a few scratch temporaries. *)
+   a few scratch temporaries.  Identical invariant references (e.g. the
+   read and write of an accumulator) share one register: an affine stream
+   with no coefficient on the loop's index needs one per distinct
+   offset. *)
 let register_pressure (node : Analysis.loop_node) =
   let invariant =
-    List.filter
-      (fun (a : Analysis.access) ->
-        a.affine && Option.is_none (coeff_of node.index a.coeffs))
-      node.accesses
+    List.fold_left
+      (fun n (st : Analysis.stream) ->
+        if st.affine && Option.is_none (coeff_of node.index st.coeffs) then
+          n + st.distinct
+        else n)
+      0 node.streams
   in
-  (* Identical invariant references (e.g. the read and write of an
-     accumulator) share one register. *)
-  let distinct =
-    List.sort_uniq compare
-      (List.map
-         (fun (a : Analysis.access) -> (a.array, a.coeffs, a.offset))
-         invariant)
-  in
-  List.length distinct + int_of_float node.stmts + 4
+  invariant + int_of_float node.stmts + 4
 
-let rec cost_of_node cfg ~path ~path_ws (g : grouped) =
+let rec cost_of_node cfg ~path ~path_ws (node : Analysis.loop_node) =
   (* [path_ws] carries the working set of each ancestor (computed once at
      that level) so suffix lookups do not recompute subtree footprints. *)
-  let node = g.loop in
   let path = path @ [ node ] in
-  let path_ws = path_ws @ [ working_set cfg g ] in
+  let path_ws = path_ws @ [ working_set cfg node ] in
   let n = List.length path in
   let entries =
     List.fold_left
@@ -303,7 +225,7 @@ let rec cost_of_node cfg ~path ~path_ws (g : grouped) =
   let mem =
     List.fold_left
       (fun acc st -> acc +. access_cost cfg ~path ~ws_of_suffix st)
-      0.0 g.streams
+      0.0 node.streams
   in
   let insts = (2.0 *. node.stmts) +. node.flops +. node.iops in
   let compute_per_iter =
@@ -346,14 +268,14 @@ let rec cost_of_node cfg ~path ~path_ws (g : grouped) =
   in
   List.fold_left
     (fun acc child -> add_breakdown acc (cost_of_node cfg ~path ~path_ws child))
-    own g.inner
+    own node.children
 
 let estimate cfg (a : Analysis.t) =
   let b =
     List.fold_left
       (fun acc root ->
         add_breakdown acc
-          (cost_of_node cfg ~path:[] ~path_ws:[] (group root)))
+          (cost_of_node cfg ~path:[] ~path_ws:[] root))
       zero a.roots
   in
   let straightline = a.straightline_stmts *. 2.0 /. cfg.issue_width in

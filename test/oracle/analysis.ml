@@ -13,70 +13,21 @@
 
 module Analysis = Altune_kernellang.Analysis
 
-(* The streams of a loop's accesses, grouped by the machine model's rule:
-   descending (array, coefficients, affine) order under [String.compare],
-   [Float.compare] on coefficients and [Bool.compare]; the distinct
-   offsets under [Float.compare]; and the access count. *)
-module Key = Map.Make (struct
-  type t = string * (string * float) list * bool
-
-  let rec compare_coeffs a b =
-    match (a, b) with
-    | [], [] -> 0
-    | [], _ :: _ -> -1
-    | _ :: _, [] -> 1
-    | (x, c) :: a, (y, d) :: b ->
-        let k = String.compare x y in
-        if k <> 0 then k
-        else
-          let k = Float.compare c d in
-          if k <> 0 then k else compare_coeffs a b
-
-  let compare (a, c, f) (b, d, g) =
-    let k = String.compare a b in
-    if k <> 0 then k
-    else
-      let k = compare_coeffs c d in
-      if k <> 0 then k else Bool.compare f g
-end)
-
-let streams (accesses : Analysis.access list) =
-  let by_key =
-    List.fold_left
-      (fun m (a : Analysis.access) ->
-        Key.update (a.array, a.coeffs, a.affine)
-          (function
-            | Some (offsets, mult) -> Some (a.offset :: offsets, mult + 1)
-            | None -> Some ([ a.offset ], 1))
-          m)
-      Key.empty accesses
-  in
-  Key.fold
-    (fun (array, coeffs, affine) (offsets, mult) acc ->
-      ( array,
-        coeffs,
-        affine,
-        List.length (List.sort_uniq Float.compare offsets),
-        mult )
-      :: acc)
-    by_key []
-
 let render (a : Analysis.t) =
   let b = Buffer.create 4096 in
   let add fmt = Printf.bprintf b fmt in
-  let stream (array, coeffs, affine, distinct, mult) =
-    add "  stream %s affine=%b distinct=%d mult=%d coeffs=" array affine
-      distinct mult;
-    List.iter (fun (v, c) -> add "%s:%h;" v c) coeffs;
+  let stream (st : Analysis.stream) =
+    add "  stream %s affine=%b distinct=%d mult=%d coeffs=" st.array st.affine
+      st.distinct st.mult;
+    List.iter (fun (v, c) -> add "%s:%h;" v c) st.coeffs;
     add "\n"
   in
   let rec loop depth (n : Analysis.loop_node) =
-    let streams = streams n.accesses in
     add "loop %d %s trips=%h step=%d flops=%h iops=%h stmts=%h streams=%d \
          children=%d\n"
       depth n.index n.trips n.step n.flops n.iops n.stmts
-      (List.length streams) (List.length n.children);
-    List.iter stream streams;
+      (List.length n.streams) (List.length n.children);
+    List.iter stream n.streams;
     List.iter (loop (depth + 1)) n.children
   in
   add "roots=%d\n" (List.length a.roots);

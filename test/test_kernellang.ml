@@ -342,6 +342,73 @@ let test_tile_nest_partial () =
   let t = ok (Transform.tile_nest [ ("j", 3) ] k) in
   check_same_semantics ~msg:"tile single loop" k t
 
+(* The loop nest under [index], outermost first, through single-loop
+   bodies. *)
+let nest_under (k : Ast.kernel) index =
+  let rec chain (s : Ast.stmt) =
+    match s with
+    | For l -> l.index :: chain l.body
+    | Seq [ s ] -> chain s
+    | Assign _ | Seq _ | If _ -> []
+  in
+  match Ast.find_loop k.body index with
+  | Some l -> chain (For l)
+  | None -> Alcotest.failf "loop %s not found" index
+
+(* An unrelated loop whose name starts with "i_t" must not be taken for
+   the tile loop of [i]: every tile loop still ends up above every point
+   loop. *)
+let test_tile_nest_prefix_name () =
+  let k =
+    Parser.parse_kernel
+      {|
+kernel tail(N = 8) {
+  array A[N][N];
+  array B[N];
+  for i_tail = 0 to N - 1 {
+    B[i_tail] = 0.0;
+  }
+  for j = 0 to N - 1 {
+    for i = 0 to N - 1 {
+      A[j][i] = A[j][i] + B[i];
+    }
+  }
+}
+|}
+  in
+  let t = ok (Transform.tile_nest [ ("j", 2); ("i", 2) ] k) in
+  Alcotest.(check (list string))
+    "tile loops above point loops" [ "j_t"; "i_t"; "j"; "i" ]
+    (nest_under t "j_t");
+  check_same_semantics ~msg:"tile next to i_tail" k t
+
+(* Copies of a nested loop take the lowest free [_c] suffixes, in copy
+   order and then the remainder's, skipping one the kernel already uses. *)
+let test_unroll_copy_names () =
+  let k =
+    Parser.parse_kernel
+      {|
+kernel taken(N = 8) {
+  array A[N][N];
+  array B[N];
+  for j_c0 = 0 to N - 1 {
+    B[j_c0] = 1.0;
+  }
+  for i = 0 to N - 1 {
+    for j = 0 to N - 1 {
+      A[i][j] = B[j] + A[i][j];
+    }
+  }
+}
+|}
+  in
+  let t = ok (Transform.unroll ~index:"i" ~factor:3 k) in
+  Alcotest.(check (list string))
+    "loop names"
+    [ "j_c0"; "i"; "j"; "j_c1"; "j_c2"; "i_r"; "j_c3" ]
+    (Ast.loop_indices t.body);
+  check_same_semantics ~msg:"unroll around a taken j_c0" k t
+
 let test_unroll_and_jam () =
   let k = mm () in
   List.iter
@@ -576,18 +643,22 @@ let test_analysis_mm () =
       match root.children with
       | [ j ] -> (
           match j.children with
-          | [ kk ] ->
-              Alcotest.(check int) "4 accesses" 4 (List.length kk.accesses);
-              let b =
-                List.find (fun (x : Analysis.access) -> x.array = "B")
-                  kk.accesses
-              in
-              Alcotest.(check (float 1e-9))
-                "B stride over k is N" 8.0
-                (List.assoc "k" b.coeffs);
-              Alcotest.(check (float 1e-9))
-                "B stride over j is 1" 1.0
-                (List.assoc "j" b.coeffs)
+          | [ kk ] -> (
+              (* The read and the write of C[i][j] share a stream. *)
+              Alcotest.(check (list (triple string int int)))
+                "streams (array, distinct, mult), descending"
+                [ ("C", 1, 2); ("B", 1, 1); ("A", 1, 1) ]
+                (List.map
+                   (fun (st : Analysis.stream) ->
+                     (st.array, st.distinct, st.mult))
+                   kk.streams);
+              match kk.streams with
+              | [ _; b; _ ] ->
+                  Alcotest.(check (list (pair string (float 0.0))))
+                    "B strides, innermost index first: N over k, 1 over j"
+                    [ ("k", 8.0); ("j", 1.0) ]
+                    b.coeffs
+              | _ -> Alcotest.fail "expected three streams")
           | _ -> Alcotest.fail "expected single k loop")
       | _ -> Alcotest.fail "expected single j loop")
   | _ -> Alcotest.fail "expected single root"
@@ -676,23 +747,25 @@ kernel order(N = 8) {
   | For l -> { k with body = For { l with body } }
   | _ -> Alcotest.fail "expected one loop"
 
-let test_analysis_source_order () =
+let test_analysis_stream_view () =
+  let key (st : Analysis.stream) =
+    Printf.sprintf "%s[%s]%s d%d m%d" st.array
+      (String.concat ","
+         (List.map (fun (v, c) -> Printf.sprintf "%s:%g" v c) st.coeffs))
+      (if st.affine then "" else "?")
+      st.distinct st.mult
+  in
   match (Analysis.analyze (source_order_kernel ())).roots with
   | [ root ] ->
-      let seen =
-        List.map
-          (fun (a : Analysis.access) -> (a.array, a.is_write, a.offset))
-          root.accesses
-      in
-      Alcotest.(check (list (triple string bool (float 0.0))))
-        "write first, then reads left to right, statement by statement"
+      (* Twelve accesses; A[N][N] and B[N][N] have row stride 8.  Copies
+         that differ only in their constant offset share a stream. *)
+      Alcotest.(check (list string))
+        "streams in descending (array, coeffs, affine) order"
         [
-          ("A", true, 0.0); ("B", false, 1.0); ("C", false, 0.0);
-          ("D", true, 0.0); ("A", false, 2.0); ("C", false, 1.0);
-          ("C", true, 0.0); ("D", false, 0.0); ("B", true, 0.0);
-          ("D", true, 0.0); ("B", false, 0.0); ("C", false, 0.0);
+          "D[i:1] d1 m3"; "C[i:1] d2 m3"; "C[] d1 m1"; "B[i:9] d1 m1";
+          "B[i:8] d1 m1"; "B[i:1] d1 m1"; "A[i:8] d2 m2";
         ]
-        seen;
+        (List.map key root.streams);
       Alcotest.(check (list string))
         "children in source order" [ "j"; "k" ]
         (List.map (fun (c : Analysis.loop_node) -> c.index) root.children);
@@ -703,6 +776,91 @@ let test_analysis_source_order () =
       Alcotest.(check (float 0.0)) "iops" (2.0 +. 2.0 +. 2.0) root.iops;
       Alcotest.(check (float 0.0)) "stmts" (1.0 +. 1.0 +. 2.5) root.stmts
   | _ -> Alcotest.fail "expected one root"
+
+(* The streams of the innermost loop of [src]'s first nest. *)
+let innermost_streams (k : Ast.kernel) =
+  let rec down (n : Analysis.loop_node) =
+    match n.children with [] -> n | c :: _ -> down c
+  in
+  match (Analysis.analyze k).roots with
+  | root :: _ -> (down root).streams
+  | [] -> Alcotest.fail "expected a loop"
+
+let stream_counts streams =
+  List.map
+    (fun (st : Analysis.stream) -> (st.array, st.affine, st.distinct, st.mult))
+    streams
+
+let counts = Alcotest.(list (pair string (triple bool int int)))
+
+let flat_counts streams =
+  List.map (fun (a, f, d, m) -> (a, (f, d, m))) (stream_counts streams)
+
+let test_analysis_unrolled_copies () =
+  let k =
+    Parser.parse_kernel
+      {|
+kernel u(N = 16) {
+  array A[N][N];
+  for i = 0 to N - 1 {
+    for j = 0 to N - 1 {
+      A[i][j] = 1.0;
+    }
+  }
+}
+|}
+  in
+  let t = ok (Transform.unroll ~index:"j" ~factor:4 k) in
+  match (Analysis.analyze t).roots with
+  | [ { children = [ main; _remainder ]; _ } ] -> (
+      Alcotest.check counts "four copies, one stream" [ ("A", (true, 4, 4)) ]
+        (flat_counts main.streams);
+      match main.streams with
+      | [ a ] ->
+          Alcotest.(check (list (pair string (float 0.0))))
+            "coefficients" [ ("j", 1.0); ("i", 16.0) ] a.coeffs
+      | _ -> Alcotest.fail "expected one stream")
+  | _ -> Alcotest.fail "expected the unrolled loop and its remainder"
+
+let test_analysis_repeated_offset () =
+  let k =
+    Parser.parse_kernel
+      {|
+kernel r(N = 8) {
+  array A[N];
+  array B[N];
+  for i = 0 to N - 1 {
+    A[i] = A[i] + B[i];
+  }
+}
+|}
+  in
+  Alcotest.check counts "A once in distinct, twice in mult"
+    [ ("B", (true, 1, 1)); ("A", (true, 1, 2)) ]
+    (flat_counts (innermost_streams k))
+
+let test_analysis_indirect_stream () =
+  let k =
+    Parser.parse_kernel
+      {|
+kernel g(N = 8) {
+  array A[N];
+  array B[N];
+  array C[N];
+  for i = 0 to N - 1 {
+    C[i] = A[B[i]] + A[i] + A[B[i + 1]];
+  }
+}
+|}
+  in
+  (* Both gathers share one non-affine stream (offset 0, no
+     coefficients), apart from the affine A[i]. *)
+  Alcotest.check counts "gathers are their own stream"
+    [
+      ("C", (true, 1, 1)); ("B", (true, 2, 2)); ("A", (true, 1, 1));
+      ("A", (false, 1, 2));
+    ]
+    (flat_counts (innermost_streams k))
 
 (* A loop bound whose divisor averages to a value in (-1, 1) truncates to
    zero: the bound is not affine, so the loop gets no trips. *)
@@ -745,7 +903,7 @@ kernel nonfinite(N = 8) {
 |}
   in
   match (Analysis.analyze k).roots with
-  | [ { children = [ { children = [ { accesses = [ a ]; _ } ]; _ } ]; _ } ] ->
+  | [ { children = [ { children = [ { streams = [ a ]; _ } ]; _ } ]; _ } ] ->
       Alcotest.(check bool) "affine" true a.affine;
       Alcotest.(check (list string)) "indices" [ "k"; "j"; "i" ]
         (List.map fst a.coeffs);
@@ -755,8 +913,8 @@ kernel nonfinite(N = 8) {
              if Float.is_nan c then "nan" else if c = infinity then "inf"
              else Printf.sprintf "%h" c)
            a.coeffs);
-      Alcotest.(check bool) "offset is NaN" true (Float.is_nan a.offset)
-  | _ -> Alcotest.fail "expected a three-deep nest with one access"
+      Alcotest.(check (pair int int)) "one access" (1, 1) (a.distinct, a.mult)
+  | _ -> Alcotest.fail "expected a three-deep nest with one stream"
 
 (* --- Simplify tests --- *)
 
@@ -933,6 +1091,9 @@ let () =
             test_interchange_triangular_rejected;
           Alcotest.test_case "tile nest" `Quick test_tile_nest;
           Alcotest.test_case "tile nest partial" `Quick test_tile_nest_partial;
+          Alcotest.test_case "tile nest beside a prefixed name" `Quick
+            test_tile_nest_prefix_name;
+          Alcotest.test_case "unroll copy names" `Quick test_unroll_copy_names;
           Alcotest.test_case "unroll-and-jam" `Quick test_unroll_and_jam;
           Alcotest.test_case "unroll-and-jam outer" `Quick
             test_unroll_and_jam_outer;
@@ -970,7 +1131,13 @@ let () =
             test_analysis_unroll_reduces_iterations;
           Alcotest.test_case "code size grows" `Quick
             test_analysis_code_size_grows;
-          Alcotest.test_case "source order" `Quick test_analysis_source_order;
+          Alcotest.test_case "stream view" `Quick test_analysis_stream_view;
+          Alcotest.test_case "unrolled copies" `Quick
+            test_analysis_unrolled_copies;
+          Alcotest.test_case "repeated offset" `Quick
+            test_analysis_repeated_offset;
+          Alcotest.test_case "indirect stream" `Quick
+            test_analysis_indirect_stream;
           Alcotest.test_case "fractional divisor" `Quick
             test_analysis_fractional_divisor;
           Alcotest.test_case "non-finite factor" `Quick

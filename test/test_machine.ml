@@ -108,6 +108,37 @@ let test_extreme_unroll_spills () =
     "spills at extreme factors" true
     (extreme.spill_penalty_cycles > 0.0)
 
+(* Register pressure counts an invariant array element once however often
+   the body reads and writes it: six accumulators C[i][0..5] (C[i][0]
+   twice over), seven statements and four scratch values make 17 live
+   values, one over the 16 registers, on each of the N * N innermost
+   iterations.  A[i][k] moves with k, so it takes no register. *)
+let test_spill_repeated_accumulator () =
+  let k =
+    Parser.parse_kernel
+      {|
+kernel acc(N = 8) {
+  array A[N][N];
+  array C[N][N];
+  for i = 0 to N - 1 {
+    for k = 0 to N - 1 {
+      C[i][0] = C[i][0] + A[i][k];
+      C[i][1] = C[i][1] + A[i][k];
+      C[i][2] = C[i][2] + A[i][k];
+      C[i][3] = C[i][3] + A[i][k];
+      C[i][4] = C[i][4] + A[i][k];
+      C[i][5] = C[i][5] + A[i][k];
+      C[i][0] = C[i][0] * 2.0;
+    }
+  }
+}
+|}
+  in
+  let b = Machine.estimate cfg (Analysis.analyze k) in
+  Alcotest.(check (float 0.0))
+    "one spilled value per iteration" (64.0 *. cfg.spill_cycles)
+    b.spill_penalty_cycles
+
 let test_tiling_helps_large_mm () =
   let k = mm 256 in
   let tiled = ok (Transform.tile_nest [ ("i", 16); ("j", 16); ("k", 16) ] k) in
@@ -329,6 +360,8 @@ let () =
             test_unroll_reduces_overhead;
           Alcotest.test_case "extreme unroll spills" `Quick
             test_extreme_unroll_spills;
+          Alcotest.test_case "repeated accumulator spills once" `Quick
+            test_spill_repeated_accumulator;
           Alcotest.test_case "tiling helps large mm" `Quick
             test_tiling_helps_large_mm;
           Alcotest.test_case "tiling shrinks memory cycles" `Quick
