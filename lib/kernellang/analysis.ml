@@ -31,7 +31,8 @@ type t = {
    coefficients of that bound over the enclosing slots, so that an access
    subscripted by [i] is correctly seen to sweep with [i_t] as well.  An
    index is resolved to its innermost binding; nested loops bind distinct
-   indices ([Ast.validate]). *)
+   indices ([Ast.validate]).  The last three arrays, one entry per slot,
+   are the scratch space every access of the body reuses. *)
 type env = {
   params : (string * float) list;
   live : string array;
@@ -39,6 +40,9 @@ type env = {
   sweeps : (int * float array) array;
       (* the slots whose lower bound sweeps, innermost first, each with
          that bound's coefficient on every enclosing slot *)
+  mentioned : bool array;  (* the slots an access's subscripts mention *)
+  raw : float array;  (* its per-slot coefficients before [expand] *)
+  totals : float array;  (* and after *)
 }
 
 exception Non_affine
@@ -54,23 +58,32 @@ let param env x =
   match assoc_opt x env.params with Some v -> v | None -> raise Non_affine
 
 (* Slot of the live index [x], or -1 if [x] is not a live index. *)
-let slot env x =
-  let rec go s =
-    if s < 0 then -1 else if String.equal env.live.(s) x then s else go (s - 1)
-  in
-  go (Array.length env.live - 1)
+let rec slot_below live x s =
+  if s < 0 then -1 else if String.equal live.(s) x then s else slot_below live x (s - 1)
 
-(* Numeric evaluation of an expression, variables valued by [var].  Used
-   for loop bounds and constant terms; Min/Max/Idiv are common there (tile
-   edges, unroll remainder bounds). *)
-let rec eval var (e : Ast.expr) : float =
+let slot env x = slot_below env.live x (Array.length env.live - 1)
+
+(* Numeric evaluation of an expression, parameters at their values and
+   every live index at its average value or, with [~zeroed:true], at zero,
+   marking the index in [env.mentioned].  Used for loop bounds and constant
+   terms; Min/Max/Idiv are common there (tile edges, unroll remainder
+   bounds). *)
+let rec eval env ~zeroed (e : Ast.expr) : float =
   match e with
   | Int_lit n -> float_of_int n
   | Float_lit x -> x
-  | Var x -> var x
+  | Var x -> (
+      match slot env x with
+      | -1 -> param env x
+      | s ->
+          if zeroed then begin
+            env.mentioned.(s) <- true;
+            0.0
+          end
+          else env.mids.(s))
   | Index _ -> raise Non_affine
   | Binop (op, a, b) -> (
-      let x = eval var a and y = eval var b in
+      let x = eval env ~zeroed a and y = eval env ~zeroed b in
       match op with
       | Add -> x +. y
       | Sub -> x -. y
@@ -84,12 +97,10 @@ let rec eval var (e : Ast.expr) : float =
       | Mod -> if y = 0.0 then raise Non_affine else Float.rem x y
       | Min -> Float.min x y
       | Max -> Float.max x y)
-  | Neg a -> -.eval var a
-  | Sqrt a -> sqrt (eval var a)
+  | Neg a -> -.eval env ~zeroed a
+  | Sqrt a -> sqrt (eval env ~zeroed a)
 
-(* Evaluation with every live index at its average value. *)
-let eval_avg env e =
-  eval (fun x -> match slot env x with -1 -> param env x | s -> env.mids.(s)) e
+let eval_avg env e = eval env ~zeroed:false e
 
 (* Whether [e] mentions a live index. *)
 let rec depends env (e : Ast.expr) =
@@ -125,10 +136,9 @@ let rec coeff env var (e : Ast.expr) : float =
    coefficient on a strip-mined point index also sweeps with the indices
    its lower bound ranges over.  Slot [v]'s total is [raw.(v)] plus the
    sum, over the sweeping slots [u] innermost first, of [raw.(u)] times
-   [u]'s bound coefficient on [v]; [skip_zero] leaves out the slots whose
-   coefficient is zero. *)
-let expand env ~skip_zero raw =
-  let totals = Array.make (Array.length raw) 0.0 in
+   [u]'s bound coefficient on [v], written to [totals]; [skip_zero] leaves
+   out the slots whose coefficient is zero. *)
+let expand env ~skip_zero raw totals =
   for v = 0 to Array.length raw - 1 do
     let extra = ref 0.0 in
     for k = 0 to Array.length env.sweeps - 1 do
@@ -138,37 +148,35 @@ let expand env ~skip_zero raw =
           !extra +. (raw.(u) *. if v < Array.length row then row.(v) else 0.0)
     done;
     totals.(v) <- raw.(v) +. !extra
-  done;
-  totals
+  done
 
 let count_ops (e : Ast.expr) =
   (* flops: operators outside subscripts; iops: operators inside them. *)
-  let rec go in_subscript e =
+  let flops = ref 0 and iops = ref 0 in
+  let op in_subscript = if in_subscript then incr iops else incr flops in
+  let rec go in_subscript (e : Ast.expr) =
     match e with
-    | Ast.Int_lit _ | Float_lit _ | Var _ -> (0, 0)
-    | Index (_, subs) ->
-        List.fold_left
-          (fun (f, i) s ->
-            let f', i' = go true s in
-            (f + f', i + i'))
-          (0, 0) subs
+    | Int_lit _ | Float_lit _ | Var _ -> ()
+    | Index (_, subs) -> List.iter (go true) subs
     | Binop (_, a, b) ->
-        let fa, ia = go in_subscript a in
-        let fb, ib = go in_subscript b in
-        if in_subscript then (fa + fb, ia + ib + 1) else (fa + fb + 1, ia + ib)
+        go in_subscript a;
+        go in_subscript b;
+        op in_subscript
     | Neg a | Sqrt a ->
-        let f, i = go in_subscript a in
-        if in_subscript then (f, i + 1) else (f + 1, i)
+        go in_subscript a;
+        op in_subscript
   in
-  go false e
+  go false e;
+  (!flops, !iops)
 
 (* A stream of the loop body under analysis, still taking accesses: its
-   key, the constant offsets seen so far and the number of accesses. *)
+   key, and the constant offsets of the [count] accesses seen so far in
+   [offsets.(0 .. count - 1)]. *)
 type pending = {
   key_array : string;
   key_coeffs : (string * float) list;
   key_affine : bool;
-  mutable offsets : float list;
+  mutable offsets : float array;
   mutable count : int;
 }
 
@@ -177,37 +185,54 @@ type pending = {
    order, and the nested loops, in reverse source order. *)
 type body = { mutable pending : pending list; mutable loops : Ast.loop list }
 
-let rec compare_coeffs a b =
-  match (a, b) with
-  | [], [] -> 0
-  | [], _ :: _ -> -1
-  | _ :: _, [] -> 1
-  | (x, c) :: a, (y, d) :: b ->
-      let k = String.compare x y in
-      if k <> 0 then k
-      else
-        let k = Float.compare c d in
-        if k <> 0 then k else compare_coeffs a b
+(* An access's coefficients are [env.totals] over slots [top] down to 0,
+   zeros left out: the list [coeffs_of] builds.  Streams are ordered by
+   polymorphic [compare] on [(array, coeffs, affine)], which
+   [compare_key] computes without building the list: [String.compare] on
+   names, then [Float.compare] on coefficients. *)
+let coeffs_of env ~top =
+  let coeffs = ref [] in
+  for s = 0 to top do
+    let c = env.totals.(s) in
+    if c <> 0.0 then coeffs := (env.live.(s), c) :: !coeffs
+  done;
+  !coeffs
 
-(* The order of stream keys: polymorphic [compare]'s order on
-   [(array, coeffs, affine)], without its generic traversal. *)
-let compare_key array coeffs affine p =
+let rec compare_coeffs env s coeffs =
+  if s < 0 then match coeffs with [] -> 0 | _ :: _ -> -1
+  else
+    let c = env.totals.(s) in
+    if c = 0.0 then compare_coeffs env (s - 1) coeffs
+    else
+      match coeffs with
+      | [] -> 1
+      | (y, d) :: rest ->
+          let k = String.compare env.live.(s) y in
+          if k <> 0 then k
+          else
+            let k = Float.compare c d in
+            if k <> 0 then k else compare_coeffs env (s - 1) rest
+
+let compare_key env array ~top ~affine p =
   let k = String.compare array p.key_array in
   if k <> 0 then k
   else
-    let k = compare_coeffs coeffs p.key_coeffs in
+    let k = compare_coeffs env top p.key_coeffs in
     if k <> 0 then k else Bool.compare affine p.key_affine
 
 (* Count one access into the stream of its key, opening the stream in its
    place if the key is new.  A body has few streams (the translated copies
    of an access share one), so a scan of the sorted list finds it. *)
-let push body ~array ~coeffs ~affine ~offset =
+let push env body array ~top ~affine offset =
   let rec join = function
     | [] -> false
     | p :: rest ->
-        let k = compare_key array coeffs affine p in
+        let k = compare_key env array ~top ~affine p in
         if k = 0 then begin
-          p.offsets <- offset :: p.offsets;
+          if p.count = Array.length p.offsets then
+            p.offsets <-
+              Array.append p.offsets (Array.make p.count 0.0);
+          p.offsets.(p.count) <- offset;
           p.count <- p.count + 1;
           true
         end
@@ -217,78 +242,112 @@ let push body ~array ~coeffs ~affine ~offset =
     let p =
       {
         key_array = array;
-        key_coeffs = coeffs;
+        key_coeffs = coeffs_of env ~top;
         key_affine = affine;
-        offsets = [ offset ];
+        offsets = Array.make 4 offset;
         count = 1;
       }
     in
     let rec insert = function
-      | q :: rest when compare_key array coeffs affine q < 0 -> q :: insert rest
+      | q :: rest when compare_key env array ~top ~affine q < 0 ->
+          q :: insert rest
       | l -> p :: l
     in
     body.pending <- insert body.pending
   end
+
+(* The number of distinct offsets under [Float.compare]: heap-sort them
+   in place (a float-array sort that boxes no element), then count the
+   runs. *)
+let distinct_offsets p =
+  let a = p.offsets and n = p.count in
+  let swap i j =
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  in
+  let rec sift i n =
+    let l = (2 * i) + 1 in
+    if l < n then begin
+      let c =
+        if l + 1 < n && Float.compare a.(l + 1) a.(l) > 0 then l + 1 else l
+      in
+      if Float.compare a.(c) a.(i) > 0 then begin
+        swap i c;
+        sift c n
+      end
+    end
+  in
+  for i = (n / 2) - 1 downto 0 do
+    sift i n
+  done;
+  for e = n - 1 downto 1 do
+    swap 0 e;
+    sift 0 e
+  done;
+  let runs = ref 1 in
+  for i = 1 to n - 1 do
+    if Float.compare a.(i) a.(i - 1) <> 0 then incr runs
+  done;
+  !runs
 
 let close p =
   {
     array = p.key_array;
     coeffs = p.key_coeffs;
     affine = p.key_affine;
-    distinct = List.length (List.sort_uniq Float.compare p.offsets);
+    distinct = distinct_offsets p;
     mult = p.count;
   }
 
-(* Row-major flat-offset coefficient: sum over dimensions of the subscript
-   coefficient times the product of the extents of later dimensions.  One
-   walk of the subscripts yields the constant term and marks the live
-   indices they mention; only those get a coefficient walk.  Any other
-   index's coefficient is exactly +0.0, unless a non-finite scalar factor
-   or extent makes it NaN — and then the constant term is not finite
-   either, so every index is walked.  The access is counted into [body]:
-   a non-affine one with no coefficients and offset 0. *)
+let row_stride row_strides k =
+  if k < Array.length row_strides then row_strides.(k) else 1.0
+
+(* Row-major flat offset of [subs] with every live index at zero: the sum
+   over dimensions of the subscript times the product of the extents of
+   later dimensions. *)
+let rec flat_offset env row_strides k acc = function
+  | [] -> acc
+  | sub :: rest ->
+      flat_offset env row_strides (k + 1)
+        (acc +. (eval env ~zeroed:true sub *. row_stride row_strides k))
+        rest
+
+(* The same sum over the coefficients of [var]. *)
+let rec flat_coeff env var row_strides k acc = function
+  | [] -> acc
+  | sub :: rest ->
+      flat_coeff env var row_strides (k + 1)
+        (acc +. (coeff env var sub *. row_stride row_strides k))
+        rest
+
+(* Count an access into [body].  One walk of the subscripts yields the
+   constant term and marks the live indices they mention; only those get
+   a coefficient walk.  Any other index's coefficient is exactly +0.0,
+   unless a non-finite scalar factor or extent makes it NaN — and then the
+   constant term is not finite either, so every index is walked.  A
+   non-affine access has no coefficients and offset 0. *)
 let add_access ~env ~strides body array subs =
   let row_strides =
     match assoc_opt array strides with Some s -> s | None -> [||]
   in
-  let flat f =
-    let rec go acc k = function
-      | [] -> acc
-      | sub :: rest ->
-          let stride =
-            if k < Array.length row_strides then row_strides.(k) else 1.0
-          in
-          go (acc +. (f sub *. stride)) (k + 1) rest
-    in
-    go 0.0 0 subs
-  in
   let n = Array.length env.live in
-  let mentioned = Array.make n false in
-  let zeroed x =
-    match slot env x with
-    | -1 -> param env x
-    | s ->
-        mentioned.(s) <- true;
-        0.0
-  in
+  Array.fill env.mentioned 0 n false;
   match
-    let offset = flat (eval zeroed) in
+    let offset = flat_offset env row_strides 0 0.0 subs in
     let every = not (Float.is_finite offset) in
-    let raw = Array.make n 0.0 in
     for s = 0 to n - 1 do
-      if every || mentioned.(s) then raw.(s) <- flat (coeff env env.live.(s))
+      env.raw.(s) <-
+        (if every || env.mentioned.(s) then
+           flat_coeff env env.live.(s) row_strides 0 0.0 subs
+         else 0.0)
     done;
-    (expand env ~skip_zero:false raw, offset)
+    offset
   with
-  | totals, offset ->
-      let coeffs = ref [] in
-      for s = 0 to n - 1 do
-        let c = totals.(s) in
-        if c <> 0.0 then coeffs := (env.live.(s), c) :: !coeffs
-      done;
-      push body ~array ~coeffs:!coeffs ~affine:true ~offset
-  | exception Non_affine ->
-      push body ~array ~coeffs:[] ~affine:false ~offset:0.0
+  | offset ->
+      expand env ~skip_zero:false env.raw env.totals;
+      push env body array ~top:(n - 1) ~affine:true offset
+  | exception Non_affine -> push env body array ~top:(-1) ~affine:false 0.0
 
 let rec exprs_of_cond (c : Ast.cond) =
   match c with
@@ -381,7 +440,8 @@ let rec build_loop ~env ~strides (l : Ast.loop) : loop_node =
           | exception Non_affine -> 0.0)
         env.live
     in
-    let totals = expand env ~skip_zero:true raw in
+    let totals = Array.make (Array.length raw) 0.0 in
+    expand env ~skip_zero:true raw totals;
     if Array.exists (fun c -> c <> 0.0) totals then Some totals else None
   in
   let depth = Array.length env.live in
@@ -394,6 +454,9 @@ let rec build_loop ~env ~strides (l : Ast.loop) : loop_node =
         (match lo_expansion with
         | None -> env.sweeps
         | Some row -> Array.append [| (depth, row) |] env.sweeps);
+      mentioned = Array.make (depth + 1) false;
+      raw = Array.make (depth + 1) 0.0;
+      totals = Array.make (depth + 1) 0.0;
     }
   in
   let body = { pending = []; loops = [] } in
@@ -411,7 +474,17 @@ let analyze ?(param_overrides = []) (kernel : Ast.kernel) =
         | None -> (name, float_of_int v))
       kernel.params
   in
-  let env = { params; live = [||]; mids = [||]; sweeps = [||] } in
+  let env =
+    {
+      params;
+      live = [||];
+      mids = [||];
+      sweeps = [||];
+      mentioned = [||];
+      raw = [||];
+      totals = [||];
+    }
+  in
   let dims =
     List.map
       (fun (d : Ast.array_decl) ->
