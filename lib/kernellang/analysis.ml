@@ -59,7 +59,9 @@ let param env x =
 
 (* Slot of the live index [x], or -1 if [x] is not a live index. *)
 let rec slot_below live x s =
-  if s < 0 then -1 else if String.equal live.(s) x then s else slot_below live x (s - 1)
+  if s < 0 then -1
+  else if String.equal live.(s) x then s
+  else slot_below live x (s - 1)
 
 let slot env x = slot_below env.live x (Array.length env.live - 1)
 

@@ -73,33 +73,25 @@ let trip_count (l : Ast.loop) =
 let wrap f = match f () with k -> Ok k | exception Fail e -> Error e
 
 (* The names in use while loop bodies are copied: every name of the
-   kernel and every name handed out so far, and per base index the lowest
-   [_c] suffix not known to be taken (names are never given back, so the
-   lowest free one only grows). *)
-type names = {
-  taken : (string, unit) Hashtbl.t;
-  next_copy : (string, int) Hashtbl.t;
-}
-
+   kernel and every name handed out so far. *)
 let names_of k =
   let taken = Hashtbl.create 64 in
   List.iter (fun n -> Hashtbl.replace taken n ()) (used_names k);
-  { taken; next_copy = Hashtbl.create 16 }
+  taken
 
-let take names n = Hashtbl.replace names.taken n ()
+let take names n = Hashtbl.replace names n ()
 
 (* The lowest free [<base>_c<n>], now taken. *)
 let copy_name names base =
   let rec go n =
     let c = base ^ "_c" ^ string_of_int n in
-    if Hashtbl.mem names.taken c then go (n + 1)
+    if Hashtbl.mem names c then go (n + 1)
     else begin
-      Hashtbl.replace names.next_copy base (n + 1);
       take names c;
       c
     end
   in
-  go (Option.value (Hashtbl.find_opt names.next_copy base) ~default:0)
+  go 0
 
 (* A copy of [stmt] with [var] replaced by [by] and every loop in it
    renamed to a fresh [<index>_c<n>], so that replicating a body (unroll
@@ -459,7 +451,7 @@ let distribute ~index k =
                           kernel-wide uniqueness invariant. *)
                        let rec fresh n =
                          let c = Printf.sprintf "%s_d%d" l.index n in
-                         if Hashtbl.mem names.taken c then fresh (n + 1)
+                         if Hashtbl.mem names c then fresh (n + 1)
                          else c
                        in
                        let name = fresh i in

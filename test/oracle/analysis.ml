@@ -11,6 +11,7 @@
    count, a stream, its coefficient order or a single bit of a stride
    shows up as a diff. *)
 
+module Spapt = Altune_spapt.Spapt
 module Analysis = Altune_kernellang.Analysis
 
 let render (a : Analysis.t) =
@@ -38,8 +39,6 @@ let render (a : Analysis.t) =
 
 let () =
   Configs.iter (fun t config ->
+      let a = Analysis.analyze (Spapt.transformed t config) in
       Printf.printf "%s %s\n" (Configs.label t config)
-        (Digest.to_hex
-           (Digest.string
-              (render
-                 (Analysis.analyze (Altune_spapt.Spapt.transformed t config))))))
+        (Digest.to_hex (Digest.string (render a))))
