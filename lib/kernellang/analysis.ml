@@ -305,22 +305,19 @@ let close p =
 let row_stride row_strides k =
   if k < Array.length row_strides then row_strides.(k) else 1.0
 
-(* Row-major flat offset of [subs] with every live index at zero: the sum
-   over dimensions of the subscript times the product of the extents of
+(* Row-major flattening: the sum over dimensions of a subscript's
+   constant term (for [slot] -1, with every live index at zero) or of its
+   coefficient on the index of [slot], times the product of the extents of
    later dimensions. *)
-let rec flat_offset env row_strides k acc = function
+let rec flat env ~slot row_strides k acc = function
   | [] -> acc
   | sub :: rest ->
-      flat_offset env row_strides (k + 1)
-        (acc +. (eval env ~zeroed:true sub *. row_stride row_strides k))
-        rest
-
-(* The same sum over the coefficients of [var]. *)
-let rec flat_coeff env var row_strides k acc = function
-  | [] -> acc
-  | sub :: rest ->
-      flat_coeff env var row_strides (k + 1)
-        (acc +. (coeff env var sub *. row_stride row_strides k))
+      let term =
+        if slot < 0 then eval env ~zeroed:true sub
+        else coeff env env.live.(slot) sub
+      in
+      flat env ~slot row_strides (k + 1)
+        (acc +. (term *. row_stride row_strides k))
         rest
 
 (* Count an access into [body].  One walk of the subscripts yields the
@@ -336,12 +333,12 @@ let add_access ~env ~strides body array subs =
   let n = Array.length env.live in
   Array.fill env.mentioned 0 n false;
   match
-    let offset = flat_offset env row_strides 0 0.0 subs in
+    let offset = flat env ~slot:(-1) row_strides 0 0.0 subs in
     let every = not (Float.is_finite offset) in
     for s = 0 to n - 1 do
       env.raw.(s) <-
         (if every || env.mentioned.(s) then
-           flat_coeff env env.live.(s) row_strides 0 0.0 subs
+           flat env ~slot:s row_strides 0 0.0 subs
          else 0.0)
     done;
     offset

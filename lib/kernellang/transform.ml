@@ -79,15 +79,13 @@ let names_of k =
   List.iter (fun n -> Hashtbl.replace taken n ()) (used_names k);
   taken
 
-let take names n = Hashtbl.replace names n ()
-
 (* The lowest free [<base>_c<n>], now taken. *)
 let copy_name names base =
   let rec go n =
     let c = base ^ "_c" ^ string_of_int n in
     if Hashtbl.mem names c then go (n + 1)
     else begin
-      take names c;
+      Hashtbl.replace names c ();
       c
     end
   in
@@ -149,7 +147,7 @@ let unroll ~index ~factor k =
       else begin
         let rem_index = fresh_name k index "_r" in
         let names = names_of k in
-        take names rem_index;
+        Hashtbl.replace names rem_index ();
         rewrite_loop k index (fun l ->
             let copies =
               List.init factor (fun c ->
@@ -305,7 +303,7 @@ let unroll_and_jam ~index ~factor k =
         let jam_ok = Dependence.jam_legal k index in
         let rem_index = fresh_name k index "_j" in
         let names = names_of k in
-        take names rem_index;
+        Hashtbl.replace names rem_index ();
         rewrite_loop k index (fun l ->
             match immediate_inner l with
             | None -> raise (Fail (Not_perfectly_nested (index, "<body>")))
@@ -455,7 +453,7 @@ let distribute ~index k =
                          else c
                        in
                        let name = fresh i in
-                       take names name;
+                       Hashtbl.replace names name ();
                        let body =
                          copy names ~var:l.index ~by:(Ast.Var name) body
                        in
