@@ -777,7 +777,7 @@ let test_analysis_stream_view () =
       Alcotest.(check (float 0.0)) "stmts" (1.0 +. 1.0 +. 2.5) root.stmts
   | _ -> Alcotest.fail "expected one root"
 
-(* The streams of the innermost loop of [src]'s first nest. *)
+(* The streams of the innermost loop of [k]'s first nest. *)
 let innermost_streams (k : Ast.kernel) =
   let rec down (n : Analysis.loop_node) =
     match n.children with [] -> n | c :: _ -> down c
@@ -786,15 +786,15 @@ let innermost_streams (k : Ast.kernel) =
   | root :: _ -> (down root).streams
   | [] -> Alcotest.fail "expected a loop"
 
-let stream_counts streams =
-  List.map
-    (fun (st : Analysis.stream) -> (st.array, st.affine, st.distinct, st.mult))
-    streams
-
+(* Each stream's array with its affine flag, distinct and access
+   counts. *)
 let counts = Alcotest.(list (pair string (triple bool int int)))
 
-let flat_counts streams =
-  List.map (fun (a, f, d, m) -> (a, (f, d, m))) (stream_counts streams)
+let stream_counts streams =
+  List.map
+    (fun (st : Analysis.stream) ->
+      (st.array, (st.affine, st.distinct, st.mult)))
+    streams
 
 let test_analysis_unrolled_copies () =
   let k =
@@ -814,7 +814,7 @@ kernel u(N = 16) {
   match (Analysis.analyze t).roots with
   | [ { children = [ main; _remainder ]; _ } ] -> (
       Alcotest.check counts "four copies, one stream" [ ("A", (true, 4, 4)) ]
-        (flat_counts main.streams);
+        (stream_counts main.streams);
       match main.streams with
       | [ a ] ->
           Alcotest.(check (list (pair string (float 0.0))))
@@ -837,7 +837,7 @@ kernel r(N = 8) {
   in
   Alcotest.check counts "A once in distinct, twice in mult"
     [ ("B", (true, 1, 1)); ("A", (true, 1, 2)) ]
-    (flat_counts (innermost_streams k))
+    (stream_counts (innermost_streams k))
 
 let test_analysis_indirect_stream () =
   let k =
@@ -860,7 +860,7 @@ kernel g(N = 8) {
       ("C", (true, 1, 1)); ("B", (true, 2, 2)); ("A", (true, 1, 1));
       ("A", (false, 1, 2));
     ]
-    (flat_counts (innermost_streams k))
+    (stream_counts (innermost_streams k))
 
 (* A loop bound whose divisor averages to a value in (-1, 1) truncates to
    zero: the bound is not affine, so the loop gets no trips. *)
