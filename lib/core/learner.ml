@@ -8,7 +8,6 @@ module Fault = Altune_exec.Fault
 
 type plan = Fixed of int | Adaptive of { max_obs : int }
 type strategy = Alc | Mackay | Random_selection
-type stop_criterion = Cost_budget of float | Error_below of float
 
 type settings = {
   n_init : int;
@@ -21,10 +20,14 @@ type settings = {
   eval_every : int;
   ref_size : int;
   empirical_prior : bool;
-  revisit_threshold : float;
   batch_size : int;
-  stop : stop_criterion list;
+  budget : float option;
 }
+
+(* Predictive standard deviations by which a visited configuration's
+   observed mean must deviate from the model's prediction to stay a
+   candidate (the revisit test in [start]). *)
+let revisit_threshold = 2.0
 
 let paper_settings =
   {
@@ -38,9 +41,8 @@ let paper_settings =
     eval_every = 25;
     ref_size = 300;
     empirical_prior = true;
-    revisit_threshold = 2.0;
     batch_size = 1;
-    stop = [];
+    budget = None;
   }
 
 let scaled_settings =
@@ -55,9 +57,8 @@ let scaled_settings =
     eval_every = 10;
     ref_size = 150;
     empirical_prior = true;
-    revisit_threshold = 2.0;
     batch_size = 1;
-    stop = [];
+    budget = None;
   }
 
 type eval_point = {
@@ -596,15 +597,9 @@ let start_run ?fault ?resume ?exec_pool (problem : Problem.t)
   in
   let should_stop iteration =
     iteration >= settings.n_max
-    || List.exists
-         (fun criterion ->
-           match criterion with
-           | Cost_budget budget -> Cost.total_seconds cost >= budget
-           | Error_below target -> (
-               match !curve with
-               | [] -> false
-               | last :: _ -> last.rmse <= target))
-         settings.stop
+    || (match settings.budget with
+       | Some budget -> Cost.total_seconds cost >= budget
+       | None -> false)
   in
   let iteration =
     ref (match resume with None -> settings.n_init | Some st -> st.st_iteration)
@@ -662,7 +657,7 @@ let start_run ?fault ?resume ?exec_pool (problem : Problem.t)
                       let sd = sqrt (Float.max 1e-12 p.variance) in
                       if
                         Float.abs (observed_mean -. p.mean)
-                        > settings.revisit_threshold *. sd
+                        > revisit_threshold *. sd
                       then config :: acc
                       else acc
                     end)
@@ -728,7 +723,8 @@ let start_run ?fault ?resume ?exec_pool (problem : Problem.t)
       stopped := should_stop !iteration
     end
   in
-  (* Runs cut short by a stop criterion still end with a recorded point. *)
+  (* Runs cut short before [n_max] (cost budget, no candidates left) still
+     end with a recorded point. *)
   let finish () =
     (match !curve with
     | last :: _ when last.iteration = !iteration -> ()

@@ -8,7 +8,10 @@
       Balaprakash et al., [n = 1] the "one observation" variant);
     - [Adaptive] — the paper's contribution: one profiling run per loop
       iteration, with previously-visited configurations kept in the
-      candidate set until they accumulate [max_obs] observations, so the
+      candidate set until they accumulate [max_obs] observations, and
+      only while their observed mean deviates from the model's
+      prediction by more than two predictive standard deviations (the
+      paper's "likely to contradict what we predict" criterion), so the
       learner itself decides when a noisy configuration deserves another
       sample (sequential analysis).
 
@@ -19,16 +22,6 @@
 type plan = Fixed of int | Adaptive of { max_obs : int }
 
 type strategy = Alc | Mackay | Random_selection
-
-type stop_criterion =
-  | Cost_budget of float
-      (** Stop once cumulative compile+run cost exceeds this many seconds
-          (the paper's "wall-clock time" completion criterion). *)
-  | Error_below of float
-      (** Stop once the recorded RMSE on the held-out evaluation set drops
-          to this level (the paper's "estimate of error in the final
-          model" criterion; note it peeks at the evaluation set, so use it
-          for budgeting experiments, not for reporting accuracy). *)
 
 type settings = {
   n_init : int;  (** Seed examples (paper: 5). *)
@@ -46,18 +39,16 @@ type settings = {
           phase exists to give the learner "a quick and accurate look at
           the search space"; without this calibration the revisit payoff
           reflects the prior instead of the measured noise. *)
-  revisit_threshold : float;
-      (** A visited configuration stays in the candidate set only while its
-          observed mean deviates from the model's prediction by more than
-          this many predictive standard deviations — the paper's "likely to
-          contradict what we predict" criterion (default 2.0). *)
   batch_size : int;
       (** Training examples selected per loop iteration.  1 is the paper's
           sequential algorithm; larger values model the parallel variant
           it mentions (select the top-k scoring candidates, profile them
           together). *)
-  stop : stop_criterion list;
-      (** Additional completion criteria checked alongside [n_max]. *)
+  budget : float option;
+      (** Stop once the cumulative compile + run cost reaches this many
+          simulated seconds (the paper's "wall-clock time" completion
+          criterion), checked between batches alongside [n_max].  [None]
+          in both presets; a serve session's budget sets it. *)
 }
 
 val paper_settings : settings

@@ -5,11 +5,6 @@ type space = { dim : int; cardinality : int -> int }
 type method_ =
   | Random_sampling of int
   | Hill_climbing of { restarts : int; max_steps : int }
-  | Annealing of {
-      steps : int;
-      initial_temperature : float;
-      cooling : float;
-    }
 
 type result = { best : int array; predicted : float; evaluations : int }
 
@@ -25,28 +20,6 @@ let validate space =
 
 let random_config ~rng space =
   Array.init space.dim (fun i -> Rng.int rng (space.cardinality i))
-
-(* Single-knob neighbours: change one coordinate by +-1 (clamped out) or
-   to a random other value. *)
-let random_neighbour ~rng space config =
-  let c = Array.copy config in
-  let i = Rng.int rng space.dim in
-  let card = space.cardinality i in
-  if card > 1 then begin
-    let v =
-      match Rng.int rng 3 with
-      | 0 when c.(i) + 1 < card -> c.(i) + 1
-      | 1 when c.(i) > 0 -> c.(i) - 1
-      | _ ->
-          let rec draw () =
-            let v = Rng.int rng card in
-            if v = c.(i) then draw () else v
-          in
-          draw ()
-    in
-    c.(i) <- v
-  end;
-  c
 
 let minimize ~rng space ~predict method_ =
   validate space;
@@ -108,26 +81,5 @@ let minimize ~rng space ~predict method_ =
               improved := true
           | None -> ()
         done
-      done
-  | Annealing { steps; initial_temperature; cooling } ->
-      if steps < 1 then invalid_arg "Search: annealing needs steps";
-      if initial_temperature <= 0.0 then
-        invalid_arg "Search: temperature must be positive";
-      if cooling <= 0.0 || cooling >= 1.0 then
-        invalid_arg "Search: cooling must be in (0,1)";
-      let current = ref (Array.copy !best) in
-      let current_score = ref !best_score in
-      let temperature = ref initial_temperature in
-      for _ = 1 to steps do
-        let c = random_neighbour ~rng space !current in
-        let score = eval c in
-        let delta = score -. !current_score in
-        if delta <= 0.0 || Rng.uniform rng < exp (-.delta /. !temperature)
-        then begin
-          current := c;
-          current_score := score;
-          consider c score
-        end;
-        temperature := !temperature *. cooling
       done);
   { best = !best; predicted = !best_score; evaluations = !evaluations }

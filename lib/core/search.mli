@@ -3,9 +3,9 @@
     The whole point of building a runtime predictor (paper Section 4.1) is
     that searching the *model* is effectively free compared to profiling,
     so very large configuration spaces can be swept.  This module provides
-    the sweep: random sampling, greedy hill climbing over single-knob
-    moves, and simulated annealing, all driven by a prediction function
-    and a description of the knob space. *)
+    the sweep: random sampling and greedy hill climbing over single-knob
+    moves, both driven by a prediction function and a description of the
+    knob space. *)
 
 type space = {
   dim : int;
@@ -15,11 +15,6 @@ type space = {
 type method_ =
   | Random_sampling of int  (** Number of draws. *)
   | Hill_climbing of { restarts : int; max_steps : int }
-  | Annealing of {
-      steps : int;
-      initial_temperature : float;
-      cooling : float;  (** Per-step multiplicative factor in (0,1). *)
-    }
 
 type result = {
   best : int array;

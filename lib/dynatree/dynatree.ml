@@ -3,14 +3,9 @@ module Pool = Altune_exec.Pool
 module Metrics = Altune_obs.Metrics
 module Trace = Altune_obs.Trace
 
-type params = {
-  n_particles : int;
-  tree : Tree.params;
-  resample_threshold : float;
-}
+type params = { n_particles : int; tree : Tree.params }
 
-let default_params =
-  { n_particles = 300; tree = Tree.default_params; resample_threshold = 1.0 }
+let default_params = { n_particles = 300; tree = Tree.default_params }
 
 (* Parallelism gates.  Both are in units of *work items*, not jobs: the
    decision to fan out must be a pure function of the problem size so the
@@ -153,7 +148,9 @@ let observe t x y =
     done
   else Array.fill w 0 n (1.0 /. float_of_int n);
   let ess = effective_sample_size w in
-  let resampled = ess < t.params.resample_threshold *. float_of_int n in
+  (* Particle learning resamples at every observation: the effective
+     sample size falls short of [n] unless the weights are uniform. *)
+  let resampled = ess < float_of_int n in
   let src =
     if resampled then begin
       Metrics.incr m_resamples;

@@ -22,13 +22,7 @@
     results are bit-identical at any job count; the rng-consuming particle
     updates stay sequential. *)
 
-type params = {
-  n_particles : int;
-  tree : Tree.params;
-  resample_threshold : float;
-      (** Effective-sample-size fraction below which systematic resampling
-          triggers; [1.] resamples every step (classic particle learning). *)
-}
+type params = { n_particles : int; tree : Tree.params }
 
 val default_params : params
 (** 300 particles, resampling every step, default tree parameters. *)

@@ -82,8 +82,13 @@ let fault_seed ~seed key = Rng.derive ~seed [ S "fault"; S key ]
 
 (* Compute-once memo tables: Table 1, Figure 5 and Figure 6 share curves,
    and with benchmarks fanned out across domains the memo also guarantees
-   two domains never duplicate a multi-minute run of the same key. *)
-let dataset_cache : (string, Dataset.t) Memo.t = Memo.create ~name:"memo.dataset" ()
+   two domains never duplicate a multi-minute run of the same key.  A
+   dataset is a pure function of its key, so the dataset table is bounded
+   and an eviction only regenerates: a long-lived server opens sessions
+   with ever new seeds, while a batch command asks for one dataset per
+   kernel at its scale and seed (11 for `altune all`). *)
+let dataset_cache : (string, Dataset.t) Memo.t =
+  Memo.create ~capacity:64 ~name:"memo.dataset" ()
 let curve_cache : (string, plan_curves) Memo.t = Memo.create ~name:"memo.curves" ()
 
 let clear_cache () =

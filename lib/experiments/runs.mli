@@ -42,7 +42,9 @@ val fault_seed : seed:int -> string -> int
 
 val dataset_for :
   Altune_spapt.Spapt.t -> Scale.t -> seed:int -> Altune_core.Dataset.t
-(** Cached dataset for a benchmark at a scale (deterministic per seed). *)
+(** Cached dataset for a benchmark at a scale (deterministic per seed).
+    The cache keeps at most 64 datasets; one it evicted is regenerated,
+    equal, by the next request for it. *)
 
 val curves_for :
   ?fault:Altune_exec.Fault.spec ->

@@ -24,7 +24,7 @@ let settings spec =
   in
   match spec.budget with
   | None -> s
-  | Some b -> { s with Learner.stop = Learner.Cost_budget b :: s.Learner.stop }
+  | Some b -> { s with Learner.budget = Some b }
 
 let savable spec =
   if spec.n_max = None && spec.budget = None then Ok ()

@@ -22,7 +22,8 @@ type spec = {
   fault : Altune_exec.Fault.spec option;
   n_max : int option;  (** Override of the scale's iteration cap. *)
   budget : float option;
-      (** Extra [Cost_budget] stop criterion, simulated seconds. *)
+      (** Override of the scale's cost budget
+          ({!Altune_core.Learner.settings}[.budget]), simulated seconds. *)
 }
 
 val savable : spec -> (unit, string) result

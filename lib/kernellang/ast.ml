@@ -36,8 +36,6 @@ type kernel = {
   body : stmt;
 }
 
-let for_ index ~lo ~hi ?(step = 1) body = For { index; lo; hi; step; body }
-
 let seq stmts =
   let rec flatten s acc =
     match s with
@@ -47,17 +45,6 @@ let seq stmts =
   match List.fold_right flatten stmts [] with
   | [ single ] -> single
   | ss -> Seq ss
-
-let i n = Int_lit n
-let f x = Float_lit x
-let v name = Var name
-let idx name indices = Index (name, indices)
-module Infix = struct
-  let ( + ) a b = Binop (Add, a, b)
-  let ( - ) a b = Binop (Sub, a, b)
-  let ( * ) a b = Binop (Mul, a, b)
-  let ( / ) a b = Binop (Div, a, b)
-end
 
 let rec free_vars_acc e acc =
   match e with

@@ -69,25 +69,8 @@ type kernel = {
   body : stmt;
 }
 
-val for_ : string -> lo:expr -> hi:expr -> ?step:int -> stmt -> stmt
-(** Smart constructor for a loop statement. *)
-
 val seq : stmt list -> stmt
 (** Flattens nested sequences and drops empty ones. *)
-
-val i : int -> expr
-val f : float -> expr
-val v : string -> expr
-val idx : string -> expr list -> expr
-
-(** Expression-building operators, kept in a submodule so that opening
-    {!Ast} does not shadow integer arithmetic. *)
-module Infix : sig
-  val ( + ) : expr -> expr -> expr
-  val ( - ) : expr -> expr -> expr
-  val ( * ) : expr -> expr -> expr
-  val ( / ) : expr -> expr -> expr
-end
 
 val free_vars : expr -> string list
 (** Scalar / index variables referenced by an expression, without

@@ -56,7 +56,7 @@ type access = {
   site : int;  (* textual order of the statement *)
 }
 
-let collect_stmt ~loops:loops0 (stmt0 : Ast.stmt) =
+let collect_accesses (k : Ast.kernel) =
   let counter = ref 0 in
   let accesses = ref [] in
   let scalars_written = ref [] in
@@ -119,10 +119,8 @@ let collect_stmt ~loops:loops0 (stmt0 : Ast.stmt) =
         go nest t;
         Option.iter (go nest) e
   in
-  go ({ loops = loops0; strides = [] } : nest) stmt0;
+  go ({ loops = []; strides = [] } : nest) k.body;
   (List.rev !accesses, !scalars_written)
-
-let collect_accesses (k : Ast.kernel) = collect_stmt ~loops:[] k.body
 
 (* --- Affine subscript views --- *)
 
@@ -555,65 +553,3 @@ let jam_legal k loop =
              not (lex_negative (permute order v)))
            (expansions d.directions))
     (dependences k)
-
-(* Shared safety core for fusion and distribution: every access pair
-   between an "earlier" and a "later" code region touching a common array
-   (with at least one write) must be aligned or forward at [index] —
-   the earlier region's iteration never exceeds the later region's for
-   the same element.  Written scalars shared across regions always
-   block. *)
-let regions_orderable ~loop_indices ~index earlier later =
-  let acc_e, sw_e = earlier and acc_l, sw_l = later in
-  (* Scalar reads are invisible to the access list, so any written scalar
-     in either region conservatively blocks reordering. *)
-  sw_e = [] && sw_l = []
-  && List.for_all
-       (fun (a : access) ->
-         List.for_all
-           (fun (b : access) ->
-             if a.array <> b.array || ((not a.is_write) && not b.is_write)
-             then true
-             else begin
-               match directions_for ~loop_indices a b with
-               | None -> true
-               | Some dirs -> (
-                   match List.assoc_opt index dirs with
-                   | Some (Lt | Eq) -> true
-                   | Some (Gt | Star) | None -> false)
-             end)
-           acc_l)
-       acc_e
-
-let fusion_legal (k : Ast.kernel) ~first ~second =
-  match (Ast.find_loop k.body first, Ast.find_loop k.body second) with
-  | Some l1, Some l2 ->
-      let loop_indices = Ast.loop_indices k.body in
-      (* View the second body in the first loop's index space. *)
-      let renamed_body =
-        Ast.subst ~var:l2.index ~by:(Ast.Var l1.index) l2.body
-      in
-      let earlier = collect_stmt ~loops:[ l1.index ] l1.body in
-      let later = collect_stmt ~loops:[ l1.index ] renamed_body in
-      regions_orderable ~loop_indices ~index:l1.index earlier later
-  | _ -> false
-
-let distribution_legal (k : Ast.kernel) index =
-  match Ast.find_loop k.body index with
-  | None -> false
-  | Some l -> (
-      let loop_indices = Ast.loop_indices k.body in
-      let groups =
-        match l.body with
-        | Seq ss -> List.map (collect_stmt ~loops:[ index ]) ss
-        | other -> [ collect_stmt ~loops:[ index ] other ]
-      in
-      let rec pairs = function
-        | [] -> true
-        | earlier :: rest ->
-            List.for_all
-              (fun later ->
-                regions_orderable ~loop_indices ~index earlier later)
-              rest
-            && pairs rest
-      in
-      pairs groups)

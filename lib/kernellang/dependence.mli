@@ -3,7 +3,9 @@
     Computes the flow (read-after-write), anti (write-after-read) and
     output (write-after-write) dependences carried by the loops of a
     kernel, with distance/direction information for affine subscript
-    pairs, and answers the legality questions the transformations need:
+    pairs, and answers legality questions over them ({!Transform}'s cache
+    tiling and unroll-and-jam ask the last two; plain unrolling needs
+    none):
 
     - {!carried_by}: does any dependence have a non-[=] direction at a
       given loop — i.e. is the loop parallel?
@@ -59,16 +61,3 @@ val interchange_legal : Ast.kernel -> outer:string -> inner:string -> bool
 val jam_legal : Ast.kernel -> string -> bool
 (** Unroll-and-jam of [loop] is safe when interchanging [loop] with every
     loop nested inside it down to the innermost level is legal. *)
-
-val fusion_legal : Ast.kernel -> first:string -> second:string -> bool
-(** May the two (bound-compatible, adjacent) loops be fused?  True when
-    every cross-body access pair on a common array (at least one side a
-    write) is aligned or forward at the shared index — the first body's
-    iteration never exceeds the second body's for the same element — and
-    no written scalar is shared. *)
-
-val distribution_legal : Ast.kernel -> string -> bool
-(** May the named loop be distributed over its top-level body statements?
-    True when every access pair between an earlier and a later statement
-    (on a common array, at least one write) is aligned or forward at the
-    loop index, and no written scalar spans statements. *)

@@ -356,110 +356,3 @@ let unroll_and_jam ~index ~factor k =
                 in
                 Ast.seq [ main_loop; remainder ])
       end)
-
-(* Skewing: inner' = inner + factor * outer.  The loop runs over skewed
-   values while the body keeps seeing the original index, recovered as
-   inner' - factor * outer.  Iteration order is untouched, so this is
-   always exact. *)
-let skew ~outer ~inner ~factor k =
-  wrap (fun () ->
-      rewrite_loop k outer (fun l ->
-          match immediate_inner l with
-          | Some il when il.index = inner ->
-              let shift = mul (int_lit factor) (Ast.Var l.index) in
-              let unskewed = sub (Ast.Var il.index) shift in
-              let body = Ast.subst ~var:il.index ~by:unskewed il.body in
-              Ast.For
-                {
-                  l with
-                  body =
-                    Ast.For
-                      {
-                        il with
-                        lo = add il.lo shift;
-                        hi = add il.hi shift;
-                        body;
-                      };
-                }
-          | Some il -> raise (Fail (Not_perfectly_nested (outer, il.index)))
-          | None -> raise (Fail (Not_perfectly_nested (outer, inner)))))
-
-let reverse ~index k =
-  wrap (fun () ->
-      if Dependence.carried_by k index <> [] then
-        raise (Fail (Unsafe_jam index));
-      rewrite_loop k index (fun l ->
-          if l.step <> 1 then raise (Fail (Bad_factor (index, l.step)));
-          let mirrored = sub (add l.lo l.hi) (Ast.Var l.index) in
-          Ast.For { l with body = Ast.subst ~var:l.index ~by:mirrored l.body }))
-
-(* Structural helper: rewrite the (unique) Seq containing For(first)
-   immediately followed by For(second). *)
-let rewrite_adjacent (k : Ast.kernel) first second f =
-  let found = ref false in
-  let rec scan = function
-    | Ast.For l1 :: Ast.For l2 :: rest
-      when l1.index = first && l2.index = second && not !found ->
-        found := true;
-        f l1 l2 :: List.map go rest
-    | s :: rest -> go s :: scan rest
-    | [] -> []
-  and go (s : Ast.stmt) : Ast.stmt =
-    match s with
-    | Assign _ -> s
-    | Seq ss -> Ast.seq (scan ss)
-    | For l -> For { l with body = go l.body }
-    | If (c, t, e) -> If (c, go t, Option.map go e)
-  in
-  let body = go k.body in
-  if not !found then raise (Fail (Loop_not_found first));
-  { k with body = Ast.seq [ body ] }
-
-let fuse ~first ~second k =
-  wrap (fun () ->
-      if not (Dependence.fusion_legal k ~first ~second) then
-        raise (Fail (Unsafe_jam first));
-      rewrite_adjacent k first second (fun l1 l2 ->
-          let compatible =
-            Simplify.expr l1.lo = Simplify.expr l2.lo
-            && Simplify.expr l1.hi = Simplify.expr l2.hi
-            && l1.step = l2.step
-          in
-          if not compatible then
-            raise (Fail (Not_perfectly_nested (first, second)));
-          let renamed =
-            Ast.subst ~var:l2.index ~by:(Ast.Var l1.index) l2.body
-          in
-          Ast.For { l1 with body = Ast.seq [ l1.body; renamed ] }))
-
-let distribute ~index k =
-  wrap (fun () ->
-      if not (Dependence.distribution_legal k index) then
-        raise (Fail (Unsafe_jam index));
-      let names = names_of k in
-      rewrite_loop k index (fun l ->
-          match l.body with
-          | Seq (_ :: _ :: _ as stmts) ->
-              Ast.seq
-                (List.mapi
-                   (fun i body ->
-                     if i = 0 then Ast.For { l with body }
-                     else begin
-                       (* Later copies need fresh loop indices to keep the
-                          kernel-wide uniqueness invariant. *)
-                       let rec fresh n =
-                         let c = Printf.sprintf "%s_d%d" l.index n in
-                         if Hashtbl.mem names c then fresh (n + 1)
-                         else c
-                       in
-                       let name = fresh i in
-                       Hashtbl.replace names name ();
-                       let body =
-                         copy names ~var:l.index ~by:(Ast.Var name) body
-                       in
-                       Ast.For { l with index = name; body }
-                     end)
-                   stmts)
-          | Assign _ | For _ | If _ | Seq _ ->
-              (* Nothing to split. *)
-              For l))

@@ -54,31 +54,3 @@ val unroll_and_jam :
     fuse the copies of its (single, perfectly nested) inner loop.  Refused
     with [Unsafe_jam] unless every array write under the loop uses [index]
     in its subscripts.  A remainder loop handles leftover iterations. *)
-
-val skew :
-  outer:string -> inner:string -> factor:int -> Ast.kernel ->
-  (Ast.kernel, error) result
-(** Loop skewing: reindex the perfectly nested [inner] loop as
-    [inner' = inner + factor * outer].  A unimodular change of basis —
-    always semantics-preserving — whose point is to make interchange legal
-    on wavefront-style recurrences (a [(<, >)] dependence becomes
-    [(<, <=)] once skewed far enough). *)
-
-val reverse : index:string -> Ast.kernel -> (Ast.kernel, error) result
-(** Iterate the loop backwards (via [i -> lo + hi - i]).  Refused with
-    [Unsafe_jam] when the loop carries a dependence (reversal flips its
-    direction). *)
-
-val fuse :
-  first:string -> second:string -> Ast.kernel -> (Ast.kernel, error) result
-(** Fuse two adjacent sibling loops with identical bounds and step into
-    one loop running both bodies.  Conservatively refused (as
-    [Unsafe_jam first]) unless every dependence between the two bodies is
-    iteration-wise aligned (direction [=] at the fused index), which rules
-    out the classic fusion-preventing backward dependence. *)
-
-val distribute : index:string -> Ast.kernel -> (Ast.kernel, error) result
-(** Split a loop whose body is a sequence into one loop per statement
-    (loop fission).  Conservatively refused unless all dependences between
-    different body statements are aligned ([=]) at the loop index, so no
-    cross-statement value flows between iterations get reordered. *)

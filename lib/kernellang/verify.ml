@@ -2,10 +2,6 @@ type step =
   | Unroll of { index : string; factor : int }
   | Tile_nest of (string * int) list
   | Unroll_and_jam of { index : string; factor : int }
-  | Skew of { outer : string; inner : string; factor : int }
-  | Reverse of { index : string }
-  | Fuse of { first : string; second : string }
-  | Distribute of { index : string }
 
 let step_to_string = function
   | Unroll { index; factor } -> Printf.sprintf "unroll %s x%d" index factor
@@ -15,11 +11,6 @@ let step_to_string = function
            (List.map (fun (l, t) -> Printf.sprintf "%s:%d" l t) spec))
   | Unroll_and_jam { index; factor } ->
       Printf.sprintf "unroll-and-jam %s x%d" index factor
-  | Skew { outer; inner; factor } ->
-      Printf.sprintf "skew %s/%s by %d" outer inner factor
-  | Reverse { index } -> "reverse " ^ index
-  | Fuse { first; second } -> Printf.sprintf "fuse %s+%s" first second
-  | Distribute { index } -> "distribute " ^ index
 
 let apply_step step k =
   match step with
@@ -27,10 +18,6 @@ let apply_step step k =
   | Tile_nest spec -> Transform.tile_nest spec k
   | Unroll_and_jam { index; factor } ->
       Transform.unroll_and_jam ~index ~factor k
-  | Skew { outer; inner; factor } -> Transform.skew ~outer ~inner ~factor k
-  | Reverse { index } -> Transform.reverse ~index k
-  | Fuse { first; second } -> Transform.fuse ~first ~second k
-  | Distribute { index } -> Transform.distribute ~index k
 
 let apply_steps steps k =
   List.fold_left (fun acc s -> Result.bind acc (apply_step s)) (Ok k) steps
@@ -102,9 +89,6 @@ let legality k step : status =
         (* Body replication plus a remainder loop: iteration order is
            untouched, so unrolling needs no dependence argument. *)
         Pass
-    | Skew _ ->
-        (* Unimodular reindexing; the body sees the original index. *)
-        Pass
     | Tile_nest spec -> (
         (* Rectangular tiling hoists every tile loop above every point
            loop of the nest, which is sound iff the tiled loops are
@@ -136,30 +120,6 @@ let legality k step : status =
             (Printf.sprintf
                "unroll-and-jam of %s would reverse a dependence when its \
                 iterations are interleaved innermost"
-               index)
-    | Reverse { index } -> (
-        match Dependence.carried_by k index with
-        | [] -> Pass
-        | d :: _ ->
-            Fail
-              (Format.asprintf
-                 "loop %s carries a %a, which reversal would flip" index
-                 Dependence.pp_dependence d))
-    | Fuse { first; second } ->
-        if Dependence.fusion_legal k ~first ~second then Pass
-        else
-          Fail
-            (Printf.sprintf
-               "fusing %s and %s would let the first body overtake a value \
-                the second body still needs"
-               first second)
-    | Distribute { index } ->
-        if Dependence.distribution_legal k index then Pass
-        else
-          Fail
-            (Printf.sprintf
-               "distributing %s would reorder a cross-statement dependence \
-                carried by the loop"
                index)
   with e -> Fail ("legality analysis raised: " ^ Printexc.to_string e)
 

@@ -9,10 +9,10 @@
     sequence of transformation {!step}s:
 
     - {b legality} is re-derived from {!Dependence} on the pre-step
-      kernel, separately from the gating inside {!Transform} (unroll and
-      skew are unconditionally legal; tiling requires the tiled loops to
-      be pairwise interchangeable; unroll-and-jam, reversal, fusion and
-      distribution use their dedicated dependence predicates);
+      kernel, separately from the gating inside {!Transform} (unrolling
+      is unconditionally legal; tiling requires the tiled loops to be
+      pairwise interchangeable; unroll-and-jam uses its dedicated
+      dependence predicate);
     - the post-step kernel must {b lint} clean ({!Ast.validate} plus
       {!Lint} with no errors);
     - {b dependence analysis re-runs} on the transformed AST and every
@@ -35,10 +35,6 @@ type step =
       (** Loops of one rectangular tile nest, outermost first, with their
           tile sizes (1 = untouched), as {!Transform.tile_nest}. *)
   | Unroll_and_jam of { index : string; factor : int }
-  | Skew of { outer : string; inner : string; factor : int }
-  | Reverse of { index : string }
-  | Fuse of { first : string; second : string }
-  | Distribute of { index : string }
 
 val step_to_string : step -> string
 

@@ -129,51 +129,6 @@ let normal ?(mu = 0.0) ?(sigma = 1.0) t =
 
 let lognormal ?(mu = 0.0) ?(sigma = 1.0) t = exp (normal ~mu ~sigma t)
 
-let exponential ?(rate = 1.0) t =
-  if rate <= 0.0 then invalid_arg "Rng.exponential: rate must be positive";
-  -.log1p (-.uniform t) /. rate
-
-(* Marsaglia & Tsang (2000).  For shape < 1 we boost via the standard
-   U^(1/shape) trick. *)
-let rec gamma ~shape ~scale t =
-  if shape <= 0.0 || scale <= 0.0 then
-    invalid_arg "Rng.gamma: shape and scale must be positive";
-  if shape < 1.0 then
-    let g = gamma ~shape:(shape +. 1.0) ~scale t in
-    g *. (uniform t ** (1.0 /. shape))
-  else begin
-    let d = shape -. (1.0 /. 3.0) in
-    let c = 1.0 /. sqrt (9.0 *. d) in
-    let rec draw () =
-      let x = normal t in
-      let v = 1.0 +. (c *. x) in
-      if v <= 0.0 then draw ()
-      else begin
-        let v3 = v *. v *. v in
-        let u = uniform t in
-        let x2 = x *. x in
-        if u < 1.0 -. (0.0331 *. x2 *. x2) then d *. v3
-        else if log u < (0.5 *. x2) +. (d *. (1.0 -. v3 +. log v3)) then
-          d *. v3
-        else draw ()
-      end
-    in
-    scale *. draw ()
-  end
-
-let chi_square ~df t =
-  if df <= 0.0 then invalid_arg "Rng.chi_square: df must be positive";
-  gamma ~shape:(df /. 2.0) ~scale:2.0 t
-
-let student_t ~df t =
-  if df <= 0.0 then invalid_arg "Rng.student_t: df must be positive";
-  normal t /. sqrt (chi_square ~df t /. df)
-
-let beta ~a ~b t =
-  let x = gamma ~shape:a ~scale:1.0 t in
-  let y = gamma ~shape:b ~scale:1.0 t in
-  x /. (x +. y)
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

@@ -80,18 +80,6 @@ val normal : ?mu:float -> ?sigma:float -> t -> float
 val lognormal : ?mu:float -> ?sigma:float -> t -> float
 (** [exp] of a Gaussian with the given log-space parameters. *)
 
-val exponential : ?rate:float -> t -> float
-
-val gamma : shape:float -> scale:float -> t -> float
-(** Marsaglia–Tsang method; valid for any [shape > 0]. *)
-
-val chi_square : df:float -> t -> float
-
-val student_t : df:float -> t -> float
-(** Standard Student-t variate with [df] degrees of freedom. *)
-
-val beta : a:float -> b:float -> t -> float
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

@@ -19,7 +19,8 @@ type open_params = {
   o_seed : int;  (** Master seed; default [42]. *)
   o_fault : string option;  (** [Fault.of_string] spec, if injecting. *)
   o_budget : float option;
-      (** Per-session simulated-cost budget (extra stop criterion). *)
+      (** Per-session simulated-cost budget, seconds
+          ({!Altune_core.Learner.settings}[.budget]). *)
   o_n_max : int option;  (** Override of the scale's iteration cap. *)
   o_checkpoint : string option;
       (** Where graceful shutdown checkpoints this session. *)

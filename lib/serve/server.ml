@@ -595,6 +595,7 @@ let handle t (req : Protocol.request) =
             else begin
               t.queue <-
                 List.filter (fun n -> not (String.equal n session)) t.queue;
+              Hashtbl.remove t.tele.queued_at session;
               Session.close s;
               let admitted = promote t in
               Ok (Protocol.R_close { session; admitted })

@@ -198,24 +198,13 @@ let test_stop_cost_budget () =
      batch's measurements (~a few seconds). *)
   let budget = 200.0 in
   let settings =
-    { tiny_settings with n_max = 5000; stop = [ Learner.Cost_budget budget ] }
+    { tiny_settings with n_max = 5000; budget = Some budget }
   in
   let o = Learner.run problem d settings ~rng:(Rng.create ~seed:29) in
   Alcotest.(check bool)
     (Printf.sprintf "cost %.1f near budget" o.total_cost)
     true
     (o.total_cost >= budget && o.total_cost < budget +. 30.0)
-
-let test_stop_error_below () =
-  let problem = synthetic () in
-  let d = make_dataset problem in
-  let settings =
-    { tiny_settings with stop = [ Learner.Error_below 1e9 ] }
-  in
-  let o = Learner.run problem d settings ~rng:(Rng.create ~seed:31) in
-  (* The seed-phase evaluation already satisfies an absurd threshold, so
-     no loop iterations run. *)
-  Alcotest.(check int) "only seed runs" (4 * 10) o.total_runs
 
 let test_settings_validation () =
   let problem = synthetic () in
@@ -331,63 +320,6 @@ let test_step_matches_run () =
         [ 1; 3; 7 ])
     [ (1, false); (2, false); (1, true); (2, true) ]
 
-(* --- Raced profiles --- *)
-
-module Race = Altune_core.Race
-
-let noisy_candidates rng means sigma =
-  fun i -> Float.max 1e-6 (Rng.normal ~mu:means.(i) ~sigma rng)
-
-let test_race_picks_fastest () =
-  let rng = Rng.create ~seed:71 in
-  let means = [| 2.0; 1.0; 3.0; 2.5; 1.8 |] in
-  let o = Race.select ~measure:(noisy_candidates rng means 0.05) 5 in
-  Alcotest.(check int) "winner" 1 o.winner;
-  Alcotest.(check bool) "mean close" true (Float.abs (o.mean -. 1.0) < 0.1)
-
-let test_race_cheaper_than_fixed () =
-  (* Clearly separated candidates: the race eliminates losers after a few
-     observations, far below the 35-per-candidate fixed plan. *)
-  let rng = Rng.create ~seed:73 in
-  let means = [| 1.0; 2.0; 3.0; 4.0; 5.0; 6.0 |] in
-  let o = Race.select ~measure:(noisy_candidates rng means 0.05) 6 in
-  Alcotest.(check bool)
-    (Printf.sprintf "total runs %d << 210" o.total_runs)
-    true
-    (o.total_runs < 60);
-  Alcotest.(check int) "winner" 0 o.winner
-
-let test_race_spends_on_close_candidates () =
-  let rng = Rng.create ~seed:79 in
-  (* Candidates 0 and 1 nearly tied; 2 and 3 clearly worse. *)
-  let means = [| 1.00; 1.01; 3.0; 3.5 |] in
-  let o = Race.select ~measure:(noisy_candidates rng means 0.08) 4 in
-  let r = o.runs_per_candidate in
-  Alcotest.(check bool)
-    (Printf.sprintf "contenders sampled more (%d,%d vs %d,%d)" r.(0) r.(1)
-       r.(2) r.(3))
-    true
-    (min r.(0) r.(1) > max r.(2) r.(3));
-  Alcotest.(check bool) "losers eliminated" true
-    (o.eliminated_at.(2) >= 0 && o.eliminated_at.(3) >= 0)
-
-let test_race_single_candidate () =
-  let o = Race.select ~measure:(fun _ -> 1.0) 1 in
-  Alcotest.(check int) "winner" 0 o.winner;
-  Alcotest.(check int) "min obs only" 2 o.total_runs
-
-let test_race_validation () =
-  let invalid f =
-    match f () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail "expected Invalid_argument"
-  in
-  invalid (fun () -> Race.select ~measure:(fun _ -> 1.0) 0);
-  invalid (fun () ->
-      Race.select
-        ~settings:{ Race.default_settings with min_obs = 1 }
-        ~measure:(fun _ -> 1.0) 3)
-
 (* --- Search --- *)
 
 module Search = Altune_core.Search
@@ -414,16 +346,6 @@ let test_search_hill_climbing_exact () =
   (* The bowl is unimodal per knob: steepest descent finds the optimum. *)
   Alcotest.(check (float 1e-9)) "exact optimum" 0.0 r.predicted;
   Alcotest.(check bool) "at (13, 6)" true (r.best = [| 13; 6 |])
-
-let test_search_annealing () =
-  let r =
-    Search.minimize ~rng:(Rng.create ~seed:3) bowl_space ~predict:bowl
-      (Search.Annealing
-         { steps = 4000; initial_temperature = 20.0; cooling = 0.999 })
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "near optimum (%.2f)" r.predicted)
-    true (r.predicted < 3.0)
 
 let test_search_beats_random_on_budget () =
   (* At equal evaluation budgets, hill climbing beats random sampling on a
@@ -452,11 +374,7 @@ let test_search_validation () =
       Search.minimize ~rng:(Rng.create ~seed:1)
         (Search.space_of_cardinalities [||])
         ~predict:(fun _ -> 0.0)
-        (Search.Random_sampling 10));
-  invalid (fun () ->
-      Search.minimize ~rng:(Rng.create ~seed:1) bowl_space ~predict:bowl
-        (Search.Annealing
-           { steps = 10; initial_temperature = -1.0; cooling = 0.9 }))
+        (Search.Random_sampling 10))
 
 (* --- Experiment utilities --- *)
 
@@ -551,29 +469,16 @@ let () =
           Alcotest.test_case "batch selection" `Quick test_batch_selection;
           Alcotest.test_case "stop on cost budget" `Quick
             test_stop_cost_budget;
-          Alcotest.test_case "stop on error" `Quick test_stop_error_below;
           Alcotest.test_case "settings validation" `Quick
             test_settings_validation;
           Alcotest.test_case "stepping matches one run" `Quick
             test_step_matches_run;
-        ] );
-      ( "race",
-        [
-          Alcotest.test_case "picks fastest" `Quick test_race_picks_fastest;
-          Alcotest.test_case "cheaper than fixed" `Quick
-            test_race_cheaper_than_fixed;
-          Alcotest.test_case "spends on contenders" `Quick
-            test_race_spends_on_close_candidates;
-          Alcotest.test_case "single candidate" `Quick
-            test_race_single_candidate;
-          Alcotest.test_case "validation" `Quick test_race_validation;
         ] );
       ( "search",
         [
           Alcotest.test_case "random sampling" `Quick test_search_random;
           Alcotest.test_case "hill climbing exact" `Quick
             test_search_hill_climbing_exact;
-          Alcotest.test_case "annealing" `Quick test_search_annealing;
           Alcotest.test_case "beats random" `Quick
             test_search_beats_random_on_budget;
           Alcotest.test_case "validation" `Quick test_search_validation;

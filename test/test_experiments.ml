@@ -9,6 +9,7 @@ module Spapt = Altune_spapt.Spapt
 module Learner = Altune_core.Learner
 module Rng = Altune_prng.Rng
 module Events = Altune_obs.Events
+module Metrics = Altune_obs.Metrics
 
 let tiny : Scale.t =
   {
@@ -67,6 +68,24 @@ let test_runs_cached () =
     (Printf.sprintf "cache faster (%.3fs -> %.3fs)" cold warm)
     true
     (warm < cold /. 10.0)
+
+(* The dataset cache is bounded: more distinct seeds than it holds
+   evict, and an evicted dataset regenerates equal. *)
+let test_dataset_cache_bounded () =
+  Runs.clear_cache ();
+  let scale = { tiny with label = "bounded"; n_configs = 8 } in
+  let b = Spapt.create "mvt" in
+  let evictions = Metrics.counter "memo.dataset.evictions" in
+  let before = Metrics.counter_value evictions in
+  let first = Runs.dataset_for b scale ~seed:0 in
+  for seed = 1 to 70 do
+    ignore (Runs.dataset_for b scale ~seed)
+  done;
+  Alcotest.(check bool) "evicted" true
+    (Metrics.counter_value evictions > before);
+  let again = Runs.dataset_for b scale ~seed:0 in
+  Alcotest.(check bool) "regenerated" true (again != first);
+  Alcotest.(check bool) "equal" true (again = first)
 
 let test_table1 () =
   let s = Drivers.table1 ~benchmarks:[ "hessian"; "lu" ] ~scale:tiny ~seed:1 () in
@@ -154,6 +173,8 @@ let () =
         [
           Alcotest.test_case "adapter" `Quick test_adapter;
           Alcotest.test_case "runs cached" `Slow test_runs_cached;
+          Alcotest.test_case "dataset cache bounded" `Quick
+            test_dataset_cache_bounded;
         ] );
       ( "drivers",
         [

@@ -453,171 +453,6 @@ let test_full_recipe () =
   let t = ok (Transform.unroll ~index:"k" ~factor:3 t) in
   check_same_semantics ~eps:1e-10 ~msg:"full recipe" k t
 
-(* --- Skew / reverse / fuse / distribute --- *)
-
-let producer_consumer_src =
-  {|
-kernel pc(N = 20) {
-  array A[N];
-  array B[N];
-  array C[N];
-  for i1 = 0 to N - 1 {
-    B[i1] = A[i1] * 2.0;
-  }
-  for i2 = 0 to N - 1 {
-    C[i2] = B[i2] + 1.0;
-  }
-}
-|}
-
-let test_skew_exact () =
-  let k = mm () in
-  List.iter
-    (fun factor ->
-      let t = ok (Transform.skew ~outer:"i" ~inner:"j" ~factor k) in
-      check_same_semantics ~msg:(Printf.sprintf "skew by %d" factor) k t)
-    [ 1; 2; 3 ]
-
-let test_skew_changes_directions () =
-  (* The classic wavefront: dependence (<, >) becomes (<, =) after
-     skewing the inner loop by 1. *)
-  let module Dep = Altune_kernellang.Dependence in
-  let k =
-    Parser.parse_kernel
-      {|
-kernel w(N = 10) {
-  array A[N][N];
-  for i = 1 to N - 1 {
-    for j = 0 to N - 2 {
-      A[i][j] = A[i - 1][j + 1] + 1.0;
-    }
-  }
-}
-|}
-  in
-  Alcotest.(check bool) "interchange illegal before" false
-    (Dep.interchange_legal k ~outer:"i" ~inner:"j");
-  let skewed = ok (Transform.skew ~outer:"i" ~inner:"j" ~factor:1 k) in
-  check_same_semantics ~msg:"wavefront skew" k skewed;
-  Alcotest.(check bool) "interchange legal after skewing" true
-    (Dep.interchange_legal skewed ~outer:"i" ~inner:"j")
-
-let test_reverse_parallel_loop () =
-  let k = Parser.parse_kernel producer_consumer_src in
-  let t = ok (Transform.reverse ~index:"i1" k) in
-  check_same_semantics ~msg:"reverse parallel loop" k t
-
-let test_reverse_refused_on_recurrence () =
-  let k =
-    Parser.parse_kernel
-      {|
-kernel r(N = 10) {
-  array X[N];
-  for i = 1 to N - 1 {
-    X[i] = X[i] + X[i - 1];
-  }
-}
-|}
-  in
-  match Transform.reverse ~index:"i" k with
-  | Error (Transform.Unsafe_jam _) -> ()
-  | Error e -> Alcotest.failf "wrong error %s" (Transform.error_to_string e)
-  | Ok _ -> Alcotest.fail "reversal of a recurrence must be refused"
-
-let test_fuse_producer_consumer () =
-  let k = Parser.parse_kernel producer_consumer_src in
-  let t = ok (Transform.fuse ~first:"i1" ~second:"i2" k) in
-  check_same_semantics ~msg:"fuse" k t;
-  (* Fusion really merged: only one loop remains. *)
-  Alcotest.(check int) "one loop" 1 (List.length (Ast.loop_indices t.body))
-
-let test_fuse_refused_on_stencil () =
-  (* jacobi's update+copy loops: the copy overwrites values the stencil
-     still needs from the previous sweep. *)
-  let k =
-    Parser.parse_kernel
-      {|
-kernel j(N = 16) {
-  array A[N];
-  array B[N];
-  for i1 = 1 to N - 2 {
-    B[i1] = A[i1 - 1] + A[i1 + 1];
-  }
-  for i2 = 1 to N - 2 {
-    A[i2] = B[i2];
-  }
-}
-|}
-  in
-  match Transform.fuse ~first:"i1" ~second:"i2" k with
-  | Error (Transform.Unsafe_jam _) -> ()
-  | Error e -> Alcotest.failf "wrong error %s" (Transform.error_to_string e)
-  | Ok _ -> Alcotest.fail "stencil fusion must be refused"
-
-let test_fuse_incompatible_bounds () =
-  let k =
-    Parser.parse_kernel
-      {|
-kernel b(N = 16) {
-  array A[N];
-  array B[N];
-  for i1 = 0 to N - 1 {
-    A[i1] = 1.0;
-  }
-  for i2 = 0 to N - 2 {
-    B[i2] = 2.0;
-  }
-}
-|}
-  in
-  match Transform.fuse ~first:"i1" ~second:"i2" k with
-  | Error (Transform.Not_perfectly_nested _) -> ()
-  | Error e -> Alcotest.failf "wrong error %s" (Transform.error_to_string e)
-  | Ok _ -> Alcotest.fail "bound mismatch must be refused"
-
-let test_distribute_and_refuse () =
-  let k =
-    Parser.parse_kernel
-      {|
-kernel d(N = 20) {
-  array A[N];
-  array B[N];
-  array C[N];
-  for i = 0 to N - 1 {
-    B[i] = A[i] * 2.0;
-    C[i] = B[i] + 1.0;
-  }
-}
-|}
-  in
-  let t = ok (Transform.distribute ~index:"i" k) in
-  check_same_semantics ~msg:"distribute" k t;
-  Alcotest.(check int) "two loops" 2 (List.length (Ast.loop_indices t.body));
-  (* A cross-statement recurrence blocks distribution. *)
-  let bad =
-    Parser.parse_kernel
-      {|
-kernel d2(N = 20) {
-  array A[N];
-  array B[N];
-  for i = 1 to N - 1 {
-    A[i] = B[i - 1];
-    B[i] = A[i] + 1.0;
-  }
-}
-|}
-  in
-  match Transform.distribute ~index:"i" bad with
-  | Error (Transform.Unsafe_jam _) -> ()
-  | Error e -> Alcotest.failf "wrong error %s" (Transform.error_to_string e)
-  | Ok _ -> Alcotest.fail "recurrence distribution must be refused"
-
-let test_fuse_then_distribute_roundtrip () =
-  let k = Parser.parse_kernel producer_consumer_src in
-  let fused = ok (Transform.fuse ~first:"i1" ~second:"i2" k) in
-  let redistributed = ok (Transform.distribute ~index:"i1" fused) in
-  check_same_semantics ~msg:"fuse; distribute" k redistributed
-
 (* --- Analysis tests --- *)
 
 let test_analysis_mm () =
@@ -1100,25 +935,6 @@ let () =
           Alcotest.test_case "unroll-and-jam unsafe" `Quick
             test_unroll_and_jam_unsafe;
           Alcotest.test_case "full recipe" `Quick test_full_recipe;
-        ] );
-      ( "restructuring",
-        [
-          Alcotest.test_case "skew exact" `Quick test_skew_exact;
-          Alcotest.test_case "skew enables interchange" `Quick
-            test_skew_changes_directions;
-          Alcotest.test_case "reverse parallel" `Quick
-            test_reverse_parallel_loop;
-          Alcotest.test_case "reverse refused" `Quick
-            test_reverse_refused_on_recurrence;
-          Alcotest.test_case "fuse producer-consumer" `Quick
-            test_fuse_producer_consumer;
-          Alcotest.test_case "fuse refused stencil" `Quick
-            test_fuse_refused_on_stencil;
-          Alcotest.test_case "fuse bound mismatch" `Quick
-            test_fuse_incompatible_bounds;
-          Alcotest.test_case "distribute" `Quick test_distribute_and_refuse;
-          Alcotest.test_case "fuse/distribute roundtrip" `Quick
-            test_fuse_then_distribute_roundtrip;
         ] );
       ( "analysis",
         [

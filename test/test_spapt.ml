@@ -9,6 +9,7 @@ module Spapt = Altune_spapt.Spapt
 module Kernels = Altune_spapt.Kernels
 module Ast = Altune_kernellang.Ast
 module Interp = Altune_kernellang.Interp
+module Verify = Altune_kernellang.Verify
 module Rng = Altune_prng.Rng
 module Welford = Altune_stats.Welford
 module Machine = Altune_machine.Machine
@@ -64,6 +65,30 @@ let test_catalog () =
           Alcotest.failf "%s: invalid kernel: %s" name
             (Format.asprintf "%a" Ast.pp_validation_error e))
     all_names
+
+(* The step kinds, matched exhaustively: a kind added to [Verify.step]
+   does not compile here until it is named, and then fails the test
+   below until some recipe emits it. *)
+let step_kind : Verify.step -> string = function
+  | Unroll _ -> "unroll"
+  | Tile_nest _ -> "tile"
+  | Unroll_and_jam _ -> "unroll-and-jam"
+
+let test_recipes_emit_every_step_kind () =
+  let rng = Rng.create ~seed:83 in
+  let seen = Hashtbl.create 4 in
+  List.iter
+    (fun name ->
+      let b = Spapt.create name in
+      for _ = 1 to 20 do
+        List.iter
+          (fun step -> Hashtbl.replace seen (step_kind step) ())
+          (Spapt.recipe b (Spapt.random_config b rng))
+      done)
+    all_names;
+  Alcotest.(check (list string))
+    "kinds" [ "tile"; "unroll"; "unroll-and-jam" ]
+    (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) seen []))
 
 let test_default_config_is_identity () =
   (* Config all-zeros = every knob off: the transformed kernel must equal
@@ -371,6 +396,8 @@ let () =
           Alcotest.test_case "11 benchmarks well-formed" `Quick test_catalog;
           Alcotest.test_case "invalid configs rejected" `Quick
             test_invalid_config_rejected;
+          Alcotest.test_case "recipes emit every step kind" `Quick
+            test_recipes_emit_every_step_kind;
         ] );
       ( "semantics",
         [

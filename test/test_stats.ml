@@ -257,47 +257,6 @@ let prop_cholesky_solve_correct =
       let ax = Linalg.mat_vec a x in
       Array.for_all2 (fun u v -> Float.abs (u -. v) < 1e-6) ax b)
 
-(* --- Rank tests --- *)
-
-module Tests = Altune_stats.Tests
-
-let gaussian_sample rng n mu sigma =
-  Array.init n (fun _ -> Rng.normal ~mu ~sigma rng)
-
-let test_mann_whitney_separated () =
-  let rng = Rng.create ~seed:61 in
-  let a = gaussian_sample rng 30 1.0 0.1 in
-  let b = gaussian_sample rng 30 2.0 0.1 in
-  let _, p = Tests.mann_whitney_u a b in
-  Alcotest.(check bool) "tiny p" true (p < 1e-6);
-  Alcotest.(check bool) "a less" true (Tests.significantly_less a b);
-  Alcotest.(check bool) "b not less" false (Tests.significantly_less b a)
-
-let test_mann_whitney_identical () =
-  let rng = Rng.create ~seed:67 in
-  let false_positives = ref 0 in
-  for _ = 1 to 200 do
-    let a = gaussian_sample rng 15 1.0 0.2 in
-    let b = gaussian_sample rng 15 1.0 0.2 in
-    if Tests.significantly_less a b then incr false_positives
-  done;
-  (* One-sided at alpha 0.05: expect ~5% false positives. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "false positive rate ~5%% (%d/200)" !false_positives)
-    true
-    (!false_positives < 25)
-
-let test_mann_whitney_ties () =
-  let a = [| 1.0; 1.0; 2.0 |] and b = [| 1.0; 2.0; 2.0 |] in
-  let u, p = Tests.mann_whitney_u a b in
-  Alcotest.(check bool) "finite" true (Float.is_finite u && Float.is_finite p);
-  Alcotest.(check bool) "p sane" true (p >= 0.0 && p <= 1.0)
-
-let test_mann_whitney_exact_u () =
-  (* Classic small example: a = [1,2], b = [3,4]: U1 = 0. *)
-  let u, _ = Tests.mann_whitney_u [| 1.0; 2.0 |] [| 3.0; 4.0 |] in
-  Alcotest.(check (float 1e-9)) "u" 0.0 u
-
 (* Property tests. *)
 
 let float_array_gen =
@@ -410,15 +369,6 @@ let () =
           Alcotest.test_case "normalize" `Quick test_normalize;
         ] );
       ("metrics", [ Alcotest.test_case "rmse mae r2" `Quick test_metrics ]);
-      ( "rank tests",
-        [
-          Alcotest.test_case "separated samples" `Quick
-            test_mann_whitney_separated;
-          Alcotest.test_case "identical samples" `Quick
-            test_mann_whitney_identical;
-          Alcotest.test_case "ties" `Quick test_mann_whitney_ties;
-          Alcotest.test_case "exact U" `Quick test_mann_whitney_exact_u;
-        ] );
       ( "linalg",
         [
           Alcotest.test_case "cholesky known" `Quick test_cholesky_known;
