@@ -23,6 +23,21 @@ type t = {
   straightline_stmts : float;
 }
 
+(* Scratch of one [analyze] call, shared by the [env] of every loop it
+   visits.  [eval], [coeff] and [flat] hand their float results back in
+   [stack]: each writes its result to [stack.(sp)] and evaluates its
+   operands in the slots above, so no float is boxed on the way; the
+   array grows on demand, and is read only after the calls that may grow
+   it.  [direct_stats] hands back a statement's flop, iop and statement
+   counts in [counts], and [count_ops] counts operators into [flops] and
+   [iops]. *)
+type scratch = {
+  mutable stack : float array;
+  counts : float array;
+  mutable flops : int;
+  mutable iops : int;
+}
+
 (* The compiled context of one loop body, built once per loop by
    [build_loop]: the live loop indices by slot (0 is the outermost), each
    one's average value, and for each slot whose lower bound depends on
@@ -43,6 +58,7 @@ type env = {
   mentioned : bool array;  (* the slots an access's subscripts mention *)
   raw : float array;  (* its per-slot coefficients before [expand] *)
   totals : float array;  (* and after *)
+  scratch : scratch;
 }
 
 exception Non_affine
@@ -54,8 +70,10 @@ let rec assoc_opt name = function
   | (k, v) :: rest ->
       if String.equal k name then Some v else assoc_opt name rest
 
-let param env x =
-  match assoc_opt x env.params with Some v -> v | None -> raise Non_affine
+let rec param params x =
+  match params with
+  | [] -> raise Non_affine
+  | (k, v) :: rest -> if String.equal k x then v else param rest x
 
 (* Slot of the live index [x], or -1 if [x] is not a live index. *)
 let rec slot_below live x s =
@@ -65,74 +83,122 @@ let rec slot_below live x s =
 
 let slot env x = slot_below env.live x (Array.length env.live - 1)
 
-(* Numeric evaluation of an expression, parameters at their values and
-   every live index at its average value or, with [~zeroed:true], at zero,
-   marking the index in [env.mentioned].  Used for loop bounds and constant
-   terms; Min/Max/Idiv are common there (tile edges, unroll remainder
-   bounds). *)
-let rec eval env ~zeroed (e : Ast.expr) : float =
+(* Room for results at [sp] and [sp + 1]. *)
+let reserve env sp =
+  let s = env.scratch in
+  if sp + 1 >= Array.length s.stack then
+    s.stack <- Array.append s.stack (Array.make (sp + 2) 0.0)
+
+(* Numeric evaluation of an expression into [stack.(sp)], parameters at
+   their values and every live index at its average value or, with
+   [~zeroed:true], at zero, marking the index in [env.mentioned].  Used
+   for loop bounds and constant terms; Min/Max/Idiv are common there
+   (tile edges, unroll remainder bounds). *)
+let rec eval env ~zeroed (e : Ast.expr) sp =
+  reserve env sp;
   match e with
-  | Int_lit n -> float_of_int n
-  | Float_lit x -> x
+  | Int_lit n -> env.scratch.stack.(sp) <- float_of_int n
+  | Float_lit x -> env.scratch.stack.(sp) <- x
   | Var x -> (
       match slot env x with
-      | -1 -> param env x
+      | -1 -> env.scratch.stack.(sp) <- param env.params x
       | s ->
           if zeroed then begin
             env.mentioned.(s) <- true;
-            0.0
+            env.scratch.stack.(sp) <- 0.0
           end
-          else env.mids.(s))
+          else env.scratch.stack.(sp) <- env.mids.(s))
   | Index _ -> raise Non_affine
-  | Binop (op, a, b) -> (
-      let x = eval env ~zeroed a and y = eval env ~zeroed b in
-      match op with
-      | Add -> x +. y
-      | Sub -> x -. y
-      | Mul -> x *. y
-      | Div -> x /. y
-      | Idiv ->
-          (* Truncated division: a divisor in (-1, 1) truncates to zero. *)
-          let d = int_of_float y in
-          if d = 0 then raise Non_affine
-          else Float.of_int (int_of_float x / d)
-      | Mod -> if y = 0.0 then raise Non_affine else Float.rem x y
-      | Min -> Float.min x y
-      | Max -> Float.max x y)
-  | Neg a -> -.eval env ~zeroed a
-  | Sqrt a -> sqrt (eval env ~zeroed a)
+  | Binop (op, a, b) ->
+      eval env ~zeroed a sp;
+      eval env ~zeroed b (sp + 1);
+      let st = env.scratch.stack in
+      let x = st.(sp) and y = st.(sp + 1) in
+      st.(sp) <-
+        (match op with
+        | Add -> x +. y
+        | Sub -> x -. y
+        | Mul -> x *. y
+        | Div -> x /. y
+        | Idiv ->
+            (* Truncated division: a divisor in (-1, 1) truncates to
+               zero. *)
+            let d = int_of_float y in
+            if d = 0 then raise Non_affine
+            else Float.of_int (int_of_float x / d)
+        | Mod -> if y = 0.0 then raise Non_affine else Float.rem x y
+        | Min -> Float.min x y
+        | Max -> Float.max x y)
+  | Neg a ->
+      eval env ~zeroed a sp;
+      let st = env.scratch.stack in
+      st.(sp) <- -.st.(sp)
+  | Sqrt a ->
+      eval env ~zeroed a sp;
+      let st = env.scratch.stack in
+      st.(sp) <- sqrt st.(sp)
 
-let eval_avg env e = eval env ~zeroed:false e
+(* The value of [e] with every live index at its average value. *)
+let eval_avg env e =
+  eval env ~zeroed:false e 0;
+  env.scratch.stack.(0)
 
 (* Whether [e] mentions a live index. *)
 let rec depends env (e : Ast.expr) =
   match e with
   | Int_lit _ | Float_lit _ -> false
   | Var x -> slot env x >= 0
-  | Index (_, subs) -> List.exists (depends env) subs
+  | Index (_, subs) -> depends_any env subs
   | Binop (_, a, b) -> depends env a || depends env b
   | Neg a | Sqrt a -> depends env a
 
-(* Affine coefficient of [var] in an integer expression, with all other
-   live indices treated as symbolic (coefficient extraction) and parameters
-   as constants.  Raises [Non_affine] on products of two var-dependent
-   terms, or Idiv/Mod/Min/Max applied to var-dependent operands.  Whether
-   it raises does not depend on [var]. *)
-let rec coeff env var (e : Ast.expr) : float =
+and depends_any env = function
+  | [] -> false
+  | e :: rest -> depends env e || depends_any env rest
+
+(* Affine coefficient of [var] in an integer expression, into
+   [stack.(sp)], with all other live indices treated as symbolic
+   (coefficient extraction) and parameters as constants.  Raises
+   [Non_affine] on products of two var-dependent terms, or
+   Idiv/Mod/Min/Max applied to var-dependent operands.  Whether it raises
+   does not depend on [var]. *)
+let rec coeff env var (e : Ast.expr) sp =
+  reserve env sp;
   match e with
-  | Int_lit _ | Float_lit _ -> 0.0
-  | Var x -> if String.equal x var then 1.0 else 0.0
+  | Int_lit _ | Float_lit _ -> env.scratch.stack.(sp) <- 0.0
+  | Var x -> env.scratch.stack.(sp) <- (if String.equal x var then 1.0 else 0.0)
   | Index _ -> raise Non_affine
-  | Neg a -> -.coeff env var a
-  | Sqrt a -> if depends env a then raise Non_affine else 0.0
-  | Binop (Add, a, b) -> coeff env var a +. coeff env var b
-  | Binop (Sub, a, b) -> coeff env var a -. coeff env var b
+  | Neg a ->
+      coeff env var a sp;
+      let st = env.scratch.stack in
+      st.(sp) <- -.st.(sp)
+  | Sqrt a ->
+      if depends env a then raise Non_affine else env.scratch.stack.(sp) <- 0.0
+  | Binop (Add, a, b) ->
+      coeff env var a sp;
+      coeff env var b (sp + 1);
+      let st = env.scratch.stack in
+      st.(sp) <- st.(sp) +. st.(sp + 1)
+  | Binop (Sub, a, b) ->
+      coeff env var a sp;
+      coeff env var b (sp + 1);
+      let st = env.scratch.stack in
+      st.(sp) <- st.(sp) -. st.(sp + 1)
   | Binop (Mul, a, b) ->
-      if not (depends env a) then eval_avg env a *. coeff env var b
-      else if not (depends env b) then coeff env var a *. eval_avg env b
-      else raise Non_affine
+      if not (depends env a) then begin
+        eval env ~zeroed:false a sp;
+        coeff env var b (sp + 1)
+      end
+      else if not (depends env b) then begin
+        coeff env var a sp;
+        eval env ~zeroed:false b (sp + 1)
+      end
+      else raise Non_affine;
+      let st = env.scratch.stack in
+      st.(sp) <- st.(sp) *. st.(sp + 1)
   | Binop ((Div | Idiv | Mod | Min | Max), a, b) ->
-      if depends env a || depends env b then raise Non_affine else 0.0
+      if depends env a || depends env b then raise Non_affine
+      else env.scratch.stack.(sp) <- 0.0
 
 (* Fold bound-induced dependence into the per-slot coefficients [raw]: a
    coefficient on a strip-mined point index also sweeps with the indices
@@ -152,33 +218,39 @@ let expand env ~skip_zero raw totals =
     totals.(v) <- raw.(v) +. !extra
   done
 
-let count_ops (e : Ast.expr) =
-  (* flops: operators outside subscripts; iops: operators inside them. *)
-  let flops = ref 0 and iops = ref 0 in
-  let op in_subscript = if in_subscript then incr iops else incr flops in
-  let rec go in_subscript (e : Ast.expr) =
-    match e with
-    | Int_lit _ | Float_lit _ | Var _ -> ()
-    | Index (_, subs) -> List.iter (go true) subs
-    | Binop (_, a, b) ->
-        go in_subscript a;
-        go in_subscript b;
-        op in_subscript
-    | Neg a | Sqrt a ->
-        go in_subscript a;
-        op in_subscript
-  in
-  go false e;
-  (!flops, !iops)
+(* Count the operators of [e] into [flops] (outside subscripts) and
+   [iops] (inside them); [in_subscript] says where [e] itself is. *)
+let rec count_ops s in_subscript (e : Ast.expr) =
+  match e with
+  | Int_lit _ | Float_lit _ | Var _ -> ()
+  | Index (_, subs) -> count_ops_list s subs
+  | Binop (_, a, b) ->
+      count_ops s in_subscript a;
+      count_ops s in_subscript b;
+      count_op s in_subscript
+  | Neg a | Sqrt a ->
+      count_ops s in_subscript a;
+      count_op s in_subscript
+
+and count_op s in_subscript =
+  if in_subscript then s.iops <- s.iops + 1 else s.flops <- s.flops + 1
+
+and count_ops_list s = function
+  | [] -> ()
+  | e :: rest ->
+      count_ops s true e;
+      count_ops_list s rest
 
 (* A stream of the loop body under analysis, still taking accesses: its
-   key, and the constant offsets of the [count] accesses seen so far in
-   [offsets.(0 .. count - 1)]. *)
+   key, the number of accesses seen so far, and the distinct constant
+   offsets among them, sorted under [Float.compare], in
+   [offsets.(0 .. distinct - 1)]. *)
 type pending = {
   key_array : string;
   key_coeffs : (string * float) list;
   key_affine : bool;
   mutable offsets : float array;
+  mutable distinct : int;
   mutable count : int;
 }
 
@@ -222,198 +294,229 @@ let compare_key env array ~top ~affine p =
     let k = compare_coeffs env top p.key_coeffs in
     if k <> 0 then k else Bool.compare affine p.key_affine
 
-(* Count one access into the stream of its key, opening the stream in its
-   place if the key is new.  A body has few streams (the translated copies
-   of an access share one), so a scan of the sorted list finds it. *)
-let push env body array ~top ~affine offset =
-  let rec join = function
-    | [] -> false
-    | p :: rest ->
-        let k = compare_key env array ~top ~affine p in
-        if k = 0 then begin
-          if p.count = Array.length p.offsets then
-            p.offsets <-
-              Array.append p.offsets (Array.make p.count 0.0);
-          p.offsets.(p.count) <- offset;
-          p.count <- p.count + 1;
-          true
-        end
-        else k < 0 && join rest
-  in
-  if not (join body.pending) then begin
+(* Count one access, whose constant offset is in [stack.(0)], into [p]:
+   a binary search of the sorted distinct offsets either finds its class
+   or the place to open it. *)
+let add_offset env p =
+  let x = env.scratch.stack.(0) in
+  let lo = ref 0 and hi = ref p.distinct and found = ref false in
+  while (not !found) && !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let k = Float.compare p.offsets.(mid) x in
+    if k < 0 then lo := mid + 1
+    else if k > 0 then hi := mid
+    else found := true
+  done;
+  if not !found then begin
+    if p.distinct = Array.length p.offsets then
+      p.offsets <- Array.append p.offsets (Array.make p.distinct 0.0);
+    Array.blit p.offsets !lo p.offsets (!lo + 1) (p.distinct - !lo);
+    p.offsets.(!lo) <- x;
+    p.distinct <- p.distinct + 1
+  end;
+  p.count <- p.count + 1
+
+let rec join env array ~top ~affine = function
+  | [] -> false
+  | p :: rest ->
+      let k = compare_key env array ~top ~affine p in
+      if k = 0 then begin
+        add_offset env p;
+        true
+      end
+      else k < 0 && join env array ~top ~affine rest
+
+let rec insert env array ~top ~affine p = function
+  | q :: rest when compare_key env array ~top ~affine q < 0 ->
+      q :: insert env array ~top ~affine p rest
+  | l -> p :: l
+
+(* Count one access, whose constant offset is in [stack.(0)], into the
+   stream of its key, opening the stream in its place if the key is new.
+   A body has few streams (the translated copies of an access share
+   one), so a scan of the sorted list finds it. *)
+let push env body array ~top ~affine =
+  if not (join env array ~top ~affine body.pending) then begin
     let p =
       {
         key_array = array;
         key_coeffs = coeffs_of env ~top;
         key_affine = affine;
-        offsets = Array.make 4 offset;
-        count = 1;
+        offsets = Array.make 4 0.0;
+        distinct = 0;
+        count = 0;
       }
     in
-    let rec insert = function
-      | q :: rest when compare_key env array ~top ~affine q < 0 ->
-          q :: insert rest
-      | l -> p :: l
-    in
-    body.pending <- insert body.pending
+    add_offset env p;
+    body.pending <- insert env array ~top ~affine p body.pending
   end
-
-(* The number of distinct offsets under [Float.compare]: heap-sort them
-   in place (a float-array sort that boxes no element), then count the
-   runs. *)
-let distinct_offsets p =
-  let a = p.offsets and n = p.count in
-  let swap i j =
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  in
-  let rec sift i n =
-    let l = (2 * i) + 1 in
-    if l < n then begin
-      let c =
-        if l + 1 < n && Float.compare a.(l + 1) a.(l) > 0 then l + 1 else l
-      in
-      if Float.compare a.(c) a.(i) > 0 then begin
-        swap i c;
-        sift c n
-      end
-    end
-  in
-  for i = (n / 2) - 1 downto 0 do
-    sift i n
-  done;
-  for e = n - 1 downto 1 do
-    swap 0 e;
-    sift 0 e
-  done;
-  let runs = ref 1 in
-  for i = 1 to n - 1 do
-    if Float.compare a.(i) a.(i - 1) <> 0 then incr runs
-  done;
-  !runs
 
 let close p =
   {
     array = p.key_array;
     coeffs = p.key_coeffs;
     affine = p.key_affine;
-    distinct = distinct_offsets p;
+    distinct = p.distinct;
     mult = p.count;
   }
 
-let row_stride row_strides k =
-  if k < Array.length row_strides then row_strides.(k) else 1.0
+let rec row_strides_of array = function
+  | [] -> [||]
+  | (name, s) :: rest ->
+      if String.equal name array then s else row_strides_of array rest
 
-(* Row-major flattening: the sum over dimensions of a subscript's
-   constant term (for [slot] -1, with every live index at zero) or of its
-   coefficient on the index of [slot], times the product of the extents of
-   later dimensions. *)
-let rec flat env ~slot row_strides k acc = function
-  | [] -> acc
+(* Row-major flattening into [stack.(sp)]: the sum over dimensions of a
+   subscript's constant term (for [slot] -1, with every live index at
+   zero) or of its coefficient on the index of [slot], times the product
+   of the extents of later dimensions (1 past the declared rank). *)
+let rec flat_terms env ~slot row_strides k subs sp =
+  match subs with
+  | [] -> ()
   | sub :: rest ->
-      let term =
-        if slot < 0 then eval env ~zeroed:true sub
-        else coeff env env.live.(slot) sub
+      if slot < 0 then eval env ~zeroed:true sub (sp + 1)
+      else coeff env env.live.(slot) sub (sp + 1);
+      let st = env.scratch.stack in
+      let stride =
+        if k < Array.length row_strides then row_strides.(k) else 1.0
       in
-      flat env ~slot row_strides (k + 1)
-        (acc +. (term *. row_stride row_strides k))
-        rest
+      st.(sp) <- st.(sp) +. (st.(sp + 1) *. stride);
+      flat_terms env ~slot row_strides (k + 1) rest sp
+
+let flat env ~slot row_strides subs sp =
+  reserve env sp;
+  env.scratch.stack.(sp) <- 0.0;
+  flat_terms env ~slot row_strides 0 subs sp
 
 (* Count an access into [body].  One walk of the subscripts yields the
-   constant term and marks the live indices they mention; only those get
-   a coefficient walk.  Any other index's coefficient is exactly +0.0,
-   unless a non-finite scalar factor or extent makes it NaN — and then the
-   constant term is not finite either, so every index is walked.  A
-   non-affine access has no coefficients and offset 0. *)
+   constant term, in [stack.(0)], and marks the live indices they
+   mention; only those get a coefficient walk.  Any other index's
+   coefficient is exactly +0.0, unless a non-finite scalar factor or
+   extent makes it NaN — and then the constant term is not finite
+   either, so every index is walked.  A non-affine access has no
+   coefficients and offset 0. *)
 let add_access ~env ~strides body array subs =
-  let row_strides =
-    match assoc_opt array strides with Some s -> s | None -> [||]
-  in
+  let row_strides = row_strides_of array strides in
   let n = Array.length env.live in
   Array.fill env.mentioned 0 n false;
   match
-    let offset = flat env ~slot:(-1) row_strides 0 0.0 subs in
-    let every = not (Float.is_finite offset) in
+    flat env ~slot:(-1) row_strides subs 0;
+    let every = not (Float.is_finite env.scratch.stack.(0)) in
     for s = 0 to n - 1 do
-      env.raw.(s) <-
-        (if every || env.mentioned.(s) then
-           flat env ~slot:s row_strides 0 0.0 subs
-         else 0.0)
-    done;
-    offset
+      if every || env.mentioned.(s) then begin
+        flat env ~slot:s row_strides subs 1;
+        env.raw.(s) <- env.scratch.stack.(1)
+      end
+      else env.raw.(s) <- 0.0
+    done
   with
-  | offset ->
+  | () ->
       expand env ~skip_zero:false env.raw env.totals;
-      push env body array ~top:(n - 1) ~affine:true offset
-  | exception Non_affine -> push env body array ~top:(-1) ~affine:false 0.0
+      push env body array ~top:(n - 1) ~affine:true
+  | exception Non_affine ->
+      env.scratch.stack.(0) <- 0.0;
+      push env body array ~top:(-1) ~affine:false
 
-let rec exprs_of_cond (c : Ast.cond) =
+(* Count the accesses of [e] into [body], each before those of its
+   subscripts. *)
+let rec reads ~env ~strides body (e : Ast.expr) =
+  match e with
+  | Int_lit _ | Float_lit _ | Var _ -> ()
+  | Index (a, subs) ->
+      add_access ~env ~strides body a subs;
+      reads_list ~env ~strides body subs
+  | Binop (_, a, b) ->
+      reads ~env ~strides body a;
+      reads ~env ~strides body b
+  | Neg a | Sqrt a -> reads ~env ~strides body a
+
+and reads_list ~env ~strides body = function
+  | [] -> ()
+  | e :: rest ->
+      reads ~env ~strides body e;
+      reads_list ~env ~strides body rest
+
+let rec cond_ops s (c : Ast.cond) =
   match c with
-  | Cmp (_, a, b) -> [ a; b ]
-  | And (a, b) | Or (a, b) -> exprs_of_cond a @ exprs_of_cond b
-  | Not a -> exprs_of_cond a
+  | Cmp (_, a, b) ->
+      count_ops s false a;
+      count_ops s false b
+  | And (a, b) | Or (a, b) ->
+      cond_ops s a;
+      cond_ops s b
+  | Not a -> cond_ops s a
 
 (* Direct statistics of statements under [s], stopping at nested loops.
    The accesses found are counted into [body]'s streams and the nested
    loops pushed onto its [loops]; the flop, iop and statement counts are
-   returned, summed in the shape of the statement tree. *)
+   handed back in [counts], summed in the shape of the statement
+   tree. *)
 let rec direct_stats ~env ~strides body (s : Ast.stmt) =
+  let sc = env.scratch in
+  let c = sc.counts in
   match s with
   | Assign (lhs, rhs) ->
-      let rec reads (e : Ast.expr) =
-        match e with
-        | Int_lit _ | Float_lit _ | Var _ -> ()
-        | Index (a, subs) ->
-            add_access ~env ~strides body a subs;
-            List.iter reads subs
-        | Binop (_, a, b) ->
-            reads a;
-            reads b
-        | Neg a | Sqrt a -> reads a
-      in
-      let wf, wi =
-        match lhs with
-        | Scalar_lhs _ -> (0, 0)
-        | Array_lhs (a, subs) ->
-            add_access ~env ~strides body a subs;
-            List.fold_left
-              (fun (f, i) s ->
-                let f', i' = count_ops s in
-                (f + f', i + i' + 1))
-              (0, 0) subs
-      in
-      reads rhs;
-      let rf, ri = count_ops rhs in
-      (float_of_int (rf + wf), float_of_int (ri + wi), 1.0)
+      sc.flops <- 0;
+      sc.iops <- 0;
+      (match lhs with
+      | Scalar_lhs _ -> ()
+      | Array_lhs (a, subs) ->
+          add_access ~env ~strides body a subs;
+          lhs_ops sc subs);
+      reads ~env ~strides body rhs;
+      count_ops sc false rhs;
+      c.(0) <- float_of_int sc.flops;
+      c.(1) <- float_of_int sc.iops;
+      c.(2) <- 1.0
   | Seq ss ->
-      List.fold_left
-        (fun (f, i, n) s ->
-          let f', i', n' = direct_stats ~env ~strides body s in
-          (f +. f', i +. i', n +. n'))
-        (0.0, 0.0, 0.0) ss
+      (* The running sums stay in locals: each statement reuses
+         [counts]. *)
+      let f = ref 0.0 and i = ref 0.0 and n = ref 0.0 and rest = ref ss in
+      while !rest != [] do
+        match !rest with
+        | [] -> ()
+        | s :: tl ->
+            rest := tl;
+            direct_stats ~env ~strides body s;
+            f := !f +. c.(0);
+            i := !i +. c.(1);
+            n := !n +. c.(2)
+      done;
+      c.(0) <- !f;
+      c.(1) <- !i;
+      c.(2) <- !n
   | For l ->
       body.loops <- l :: body.loops;
-      (0.0, 0.0, 0.0)
-  | If (c, t, e) ->
+      c.(0) <- 0.0;
+      c.(1) <- 0.0;
+      c.(2) <- 0.0
+  | If (cond, t, e) ->
       (* Count both branches at half weight: a cheap expected-cost model of
          data-dependent branches. *)
-      let cond_iops =
-        List.fold_left
-          (fun acc e ->
-            let f, i = count_ops e in
-            acc + f + i)
-          0 (exprs_of_cond c)
-      in
-      let ft, it, nt = direct_stats ~env ~strides body t in
-      let fe, ie, ne =
-        match e with
-        | None -> (0.0, 0.0, 0.0)
-        | Some e -> direct_stats ~env ~strides body e
-      in
-      ( ((ft +. fe) /. 2.0) +. float_of_int cond_iops,
-        (it +. ie) /. 2.0,
-        ((nt +. ne) /. 2.0) +. 1.0 )
+      sc.flops <- 0;
+      sc.iops <- 0;
+      cond_ops sc cond;
+      let cond_iops = sc.flops + sc.iops in
+      direct_stats ~env ~strides body t;
+      let ft = c.(0) and it = c.(1) and nt = c.(2) in
+      (match e with
+      | None ->
+          c.(0) <- 0.0;
+          c.(1) <- 0.0;
+          c.(2) <- 0.0
+      | Some e -> direct_stats ~env ~strides body e);
+      c.(0) <- ((ft +. c.(0)) /. 2.0) +. float_of_int cond_iops;
+      c.(1) <- (it +. c.(1)) /. 2.0;
+      c.(2) <- ((nt +. c.(2)) /. 2.0) +. 1.0
+
+(* The operators of an assignment's own subscripts: each subscript's
+   operators as if outside an access, plus one iop for the
+   subscript. *)
+and lhs_ops sc = function
+  | [] -> ()
+  | e :: rest ->
+      count_ops sc false e;
+      sc.iops <- sc.iops + 1;
+      lhs_ops sc rest
 
 let rec build_loop ~env ~strides (l : Ast.loop) : loop_node =
   let lo = try eval_avg env l.lo with Non_affine -> 0.0 in
@@ -430,15 +533,15 @@ let rec build_loop ~env ~strides (l : Ast.loop) : loop_node =
   (* Fully-folded expansion of this loop's lower bound over enclosing
      indices. *)
   let lo_expansion =
-    let raw =
-      Array.map
-        (fun v ->
-          match coeff env v l.lo with
-          | c when c <> 0.0 -> c
-          | _ -> 0.0
-          | exception Non_affine -> 0.0)
-        env.live
-    in
+    let raw = Array.make (Array.length env.live) 0.0 in
+    Array.iteri
+      (fun s v ->
+        match coeff env v l.lo 0 with
+        | () ->
+            let c = env.scratch.stack.(0) in
+            if c <> 0.0 then raw.(s) <- c
+        | exception Non_affine -> ())
+      env.live;
     let totals = Array.make (Array.length raw) 0.0 in
     expand env ~skip_zero:true raw totals;
     if Array.exists (fun c -> c <> 0.0) totals then Some totals else None
@@ -459,7 +562,9 @@ let rec build_loop ~env ~strides (l : Ast.loop) : loop_node =
     }
   in
   let body = { pending = []; loops = [] } in
-  let flops, iops, stmts = direct_stats ~env:env' ~strides body l.body in
+  direct_stats ~env:env' ~strides body l.body;
+  let counts = env.scratch.counts in
+  let flops = counts.(0) and iops = counts.(1) and stmts = counts.(2) in
   let children = List.rev_map (build_loop ~env:env' ~strides) body.loops in
   { index = l.index; trips; step = l.step;
     streams = List.map close body.pending; flops; iops; stmts; children }
@@ -482,6 +587,9 @@ let analyze ?(param_overrides = []) (kernel : Ast.kernel) =
       mentioned = [||];
       raw = [||];
       totals = [||];
+      scratch =
+        { stack = Array.make 16 0.0; counts = Array.make 3 0.0; flops = 0;
+          iops = 0 };
     }
   in
   let dims =
@@ -519,7 +627,8 @@ let analyze ?(param_overrides = []) (kernel : Ast.kernel) =
       dims
   in
   let body = { pending = []; loops = [] } in
-  let _, _, straightline = direct_stats ~env ~strides body kernel.body in
+  direct_stats ~env ~strides body kernel.body;
+  let straightline = env.scratch.counts.(2) in
   let roots = List.rev_map (build_loop ~env ~strides) body.loops in
   { roots; array_elements; straightline_stmts = straightline }
 

@@ -53,11 +53,9 @@ type access = {
   subscripts : Ast.expr list;
   loops : string list;  (* enclosing loop indices, outermost first *)
   strides : (string * int) list;  (* see [nest] *)
-  site : int;  (* textual order of the statement *)
 }
 
 let collect_accesses (k : Ast.kernel) =
-  let counter = ref 0 in
   let accesses = ref [] in
   let scalars_written = ref [] in
   let add (nest : nest) a is_write subs =
@@ -68,7 +66,6 @@ let collect_accesses (k : Ast.kernel) =
         subscripts = subs;
         loops = nest.loops;
         strides = nest.strides;
-        site = !counter;
       }
       :: !accesses
   in
@@ -96,7 +93,6 @@ let collect_accesses (k : Ast.kernel) =
   let rec go (nest : nest) (s : Ast.stmt) =
     match s with
     | Assign (lhs, rhs) ->
-        incr counter;
         (match lhs with
         | Scalar_lhs x ->
             if not (List.mem x !scalars_written) then

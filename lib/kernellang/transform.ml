@@ -39,19 +39,43 @@ let fresh_name k base suffix =
     go 1
   end
 
-(* Rewrite the unique loop with index [index], replacing it by [f loop].
-   Raises [Fail (Loop_not_found index)] if absent. *)
+(* [List.map f l] in order, but [l] itself when [f] returns every
+   element physically unchanged. *)
+let rec map_shared f l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+      let x' = f x in
+      let rest' = map_shared f rest in
+      if x' == x && rest' == rest then l else x' :: rest'
+
+(* Rewrite the unique loop with index [index], replacing it by [f loop];
+   the statements off the path to it are shared, not rebuilt.  Raises
+   [Fail (Loop_not_found index)] if absent. *)
 let rewrite_loop (k : Ast.kernel) index f =
   let found = ref false in
   let rec go (s : Ast.stmt) : Ast.stmt =
     match s with
     | Assign _ -> s
-    | Seq ss -> Seq (List.map go ss)
+    | Seq ss ->
+        let ss' = map_shared go ss in
+        if ss' == ss then s else Seq ss'
     | For l when l.index = index && not !found ->
         found := true;
         f l
-    | For l -> For { l with body = go l.body }
-    | If (c, t, e) -> If (c, go t, Option.map go e)
+    | For l ->
+        let body = go l.body in
+        if body == l.body then s else For { l with body }
+    | If (c, t, e) ->
+        let t' = go t in
+        let e' =
+          match e with
+          | None -> e
+          | Some b ->
+              let b' = go b in
+              if b' == b then e else Some b'
+        in
+        if t' == t && e' == e then s else If (c, t', e')
   in
   let body = go k.body in
   if not !found then raise (Fail (Loop_not_found index));
@@ -73,30 +97,34 @@ let trip_count (l : Ast.loop) =
 let wrap f = match f () with k -> Ok k | exception Fail e -> Error e
 
 (* The names in use while loop bodies are copied: every name of the
-   kernel and every name handed out so far. *)
+   kernel and every name handed out so far, each with the lowest [n] that
+   [copy_name] has not yet ruled out for [<name>_c<n>]. *)
 let names_of k =
   let taken = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace taken n ()) (used_names k);
+  List.iter (fun n -> Hashtbl.replace taken n 0) (used_names k);
   taken
 
-(* The lowest free [<base>_c<n>], now taken. *)
+(* The lowest free [<base>_c<n>], now taken.  Names are only ever added,
+   so the search resumes where the last one for [base] stopped. *)
 let copy_name names base =
   let rec go n =
     let c = base ^ "_c" ^ string_of_int n in
     if Hashtbl.mem names c then go (n + 1)
     else begin
-      Hashtbl.replace names c ();
+      Hashtbl.replace names base (n + 1);
+      Hashtbl.replace names c 0;
       c
     end
   in
-  go 0
+  go (Option.value ~default:0 (Hashtbl.find_opt names base))
 
 (* A copy of [stmt] with [var] replaced by [by] and every loop in it
    renamed to a fresh [<index>_c<n>], so that replicating a body (unroll
    copies, remainder loops) preserves the kernel-wide uniqueness of loop
    indices.  One pass, with the substitutions in scope kept innermost
    first: a loop's bounds see the enclosing ones, its body its own new
-   name as well.  Names are allocated in pre-order. *)
+   name as well.  Names are allocated in pre-order.  A subtree that no
+   substitution reaches is shared with [stmt], not rebuilt. *)
 let copy names ~var ~by stmt =
   let rec lookup e x = function
     | [] -> e
@@ -106,25 +134,64 @@ let copy names ~var ~by stmt =
     match e with
     | Int_lit _ | Float_lit _ -> e
     | Var x -> lookup e x env
-    | Index (a, subs) -> Index (a, List.map (expr env) subs)
-    | Binop (op, a, b) -> Binop (op, expr env a, expr env b)
-    | Neg a -> Neg (expr env a)
-    | Sqrt a -> Sqrt (expr env a)
+    | Index (a, subs) ->
+        let subs' = map_shared (expr env) subs in
+        if subs' == subs then e else Index (a, subs')
+    | Binop (op, a, b) ->
+        let a' = expr env a in
+        let b' = expr env b in
+        if a' == a && b' == b then e else Binop (op, a', b')
+    | Neg a ->
+        let a' = expr env a in
+        if a' == a then e else Neg a'
+    | Sqrt a ->
+        let a' = expr env a in
+        if a' == a then e else Sqrt a'
   in
   let rec cond env (c : Ast.cond) : Ast.cond =
     match c with
-    | Cmp (op, a, b) -> Cmp (op, expr env a, expr env b)
-    | And (a, b) -> And (cond env a, cond env b)
-    | Or (a, b) -> Or (cond env a, cond env b)
-    | Not a -> Not (cond env a)
+    | Cmp (op, a, b) ->
+        let a' = expr env a in
+        let b' = expr env b in
+        if a' == a && b' == b then c else Cmp (op, a', b')
+    | And (a, b) ->
+        let a' = cond env a in
+        let b' = cond env b in
+        if a' == a && b' == b then c else And (a', b')
+    | Or (a, b) ->
+        let a' = cond env a in
+        let b' = cond env b in
+        if a' == a && b' == b then c else Or (a', b')
+    | Not a ->
+        let a' = cond env a in
+        if a' == a then c else Not a'
   in
   let rec go env (s : Ast.stmt) : Ast.stmt =
     match s with
-    | Assign ((Scalar_lhs _ as lhs), e) -> Assign (lhs, expr env e)
-    | Assign (Array_lhs (a, subs), e) ->
-        Assign (Array_lhs (a, List.map (expr env) subs), expr env e)
-    | Seq ss -> Seq (List.map (go env) ss)
-    | If (c, t, e) -> If (cond env c, go env t, Option.map (go env) e)
+    | Assign (lhs, e) ->
+        let lhs' =
+          match lhs with
+          | Scalar_lhs _ -> lhs
+          | Array_lhs (a, subs) ->
+              let subs' = map_shared (expr env) subs in
+              if subs' == subs then lhs else Array_lhs (a, subs')
+        in
+        let e' = expr env e in
+        if lhs' == lhs && e' == e then s else Assign (lhs', e')
+    | Seq ss ->
+        let ss' = map_shared (go env) ss in
+        if ss' == ss then s else Seq ss'
+    | If (c, t, e) ->
+        let c' = cond env c in
+        let t' = go env t in
+        let e' =
+          match e with
+          | None -> e
+          | Some b ->
+              let b' = go env b in
+              if b' == b then e else Some b'
+        in
+        if c' == c && t' == t && e' == e then s else If (c', t', e')
     | For l ->
         let name = copy_name names l.index in
         For
@@ -147,7 +214,7 @@ let unroll ~index ~factor k =
       else begin
         let rem_index = fresh_name k index "_r" in
         let names = names_of k in
-        Hashtbl.replace names rem_index ();
+        Hashtbl.replace names rem_index 0;
         rewrite_loop k index (fun l ->
             let copies =
               List.init factor (fun c ->
@@ -303,7 +370,7 @@ let unroll_and_jam ~index ~factor k =
         let jam_ok = Dependence.jam_legal k index in
         let rem_index = fresh_name k index "_j" in
         let names = names_of k in
-        Hashtbl.replace names rem_index ();
+        Hashtbl.replace names rem_index 0;
         rewrite_loop k index (fun l ->
             match immediate_inner l with
             | None -> raise (Fail (Not_perfectly_nested (index, "<body>")))

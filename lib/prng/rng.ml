@@ -1,12 +1,19 @@
+(* The four xoshiro256** words live little-endian in [words] at byte
+   offsets 0, 8, 16 and 24, so a draw stores them unboxed. *)
 type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
+  words : Bytes.t;
   mutable spare : float;
   (* Cached second variate of the Marsaglia polar pair; nan when empty. *)
   mutable has_spare : bool;
 }
+
+let of_words s0 s1 s2 s3 ~spare ~has_spare =
+  let words = Bytes.create 32 in
+  Bytes.set_int64_le words 0 s0;
+  Bytes.set_int64_le words 8 s1;
+  Bytes.set_int64_le words 16 s2;
+  Bytes.set_int64_le words 24 s3;
+  { words; spare; has_spare }
 
 (* SplitMix64 is used only to expand a seed into the 256-bit xoshiro state,
    guaranteeing a non-zero, well-mixed starting point. *)
@@ -24,7 +31,7 @@ let create ~seed =
   let s1 = splitmix64 st in
   let s2 = splitmix64 st in
   let s3 = splitmix64 st in
-  { s0; s1; s2; s3; spare = nan; has_spare = false }
+  of_words s0 s1 s2 s3 ~spare:nan ~has_spare:false
 
 type seed_part = I of int | S of string
 
@@ -58,22 +65,25 @@ let derive ~seed parts =
   (* Top 62 bits: OCaml's native int keeps 63, so this stays positive. *)
   Int64.to_int (Int64.shift_right_logical !h 2)
 
-let copy t = { t with s0 = t.s0 }
+let copy t = { t with words = Bytes.copy t.words }
 
 let rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 (* xoshiro256** step. *)
-let bits64 t =
+let[@inline] bits64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let w = t.words in
+  let s0 = Bytes.get_int64_le w 0 and s1 = Bytes.get_int64_le w 8 in
+  let s2 = Bytes.get_int64_le w 16 and s3 = Bytes.get_int64_le w 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  Bytes.set_int64_le w 8 (logxor s1 s2);
+  Bytes.set_int64_le w 0 (logxor s0 s3);
+  Bytes.set_int64_le w 16 (logxor s2 tmp);
+  Bytes.set_int64_le w 24 (rotl s3 45);
   result
 
 let split t =
@@ -82,17 +92,17 @@ let split t =
   let s1 = splitmix64 st in
   let s2 = splitmix64 st in
   let s3 = splitmix64 st in
-  { s0; s1; s2; s3; spare = nan; has_spare = false }
+  of_words s0 s1 s2 s3 ~spare:nan ~has_spare:false
+
+(* Rejection sampling on the top bits to avoid modulo bias. *)
+let rec draw_below t bound =
+  let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
+  let v = r mod bound in
+  if r - v + (bound - 1) < 0 then draw_below t bound else v
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling on the top bits to avoid modulo bias. *)
-  let rec draw () =
-    let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
-    let v = r mod bound in
-    if r - v + (bound - 1) < 0 then draw () else v
-  in
-  draw ()
+  draw_below t bound
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
@@ -151,8 +161,6 @@ let sample_without_replacement t k n =
   done;
   Array.sub idx 0 k
 
-(* Defined last: the labels shadow [t]'s mutable fields of the same name,
-   so everything above keeps resolving them against [t]. *)
 type state = {
   s0 : int64;
   s1 : int64;
@@ -163,21 +171,15 @@ type state = {
 }
 
 let capture (t : t) =
+  let w = t.words in
   {
-    s0 = t.s0;
-    s1 = t.s1;
-    s2 = t.s2;
-    s3 = t.s3;
+    s0 = Bytes.get_int64_le w 0;
+    s1 = Bytes.get_int64_le w 8;
+    s2 = Bytes.get_int64_le w 16;
+    s3 = Bytes.get_int64_le w 24;
     spare = t.spare;
     has_spare = t.has_spare;
   }
 
 let restore (s : state) : t =
-  {
-    s0 = s.s0;
-    s1 = s.s1;
-    s2 = s.s2;
-    s3 = s.s3;
-    spare = s.spare;
-    has_spare = s.has_spare;
-  }
+  of_words s.s0 s.s1 s.s2 s.s3 ~spare:s.spare ~has_spare:s.has_spare

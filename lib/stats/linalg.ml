@@ -55,10 +55,3 @@ let dot a b =
     s := !s +. (a.(i) *. b.(i))
   done;
   !s
-
-let mat_vec m v = Array.map (fun row -> dot row v) m
-
-let log_det_from_cholesky l =
-  let s = ref 0.0 in
-  Array.iteri (fun i row -> s := !s +. log row.(i)) l;
-  2.0 *. !s

@@ -18,8 +18,3 @@ val cholesky_solve : float array array -> float array -> float array
 (** [cholesky_solve l b] solves [A x = b] given [A]'s Cholesky factor. *)
 
 val dot : float array -> float array -> float
-
-val mat_vec : float array array -> float array -> float array
-
-val log_det_from_cholesky : float array array -> float
-(** [log det A = 2 sum_i log L_ii]. *)

@@ -63,8 +63,6 @@ let erfc x =
   let ans = t *. exp poly in
   if x >= 0.0 then ans else 2.0 -. ans
 
-let erf x = 1.0 -. erfc x
-
 (* Lentz's algorithm for the continued fraction of I_x(a,b), as in
    Numerical Recipes [betacf]. *)
 let betacf a b x =

@@ -1,14 +1,11 @@
 (** Special functions needed for confidence intervals and Bayesian leaf
-    posteriors: log-gamma, error function, and the regularized incomplete
-    beta function.  Implementations follow the classical Lanczos /
+    posteriors: log-gamma, the complementary error function, and the
+    regularized incomplete beta function.  Implementations follow the classical Lanczos /
     continued-fraction formulations and are accurate to ~1e-10 over the
     ranges used in this project. *)
 
 val log_gamma : float -> float
 (** [log_gamma x] is [ln (Gamma x)] for [x > 0]. *)
-
-val erf : float -> float
-(** Error function. *)
 
 val erfc : float -> float
 (** Complementary error function, accurate for large arguments. *)

@@ -44,13 +44,6 @@ let ci_halfwidth ?(level = 0.95) t =
     q *. std_error t
   end
 
-let confidence_interval ?(level = 0.95) t =
-  if t.n < 2 then (nan, nan)
-  else begin
-    let h = ci_halfwidth ~level t in
-    (t.mean -. h, t.mean +. h)
-  end
-
 let ci_over_mean ?(level = 0.95) t =
   if t.n < 2 || t.mean = 0.0 then infinity
   else Float.abs (ci_halfwidth ~level t /. t.mean)

@@ -27,13 +27,10 @@ val sum : t -> float
 val std_error : t -> float
 (** Standard error of the mean, [std/sqrt n]. *)
 
-val confidence_interval : ?level:float -> t -> float * float
-(** [confidence_interval ~level t] is the Student-t CI for the mean at the
-    given two-sided confidence [level] (default [0.95]).  Requires at least
-    two observations; returns [(nan, nan)] otherwise. *)
-
 val ci_halfwidth : ?level:float -> t -> float
-(** Half-width of {!confidence_interval}; [infinity] with <2 observations. *)
+(** Half-width of the Student-t confidence interval for the mean at the
+    given two-sided confidence [level] (default [0.95]); [infinity] with
+    <2 observations. *)
 
 val ci_over_mean : ?level:float -> t -> float
 (** The CI-halfwidth / mean ratio used by the paper's post-hoc sampling-plan

@@ -674,6 +674,49 @@ kernel r(N = 8) {
     [ ("B", (true, 1, 1)); ("A", (true, 1, 2)) ]
     (stream_counts (innermost_streams k))
 
+(* A stream's distinct count is its number of offset classes under
+   [Float.compare], whatever order the offsets arrive in: here descending
+   and mixed with repeats, fractional and large, and all NaN (one
+   class). *)
+let test_analysis_distinct_classes () =
+  let check src offsets =
+    let k = Parser.parse_kernel src in
+    match
+      List.filter
+        (fun (st : Analysis.stream) -> st.array = "A")
+        (innermost_streams k)
+    with
+    | [ a ] ->
+        Alcotest.(check int)
+          "distinct" (List.length (List.sort_uniq Float.compare offsets))
+          a.distinct;
+        Alcotest.(check int) "mult" (List.length offsets) a.mult
+    | _ -> Alcotest.fail "expected one stream of A"
+  in
+  check
+    {|
+kernel d(N = 8) {
+  array A[N];
+  array B[N];
+  for i = 0 to N - 1 {
+    B[i] = A[i + 1000000] + A[i + 3] + A[i + 0.5] + A[i + 3] + A[i - 2]
+      + A[i + 0.5] + A[i] + A[i + 1000000];
+  }
+}
+|}
+    [ 1000000.0; 3.0; 0.5; 3.0; -2.0; 0.5; 0.0; 1000000.0 ];
+  check
+    {|
+kernel n(N = 8) {
+  array A[N];
+  array B[N];
+  for i = 0 to N - 1 {
+    B[i] = A[1e999 * 0 + i] + A[1e999 * 0 + i];
+  }
+}
+|}
+    [ Float.nan; Float.nan ]
+
 let test_analysis_indirect_stream () =
   let k =
     Parser.parse_kernel
@@ -952,6 +995,8 @@ let () =
             test_analysis_unrolled_copies;
           Alcotest.test_case "repeated offset" `Quick
             test_analysis_repeated_offset;
+          Alcotest.test_case "distinct offset classes" `Quick
+            test_analysis_distinct_classes;
           Alcotest.test_case "indirect stream" `Quick
             test_analysis_indirect_stream;
           Alcotest.test_case "fractional divisor" `Quick

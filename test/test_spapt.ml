@@ -388,6 +388,36 @@ let test_prepare_jobs_bit_identity () =
         baseline got)
     [ 1; 4 ]
 
+(* What an evaluation-cache miss allocates: transformation, analysis
+   and pricing of 110 seed-7 configurations per kernel, each on a fresh
+   instance so that every distinct configuration misses, in minor-heap
+   words per miss.  The bound is the allocation measured when it was set
+   (about 250 KB per miss on these draws) plus about 10%; a change that
+   allocates more on purpose moves it and says so. *)
+let test_miss_allocation () =
+  let bound_kb = 275.0 in
+  let misses = Metrics.counter "spapt.cache.misses" in
+  let words = ref 0.0 and missed = ref 0 in
+  List.iter
+    (fun name ->
+      let b = Spapt.create name in
+      let rng = Rng.create ~seed:7 in
+      let configs = List.init 110 (fun _ -> Spapt.random_config b rng) in
+      let m0 = Metrics.counter_value misses in
+      let w0 = Gc.minor_words () in
+      List.iter
+        (fun c -> ignore (Sys.opaque_identity (spapt_pair b c)))
+        configs;
+      words := !words +. (Gc.minor_words () -. w0);
+      missed := !missed + (Metrics.counter_value misses - m0))
+    all_names;
+  let kb = !words *. 8.0 /. 1024.0 /. float_of_int !missed in
+  Printf.printf "%d misses, %.1f KB per miss (bound %.0f KB)\n" !missed kb
+    bound_kb;
+  if kb > bound_kb then
+    Alcotest.failf "a miss allocates %.1f KB, above the %.0f KB bound" kb
+      bound_kb
+
 let () =
   Alcotest.run "spapt"
     [
@@ -431,6 +461,7 @@ let () =
             test_cache_eviction_correct;
           Alcotest.test_case "prepare jobs 1 vs 4 bit-identity" `Quick
             test_prepare_jobs_bit_identity;
+          Alcotest.test_case "miss allocation" `Quick test_miss_allocation;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_recipe_total ]);
     ]

@@ -24,10 +24,10 @@ let test_log_gamma () =
     (Special.log_gamma 10.3 +. log 10.3)
 
 let test_erf () =
-  Alcotest.(check (float 1e-6)) "erf 0" 0.0 (Special.erf 0.0);
-  Alcotest.(check (float 1e-6)) "erf 1" 0.8427007929 (Special.erf 1.0);
-  Alcotest.(check (float 1e-6)) "erf -1" (-0.8427007929) (Special.erf (-1.0));
-  Alcotest.(check (float 1e-6)) "erf 2" 0.9953222650 (Special.erf 2.0);
+  Alcotest.(check (float 1e-6)) "erfc 0" 1.0 (Special.erfc 0.0);
+  Alcotest.(check (float 1e-6)) "erfc 1" 0.1572992071 (Special.erfc 1.0);
+  Alcotest.(check (float 1e-6)) "erfc -1" 1.8427007929 (Special.erfc (-1.0));
+  Alcotest.(check (float 1e-6)) "erfc 2" 0.0046777350 (Special.erfc 2.0);
   Alcotest.(check (float 1e-9)) "erfc large" 0.0 (Special.erfc 10.0)
 
 let test_incomplete_beta () =
@@ -116,9 +116,7 @@ let test_welford_ci () =
     Distributions.student_t_quantile ~df:7.0 0.975
     *. Welford.std t /. sqrt 8.0
   in
-  Alcotest.(check (float 1e-9)) "halfwidth" expected (Welford.ci_halfwidth t);
-  let lo, hi = Welford.confidence_interval t in
-  Alcotest.(check (float 1e-9)) "centered" (Welford.mean t) ((lo +. hi) /. 2.0)
+  Alcotest.(check (float 1e-9)) "halfwidth" expected (Welford.ci_halfwidth t)
 
 let test_ci_coverage () =
   (* The 95% CI of a Gaussian sample should cover the true mean roughly 95%
@@ -131,8 +129,8 @@ let test_ci_coverage () =
     for _ = 1 to 10 do
       acc := Welford.add !acc (Rng.normal ~mu:3.0 ~sigma:2.0 rng)
     done;
-    let lo, hi = Welford.confidence_interval !acc in
-    if lo <= 3.0 && 3.0 <= hi then incr covered
+    let m = Welford.mean !acc and h = Welford.ci_halfwidth !acc in
+    if m -. h <= 3.0 && 3.0 <= m +. h then incr covered
   done;
   let rate = float_of_int !covered /. float_of_int trials in
   if rate < 0.92 || rate > 0.98 then
@@ -203,16 +201,9 @@ let test_cholesky_solve () =
   let l = Linalg.cholesky a in
   let b = [| 10.0; 9.0 |] in
   let x = Linalg.cholesky_solve l b in
-  let ax = Linalg.mat_vec a x in
+  let ax = Array.map (fun row -> Linalg.dot row x) a in
   Alcotest.(check (float 1e-9)) "Ax=b (0)" b.(0) ax.(0);
   Alcotest.(check (float 1e-9)) "Ax=b (1)" b.(1) ax.(1)
-
-let test_log_det () =
-  let a = [| [| 4.0; 2.0 |]; [| 2.0; 3.0 |] |] in
-  (* det = 12 - 4 = 8. *)
-  Alcotest.(check (float 1e-9))
-    "log det" (log 8.0)
-    (Linalg.log_det_from_cholesky (Linalg.cholesky a))
 
 (* Random SPD matrix via A = M M^T + eps I. *)
 let random_spd rng n =
@@ -254,7 +245,7 @@ let prop_cholesky_solve_correct =
       let a = random_spd rng n in
       let b = Array.init n (fun _ -> Rng.normal rng) in
       let x = Linalg.cholesky_solve (Linalg.cholesky a) b in
-      let ax = Linalg.mat_vec a x in
+      let ax = Array.map (fun row -> Linalg.dot row x) a in
       Array.for_all2 (fun u v -> Float.abs (u -. v) < 1e-6) ax b)
 
 (* Property tests. *)
@@ -374,7 +365,6 @@ let () =
           Alcotest.test_case "cholesky known" `Quick test_cholesky_known;
           Alcotest.test_case "cholesky not spd" `Quick test_cholesky_not_spd;
           Alcotest.test_case "cholesky solve" `Quick test_cholesky_solve;
-          Alcotest.test_case "log det" `Quick test_log_det;
           QCheck_alcotest.to_alcotest prop_cholesky_reconstructs;
           QCheck_alcotest.to_alcotest prop_cholesky_solve_correct;
         ] );
