@@ -6,7 +6,6 @@ type op =
   | O_unlock of int
   | O_wait of int * int
   | O_reacquire of int
-  | O_signal of int
   | O_broadcast of int
   | O_spawn
   | O_join of int
@@ -19,7 +18,6 @@ let op_to_string = function
   | O_unlock m -> Printf.sprintf "unlock m%d" m
   | O_wait (c, m) -> Printf.sprintf "wait c%d (releasing m%d)" c m
   | O_reacquire m -> Printf.sprintf "reacquire m%d" m
-  | O_signal c -> Printf.sprintf "signal c%d" c
   | O_broadcast c -> Printf.sprintf "broadcast c%d" c
   | O_spawn -> "spawn"
   | O_join u -> Printf.sprintf "join thread %d" u
@@ -32,7 +30,7 @@ type obj = Mu of int | Co of int | Ce of int | Any
 let objects = function
   | O_lock m | O_unlock m | O_reacquire m -> [ Mu m ]
   | O_wait (c, m) -> [ Co c; Mu m ]
-  | O_signal c | O_broadcast c -> [ Co c ]
+  | O_broadcast c -> [ Co c ]
   | O_read (l, _) | O_write (l, _) -> [ Ce l ]
   | O_start | O_spawn | O_join _ -> [ Any ]
 
@@ -68,7 +66,6 @@ type _ Effect.t +=
   | E_lock : int -> unit Effect.t
   | E_unlock : int -> unit Effect.t
   | E_wait : (int * int) -> unit Effect.t
-  | E_signal : int -> unit Effect.t
   | E_broadcast : int -> unit Effect.t
   | E_spawn : (unit -> unit) -> int Effect.t
   | E_join : int -> unit Effect.t
@@ -161,17 +158,11 @@ let rec start_thread st tid body =
                                   set_owner st m tid;
                                   Racecheck.acquire st.rc ~tid ~lock:m;
                                   continue k ()) )))
-          | E_signal c ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  pend (O_signal c) (fun () ->
-                      wake_sleepers st c ~all:false;
-                      continue k ()))
           | E_broadcast c ->
               Some
                 (fun (k : (a, unit) continuation) ->
                   pend (O_broadcast c) (fun () ->
-                      wake_sleepers st c ~all:true;
+                      wake_sleepers st c;
                       continue k ()))
           | E_spawn f ->
               Some
@@ -216,17 +207,12 @@ let rec start_thread st tid body =
           | _ -> None);
     }
 
-and wake_sleepers st c ~all =
-  let sleepers =
-    List.filter
-      (fun t -> match t.status with Sleeping (c', _, _) -> c' = c | _ -> false)
-      st.threads
-  in
-  let sleepers = List.sort (fun a b -> compare a.tid b.tid) sleepers in
-  match (all, sleepers) with
-  | _, [] -> ()
-  | true, ts -> List.iter (fun t -> wake st t) ts
-  | false, t :: _ -> wake st t
+and wake_sleepers st c =
+  List.filter
+    (fun t -> match t.status with Sleeping (c', _, _) -> c' = c | _ -> false)
+    st.threads
+  |> List.sort (fun a b -> compare a.tid b.tid)
+  |> List.iter (fun t -> wake st t)
 
 and wake _st t =
   match t.status with
@@ -277,7 +263,6 @@ let run ?(max_steps = 200_000) ~policy body =
           st.n_conds <- c + 1;
           c);
       o_wait = (fun ~cond ~mutex -> Effect.perform (E_wait (cond, mutex)));
-      o_signal = (fun c -> Effect.perform (E_signal c));
       o_broadcast = (fun c -> Effect.perform (E_broadcast c));
       o_spawn = (fun f -> Effect.perform (E_spawn f));
       o_join = (fun u -> Effect.perform (E_join u));

@@ -9,15 +9,15 @@
     scheduler may never produce.  Each executed operation is fed to a
     {!Racecheck} detector, and a global state where live threads exist
     but none is enabled is reported as a deadlock (which is also how
-    lost wakeups surface: the forgotten signal leaves waiters asleep
+    lost wakeups surface: the forgotten broadcast leaves waiters asleep
     forever).
 
     Semantics mirror the real primitives: locks block until free,
-    [wait] atomically releases its mutex and sleeps until a broadcast or
-    signal, then reacquires; [signal] wakes the lowest-id sleeper
-    (the engine under test only uses [broadcast], where the choice
-    cannot matter); [join] blocks until the target finishes and
-    re-raises its exception, as [Domain.join] does. *)
+    [wait] atomically releases its mutex and sleeps until a broadcast,
+    then reacquires; [broadcast] wakes every sleeper on its condition
+    (the engine under test has no [signal]); [join] blocks until the
+    target finishes and re-raises its exception, as [Domain.join]
+    does. *)
 
 (** A thread's pending operation — what it {e will} do when next
     scheduled.  Exposed so policies can reason about independence
@@ -28,7 +28,6 @@ type op =
   | O_unlock of int
   | O_wait of int * int  (** cond, mutex: release and go to sleep. *)
   | O_reacquire of int  (** Mutex reacquisition after a wakeup. *)
-  | O_signal of int
   | O_broadcast of int
   | O_spawn
   | O_join of int

@@ -228,6 +228,3 @@ let mapi ?label t f xs =
                   i (label i))))
 
 let map ?label t f xs = mapi ?label t (fun _ x -> f x) xs
-
-let map_reduce ?label t ~map:f ~reduce ~init xs =
-  List.fold_left reduce init (map ?label t f xs)

@@ -7,10 +7,9 @@
     deadlocking: the inner call simply helps drain the queue.
 
     Determinism contract: {!map} returns results in input order regardless
-    of the execution interleaving, and {!map_reduce} folds them in input
-    order.  Tasks therefore see the same inputs and produce the same
-    outputs at any job count {e provided} they do not share mutable state;
-    derive per-task RNG seeds explicitly (e.g. with
+    of the execution interleaving.  Tasks therefore see the same inputs
+    and produce the same outputs at any job count {e provided} they do not
+    share mutable state; derive per-task RNG seeds explicitly (e.g. with
     [Altune_prng.Rng.derive]) instead of sharing a generator.
 
     Failure contract: if tasks raise, every task of the batch is still
@@ -55,17 +54,6 @@ val map : ?label:(int -> string) -> t -> ('a -> 'b) -> 'a list -> 'b list
     progress events (default ["task i"]). *)
 
 val mapi : ?label:(int -> string) -> t -> (int -> 'a -> 'b) -> 'a list -> 'b list
-
-val map_reduce :
-  ?label:(int -> string) ->
-  t ->
-  map:('a -> 'b) ->
-  reduce:('acc -> 'b -> 'acc) ->
-  init:'acc ->
-  'a list ->
-  'acc
-(** Parallel map, then an in-order sequential fold — the fold order is
-    fixed by the input order, so the result is schedule-independent. *)
 
 val shutdown : t -> unit
 (** Joins the worker domains.  Idempotent.  Must not be called while a

@@ -6,7 +6,6 @@ type ops = {
   o_unlock : int -> unit;
   o_cond : unit -> int;
   o_wait : cond:int -> mutex:int -> unit;
-  o_signal : int -> unit;
   o_broadcast : int -> unit;
   o_spawn : (unit -> unit) -> int;
   o_join : int -> unit;
@@ -69,11 +68,6 @@ let wait c m =
       | Some o -> o.o_wait ~cond:c ~mutex:m
       | None -> no_ops "condition")
   | _ -> invalid_arg "Sync.wait: mixed real/virtual condition and mutex"
-
-let signal = function
-  | Real_cond c -> Condition.signal c
-  | Virt_cond id -> (
-      match !state with Some o -> o.o_signal id | None -> no_ops "condition")
 
 let broadcast = function
   | Real_cond c -> Condition.broadcast c

@@ -35,7 +35,6 @@ type ops = {
   o_unlock : int -> unit;
   o_cond : unit -> int;
   o_wait : cond:int -> mutex:int -> unit;
-  o_signal : int -> unit;
   o_broadcast : int -> unit;
   o_spawn : (unit -> unit) -> int;
   o_join : int -> unit;
@@ -60,7 +59,6 @@ val unlock : mutex -> unit
 
 val cond : unit -> cond
 val wait : cond -> mutex -> unit
-val signal : cond -> unit
 val broadcast : cond -> unit
 
 val spawn : (unit -> unit) -> handle

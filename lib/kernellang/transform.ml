@@ -3,6 +3,7 @@ type error =
   | Bad_factor of string * int
   | Not_perfectly_nested of string * string
   | Unsafe_jam of string
+  | Unsafe_interchange of string * string
   | Name_clash of string
 
 let pp_error ppf = function
@@ -12,7 +13,12 @@ let pp_error ppf = function
       Format.fprintf ppf "loops %s and %s are not perfectly nested" o i
   | Unsafe_jam x ->
       Format.fprintf ppf
-        "unroll-and-jam of loop %s refused: writes do not all depend on it" x
+        "unroll-and-jam of loop %s refused: it would reverse a dependence" x
+  | Unsafe_interchange (o, i) ->
+      Format.fprintf ppf
+        "interchange of loops %s and %s refused: it would reverse a \
+         dependence"
+        o i
   | Name_clash x -> Format.fprintf ppf "generated name %s already in use" x
 
 let error_to_string e = Format.asprintf "%a" pp_error e
@@ -297,7 +303,7 @@ let immediate_inner (l : Ast.loop) =
 let interchange ~outer ~inner k =
   wrap (fun () ->
       if not (Dependence.interchange_legal k ~outer ~inner) then
-        raise (Fail (Unsafe_jam outer));
+        raise (Fail (Unsafe_interchange (outer, inner)));
       rewrite_loop k outer (fun l ->
           match immediate_inner l with
           | Some il when il.index = inner ->

@@ -12,8 +12,11 @@ type error =
   | Bad_factor of string * int  (** loop, offending factor *)
   | Not_perfectly_nested of string * string  (** outer, inner *)
   | Unsafe_jam of string
-      (** Unroll-and-jam refused: some array write does not depend on the
-          jammed index, so copies could collide. *)
+      (** Unroll-and-jam refused: sinking the jammed loop innermost would
+          reverse a dependence ({!Dependence.jam_legal}). *)
+  | Unsafe_interchange of string * string
+      (** Interchange of outer and inner refused: swapping them would
+          reverse a dependence ({!Dependence.interchange_legal}). *)
   | Name_clash of string  (** Generated index name already in use. *)
 
 val pp_error : Format.formatter -> error -> unit
@@ -38,7 +41,9 @@ val strip_mine :
 val interchange :
   outer:string -> inner:string -> Ast.kernel -> (Ast.kernel, error) result
 (** Swap two adjacent loops of a perfect nest ([inner] must be the entire
-    body of [outer], and its bounds must not depend on [outer]'s index). *)
+    body of [outer], and its bounds must not depend on [outer]'s index).
+    Refused with [Unsafe_interchange] unless
+    {!Dependence.interchange_legal} allows the swap. *)
 
 val tile_nest :
   (string * int) list -> Ast.kernel -> (Ast.kernel, error) result
@@ -52,5 +57,5 @@ val unroll_and_jam :
   index:string -> factor:int -> Ast.kernel -> (Ast.kernel, error) result
 (** Register tiling: unroll the non-innermost loop [index] by [factor] and
     fuse the copies of its (single, perfectly nested) inner loop.  Refused
-    with [Unsafe_jam] unless every array write under the loop uses [index]
-    in its subscripts.  A remainder loop handles leftover iterations. *)
+    with [Unsafe_jam] unless {!Dependence.jam_legal} allows sinking
+    [index] innermost.  A remainder loop handles leftover iterations. *)

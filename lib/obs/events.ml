@@ -381,18 +381,3 @@ let of_lines lines =
               | None -> Error (Printf.sprintf "line without ev tag: %S" line)))
   in
   go None [] lines
-
-let load path =
-  try
-    let ic = open_in path in
-    let lines = ref [] in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> ());
-        of_lines (List.rev !lines))
-  with Sys_error e -> Error e

@@ -145,5 +145,3 @@ val of_lines : string list -> (file, string) result
 (** Parse JSONL lines.  Span lines and unknown ["ev"] kinds are skipped
     (an events file and a trace file can be concatenated); a malformed
     line is an error. *)
-
-val load : string -> (file, string) result

@@ -7,13 +7,12 @@ type ring = {
 type t = {
   cap : int;
   rings : (int, ring) Hashtbl.t;  (* domain id -> ring *)
-  lock : Mutex.t;  (* guards rings + counters against dump/record races *)
-  mutable recorded : int;
+  lock : Mutex.t;  (* guards rings against dump/record races *)
 }
 
 let create ?(capacity = 256) () =
   let cap = max 1 capacity in
-  { cap; rings = Hashtbl.create 8; lock = Mutex.create (); recorded = 0 }
+  { cap; rings = Hashtbl.create 8; lock = Mutex.create () }
 
 let capacity t = t.cap
 
@@ -34,19 +33,9 @@ let record t line =
       in
       ring.lines.(ring.next) <- line;
       ring.next <- (ring.next + 1) mod t.cap;
-      if ring.filled < t.cap then ring.filled <- ring.filled + 1;
-      t.recorded <- t.recorded + 1)
+      if ring.filled < t.cap then ring.filled <- ring.filled + 1)
 
-let install ?tee t =
-  let on_line =
-    match tee with
-    | None -> record t
-    | Some f ->
-        fun line ->
-          record t line;
-          f line
-  in
-  Trace.install ~on_line ()
+let install t = Trace.install ~on_line:(record t) ()
 
 let dump t =
   with_lock t (fun () ->
@@ -57,10 +46,3 @@ let dump t =
              let start = if ring.filled < t.cap then 0 else ring.next in
              List.init ring.filled (fun i ->
                  ring.lines.((start + i) mod t.cap))))
-
-let total_recorded t = with_lock t (fun () -> t.recorded)
-
-let clear t =
-  with_lock t (fun () ->
-      Hashtbl.reset t.rings;
-      t.recorded <- 0)

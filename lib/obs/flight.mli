@@ -25,16 +25,10 @@ val record : t -> string -> unit
 (** Append one line to the calling domain's ring.  Callers outside a
     [Trace] sink must serialize externally. *)
 
-val install : ?tee:(string -> unit) -> t -> unit
+val install : t -> unit
 (** Install the recorder as the {!Trace} sink (replacing any previous
-    sink).  [tee] additionally receives every line, e.g. to keep a full
-    JSONL file alongside the ring. *)
+    sink). *)
 
 val dump : t -> string list
 (** Retained lines: domains in ascending id order, each domain's lines
     oldest-first.  Does not clear. *)
-
-val total_recorded : t -> int
-(** Lines ever recorded (including overwritten ones). *)
-
-val clear : t -> unit

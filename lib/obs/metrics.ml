@@ -53,7 +53,6 @@ let gauge name =
       (g, G g))
 
 let set_gauge = Atomic.set
-let gauge_value = Atomic.get
 
 (* --- Sketches ---------------------------------------------------------- *)
 

@@ -25,10 +25,9 @@ val counter_value : counter -> int
 
 val gauge : string -> gauge
 val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val sketch : ?alpha:float -> string -> sketch
-(** A mergeable {!Quantile} sketch as a registry instrument (default
+(** A {!Quantile} sketch as a registry instrument (default
     [alpha] {!Quantile.default_alpha}).  Registering an existing name
     with a different [alpha] raises [Invalid_argument]. *)
 
@@ -36,8 +35,7 @@ val record : sketch -> float -> unit
 (** Add one value to the sketch (latency in seconds, by convention). *)
 
 val sketch_data : sketch -> Quantile.t
-(** The live underlying sketch — copy it ({!Quantile.copy}) before
-    doing anything slow with it. *)
+(** The live underlying sketch. *)
 
 val snapshot : unit -> Json.t
 (** All instruments as one JSON object (sorted by name), e.g. for

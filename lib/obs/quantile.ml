@@ -74,38 +74,6 @@ let add t v =
     cas_update t.q_min (fun a b -> a < b) v
   end
 
-let clear t =
-  Array.iter (fun b -> Atomic.set b 0) t.buckets;
-  Atomic.set t.under 0;
-  Atomic.set t.q_count 0;
-  Atomic.set t.q_sum 0.0;
-  Atomic.set t.q_max neg_infinity;
-  Atomic.set t.q_min infinity
-
-let merge_into dst src =
-  if dst.q_alpha <> src.q_alpha then
-    invalid_arg "Quantile.merge_into: alpha mismatch";
-  Array.iteri
-    (fun i b ->
-      let n = Atomic.get b in
-      if n > 0 then ignore (Atomic.fetch_and_add dst.buckets.(i) n))
-    src.buckets;
-  let u = Atomic.get src.under in
-  if u > 0 then ignore (Atomic.fetch_and_add dst.under u);
-  ignore (Atomic.fetch_and_add dst.q_count (Atomic.get src.q_count));
-  let rec cas_add v =
-    let old = Atomic.get dst.q_sum in
-    if not (Atomic.compare_and_set dst.q_sum old (old +. v)) then cas_add v
-  in
-  cas_add (Atomic.get src.q_sum);
-  cas_update dst.q_max (fun a b -> a > b) (Atomic.get src.q_max);
-  cas_update dst.q_min (fun a b -> a < b) (Atomic.get src.q_min)
-
-let copy t =
-  let fresh = create ~alpha:t.q_alpha () in
-  merge_into fresh t;
-  fresh
-
 (* Representative value of bucket key k: the log-midpoint of its range,
    2 * gamma^k / (gamma + 1) = exp (k * log_gamma) * (2 / (gamma + 1)). *)
 let bucket_value t i =
@@ -141,59 +109,6 @@ let quantile t q =
        lies inside it, so pulling the estimate in reduces error. *)
     Float.max (min_value t) (Float.min est (max_value t))
   end
-
-let to_json t =
-  let pairs = ref [] in
-  Array.iteri
-    (fun i b ->
-      let n = Atomic.get b in
-      if n > 0 then
-        pairs := Json.List [ Json.Int (t.key_min + i); Json.Int n ] :: !pairs)
-    t.buckets;
-  Json.Obj
-    [
-      ("alpha", Json.Float t.q_alpha);
-      ("buckets", Json.List (List.rev !pairs));
-      ("count", Json.Int (count t));
-      ("max", Json.Float (max_value t));
-      ("min", Json.Float (min_value t));
-      ("sum", Json.Float (sum t));
-      ("under", Json.Int (Atomic.get t.under));
-    ]
-
-let of_json j =
-  let fail () = invalid_arg "Quantile.of_json: malformed sketch" in
-  let num field =
-    match Json.member field j with
-    | Some v -> ( match Json.to_float_opt v with Some f -> f | None -> fail ())
-    | None -> fail ()
-  in
-  let int_field field =
-    match Json.member field j with
-    | Some v -> ( match Json.to_int_opt v with Some i -> i | None -> fail ())
-    | None -> fail ()
-  in
-  let t = create ~alpha:(num "alpha") () in
-  (match Json.member "buckets" j with
-  | Some (Json.List kvs) ->
-      List.iter
-        (function
-          | Json.List [ k; n ] -> (
-              match (Json.to_int_opt k, Json.to_int_opt n) with
-              | Some k, Some n when n >= 0 ->
-                  let i = k - t.key_min in
-                  if i < 0 || i >= Array.length t.buckets then fail ();
-                  Atomic.set t.buckets.(i) n
-              | _ -> fail ())
-          | _ -> fail ())
-        kvs
-  | _ -> fail ());
-  Atomic.set t.under (int_field "under");
-  Atomic.set t.q_count (int_field "count");
-  Atomic.set t.q_sum (num "sum");
-  Atomic.set t.q_max (num "max");
-  Atomic.set t.q_min (num "min");
-  t
 
 let summary_json t =
   let n = count t in

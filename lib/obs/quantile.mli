@@ -1,4 +1,4 @@
-(** Mergeable fixed-size quantile sketch (DDSketch-style).
+(** Fixed-size quantile sketch (DDSketch-style).
 
     Values are binned into logarithmic buckets: value [v] lands in
     bucket [floor (log v / log gamma)] with [gamma = (1+alpha)/(1-alpha)],
@@ -8,13 +8,10 @@
     bottom and a clamp into the top bucket above the top), so a sketch
     never grows and adding a value is O(1) with no allocation.
 
-    All state is atomic: [add] is safe from any domain, and two sketches
-    built on different domains can be {!merge_into}-d afterwards.
-    Because buckets hold integer counts, merging is exactly commutative
-    and associative on everything except the float [sum] (whose
-    round-off depends on addition order); {!quantile}, {!count},
-    {!max_value} and {!min_value} of a merged sketch are therefore
-    schedule-free — the property the jobs-invariance tests rely on. *)
+    All state is atomic: [add] is safe from any domain.  Buckets hold
+    integer counts, so {!quantile}, {!count}, {!max_value} and
+    {!min_value} do not depend on the order in which domains added the
+    same values; only the float [sum]'s round-off does. *)
 
 type t
 
@@ -23,9 +20,6 @@ val default_alpha : float
 
 val create : ?alpha:float -> unit -> t
 (** A fresh empty sketch.  [alpha] must be in (0, 0.5). *)
-
-val copy : t -> t
-(** Snapshot the current contents into an independent sketch. *)
 
 val add : t -> float -> unit
 (** Record one value.  Non-finite and non-positive values count toward
@@ -46,21 +40,6 @@ val quantile : t -> float -> float
     [nan] when the sketch is empty. *)
 
 val alpha : t -> float
-
-val merge_into : t -> t -> unit
-(** [merge_into dst src] adds [src]'s contents into [dst].  Both must
-    share the same [alpha].  [src] is read atomically bucket-by-bucket
-    but not locked: merge sketches that are no longer being written. *)
-
-val clear : t -> unit
-(** Forget everything (tests). *)
-
-val to_json : t -> Json.t
-(** Compact encoding (only non-empty buckets). *)
-
-val of_json : Json.t -> t
-(** Inverse of {!to_json}; raises [Invalid_argument] on malformed
-    input. *)
 
 val summary_json : t -> Json.t
 (** Small fixed-shape object for snapshots:

@@ -46,8 +46,6 @@ let write w record =
       flush w.oc;
       w.in_file <- w.in_file + 1)
 
-let written w = Mutex.lock w.lock; let n = w.in_file in Mutex.unlock w.lock; n
-
 let close w =
   Mutex.lock w.lock;
   Fun.protect

@@ -19,9 +19,6 @@ val write : writer -> Json.t -> unit
 (** Append one record as a single line and flush, rotating first if the
     current file is full. *)
 
-val written : writer -> int
-(** Records written to the current (unrotated) file. *)
-
 val close : writer -> unit
 
 val load : string -> Json.t list

@@ -44,32 +44,12 @@ let respond server output line =
     flush output
   end
 
-let serve_channel ?(stop = make_stop ()) ?usr1 ?flight_dump server ~input
-    ~output =
-  let tick = pump ?usr1 ?flight_dump server in
-  let rec loop () =
-    if Atomic.get stop || Server.stopped server then ()
-    else
-      match input_line input with
-      | exception End_of_file -> ()
-      | line ->
-          respond server output line;
-          tick ();
-          loop ()
-  in
-  loop ();
-  finish server
-
-let serve_script ?usr1 ?flight_dump server ~path ~output =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> serve_channel ?usr1 ?flight_dump server ~input:ic ~output)
-
-(* Poll-driven line loop over a raw fd, so a pending signal is noticed
-   within [poll] seconds even when no request is in flight (buffered
-   [input_line] would block until the next byte).  [tick] runs once per
-   poll round — the pump's cadence floor is the poll interval. *)
+(* The one request loop, over a raw fd: every transport runs it.  It
+   polls, so a pending signal is noticed within [poll] seconds even when
+   no request is in flight (buffered [input_line] would block until the
+   next byte).  [tick] runs once per poll round — the pump's cadence
+   floor is the poll interval.  At end of input a final line without a
+   newline is still served. *)
 let serve_fd ~stop ~poll ~tick server fd output =
   let pending = Queue.create () in
   let acc = Buffer.create 256 in
@@ -77,7 +57,9 @@ let serve_fd ~stop ~poll ~tick server fd output =
   let eof = ref false in
   let feed () =
     match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> eof := true
+    | 0 ->
+        if Buffer.length acc > 0 then Queue.add (Buffer.contents acc) pending;
+        eof := true
     | n ->
         for i = 0 to n - 1 do
           match Bytes.get chunk i with
@@ -106,6 +88,14 @@ let serve_fd ~stop ~poll ~tick server fd output =
     end
   in
   loop ()
+
+let serve_script ?usr1 ?flight_dump server ~path ~output =
+  let tick = pump ?usr1 ?flight_dump server in
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () -> serve_fd ~stop:(make_stop ()) ~poll:0.2 ~tick server fd output);
+  finish server
 
 let serve_stdio ?(stop = make_stop ()) ?usr1 ?flight_dump server =
   let tick = pump ?usr1 ?flight_dump server in

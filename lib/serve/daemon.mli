@@ -1,20 +1,27 @@
-(** Transport loops for the tuning server: scripted, stdio, and Unix
+(** Transports for the tuning server: a script file, stdio, and a Unix
     socket, all speaking the newline-delimited {!Protocol}.
 
-    Every loop guarantees a graceful exit: on end of input, a [shutdown]
-    request, or a SIGINT/SIGTERM (when handlers are installed), the
-    server's {!Server.graceful_stop} runs — checkpointing every
-    checkpointable live session and shutting the pool down — before the
-    loop returns, so the caller can flush observability sinks and exit
-    0.  A session checkpointed this way resumes with [altune resume] to
-    the same bytes the uninterrupted standalone run would print.
+    All three run one request loop over a file descriptor: it reads
+    lines, skips blank ones, answers each with one response line
+    (flushed per line), and at end of input also answers a final line
+    that has no newline.  So a script and the same bytes piped to stdin
+    get the same transcript.
 
-    {b Telemetry pump.}  Every loop also drives the server's live
-    telemetry between requests (and, for the fd-based loops, on idle
-    polls): a snapshot record is appended to the configured series every
-    {!Server.snapshot_every} seconds, and a pending SIGUSR1 (the [usr1]
-    flag) dumps the flight recorder to [flight_dump].  Neither writes a
-    byte to the protocol stream. *)
+    Every transport guarantees a graceful exit: on end of input, a
+    [shutdown] request, or a SIGINT/SIGTERM (when handlers are
+    installed), the server's {!Server.graceful_stop} runs —
+    checkpointing every checkpointable live session and shutting the
+    pool down — before it returns, so the caller can flush observability
+    sinks and exit 0.  A session checkpointed this way resumes with
+    [altune resume] to the same bytes the uninterrupted standalone run
+    would print.
+
+    {b Telemetry pump.}  The loop also drives the server's live
+    telemetry between requests and on idle polls: a snapshot record is
+    appended to the configured series every {!Server.snapshot_every}
+    seconds, and a pending SIGUSR1 (the [usr1] flag) dumps the flight
+    recorder to [flight_dump].  Neither writes a byte to the protocol
+    stream. *)
 
 val make_stop : unit -> bool Atomic.t
 (** A fresh stop flag, initially false. *)
@@ -35,24 +42,11 @@ val serve_script :
   path:string ->
   output:out_channel ->
   unit
-(** Feed the request lines of the file at [path] to the server,
-    writing one response line per request to [output] (flushed per
-    line).  Blank lines are skipped.  Stops early after a [shutdown]
-    request.  Deterministic: same script, same server config => same
-    output bytes, at any [jobs] — snapshots and flight dumps go to
-    their own files, never to [output]. *)
-
-val serve_channel :
-  ?stop:bool Atomic.t ->
-  ?usr1:bool Atomic.t ->
-  ?flight_dump:string ->
-  Server.t ->
-  input:in_channel ->
-  output:out_channel ->
-  unit
-(** Blocking request/response loop over arbitrary channels (tests, or
-    callers managing their own transport).  The pump runs after each
-    request, not on idle (blocking reads can't poll). *)
+(** Serve the request lines of the file at [path], writing the
+    responses to [output].  Stops early after a [shutdown] request.
+    Deterministic: same script, same server config => same output
+    bytes, at any [jobs] — snapshots and flight dumps go to their own
+    files, never to [output]. *)
 
 val serve_stdio :
   ?stop:bool Atomic.t -> ?usr1:bool Atomic.t -> ?flight_dump:string ->

@@ -53,7 +53,6 @@ type telemetry = {
   requests : Metrics.counter;
   errors : Metrics.counter;
   started_ns : int64;
-  queued_at : (string, int64) Hashtbl.t;  (* session -> ns when queued *)
   writer : (Snapshot.writer * Manifest.t) option;
       (* The snapshot series and the manifest stamped on its records,
          captured only when there is a series to stamp: capturing runs
@@ -62,6 +61,10 @@ type telemetry = {
   mutable last_gc : Gc.stat;
 }
 
+(* A session that holds or awaits a live slot, stamped when it was
+   opened: a queued session's wait runs from then to its promotion. *)
+type entry = { session : Session.t; opened_ns : int64 }
+
 type t = {
   config : config;
   pool : Pool.t;
@@ -69,10 +72,15 @@ type t = {
       (* One instance per kernel, shared by every session tuning it: its
          evaluation store is the cross-session cache. *)
   lookups : Lookups.t;  (* cross-session accounting of the stores *)
-  sessions : (string, Session.t) Hashtbl.t;
-  mutable order : string list;  (* admission order, newest first *)
-  mutable queue : string list;  (* FIFO of queued names, head first *)
+  sessions : (string, Session.t) Hashtbl.t;  (* every session, by name *)
+  mutable active : entry list;
+      (* The queued and live sessions in the order they were opened, the
+         admission order; its queued ones are the FIFO queue.  A session
+         that completes or closes leaves it at the end of that request. *)
   mutable opened : int;
+  mutable closed : int;
+      (* What [opened] leaves after the live, queued and closed sessions
+         is the done ones. *)
   mutable stopped : bool;
   tele : telemetry;
 }
@@ -87,9 +95,9 @@ let create config =
     benches = Hashtbl.create 16;
     lookups = Lookups.create ();
     sessions = Hashtbl.create 64;
-    order = [];
-    queue = [];
+    active = [];
     opened = 0;
+    closed = 0;
     stopped = false;
     tele =
       {
@@ -102,7 +110,6 @@ let create config =
         requests = Metrics.counter "serve.requests";
         errors = Metrics.counter "serve.errors";
         started_ns = Trace.now_ns ();
-        queued_at = Hashtbl.create 64;
         writer =
           Option.map
             (fun path ->
@@ -145,68 +152,67 @@ let find t name =
   | Some s -> Ok s
   | None -> Error (Printf.sprintf "no session %S" name)
 
-let in_admission_order t = List.rev t.order
+let name (s : Session.t) = (Session.config s).Session.name
+let in_phase p e = Session.phase e.session = p
 
-let live_names t =
-  List.filter
-    (fun n -> Session.phase (Hashtbl.find t.sessions n) = Session.Live)
-    (in_admission_order t)
+let count t p =
+  List.fold_left (fun n e -> if in_phase p e then n + 1 else n) 0 t.active
 
-let count_phase t p =
-  List.length
-    (List.filter
-       (fun n -> Session.phase (Hashtbl.find t.sessions n) = p)
-       (in_admission_order t))
+let live_sessions t =
+  List.filter_map
+    (fun e -> if in_phase Session.Live e then Some e.session else None)
+    t.active
 
-let queue_position t name =
-  let rec index i = function
+(* A queued session's rank among the queued ones. *)
+let queue_position t s =
+  let rec rank i = function
     | [] -> None
-    | n :: _ when String.equal n name -> Some i
-    | _ :: rest -> index (i + 1) rest
+    | e :: _ when e.session == s -> Some i
+    | e :: rest -> rank (if in_phase Session.Queued e then i + 1 else i) rest
   in
-  index 0 t.queue
+  if Session.phase s = Session.Queued then rank 0 t.active else None
 
-let view t s =
-  Session.view s ~position:(queue_position t (Session.config s).Session.name)
+let view t s = Session.view s ~position:(queue_position t s)
 
 (* Promote queued sessions into freed live slots, FIFO.  Called at the
    end of every request that can free a slot, so the admission sequence
    is a deterministic function of the request sequence. *)
 let promote t =
-  let rec go admitted =
-    if count_phase t Session.Live >= t.config.max_live then List.rev admitted
-    else
-      match t.queue with
-      | [] -> List.rev admitted
-      | name :: rest ->
-          t.queue <- rest;
-          (match Hashtbl.find_opt t.tele.queued_at name with
-          | Some t0 ->
-              Metrics.record t.tele.queue_wait
-                (seconds_between t0 (Trace.now_ns ()));
-              Hashtbl.remove t.tele.queued_at name
-          | None -> ());
-          Session.admit (Hashtbl.find t.sessions name);
-          go (name :: admitted)
+  let rec go free admitted = function
+    | e :: rest when free > 0 ->
+        if in_phase Session.Queued e then begin
+          Metrics.record t.tele.queue_wait
+            (seconds_between e.opened_ns (Trace.now_ns ()));
+          Session.admit e.session;
+          go (free - 1) (name e.session :: admitted) rest
+        end
+        else go free admitted rest
+    | _ -> List.rev admitted
   in
-  go []
+  go (t.config.max_live - count t Session.Live) [] t.active
+
+(* Drop the sessions that completed or closed from [active]. *)
+let settle t =
+  let holds e = in_phase Session.Queued e || in_phase Session.Live e in
+  if not (List.for_all holds t.active) then
+    t.active <- List.filter holds t.active
 
 let stats t =
+  let live = count t Session.Live and queued = count t Session.Queued in
   {
     Protocol.s_opened = t.opened;
-    s_live = count_phase t Session.Live;
-    s_queued = List.length t.queue;
-    s_done = count_phase t Session.Done;
-    s_closed = count_phase t Session.Closed;
+    s_live = live;
+    s_queued = queued;
+    s_done = t.opened - live - queued - t.closed;
+    s_closed = t.closed;
     s_max_live = t.config.max_live;
     s_max_queue = t.config.max_queue;
     s_memo = memo_stats t;
   }
 
 let update_gauges t =
-  Metrics.set_gauge t.tele.live_gauge
-    (float_of_int (count_phase t Session.Live));
-  Metrics.set_gauge t.tele.queue_gauge (float_of_int (List.length t.queue))
+  Metrics.set_gauge t.tele.live_gauge (float_of_int (count t Session.Live));
+  Metrics.set_gauge t.tele.queue_gauge (float_of_int (count t Session.Queued))
 
 (* --- Open -------------------------------------------------------------- *)
 
@@ -271,8 +277,8 @@ let handle_open t (p : Protocol.open_params) =
               (Printf.sprintf
                  "this server requires a per-session budget (cap %.0fs)" cap)
         | _ ->
-            let live = count_phase t Session.Live in
-            let queued = List.length t.queue in
+            let live = count t Session.Live in
+            let queued = count t Session.Queued in
             if live >= t.config.max_live && queued >= t.config.max_queue then
               Error
                 (Printf.sprintf
@@ -287,13 +293,9 @@ let handle_open t (p : Protocol.open_params) =
                   cfg
               in
               Hashtbl.replace t.sessions cfg.Session.name s;
-              t.order <- cfg.Session.name :: t.order;
-              if live < t.config.max_live then Session.admit s
-              else begin
-                t.queue <- t.queue @ [ cfg.Session.name ];
-                Hashtbl.replace t.tele.queued_at cfg.Session.name
-                  (Trace.now_ns ())
-              end;
+              t.active <-
+                t.active @ [ { session = s; opened_ns = Trace.now_ns () } ];
+              if live < t.config.max_live then Session.admit s;
               Ok (Protocol.R_session (view t s))
             end)
 
@@ -307,8 +309,7 @@ let checkpoint_path_for t (s : Session.t) ~explicit =
       | Some p -> Some p
       | None ->
           Option.map
-            (fun dir ->
-              Filename.concat dir ((Session.config s).Session.name ^ ".ck.json"))
+            (fun dir -> Filename.concat dir (name s ^ ".ck.json"))
             t.config.checkpoint_dir)
 
 let handle_checkpoint t s ~path =
@@ -319,34 +320,32 @@ let handle_checkpoint t s ~path =
            "no checkpoint path for session %S (pass one, open with \
             \"checkpoint\", or start the server with a checkpoint \
             directory)"
-           (Session.config s).Session.name)
+           (name s))
   | Some path -> (
       match Session.save_checkpoint s ~path with
       | Error e -> Error e
       | Ok iteration ->
-          Ok
-            (Protocol.R_checkpoint
-               {
-                 session = (Session.config s).Session.name;
-                 path;
-                 iteration;
-               }))
+          Ok (Protocol.R_checkpoint { session = name s; path; iteration }))
 
 (* --- Telemetry: snapshots, full scrape, failure ledger ----------------- *)
 
 let sorted_obj fields =
   Json.Obj (List.sort (fun (a, _) (b, _) -> String.compare a b) fields)
 
-let gc_json (g : Gc.stat) =
+(* The GC state: [heap_words] as it stands, every other field counted
+   since [since] when given. *)
+let gc_json ?since (g : Gc.stat) =
+  let int f = Json.Int (f g - Option.fold ~none:0 ~some:f since)
+  and float f = Json.Float (f g -. Option.fold ~none:0.0 ~some:f since) in
   sorted_obj
     [
-      ("compactions", Json.Int g.compactions);
+      ("compactions", int (fun g -> g.Gc.compactions));
       ("heap_words", Json.Int g.heap_words);
-      ("major_collections", Json.Int g.major_collections);
-      ("major_words", Json.Float g.major_words);
-      ("minor_collections", Json.Int g.minor_collections);
-      ("minor_words", Json.Float g.minor_words);
-      ("promoted_words", Json.Float g.promoted_words);
+      ("major_collections", int (fun g -> g.Gc.major_collections));
+      ("major_words", float (fun g -> g.Gc.major_words));
+      ("minor_collections", int (fun g -> g.Gc.minor_collections));
+      ("minor_words", float (fun g -> g.Gc.minor_words));
+      ("promoted_words", float (fun g -> g.Gc.promoted_words));
     ]
 
 let memo_json (m : Protocol.memo_stats) =
@@ -373,52 +372,47 @@ let sketch_summaries t =
       ("wire", Quantile.summary_json (Metrics.sketch_data t.tele.wire));
     ]
 
+(* The server stats object, as snapshot records and the stats_full
+   payload both carry it. *)
+let server_fields t =
+  let s = stats t in
+  [
+    ("closed", Json.Int s.s_closed);
+    ("done", Json.Int s.s_done);
+    ("live", Json.Int s.s_live);
+    ("max_live", Json.Int s.s_max_live);
+    ("max_queue", Json.Int s.s_max_queue);
+    ("memo", memo_json s.s_memo);
+    ("opened", Json.Int s.s_opened);
+    ("pool_jobs", Json.Int t.config.jobs);
+    ("queued", Json.Int s.s_queued);
+  ]
+
+let uptime_s t = seconds_between t.tele.started_ns (Trace.now_ns ())
+
 (* One record of the snapshot time series.  Every key is sorted at every
    level, so two records differing only in load are textually comparable
    — the snapshot determinism contract (DESIGN.md §10): the *shape* is a
    pure function of the schema version, only the measured values vary. *)
 let snapshot_record t manifest =
-  let s = stats t in
+  let server = server_fields t in
   let now = Gc.quick_stat () in
-  let prev = t.tele.last_gc in
+  let since = t.tele.last_gc in
   t.tele.last_gc <- now;
   let seq = t.tele.snap_seq in
   t.tele.snap_seq <- seq + 1;
-  let gc_delta =
-    sorted_obj
-      [
-        ("compactions", Json.Int (now.compactions - prev.compactions));
-        ("heap_words", Json.Int now.heap_words);
-        ( "major_collections",
-          Json.Int (now.major_collections - prev.major_collections) );
-        ("major_words", Json.Float (now.major_words -. prev.major_words));
-        ( "minor_collections",
-          Json.Int (now.minor_collections - prev.minor_collections) );
-        ("minor_words", Json.Float (now.minor_words -. prev.minor_words));
-        ("promoted_words", Json.Float (now.promoted_words -. prev.promoted_words));
-      ]
-  in
   sorted_obj
-    ([
-       ("closed", Json.Int s.s_closed);
-       ("done", Json.Int s.s_done);
-       ("ev", Json.String "snapshot");
-       ("gc", gc_delta);
-       ("live", Json.Int s.s_live);
-       ("max_live", Json.Int s.s_max_live);
-       ("max_queue", Json.Int s.s_max_queue);
-       ("memo", memo_json s.s_memo);
-       ("opened", Json.Int s.s_opened);
-       ("pool_jobs", Json.Int t.config.jobs);
-       ("queued", Json.Int s.s_queued);
-       ("requests", Json.Int (Metrics.counter_value t.tele.requests));
-       ("errors", Json.Int (Metrics.counter_value t.tele.errors));
-       ("seq", Json.Int seq);
-       ("sketches", sketch_summaries t);
-       ("ts", Json.Float (Unix.gettimeofday ()));
-       ( "uptime_s",
-         Json.Float (seconds_between t.tele.started_ns (Trace.now_ns ())) );
-     ]
+    (server
+    @ [
+        ("ev", Json.String "snapshot");
+        ("gc", gc_json ~since now);
+        ("requests", Json.Int (Metrics.counter_value t.tele.requests));
+        ("errors", Json.Int (Metrics.counter_value t.tele.errors));
+        ("seq", Json.Int seq);
+        ("sketches", sketch_summaries t);
+        ("ts", Json.Float (Unix.gettimeofday ()));
+        ("uptime_s", Json.Float (uptime_s t));
+      ]
     @ Manifest.fields manifest)
 
 let snapshot t =
@@ -435,22 +429,8 @@ let stats_full_json t =
     [
       ("gc", gc_json (Gc.quick_stat ()));
       ("metrics", Metrics.snapshot ());
-      ( "server",
-        let s = stats t in
-        sorted_obj
-          [
-            ("closed", Json.Int s.s_closed);
-            ("done", Json.Int s.s_done);
-            ("live", Json.Int s.s_live);
-            ("max_live", Json.Int s.s_max_live);
-            ("max_queue", Json.Int s.s_max_queue);
-            ("memo", memo_json s.s_memo);
-            ("opened", Json.Int s.s_opened);
-            ("pool_jobs", Json.Int t.config.jobs);
-            ("queued", Json.Int s.s_queued);
-          ] );
-      ( "uptime_s",
-        Json.Float (seconds_between t.tele.started_ns (Trace.now_ns ())) );
+      ("server", sorted_obj (server_fields t));
+      ("uptime_s", Json.Float (uptime_s t));
     ]
 
 (* Append one failure record — the error, the request line that caused
@@ -514,17 +494,14 @@ let graceful_stop t =
     t.stopped <- true;
     let checkpointed =
       List.filter_map
-        (fun name ->
-          let s = Hashtbl.find t.sessions name in
-          if Session.phase s <> Session.Live then None
-          else
-            match checkpoint_path_for t s ~explicit:None with
-            | None -> None
-            | Some path -> (
-                match Session.save_checkpoint s ~path with
-                | Ok _ -> Some (name, path)
-                | Error _ -> None))
-        (in_admission_order t)
+        (fun s ->
+          match checkpoint_path_for t s ~explicit:None with
+          | None -> None
+          | Some path -> (
+              match Session.save_checkpoint s ~path with
+              | Ok _ -> Some (name s, path)
+              | Error _ -> None))
+        (live_sessions t)
     in
     Pool.shutdown t.pool;
     checkpointed
@@ -561,11 +538,10 @@ let handle t (req : Protocol.request) =
     | Protocol.Tick { iterations } ->
         if iterations < 1 then Error "iterations must be at least 1"
         else begin
-          let names = live_names t in
-          let sessions = List.map (Hashtbl.find t.sessions) names in
+          let sessions = live_sessions t in
           let results =
             Pool.map
-              ~label:(fun i -> "serve.step " ^ List.nth names i)
+              ~label:(fun i -> "serve.step " ^ name (List.nth sessions i))
               t.pool
               (fun s -> timed_step t s ~iterations)
               sessions
@@ -593,10 +569,8 @@ let handle t (req : Protocol.request) =
             if Session.phase s = Session.Closed then
               Error (Printf.sprintf "session %S already closed" session)
             else begin
-              t.queue <-
-                List.filter (fun n -> not (String.equal n session)) t.queue;
-              Hashtbl.remove t.tele.queued_at session;
               Session.close s;
+              t.closed <- t.closed + 1;
               let admitted = promote t in
               Ok (Protocol.R_close { session; admitted })
             end)
@@ -609,6 +583,7 @@ let handle t (req : Protocol.request) =
 
 let handle t req =
   let result = handle t req in
+  settle t;
   update_gauges t;
   result
 

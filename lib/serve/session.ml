@@ -9,82 +9,88 @@ type config = {
   checkpoint_path : string option;
 }
 
-type phase = Queued | Live | Done | Closed
+type phase = Protocol.session_state = Queued | Live | Done | Closed
+
+(* The lifecycle: one case per phase, holding what that phase has. *)
+type state =
+  | Queued
+  | Live of Tune_run.t option
+  | Done of Learner.progress
+  | Closed of Learner.progress option
 
 type t = {
   config : config;
   bench : Spapt.t;
   pool : Pool.t;
   note : int array -> (unit -> float) -> float;
-  mutable phase : phase;
-  mutable run : Tune_run.t option;
-      (* Live from the first step until the run completes or closes. *)
-  mutable final : Learner.progress option;
-      (* The run's figures once it completed or closed, when the run
-         itself is dropped. *)
+  mutable state : state;
 }
 
 let create ~bench ~pool ~note config =
-  { config; bench; pool; note; phase = Queued; run = None; final = None }
+  { config; bench; pool; note; state = Queued }
 
 let config t = t.config
-let phase t = t.phase
-let admit t = if t.phase = Queued then t.phase <- Live
 
-let phase_name = function
+let phase t : phase =
+  match t.state with
+  | Queued -> Queued
+  | Live _ -> Live
+  | Done _ -> Done
+  | Closed _ -> Closed
+
+let admit t = match t.state with Queued -> t.state <- Live None | _ -> ()
+
+let phase_name : phase -> string = function
   | Queued -> "queued"
   | Live -> "live"
   | Done -> "done"
   | Closed -> "closed"
 
 let step t ~iterations =
-  if t.phase <> Live then
-    Error
-      (Printf.sprintf "session %S is %s, not live" t.config.name
-         (phase_name t.phase))
-  else if iterations < 1 then Error "iterations must be at least 1"
-  else begin
-    let run =
-      match t.run with
-      | Some r -> r
-      | None ->
-          let r =
-            Tune_run.start ~stream:("serve/" ^ t.config.name) ~note:t.note
-              ~pool:t.pool t.bench t.config.run
-          in
-          t.run <- Some r;
-          r
-    in
-    (match Tune_run.step run ~iterations with
-    | None -> ()
-    | Some _ ->
-        t.final <- Some (Tune_run.progress run);
-        t.run <- None;
-        t.phase <- Done);
-    Ok ()
-  end
+  match t.state with
+  | Queued | Done _ | Closed _ ->
+      Error
+        (Printf.sprintf "session %S is %s, not live" t.config.name
+           (phase_name (phase t)))
+  | Live _ when iterations < 1 -> Error "iterations must be at least 1"
+  | Live started ->
+      let run =
+        match started with
+        | Some r -> r
+        | None ->
+            let r =
+              Tune_run.start ~stream:("serve/" ^ t.config.name) ~note:t.note
+                ~pool:t.pool t.bench t.config.run
+            in
+            t.state <- Live (Some r);
+            r
+      in
+      (match Tune_run.step run ~iterations with
+      | None -> ()
+      | Some _ -> t.state <- Done (Tune_run.progress run));
+      Ok ()
 
 let save_checkpoint t ~path =
   let refuse e = Error (Printf.sprintf "session %S %s" t.config.name e) in
-  match (Tune_run.savable t.config.run, t.phase, t.run) with
-  | Error e, _, _ -> refuse ("has " ^ e)
-  | Ok (), Done, _ -> refuse "already completed"
-  | Ok (), Closed, _ -> refuse "is closed"
-  | Ok (), _, None -> refuse "has no progress to checkpoint"
-  | Ok (), _, Some run -> Tune_run.save run ~path
+  match (Tune_run.savable t.config.run, t.state) with
+  | Error e, _ -> refuse ("has " ^ e)
+  | Ok (), Done _ -> refuse "already completed"
+  | Ok (), Closed _ -> refuse "is closed"
+  | Ok (), (Queued | Live None) -> refuse "has no progress to checkpoint"
+  | Ok (), Live (Some run) -> Tune_run.save run ~path
+
+let progress t =
+  match t.state with
+  | Live (Some run) -> Some (Tune_run.progress run)
+  | Done p -> Some p
+  | Closed p -> p
+  | Queued | Live None -> None
 
 let view t ~position =
-  let v_state : Protocol.session_state =
-    match t.phase with
-    | Queued -> Protocol.Queued
-    | Live -> Protocol.Live
-    | Done -> Protocol.Done
-    | Closed -> Protocol.Closed
-  in
   let base =
     {
       Protocol.v_session = t.config.name;
-      v_state;
+      v_state = phase t;
       v_position = position;
       v_iteration = 0;
       v_examples = 0;
@@ -93,10 +99,7 @@ let view t ~position =
       v_rmse = None;
     }
   in
-  let progress =
-    match t.run with Some run -> Some (Tune_run.progress run) | None -> t.final
-  in
-  match progress with
+  match progress t with
   | None -> base
   | Some p ->
       {
@@ -109,8 +112,4 @@ let view t ~position =
       }
 
 let close t =
-  if t.phase <> Closed then begin
-    t.phase <- Closed;
-    Option.iter (fun r -> t.final <- Some (Tune_run.progress r)) t.run;
-    t.run <- None
-  end
+  match t.state with Closed _ -> () | _ -> t.state <- Closed (progress t)

@@ -17,7 +17,12 @@
     the same loop, emit the same events and cost the same surrogate
     updates as one uninterrupted run.  A run that completes (iteration
     cap or cost budget) leaves its final figures, the session drops the
-    run and becomes [Done]. *)
+    run and becomes [Done].
+
+    The lifecycle is one value with a case per phase, each holding what
+    its phase has: nothing while queued, the run while live (none before
+    the first step), the final figures once done, and the figures, if
+    any, once closed.  A done or closed session holds no run. *)
 
 type config = {
   name : string;
@@ -28,7 +33,7 @@ type config = {
       (** Where graceful shutdown checkpoints this session. *)
 }
 
-type phase = Queued | Live | Done | Closed
+type phase = Protocol.session_state = Queued | Live | Done | Closed
 
 type t
 

@@ -100,7 +100,9 @@ let test_skewed_interchange_illegal () =
 
 let test_skewed_transform_refused () =
   (match Transform.interchange ~outer:"i" ~inner:"j" skewed with
-  | Error _ -> ()
+  | Error (Transform.Unsafe_interchange ("i", "j")) -> ()
+  | Error e ->
+      Alcotest.failf "wrong error: %s" (Transform.error_to_string e)
   | Ok _ -> Alcotest.fail "interchange must be refused");
   match Transform.unroll_and_jam ~index:"i" ~factor:2 skewed with
   | Error (Transform.Unsafe_jam _) -> ()

@@ -37,18 +37,6 @@ let test_mapi () =
         "index passed" [ 10; 21; 32 ]
         (Pool.mapi p (fun i x -> (10 * x) + i) [ 1; 2; 3 ]))
 
-let test_map_reduce () =
-  Pool.with_pool ~jobs:4 (fun p ->
-      let n = 200 in
-      let total =
-        Pool.map_reduce p
-          ~map:(fun x -> x * x)
-          ~reduce:( + ) ~init:0
-          (List.init n (fun i -> i))
-      in
-      let expect = n * (n - 1) * ((2 * n) - 1) / 6 in
-      Alcotest.(check int) "sum of squares" expect total)
-
 exception Boom of int
 
 let test_exception_propagation () =
@@ -357,7 +345,6 @@ let () =
           Alcotest.test_case "map sizes" `Quick test_map_sizes;
           Alcotest.test_case "jobs=1 inline" `Quick test_map_jobs_one_inline;
           Alcotest.test_case "mapi" `Quick test_mapi;
-          Alcotest.test_case "map_reduce" `Quick test_map_reduce;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagation;
           Alcotest.test_case "nested fan-out raises original" `Quick

@@ -278,22 +278,6 @@ let sketch_of values =
 
 let probe_qs = [ 0.0; 0.25; 0.5; 0.9; 0.99; 1.0 ]
 
-let check_sketch_agreement what a b ~with_sum =
-  Alcotest.(check int) (what ^ ": count") (Quantile.count a) (Quantile.count b);
-  Alcotest.(check (float 0.0))
-    (what ^ ": max") (Quantile.max_value a) (Quantile.max_value b);
-  Alcotest.(check (float 0.0))
-    (what ^ ": min") (Quantile.min_value a) (Quantile.min_value b);
-  if with_sum then
-    Alcotest.(check (float 0.0))
-      (what ^ ": sum") (Quantile.sum a) (Quantile.sum b);
-  List.iter
-    (fun q ->
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "%s: q%.2f" what q)
-        (Quantile.quantile a q) (Quantile.quantile b q))
-    probe_qs
-
 let positive_values =
   QCheck.(list_of_size (Gen.int_range 1 200) (float_range 1e-3 1e3))
 
@@ -315,42 +299,6 @@ let prop_rank_error =
           Float.abs (est -. exact) <= (1.02 *. alpha *. exact) +. 1e-12)
         probe_qs)
 
-(* Merging is commutative including the float sum: merging two sketches
-   into a fresh copy computes sum_a + sum_b each way, and IEEE addition
-   of two floats is commutative. *)
-let prop_merge_commutative =
-  QCheck.Test.make ~name:"merge commutative (incl. sum)" ~count:60
-    QCheck.(pair positive_values positive_values)
-    (fun (va, vb) ->
-      let a = sketch_of va and b = sketch_of vb in
-      let ab = Quantile.copy a and ba = Quantile.copy b in
-      Quantile.merge_into ab b;
-      Quantile.merge_into ba a;
-      check_sketch_agreement "a+b = b+a" ab ba ~with_sum:true;
-      true)
-
-(* Associative on everything except the sum (integer bucket counts);
-   the sum's round-off depends on addition order, so it is excluded. *)
-let prop_merge_associative =
-  QCheck.Test.make ~name:"merge associative (excl. sum)" ~count:40
-    QCheck.(triple positive_values positive_values positive_values)
-    (fun (va, vb, vc) ->
-      let left =
-        let ab = Quantile.copy (sketch_of va) in
-        Quantile.merge_into ab (sketch_of vb);
-        Quantile.merge_into ab (sketch_of vc);
-        ab
-      in
-      let right =
-        let bc = Quantile.copy (sketch_of vb) in
-        Quantile.merge_into bc (sketch_of vc);
-        let a = Quantile.copy (sketch_of va) in
-        Quantile.merge_into a bc;
-        a
-      in
-      check_sketch_agreement "(a+b)+c = a+(b+c)" left right ~with_sum:false;
-      true)
-
 let test_quantile_underflow_and_empty () =
   let s = Quantile.create () in
   Alcotest.(check bool) "empty quantile is nan" true
@@ -362,34 +310,6 @@ let test_quantile_underflow_and_empty () =
   let est = Quantile.quantile s 1.0 in
   Alcotest.(check bool) "p100 lands on the real value" true
     (Float.abs (est -. 5.0) <= 5.0 *. 1.02 *. Quantile.alpha s)
-
-let test_quantile_json_roundtrip () =
-  let s = sketch_of [ 0.004; 0.1; 0.1; 2.5; 40.0 ] in
-  let s' = Quantile.of_json (roundtrip (Quantile.to_json s)) in
-  check_sketch_agreement "json round-trip" s s' ~with_sum:true
-
-(* The property the server's telemetry relies on: per-task sketches
-   merged in task order give the same quantiles at any job count. *)
-let test_sketch_jobs_invariant () =
-  let merged ~jobs =
-    Pool.with_pool ~jobs (fun p ->
-        let per_task =
-          Pool.map p
-            (fun i ->
-              let s = Quantile.create () in
-              for j = 1 to 500 do
-                Quantile.add s
-                  (0.001 *. float_of_int (((i * 7919) + (j * 104729)) mod 10_000))
-              done;
-              s)
-            (List.init 8 (fun i -> i))
-        in
-        let acc = Quantile.create () in
-        List.iter (Quantile.merge_into acc) per_task;
-        acc)
-  in
-  check_sketch_agreement "jobs 1 = jobs 4" (merged ~jobs:1) (merged ~jobs:4)
-    ~with_sum:true
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -426,10 +346,7 @@ let test_flight_wraparound () =
   done;
   Alcotest.(check (list string)) "last capacity lines, oldest first"
     [ "l6"; "l7"; "l8"; "l9" ]
-    (Flight.dump f);
-  Alcotest.(check int) "every line counted" 10 (Flight.total_recorded f);
-  Flight.clear f;
-  Alcotest.(check (list string)) "clear empties the rings" [] (Flight.dump f)
+    (Flight.dump f)
 
 let test_flight_domain_isolation () =
   let f = Flight.create ~capacity:4 () in
@@ -461,8 +378,7 @@ let test_output_identical_with_flight () =
     Fun.protect ~finally:Trace.uninstall (fun () -> run ())
   in
   Alcotest.(check string) "byte-identical table" plain recorded;
-  Alcotest.(check bool) "recorder saw trace lines" true
-    (Flight.total_recorded f > 0);
+  Alcotest.(check bool) "recorder saw trace lines" true (Flight.dump f <> []);
   Runs.clear_cache ()
 
 (* --- Snapshot series ----------------------------------------------------- *)
@@ -997,14 +913,8 @@ let () =
         [
           Alcotest.test_case "underflow and empty" `Quick
             test_quantile_underflow_and_empty;
-          Alcotest.test_case "json round-trip" `Quick
-            test_quantile_json_roundtrip;
-          Alcotest.test_case "merged sketches identical at jobs=1 and jobs=4"
-            `Quick test_sketch_jobs_invariant;
-        ]
-        @ List.map QCheck_alcotest.to_alcotest
-            [ prop_rank_error; prop_merge_commutative; prop_merge_associative ]
-      );
+          QCheck_alcotest.to_alcotest prop_rank_error;
+        ] );
       ( "flight",
         [
           Alcotest.test_case "ring wraparound" `Quick test_flight_wraparound;

@@ -7,6 +7,7 @@
 
 module Protocol = Altune_serve.Protocol
 module Server = Altune_serve.Server
+module Daemon = Altune_serve.Daemon
 module Json = Altune_obs.Json
 module Metrics = Altune_obs.Metrics
 module Events = Altune_obs.Events
@@ -339,6 +340,105 @@ let test_admission () =
     view (ok (Server.handle s (Protocol.Step { session = "b"; iterations = 1 })))
   in
   Alcotest.(check int) "promoted session steps" 5 v.Protocol.v_iteration
+
+(* The counts [stats] reports equal a recount of every opened session's
+   status, and each queued session's position is its rank among the
+   queued ones in open order, after a seeded mix of opens (admitted,
+   queued and refused), steps, ticks and closes of sessions in every
+   phase. *)
+let test_counts_equal_recount () =
+  let s = server ~max_live:2 ~max_queue:3 () in
+  let rng = Random.State.make [| 31 |] in
+  let opened = ref [] (* newest first *) and next = ref 0 in
+  let requests = ref 0 in
+  let handle req =
+    incr requests;
+    Server.handle s req
+  in
+  let refused = ref 0 and queued_opens = ref 0 in
+  let closes = Hashtbl.create 4 in
+  (* One of the eight newest sessions, so that most closes free a slot. *)
+  let pick () =
+    List.nth !opened (Random.State.int rng (min 8 (List.length !opened)))
+  in
+  let status name =
+    view (ok (Server.handle s (Protocol.Status { session = name })))
+  in
+  let recount () =
+    let views = List.rev_map status !opened in
+    let stats = Server.stats s in
+    let count st =
+      List.length (List.filter (fun v -> v.Protocol.v_state = st) views)
+    in
+    Alcotest.(check (list int))
+      "opened, live, queued, done, closed"
+      [
+        List.length views;
+        count Protocol.Live;
+        count Protocol.Queued;
+        count Protocol.Done;
+        count Protocol.Closed;
+      ]
+      [
+        stats.Protocol.s_opened;
+        stats.s_live;
+        stats.s_queued;
+        stats.s_done;
+        stats.s_closed;
+      ];
+    List.iteri
+      (fun rank v ->
+        Alcotest.(check (option int))
+          (v.Protocol.v_session ^ "'s position")
+          (Some rank) v.Protocol.v_position)
+      (List.filter (fun v -> v.Protocol.v_state = Protocol.Queued) views)
+  in
+  for i = 1 to 600 do
+    (match Random.State.int rng 10 with
+    | 0 | 1 | 2 | 3 -> (
+        let name = Printf.sprintf "s%d" !next in
+        incr next;
+        match
+          handle
+            (open_req ~seed:(!next mod 2) ~n_max:(Some 6) name "mvt")
+        with
+        | Ok r ->
+            if (view r).Protocol.v_state = Protocol.Queued then
+              incr queued_opens;
+            opened := name :: !opened
+        | Error _ -> incr refused)
+    | 4 when !opened <> [] ->
+        ignore
+          (handle
+             (Protocol.Step
+                { session = pick (); iterations = 1 + Random.State.int rng 2 }))
+    | 5 ->
+        ignore
+          (handle (Protocol.Tick { iterations = 1 + Random.State.int rng 2 }))
+    | _ when !opened <> [] ->
+        let name = pick () in
+        let phase =
+          state_label
+            (view (ok (handle (Protocol.Status { session = name }))))
+              .Protocol.v_state
+        in
+        ignore (handle (Protocol.Close { session = name }));
+        Hashtbl.replace closes phase
+          (1 + Option.value ~default:0 (Hashtbl.find_opt closes phase))
+    | _ -> ());
+    if i mod 50 = 0 then recount ()
+  done;
+  recount ();
+  Alcotest.(check bool) "at least 300 requests" true (!requests >= 300);
+  Alcotest.(check bool) "at least 100 sessions" true
+    (List.length !opened >= 100);
+  Alcotest.(check bool) "some opens queued" true (!queued_opens > 0);
+  Alcotest.(check bool) "some opens refused" true (!refused > 0);
+  List.iter
+    (fun phase ->
+      Alcotest.(check bool) ("closed a " ^ phase ^ " session") true
+        (Hashtbl.mem closes phase))
+    [ "queued"; "live"; "done"; "closed" ]
 
 (* --- Shared-memo accounting --------------------------------------------- *)
 
@@ -871,6 +971,33 @@ let test_failure_ledger () =
         (List.length (read_lines ledger)));
   Sys.remove ledger
 
+(* --- Transports ------------------------------------------------------------ *)
+
+(* The script transport runs the shared request loop, which answers a
+   final line that has no newline. *)
+let test_script_final_line () =
+  let path = Filename.temp_file "altune-script" ".jsonl" in
+  let out = Filename.temp_file "altune-script" ".out" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ path; out ])
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc "{\"id\":1,\"req\":\"stats\"}\n{\"id\":2,\"req\":\"stats\"}";
+      close_out oc;
+      let oc = open_out_bin out in
+      Daemon.serve_script (server ()) ~path ~output:oc;
+      close_out oc;
+      let ids =
+        List.map
+          (fun line ->
+            match Protocol.response_of_line line with
+            | Ok r -> r.Protocol.r_id
+            | Error e -> Alcotest.failf "reply unparseable: %s" e)
+          (read_lines out)
+      in
+      Alcotest.(check (list (option int))) "one reply per line"
+        [ Some 1; Some 2 ] ids)
+
 (* --- Transcript determinism ---------------------------------------------- *)
 
 (* A fixed scripted client: overlapping tenants on two kernels, a queued
@@ -936,6 +1063,8 @@ let () =
             test_live_learner;
           Alcotest.test_case "one event stream per session" `Quick
             test_session_events;
+          Alcotest.test_case "counts equal a recount" `Quick
+            test_counts_equal_recount;
         ] );
       ( "memo",
         [
@@ -962,6 +1091,11 @@ let () =
         [
           Alcotest.test_case "errors land in the failure ledger" `Quick
             test_failure_ledger;
+        ] );
+      ( "transport",
+        [
+          Alcotest.test_case "script's final line without newline" `Quick
+            test_script_final_line;
         ] );
       ( "determinism",
         [
