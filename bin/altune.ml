@@ -130,13 +130,14 @@ let fault_term =
 (* Run [f] under the observability requested on the command line: JSONL
    trace and learner-event sinks stamped with the run manifest, a
    top-level span named after the subcommand, and an optional metrics
-   dump.  Experiment stdout is produced by [f] as usual and stays
-   byte-identical either way. *)
+   dump.  [f] is given the event sink, if [--events] asked for one, and
+   passes it to the runs it makes.  Experiment stdout is produced by [f]
+   as usual and stays byte-identical either way. *)
 let with_obs ~command ~trace ~events ~metrics ~scale_label ~seed f =
-  let body () =
+  let body sink =
     Trace.with_span ~name:"command"
       ~attrs:[ ("command", Trace.String command) ]
-      f
+      (fun () -> f sink)
   in
   let manifest () =
     Manifest.to_json
@@ -144,8 +145,10 @@ let with_obs ~command ~trace ~events ~metrics ~scale_label ~seed f =
   in
   let with_events g =
     match events with
-    | None -> g ()
-    | Some path -> Events.with_file path ~manifest:(manifest ()) g
+    | None -> g None
+    | Some path ->
+        Events.with_file path ~manifest:(manifest ()) (fun sink ->
+            g (Some sink))
   in
   let result =
     match trace with
@@ -178,7 +181,7 @@ let check_benchmarks names =
 (* An experiment command.  Every one takes --scale, --seed, --jobs,
    --trace and --metrics; [args] parses the driver's own options into the
    event file it writes, if it runs the learner, and the driver applied
-   to them. *)
+   to them, awaiting that file's sink. *)
 let experiment_cmd name ~doc args =
   let command = name in
   let term =
@@ -186,8 +189,8 @@ let experiment_cmd name ~doc args =
       const (fun scale seed jobs trace metrics (events, driver) ->
           apply_jobs jobs;
           with_obs ~command ~trace ~events ~metrics
-            ~scale_label:scale.Scale.label ~seed (fun () ->
-              print_string (driver ~scale ~seed ());
+            ~scale_label:scale.Scale.label ~seed (fun sink ->
+              print_string (driver sink ~scale ~seed ());
               print_newline ()))
       $ scale_term $ seed_term $ jobs_term $ trace_term $ metrics_term
       $ args)
@@ -206,28 +209,28 @@ let benchmarks_arg =
 let learner_args driver =
   Term.(
     const (fun benchmarks fault events ->
-        (events, driver ?benchmarks ?fault))
+        (events, fun sink -> driver ?benchmarks ?fault ?events:sink))
     $ benchmarks_arg $ fault_term $ events_term)
 
 (* Every table and figure in one process, in the paper's order, so that
    Table 1 and Figures 5 and 6 share their learner runs through the
    [Runs.curves_for] memo instead of each recomputing them. *)
-let all ?benchmarks ?fault ~scale ~seed () =
+let all ?benchmarks ?fault ?events ~scale ~seed () =
   String.concat "\n"
     [
       Drivers.fig1 ~scale ~seed ();
       Drivers.fig2 ~scale ~seed ();
       Drivers.table2 ?benchmarks ~scale ~seed ();
-      Drivers.table1 ?benchmarks ?fault ~scale ~seed ();
-      Drivers.fig5 ?benchmarks ?fault ~scale ~seed ();
-      Drivers.fig6 ?benchmarks ?fault ~scale ~seed ();
-      Drivers.ablation ?fault ~scale ~seed ();
+      Drivers.table1 ?benchmarks ?fault ?events ~scale ~seed ();
+      Drivers.fig5 ?benchmarks ?fault ?events ~scale ~seed ();
+      Drivers.fig6 ?benchmarks ?fault ?events ~scale ~seed ();
+      Drivers.ablation ?fault ?events ~scale ~seed ();
     ]
 
 let ablation_args =
   Term.(
     const (fun bench fault events ->
-        (events, Drivers.ablation ~bench ?fault))
+        (events, fun sink -> Drivers.ablation ~bench ?fault ?events:sink))
     $ bench_term ~default:"gemver" $ fault_term $ events_term)
 
 let list_cmd name doc =
@@ -562,10 +565,10 @@ let tune_cmd name doc =
           end;
           with_obs ~command:"tune" ~trace ~events ~metrics
             ~scale_label:scale.Scale.label ~seed
-          @@ fun () ->
+          @@ fun events ->
           let b = Spapt.create bench in
           let run =
-            Tune_run.start ~pool:(Runs.pool ()) b
+            Tune_run.start ?events ~pool:(Runs.pool ()) b
               { bench; scale; seed; fault; n_max = None; budget = None }
           in
           (* One loop: with a checkpoint file the run pauses every
@@ -616,9 +619,9 @@ let resume_cmd name doc =
               let spec = Tune_run.saved_spec saved in
               with_obs ~command:"resume" ~trace ~events ~metrics
                 ~scale_label:spec.scale.Scale.label ~seed:spec.seed
-              @@ fun () ->
+              @@ fun events ->
               let b = Spapt.create spec.bench in
-              let run = Tune_run.resume ~pool:(Runs.pool ()) b saved in
+              let run = Tune_run.resume ?events ~pool:(Runs.pool ()) b saved in
               Option.iter
                 (fun outcome -> report_tuned b outcome ~seed:spec.seed)
                 (Tune_run.step run ~iterations:max_int))
@@ -922,9 +925,9 @@ let serve_cmd name doc =
           in
           with_obs ~command:"serve" ~trace ~events ~metrics
             ~scale_label:"serve" ~seed:0
-          @@ fun () ->
+          @@ fun events ->
           Option.iter Obs_flight.install recorder;
-          let server = Serve_server.create config in
+          let server = Serve_server.create ?events config in
           match script with
           | Some path ->
               Serve_daemon.serve_script ~flight_dump server ~path
@@ -1014,15 +1017,18 @@ let command_table =
       fun name doc ->
         experiment_cmd name ~doc
           Term.(
-            const (fun benchmarks -> (None, Drivers.table2 ?benchmarks))
+            const (fun benchmarks ->
+                (None, fun _ -> Drivers.table2 ?benchmarks))
             $ benchmarks_arg) );
     ( "fig1",
       "MAE and optimal sample count over the mm unroll plane (Figure 1).",
-      fun name doc -> experiment_cmd name ~doc (Term.const (None, Drivers.fig1))
+      fun name doc ->
+        experiment_cmd name ~doc (Term.const (None, fun _ -> Drivers.fig1))
     );
     ( "fig2",
       "adi runtime vs. unroll factor, single samples (Figure 2).",
-      fun name doc -> experiment_cmd name ~doc (Term.const (None, Drivers.fig2))
+      fun name doc ->
+        experiment_cmd name ~doc (Term.const (None, fun _ -> Drivers.fig2))
     );
     ( "fig5",
       "Profiling-cost reduction bars (Figure 5).",

@@ -159,7 +159,7 @@ let strategy_string = function
   | Mackay -> "mackay"
   | Random_selection -> "random"
 
-let start_run ?fault ?resume ?exec_pool (problem : Problem.t)
+let start_run ?fault ?resume ?exec_pool ?events (problem : Problem.t)
     (dataset : Dataset.t) settings ~rng:rng0 =
   validate settings;
   (* The learner's private stream lives in a cell so that resume can point
@@ -293,18 +293,22 @@ let start_run ?fault ?resume ?exec_pool (problem : Problem.t)
                     ("lost_s", Trace.Float charged);
                   ]
                 (fun () -> ());
-              if Events.enabled () then
-                Events.emit
-                  (Fault { config = key; attempt = local; fault = kind;
-                           lost_s = charged });
+              (match events with
+              | None -> ()
+              | Some ev ->
+                  Events.emit ev
+                    (Fault { config = key; attempt = local; fault = kind;
+                             lost_s = charged }));
               if local >= spec.max_retries then begin
                 mark_dead key;
                 Obs_metrics.incr m_fault_dead;
-                if Events.enabled () then
-                  Events.emit
-                    (Fault
-                       { config = key; attempt = local; fault = "dead";
-                         lost_s = 0.0 });
+                (match events with
+                | None -> ()
+                | Some ev ->
+                    Events.emit ev
+                      (Fault
+                         { config = key; attempt = local; fault = "dead";
+                           lost_s = 0.0 }));
                 None
               end
               else begin
@@ -466,20 +470,25 @@ let start_run ?fault ?resume ?exec_pool (problem : Problem.t)
         rng := Rng.restore st.st_rng;
         (st.st_refs, st.st_noise_hint, st.st_rng_model, model, [])
   in
-  (* Learner telemetry (Altune_obs.Events): pure observation of decisions
-     already made — emission consumes no randomness and touches no state
-     the loop reads, so results are byte-identical with it on or off. *)
-  if Events.enabled () then
-    Events.emit
-      (Start
-         {
-           plan = plan_string settings.plan;
-           strategy = strategy_string settings.strategy;
-           model = Surrogate.name model;
-           dim = problem.dim;
-           pool = Array.length pool;
-           n_max = settings.n_max;
-         });
+  (* Learner telemetry (Altune_obs.Events), on the run's own stream if
+     it was given one: pure observation of decisions already made —
+     emission consumes no randomness and touches no state the loop reads,
+     so results are byte-identical with it on or off.  Work done only for
+     the events (the reference-set variance, the tree stats, [prev_obs])
+     stays behind the same test. *)
+  (match events with
+  | None -> ()
+  | Some ev ->
+      Events.emit ev
+        (Start
+           {
+             plan = plan_string settings.plan;
+             strategy = strategy_string settings.strategy;
+             model = Surrogate.name model;
+             dim = problem.dim;
+             pool = Array.length pool;
+             n_max = settings.n_max;
+           }));
   (* The ordered observation log is what lets a checkpoint rebuild the
      surrogate. *)
   let observe_log =
@@ -509,40 +518,41 @@ let start_run ?fault ?resume ?exec_pool (problem : Problem.t)
   in
   let record iteration =
     let err = rmse () in
-    if Events.enabled () then begin
-      let ref_variance =
-        if Array.length refs = 0 then 0.0
-        else begin
-          let acc = ref 0.0 in
-          Array.iter
-            (fun f -> acc := !acc +. (Surrogate.predict model f).variance)
-            refs;
-          !acc /. float_of_int (Array.length refs)
-        end
-      in
-      let tree =
-        Option.map
-          (fun (s : Surrogate.tree_stats) ->
-            {
-              Events.mean_leaves = s.mean_leaves;
-              max_depth = s.max_depth;
-              depth_histogram = s.depth_histogram;
-              split_frequencies = s.split_frequencies;
-            })
-          (Surrogate.tree_stats model)
-      in
-      Events.emit
-        (Eval
-           {
-             iteration;
-             examples = Hashtbl.length obs_count;
-             observations = !run_counter;
-             cost_s = Cost.total_seconds cost;
-             rmse = err;
-             ref_variance;
-             tree;
-           })
-    end;
+    (match events with
+    | None -> ()
+    | Some ev ->
+        let ref_variance =
+          if Array.length refs = 0 then 0.0
+          else begin
+            let acc = ref 0.0 in
+            Array.iter
+              (fun f -> acc := !acc +. (Surrogate.predict model f).variance)
+              refs;
+            !acc /. float_of_int (Array.length refs)
+          end
+        in
+        let tree =
+          Option.map
+            (fun (s : Surrogate.tree_stats) ->
+              {
+                Events.mean_leaves = s.mean_leaves;
+                max_depth = s.max_depth;
+                depth_histogram = s.depth_histogram;
+                split_frequencies = s.split_frequencies;
+              })
+            (Surrogate.tree_stats model)
+        in
+        Events.emit ev
+          (Eval
+             {
+               iteration;
+               examples = Hashtbl.length obs_count;
+               observations = !run_counter;
+               cost_s = Cost.total_seconds cost;
+               rmse = err;
+               ref_variance;
+               tree;
+             }));
     curve :=
       {
         iteration;
@@ -682,11 +692,12 @@ let start_run ?fault ?resume ?exec_pool (problem : Problem.t)
         (fun (config, score, revisit) ->
           incr iteration;
           let prev_obs =
-            if not (Events.enabled ()) then 0
-            else
-              match Hashtbl.find_opt obs_count (Problem.key config) with
-              | Some (c, _, _) -> c
-              | None -> 0
+            match events with
+            | None -> 0
+            | Some _ -> (
+                match Hashtbl.find_opt obs_count (Problem.key config) with
+                | Some (c, _, _) -> c
+                | None -> 0)
           in
           (match settings.plan with
           | Fixed n -> (
@@ -702,19 +713,21 @@ let start_run ?fault ?resume ?exec_pool (problem : Problem.t)
                   note_obs config 1 y;
                   observe_raw config y
               | None -> ()));
-          if Events.enabled () then
-            Events.emit
-              (Select
-                 {
-                   iteration = !iteration;
-                   config = Problem.key config;
-                   score;
-                   revisit;
-                   config_obs = prev_obs;
-                   examples = Hashtbl.length obs_count;
-                   observations = !run_counter;
-                   cost_s = Cost.total_seconds cost;
-                 });
+          (match events with
+          | None -> ()
+          | Some ev ->
+              Events.emit ev
+                (Select
+                   {
+                     iteration = !iteration;
+                     config = Problem.key config;
+                     score;
+                     revisit;
+                     config_obs = prev_obs;
+                     examples = Hashtbl.length obs_count;
+                     observations = !run_counter;
+                     cost_s = Cost.total_seconds cost;
+                   }));
           if
             !iteration mod settings.eval_every = 0
             || !iteration = settings.n_max
@@ -733,16 +746,18 @@ let start_run ?fault ?resume ?exec_pool (problem : Problem.t)
     let final_rmse =
       match List.rev curve with [] -> nan | last :: _ -> last.rmse
     in
-    if Events.enabled () then
-      Events.emit
-        (Finish
-           {
-             iterations = !iteration;
-             examples = Hashtbl.length obs_count;
-             observations = !run_counter;
-             cost_s = Cost.total_seconds cost;
-             rmse = final_rmse;
-           });
+    (match events with
+    | None -> ()
+    | Some ev ->
+        Events.emit ev
+          (Finish
+             {
+               iterations = !iteration;
+               examples = Hashtbl.length obs_count;
+               observations = !run_counter;
+               cost_s = Cost.total_seconds cost;
+               rmse = final_rmse;
+             }));
     {
       curve;
       total_cost = Cost.total_seconds cost;
@@ -781,10 +796,11 @@ let traced problem_name f =
     ~attrs:[ ("problem", Trace.String problem_name) ]
     f
 
-let start ?fault ?resume ?exec_pool (problem : Problem.t) dataset settings
-    ~rng =
+let start ?fault ?resume ?exec_pool ?events (problem : Problem.t) dataset
+    settings ~rng =
   traced problem.name (fun () ->
-      start_run ?fault ?resume ?exec_pool problem dataset settings ~rng)
+      start_run ?fault ?resume ?exec_pool ?events problem dataset settings
+        ~rng)
 
 let step t ~iterations =
   if iterations < 1 then invalid_arg "Learner.step: iterations < 1";
@@ -793,10 +809,11 @@ let step t ~iterations =
 let state t = t.capture ()
 let progress t = t.progress ()
 
-let run ?fault ?resume ?exec_pool (problem : Problem.t) dataset settings ~rng
-    =
+let run ?fault ?resume ?exec_pool ?events (problem : Problem.t) dataset
+    settings ~rng =
   traced problem.name (fun () ->
       let t =
-        start_run ?fault ?resume ?exec_pool problem dataset settings ~rng
+        start_run ?fault ?resume ?exec_pool ?events problem dataset settings
+          ~rng
       in
       Option.get (t.advance max_int))

@@ -123,6 +123,7 @@ val start :
   ?fault:Altune_exec.Fault.t ->
   ?resume:state ->
   ?exec_pool:Altune_exec.Pool.t ->
+  ?events:Altune_obs.Events.stream ->
   Problem.t ->
   Dataset.t ->
   settings ->
@@ -144,7 +145,11 @@ val start :
     [?exec_pool] hands the surrogate a worker pool for its internal data
     parallelism (particle reweighting, ALC candidate scoring).  Purely a
     performance knob: outcomes are bit-identical with or without it, at
-    any job count. *)
+    any job count.
+
+    [?events] is the run's event stream: the run emits its decisions on
+    it from every step, on whichever domain steps it, and without one it
+    emits nothing.  Outcomes are the same with or without it. *)
 
 val step : t -> iterations:int -> outcome option
 (** Run the loop to the first boundary at least [iterations] (>= 1)
@@ -174,6 +179,7 @@ val run :
   ?fault:Altune_exec.Fault.t ->
   ?resume:state ->
   ?exec_pool:Altune_exec.Pool.t ->
+  ?events:Altune_obs.Events.stream ->
   Problem.t ->
   Dataset.t ->
   settings ->

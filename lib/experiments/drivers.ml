@@ -55,10 +55,10 @@ let geo_mean_cell speedups =
 
 (* --- Table 1 --- *)
 
-let table1_rows ?fault ~scale ~seed benches =
+let table1_rows ?fault ?events ~scale ~seed benches =
   map_benches ~section:"table1"
     (fun bench ->
-      let pc = Runs.curves_for ?fault bench scale ~seed in
+      let pc = Runs.curves_for ?fault ?events bench scale ~seed in
       let cmp =
         Experiment.compare_curves ~baseline:pc.all_observations
           ~ours:pc.variable_observations
@@ -66,8 +66,8 @@ let table1_rows ?fault ~scale ~seed benches =
       (Spapt.name bench, Spapt.space_size bench, cmp))
     benches
 
-let table1 ?benchmarks ?fault ~scale ~seed () =
-  let rows = table1_rows ?fault ~scale ~seed (bench_list benchmarks) in
+let table1 ?benchmarks ?fault ?events ~scale ~seed () =
+  let rows = table1_rows ?fault ?events ~scale ~seed (bench_list benchmarks) in
   let speedups = List.map (fun (_, _, c) -> c.Experiment.speedup) rows in
   let geo = geo_mean_cell speedups in
   let body =
@@ -335,8 +335,8 @@ let fig2 ~scale ~seed () =
 
 (* --- Figure 5: cost-reduction bars --- *)
 
-let fig5 ?benchmarks ?fault ~scale ~seed () =
-  let rows = table1_rows ?fault ~scale ~seed (bench_list benchmarks) in
+let fig5 ?benchmarks ?fault ?events ~scale ~seed () =
+  let rows = table1_rows ?fault ?events ~scale ~seed (bench_list benchmarks) in
   let entries =
     List.map (fun (name, _, c) -> (name, c.Experiment.speedup)) rows
   in
@@ -374,12 +374,12 @@ let fig6_default = [ "adi"; "atax"; "correlation"; "gemver"; "jacobi"; "mvt" ]
 let curve_points (c : Experiment.curve) =
   List.map (fun (p : Learner.eval_point) -> (p.cost_seconds, p.rmse)) c
 
-let fig6 ?benchmarks ?fault ~scale ~seed () =
+let fig6 ?benchmarks ?fault ?events ~scale ~seed () =
   let sections =
     map_benches ~section:"fig6"
       (fun bench ->
         let name = Spapt.name bench in
-        let pc = Runs.curves_for ?fault bench scale ~seed in
+        let pc = Runs.curves_for ?fault ?events bench scale ~seed in
         (* The paper plots the shared time window where all plans are
            active; clip each plan's curve at the fastest plan's end. *)
         let horizon =
@@ -410,7 +410,7 @@ let fig6 ?benchmarks ?fault ~scale ~seed () =
 
 (* --- Ablations --- *)
 
-let ablation ?(bench = "gemver") ?fault ~scale ~seed () =
+let ablation ?(bench = "gemver") ?fault ?events ~scale ~seed () =
   let b = Spapt.create bench in
   let dataset = Runs.dataset_for b scale ~seed in
   let base = scale.Scale.adaptive in
@@ -431,10 +431,15 @@ let ablation ?(bench = "gemver") ?fault ~scale ~seed () =
                      ~seed:(Rng.derive ~seed:rep_seed [ S "fault" ]))
                  fault
              in
-             Events.with_run (Runs.run_key ~bench scale tag r) (fun () ->
-                 (Learner.run ?fault ~exec_pool:(Runs.pool ()) problem
-                    dataset settings ~rng:(Rng.create ~seed:rep_seed))
-                   .curve)))
+             let events =
+               Option.map
+                 (fun sink ->
+                   Events.stream sink (Runs.run_key ~bench scale tag r))
+                 events
+             in
+             (Learner.run ?fault ?events ~exec_pool:(Runs.pool ()) problem
+                dataset settings ~rng:(Rng.create ~seed:rep_seed))
+               .curve))
     in
     let final =
       match List.rev curve with

@@ -17,9 +17,10 @@
     The drivers that run the learner ({!table1}, {!fig5}, {!fig6},
     {!ablation}) take [?fault] (the CLI's [--fault-spec]): every learner
     run gets a deterministic fault injector, seeded per run, so output
-    stays bit-identical at any job count.  Each run streams its events
-    under its own {!Runs.run_key}.  {!table2}, {!fig1} and {!fig2} run no
-    learner and take no fault spec. *)
+    stays bit-identical at any job count.  They also take [?events] (the
+    CLI's [--events] sink): each run streams its events on it under its
+    own {!Runs.run_key}.  {!table2}, {!fig1} and {!fig2} run no learner
+    and take neither. *)
 
 val check_benchmarks : string list -> unit
 (** Raises [Invalid_argument] naming the first benchmark that is unknown
@@ -30,6 +31,7 @@ val check_benchmarks : string list -> unit
 val table1 :
   ?benchmarks:string list ->
   ?fault:Altune_exec.Fault.spec ->
+  ?events:Altune_obs.Events.sink ->
   scale:Scale.t ->
   seed:int ->
   unit ->
@@ -44,6 +46,7 @@ val fig2 : scale:Scale.t -> seed:int -> unit -> string
 val fig5 :
   ?benchmarks:string list ->
   ?fault:Altune_exec.Fault.spec ->
+  ?events:Altune_obs.Events.sink ->
   scale:Scale.t ->
   seed:int ->
   unit ->
@@ -52,6 +55,7 @@ val fig5 :
 val fig6 :
   ?benchmarks:string list ->
   ?fault:Altune_exec.Fault.spec ->
+  ?events:Altune_obs.Events.sink ->
   scale:Scale.t ->
   seed:int ->
   unit ->
@@ -60,6 +64,7 @@ val fig6 :
 val ablation :
   ?bench:string ->
   ?fault:Altune_exec.Fault.spec ->
+  ?events:Altune_obs.Events.sink ->
   scale:Scale.t ->
   seed:int ->
   unit ->

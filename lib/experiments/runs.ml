@@ -119,7 +119,7 @@ let dataset_for bench (scale : Scale.t) ~seed =
    derives a private RNG seed and its own run key, so the result is
    independent of the interleaving — curves are bit-identical at any job
    count. *)
-let curves_for ?fault bench (scale : Scale.t) ~seed =
+let curves_for ?fault ?events bench (scale : Scale.t) ~seed =
   let name = Spapt.name bench in
   let key =
     Printf.sprintf "%s/%s/%d%s" name scale.label seed
@@ -164,11 +164,13 @@ let curves_for ?fault bench (scale : Scale.t) ~seed =
                 (fun s -> Fault.create s ~seed:(fault_seed ~seed id))
                 fault
             in
+            let events =
+              Option.map (fun sink -> Events.stream sink id) events
+            in
             ( tag,
-              Events.with_run id (fun () ->
-                  (Learner.run ?fault ~exec_pool:(pool ()) problem dataset
-                     settings ~rng:(Rng.create ~seed:rep_seed))
-                    .curve) ))
+              (Learner.run ?fault ?events ~exec_pool:(pool ()) problem dataset
+                 settings ~rng:(Rng.create ~seed:rep_seed))
+                .curve ))
           tasks
       in
       let plan tag =

@@ -32,7 +32,7 @@ val pool : unit -> Altune_exec.Pool.t
 val run_key : bench:string -> Scale.t -> string -> int -> string
 (** [run_key ~bench scale tag rep] is ["<bench>/<scale>/<tag>/<rep>"],
     the identity of one learner run: the key of its event stream
-    ({!Altune_obs.Events.with_run}) and the input of {!fault_seed}.
+    ({!Altune_obs.Events.stream}) and the input of {!fault_seed}.
     A {!Tune_run} is [tag = "tune"], [rep = 0]. *)
 
 val fault_seed : seed:int -> string -> int
@@ -48,6 +48,7 @@ val dataset_for :
 
 val curves_for :
   ?fault:Altune_exec.Fault.spec ->
+  ?events:Altune_obs.Events.sink ->
   Altune_spapt.Spapt.t ->
   Scale.t ->
   seed:int ->
@@ -56,6 +57,7 @@ val curves_for :
     with seeds derived from [seed]; cached per (benchmark, scale, seed,
     fault spec).  Each (plan, repetition) runs under its own {!run_key};
     with [fault] (the CLI's [--fault-spec]) its injector is seeded by
-    {!fault_seed} of that key. *)
+    {!fault_seed} of that key, and with [events] it streams its events on
+    that sink under that key.  A cached result emits nothing again. *)
 
 val clear_cache : unit -> unit

@@ -38,12 +38,11 @@ type t = {
   spec : spec;
   meta : Checkpoint.meta;
   dataset : Dataset.t;
-  events : Events.stream;
-  learner : Learner.t;
+  learner : Learner.t;  (* holds the run's event stream, if any *)
 }
 
 (* [fault] pairs the spec's fault spec with the seed of its draws. *)
-let launch ?stream ?note ?resume ~pool bench spec ~fault dataset =
+let launch ?events ?stream ?note ?resume ~pool bench spec ~fault dataset =
   let problem =
     match note with
     | None -> Adapter.problem_of ~pool bench
@@ -57,13 +56,17 @@ let launch ?stream ?note ?resume ~pool bench spec ~fault dataset =
           compile_seconds = (fun c -> note c (fun () -> p.compile_seconds c));
         }
   in
-  let events = Events.stream (Option.value stream ~default:(key spec)) in
+  let events =
+    Option.map
+      (fun sink ->
+        Events.stream sink (Option.value stream ~default:(key spec)))
+      events
+  in
   let learner =
-    Events.with_stream events (fun () ->
-        Learner.start
-          ?fault:(Option.map (fun (sp, seed) -> Fault.create sp ~seed) fault)
-          ?resume ~exec_pool:pool problem dataset (settings spec)
-          ~rng:(Rng.create ~seed:spec.seed))
+    Learner.start
+      ?fault:(Option.map (fun (sp, seed) -> Fault.create sp ~seed) fault)
+      ?resume ~exec_pool:pool ?events problem dataset (settings spec)
+      ~rng:(Rng.create ~seed:spec.seed)
   in
   let meta =
     {
@@ -73,11 +76,11 @@ let launch ?stream ?note ?resume ~pool bench spec ~fault dataset =
       fault = Option.map (fun (sp, seed) -> (Fault.to_string sp, seed)) fault;
     }
   in
-  { spec; meta; dataset; events; learner }
+  { spec; meta; dataset; learner }
 
-let start ?stream ?note ~pool bench spec =
+let start ?events ?stream ?note ~pool bench spec =
   let fault_seed = Runs.fault_seed ~seed:spec.seed (key spec) in
-  launch ?stream ?note ~pool bench spec
+  launch ?events ?stream ?note ~pool bench spec
     ~fault:(Option.map (fun sp -> (sp, fault_seed)) spec.fault)
     (Runs.dataset_for bench spec.scale ~seed:spec.seed)
 
@@ -126,11 +129,11 @@ let load path =
 
 let saved_spec s = s.saved_spec
 
-let resume ~pool bench (s : saved) =
-  launch ~resume:s.state ~pool bench s.saved_spec ~fault:s.fault s.dataset
+let resume ?events ~pool bench (s : saved) =
+  launch ?events ~resume:s.state ~pool bench s.saved_spec ~fault:s.fault
+    s.dataset
 
-let step t ~iterations =
-  Events.with_stream t.events (fun () -> Learner.step t.learner ~iterations)
+let step t ~iterations = Learner.step t.learner ~iterations
 
 let progress t = Learner.progress t.learner
 

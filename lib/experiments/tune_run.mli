@@ -12,8 +12,9 @@
     - the stock rule ({!savable});
     - the checkpoint's metadata, and the checks made when it is read.
 
-    Callers keep what differs between them: the key of the event
-    stream, the worker pool and serve's [note] hook. *)
+    Callers keep what differs between them: the event sink and the key
+    of the run's stream on it, the worker pool and serve's [note]
+    hook. *)
 
 type spec = {
   bench : string;  (** SPAPT benchmark name. *)
@@ -36,6 +37,7 @@ type t
 (** A run in progress, paused between steps. *)
 
 val start :
+  ?events:Altune_obs.Events.sink ->
   ?stream:string ->
   ?note:(Altune_core.Problem.config -> (unit -> float) -> float) ->
   pool:Altune_exec.Pool.t ->
@@ -45,8 +47,10 @@ val start :
 (** Start the run on [bench], an instance of [spec.bench], from the
     cached dataset ({!Runs.dataset_for}): the seed phase runs now.
 
-    [stream] keys the run's event stream (default: the run key); the
-    run holds the stream, so its steps continue one sequence.  [note c
+    With [events] the run streams its events on that sink, under the
+    key [stream] (default: the run key); the run holds the stream, so
+    its steps continue one sequence.  Without [events] it emits
+    nothing.  [note c
     eval] wraps each of the learner's evaluations of [c] (every call of
     the problem's [measure] and [compile_seconds], not dataset
     generation) and must return [eval ()].  [pool] runs the surrogate's
@@ -67,14 +71,20 @@ val load : string -> (saved, string) result
 val saved_spec : saved -> spec
 (** The stock spec the checkpoint records. *)
 
-val resume : pool:Altune_exec.Pool.t -> Altune_spapt.Spapt.t -> saved -> t
+val resume :
+  ?events:Altune_obs.Events.sink ->
+  pool:Altune_exec.Pool.t ->
+  Altune_spapt.Spapt.t ->
+  saved ->
+  t
 (** Continue a saved run on an instance of its benchmark, with the
     stored dataset and fault seed rather than derived ones, as
     {!start} does without [stream] or [note].  Stepped to its end, it
     gives the outcome and events of the uninterrupted run. *)
 
 val step : t -> iterations:int -> Altune_core.Learner.outcome option
-(** {!Altune_core.Learner.step} under the run's event stream. *)
+(** {!Altune_core.Learner.step}: its events continue the run's
+    stream. *)
 
 val progress : t -> Altune_core.Learner.progress
 (** {!Altune_core.Learner.progress}, in O(1). *)

@@ -258,100 +258,58 @@ let of_json j =
 
 (* --- Emission ----------------------------------------------------------- *)
 
-(* The sink buffers (run, seq, line) triples and writes them sorted on
-   uninstall, so the file's bytes depend only on what each learner run
-   emitted — not on how the pool interleaved runs across domains.  A run's
-   events are totally ordered by its per-run sequence number; distinct
-   runs are ordered by key; the line itself is the final tiebreak, making
-   the sort a total order and the output byte-identical at any job
-   count. *)
-type sink = {
-  lock : Mutex.t;
-  mutable buf : (string * int * string) list;
-  write : string -> unit;
-  close : unit -> unit;
-}
+(* A sink buffers (run, seq, line) triples and writes them sorted when
+   its scope ends, so the file's bytes depend only on what each learner
+   run emitted — not on how the pool interleaved runs across domains.  A
+   run's events are totally ordered by its per-run sequence number;
+   distinct runs are ordered by key; the line itself is the final
+   tiebreak, making the sort a total order and the output byte-identical
+   at any job count. *)
+type sink = { lock : Mutex.t; mutable buf : (string * int * string) list }
+type stream = { sink : sink; key : string; mutable seq : int }
 
-let sink_state : sink option Atomic.t = Atomic.make None
-let enabled () = Option.is_some (Atomic.get sink_state)
+let stream sink key = { sink; key; seq = 0 }
 
-(* Per-domain run context: the stream (key and per-run sequence counter)
-   under which events are recorded.  [with_stream] scopes one; emission
-   outside any scope is recorded under [""] (deterministic for sequential
-   callers, e.g. `altune tune`). *)
-type stream = { key : string; mutable seq : int }
-
-let stream key = { key; seq = 0 }
-
-let tls : stream ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref (stream ""))
-
-let with_stream s f =
-  let cur = Domain.DLS.get tls in
-  let saved = !cur in
-  cur := s;
-  Fun.protect ~finally:(fun () -> cur := saved) f
-
-let with_run key f = with_stream (stream key) f
+let emit s kind =
+  let seq = s.seq in
+  s.seq <- seq + 1;
+  let line = Json.to_string (to_json { run = s.key; seq; kind }) in
+  Mutex.protect s.sink.lock (fun () ->
+      s.sink.buf <- (s.key, seq, line) :: s.sink.buf)
 
 let compare_entries (r1, s1, l1) (r2, s2, l2) =
   match String.compare r1 r2 with
   | 0 -> ( match compare (s1 : int) s2 with 0 -> String.compare l1 l2 | c -> c)
   | c -> c
 
-let uninstall () =
-  match Atomic.exchange sink_state None with
-  | None -> ()
-  | Some s ->
-      Mutex.lock s.lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock s.lock)
-        (fun () ->
-          List.iter
-            (fun (_, _, line) -> s.write line)
-            (List.sort compare_entries s.buf);
-          s.buf <- [];
-          s.close ())
-
-let install ?(on_line = fun _ -> ()) ?(close = fun () -> ()) () =
-  uninstall ();
-  Atomic.set sink_state
-    (Some { lock = Mutex.create (); buf = []; write = on_line; close })
-
-let emit kind =
-  match Atomic.get sink_state with
-  | None -> ()
-  | Some s ->
-      let ctx = !(Domain.DLS.get tls) in
-      let seq = ctx.seq in
-      ctx.seq <- seq + 1;
-      let line = Json.to_string (to_json { run = ctx.key; seq; kind }) in
-      Mutex.lock s.lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock s.lock)
-        (fun () -> s.buf <- (ctx.key, seq, line) :: s.buf)
+(* Run [f] on a fresh sink, then hand [write] its lines in order. *)
+let with_sink write f =
+  let sink = { lock = Mutex.create (); buf = [] } in
+  Fun.protect
+    ~finally:(fun () ->
+      let buf = Mutex.protect sink.lock (fun () -> sink.buf) in
+      List.iter
+        (fun (_, _, line) -> write line)
+        (List.sort compare_entries buf))
+    (fun () -> f sink)
 
 let with_file path ?manifest f =
   let oc = open_out path in
-  (* The manifest heads the file unsorted: it is provenance, not an
-     event. *)
-  (match manifest with
-  | Some m ->
-      output_string oc (Json.to_string m);
-      output_char oc '\n'
-  | None -> ());
-  install
-    ~on_line:(fun line ->
-      output_string oc line;
-      output_char oc '\n')
-    ~close:(fun () -> close_out oc)
-    ();
-  Fun.protect ~finally:uninstall f
+  let write line =
+    output_string oc line;
+    output_char oc '\n'
+  in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      (* The manifest heads the file unsorted: it is provenance, not an
+         event. *)
+      Option.iter (fun m -> write (Json.to_string m)) manifest;
+      with_sink write f)
 
 let with_memory f =
   let lines = ref [] in
-  install ~on_line:(fun l -> lines := l :: !lines) ();
-  let v = Fun.protect ~finally:uninstall f in
+  let v = with_sink (fun l -> lines := l :: !lines) f in
   (v, List.rev !lines)
 
 (* --- Loading ------------------------------------------------------------ *)

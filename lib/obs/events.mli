@@ -9,12 +9,17 @@
     per-dimension split frequencies — a sensitivity proxy in the spirit
     of Gramacy & Taddy's dynamic-tree variable selection).
 
+    The sink and the stream are values, passed down to the code that
+    emits.  A {!sink} buffers one event file's lines; {!with_file} and
+    {!with_memory} create one for the length of their body.  A {!stream}
+    is one learner run's run key and sequence counter on a sink: each
+    run is given its own, and a run given none emits nothing.
+
     Determinism: emission carries no clocks and consumes no randomness,
-    and the sink buffers events and writes them sorted by (run key,
-    per-run sequence number), so an event file is {e byte-identical at
-    any [--jobs] count} — unlike a trace, whose line order is real
-    interleaving.  With no sink installed every operation is a no-op and
-    experiment output is untouched.
+    and the sink writes its events sorted by (run key, per-run sequence
+    number), so an event file is {e byte-identical at any [--jobs]
+    count} — unlike a trace, whose line order is real interleaving.
+    Experiment output is the same with or without a sink.
 
     Render event files with [altune report]; export them to CSV with
     [altune report --csv]. *)
@@ -86,52 +91,35 @@ type kind =
   | Fault of fault
 
 type t = { run : string; seq : int; kind : kind }
-(** One event: the run it belongs to (the {!with_run} key), its position
-    in that run's stream, and the payload. *)
+(** One event: the run it belongs to (its {!stream}'s key), its
+    position in that run's stream, and the payload. *)
 
 (** {1 Emission} *)
 
-val enabled : unit -> bool
-(** [true] iff a sink is installed.  The learner guards all event
-    construction behind this, so telemetry off costs one atomic load. *)
-
-val emit : kind -> unit
-(** Record one event under the current run context.  No-op without a
-    sink. *)
-
-val with_run : string -> (unit -> 'a) -> 'a
-(** [with_run key f] scopes this domain's run context: events emitted by
-    [f] carry [key] and a fresh sequence counter.  Nests; restores the
-    previous context afterwards.  Every parallel learner run must get a
-    distinct key, or their streams interleave under one sort key. *)
+type sink
+(** One event file's buffer.  Domain-safe: streams on it may emit from
+    several domains at once. *)
 
 type stream
-(** A run context that outlives one scope: a key and its sequence
-    counter. *)
+(** One learner run's events: a run key and its sequence counter, on a
+    sink.  A run advanced in several steps, on any domains, keeps one
+    stream and so records one contiguous sequence; emit on a stream from
+    one domain at a time.  Every run on a sink needs a distinct key, or
+    their streams interleave under one sort key. *)
 
-val stream : string -> stream
-(** A fresh stream for run [key], at sequence 0. *)
+val stream : sink -> string -> stream
+(** [stream sink key] is a fresh stream for run [key], at sequence 0. *)
 
-val with_stream : stream -> (unit -> 'a) -> 'a
-(** {!with_run} on an existing stream: events emitted by [f] continue
-    the stream's sequence where its previous scope left it, so a run
-    advanced in several scopes (a serve session's steps, on any domains)
-    records one contiguous stream.  Scope a stream on one domain at a
-    time.  [with_run key f] is [with_stream (stream key) f]. *)
+val emit : stream -> kind -> unit
+(** Record one event as the stream's next. *)
 
-val install : ?on_line:(string -> unit) -> ?close:(unit -> unit) -> unit -> unit
-(** Install the process-wide sink.  Lines are delivered to [on_line]
-    {e sorted}, all at uninstall time. *)
+val with_file : string -> ?manifest:Json.t -> (sink -> 'a) -> 'a
+(** [with_file path f] opens [path] (truncating), writes [manifest] as
+    an unsorted header line, runs [f] on a fresh sink and writes the
+    sink's lines sorted on the way out, whether [f] returns or raises.
+    Events emitted after [f] returns are dropped. *)
 
-val uninstall : unit -> unit
-(** Sort and flush buffered events, then close.  Idempotent. *)
-
-val with_file : string -> ?manifest:Json.t -> (unit -> 'a) -> 'a
-(** [with_file path f] records events of [f] into [path] (truncating),
-    with [manifest] as an unsorted header line, flushing sorted on the
-    way out whether [f] returns or raises. *)
-
-val with_memory : (unit -> 'a) -> 'a * string list
+val with_memory : (sink -> 'a) -> 'a * string list
 (** Record into memory; returns the sorted lines (for tests). *)
 
 (** {1 Reading} *)

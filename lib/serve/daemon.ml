@@ -36,12 +36,19 @@ let pump ?usr1 ?(flight_dump = "flight-dump.jsonl") server =
       end
     end
 
+(* The peer hung up: a read or a write on its connection failed. *)
+exception Hangup
+
 let respond server output line =
   let line = String.trim line in
   if line <> "" then begin
-    output_string output (Server.handle_line server line);
-    output_char output '\n';
-    flush output
+    let reply = Server.handle_line server line in
+    try
+      output_string output reply;
+      output_char output '\n';
+      flush output
+    with Sys_error _ | Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
+      raise Hangup
   end
 
 (* The one request loop, over a raw fd: every transport runs it.  It
@@ -49,7 +56,8 @@ let respond server output line =
    no request is in flight (buffered [input_line] would block until the
    next byte).  [tick] runs once per poll round — the pump's cadence
    floor is the poll interval.  At end of input a final line without a
-   newline is still served. *)
+   newline is still served.  A peer that hangs up ends the loop as end
+   of input does, its unanswered requests dropped. *)
 let serve_fd ~stop ~poll ~tick server fd output =
   let pending = Queue.create () in
   let acc = Buffer.create 256 in
@@ -69,6 +77,7 @@ let serve_fd ~stop ~poll ~tick server fd output =
           | c -> Buffer.add_char acc c
         done
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> raise Hangup
   in
   let rec loop () =
     if Atomic.get stop || Server.stopped server then ()
@@ -87,7 +96,7 @@ let serve_fd ~stop ~poll ~tick server fd output =
       loop ()
     end
   in
-  loop ()
+  try loop () with Hangup -> ()
 
 let serve_script ?usr1 ?flight_dump server ~path ~output =
   let tick = pump ?usr1 ?flight_dump server in
@@ -106,10 +115,18 @@ let serve_socket ?(stop = make_stop ()) ?usr1 ?flight_dump server ~path =
   let tick = pump ?usr1 ?flight_dump server in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (* A client that hangs up must not kill the daemon: with SIGPIPE
+     ignored, a write to its closed socket fails with EPIPE instead, and
+     ends that connection only. *)
+  let sigpipe =
+    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
+    with Invalid_argument _ | Sys_error _ -> None
+  in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close sock with Unix.Unix_error _ -> ());
       (try Unix.unlink path with Unix.Unix_error _ -> ());
+      Option.iter (Sys.set_signal Sys.sigpipe) sigpipe;
       finish server)
     (fun () ->
       Unix.bind sock (Unix.ADDR_UNIX path);
@@ -123,10 +140,10 @@ let serve_socket ?(stop = make_stop ()) ?usr1 ?flight_dump server ~path =
               match Unix.accept sock with
               | client, _ ->
                   let output = Unix.out_channel_of_descr client in
+                  (* Closing the channel closes [client]; a reply it
+                     could not deliver is dropped. *)
                   Fun.protect
-                    ~finally:(fun () ->
-                      (try flush output with Sys_error _ -> ());
-                      try Unix.close client with Unix.Unix_error _ -> ())
+                    ~finally:(fun () -> close_out_noerr output)
                     (fun () ->
                       serve_fd ~stop ~poll:0.2 ~tick server client output)
               | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())

@@ -12,6 +12,7 @@ module Quantile = Altune_obs.Quantile
 module Flight = Altune_obs.Flight
 module Snapshot = Altune_obs.Snapshot
 module Manifest = Altune_obs.Manifest
+module Events = Altune_obs.Events
 
 type config = {
   jobs : int;
@@ -83,9 +84,10 @@ type t = {
          is the done ones. *)
   mutable stopped : bool;
   tele : telemetry;
+  events : Events.sink option;  (* where every session streams its events *)
 }
 
-let create config =
+let create ?events config =
   if config.jobs < 1 then invalid_arg "Server.create: jobs must be >= 1";
   if config.max_live < 1 then
     invalid_arg "Server.create: max_live must be >= 1";
@@ -118,6 +120,7 @@ let create config =
         snap_seq = 0;
         last_gc = Gc.quick_stat ();
       };
+    events;
   }
 
 let stopped t = t.stopped
@@ -288,9 +291,8 @@ let handle_open t (p : Protocol.open_params) =
               t.opened <- t.opened + 1;
               let bench = cfg.Session.run.bench in
               let s =
-                Session.create ~bench:(instance t bench) ~pool:t.pool
-                  ~note:(note_for t ~session_id:id ~bench)
-                  cfg
+                Session.create ?events:t.events ~bench:(instance t bench)
+                  ~pool:t.pool ~note:(note_for t ~session_id:id ~bench) cfg
               in
               Hashtbl.replace t.sessions cfg.Session.name s;
               t.active <-

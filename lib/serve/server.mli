@@ -57,7 +57,10 @@ val default_config : config
 
 type t
 
-val create : config -> t
+val create : ?events:Altune_obs.Events.sink -> config -> t
+(** A server with no sessions and its own pool.  With [events] (the
+    CLI's [--events] sink), every session streams its learner events on
+    it under the key [serve/<name>]. *)
 
 val handle : t -> Protocol.request -> (Protocol.reply, string) result
 (** Dispatch one request.  Requests are handled one at a time; [Tick]

@@ -2,6 +2,7 @@ module Spapt = Altune_spapt.Spapt
 module Learner = Altune_core.Learner
 module Tune_run = Altune_experiments.Tune_run
 module Pool = Altune_exec.Pool
+module Events = Altune_obs.Events
 
 type config = {
   name : string;
@@ -23,11 +24,12 @@ type t = {
   bench : Spapt.t;
   pool : Pool.t;
   note : int array -> (unit -> float) -> float;
+  events : Events.sink option;
   mutable state : state;
 }
 
-let create ~bench ~pool ~note config =
-  { config; bench; pool; note; state = Queued }
+let create ?events ~bench ~pool ~note config =
+  { config; bench; pool; note; events; state = Queued }
 
 let config t = t.config
 
@@ -59,8 +61,9 @@ let step t ~iterations =
         | Some r -> r
         | None ->
             let r =
-              Tune_run.start ~stream:("serve/" ^ t.config.name) ~note:t.note
-                ~pool:t.pool t.bench t.config.run
+              Tune_run.start ?events:t.events
+                ~stream:("serve/" ^ t.config.name) ~note:t.note ~pool:t.pool
+                t.bench t.config.run
             in
             t.state <- Live (Some r);
             r

@@ -38,6 +38,7 @@ type phase = Protocol.session_state = Queued | Live | Done | Closed
 type t
 
 val create :
+  ?events:Altune_obs.Events.sink ->
   bench:Altune_spapt.Spapt.t ->
   pool:Altune_exec.Pool.t ->
   note:(int array -> (unit -> float) -> float) ->
@@ -54,7 +55,10 @@ val create :
     configuration [c] — every call of the problem's [measure] and
     [compile_seconds], but not dataset generation — and must return
     [eval ()]; the server counts and times the lookups there.  It may be
-    called from any domain stepping the session. *)
+    called from any domain stepping the session.
+
+    With [events], the session's run streams its learner events on that
+    sink under the key [serve/<name>]. *)
 
 val config : t -> config
 val phase : t -> phase
@@ -72,9 +76,9 @@ val step : t -> iterations:int -> (unit, string) result
     is [Live] (paused at the target) or [Done] (the run completed
     first).  Safe to call concurrently for {e distinct} sessions (the
     server's tick fans sessions out over its pool); a single session
-    must only be stepped by one domain at a time.  The learner's events
-    are recorded as one stream keyed [serve/<name>], whichever domains
-    run the steps. *)
+    must only be stepped by one domain at a time.  With a sink, the
+    learner's events are recorded as one stream keyed [serve/<name>],
+    whichever domains run the steps. *)
 
 val save_checkpoint : t -> path:string -> (int, string) result
 (** Checkpoint the live run with {!Altune_experiments.Tune_run.save},

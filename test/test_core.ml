@@ -273,9 +273,9 @@ let test_step_matches_run () =
       in
       let rng () = Rng.create ~seed:37 in
       let full, full_events =
-        Events.with_memory (fun () ->
-            Events.with_run "r" (fun () ->
-                Learner.run ?fault:(fault ()) problem d settings ~rng:(rng ())))
+        Events.with_memory (fun sink ->
+            Learner.run ?fault:(fault ()) ~events:(Events.stream sink "r")
+              problem d settings ~rng:(rng ()))
       in
       List.iter
         (fun increment ->
@@ -284,18 +284,18 @@ let test_step_matches_run () =
               increment
           in
           let (stepped, pauses), events =
-            Events.with_memory (fun () ->
-                Events.with_run "r" (fun () ->
-                    let l =
-                      Learner.start ?fault:(fault ()) problem d settings
-                        ~rng:(rng ())
-                    in
-                    let rec go pauses =
-                      match Learner.step l ~iterations:increment with
-                      | Some o -> (o, List.rev pauses)
-                      | None -> go (Learner.state l :: pauses)
-                    in
-                    go []))
+            Events.with_memory (fun sink ->
+                let l =
+                  Learner.start ?fault:(fault ())
+                    ~events:(Events.stream sink "r") problem d settings
+                    ~rng:(rng ())
+                in
+                let rec go pauses =
+                  match Learner.step l ~iterations:increment with
+                  | Some o -> (o, List.rev pauses)
+                  | None -> go (Learner.state l :: pauses)
+                in
+                go [])
           in
           check_same_outcome what d full stepped;
           Alcotest.(check (list string)) (what ^ ": events") full_events events;

@@ -158,12 +158,12 @@ let test_sink_sorts_by_run_and_seq () =
         rmse = 0.0 }
   in
   let (), lines =
-    Events.with_memory (fun () ->
+    Events.with_memory (fun sink ->
         (* Emitted out of run order: the sink must order by key. *)
-        Events.with_run "zeta" (fun () ->
-            Events.emit (dummy 0);
-            Events.emit (dummy 1));
-        Events.with_run "alpha" (fun () -> Events.emit (dummy 2)))
+        let zeta = Events.stream sink "zeta" in
+        Events.emit zeta (dummy 0);
+        Events.emit zeta (dummy 1);
+        Events.emit (Events.stream sink "alpha") (dummy 2))
   in
   let keys =
     List.map
@@ -187,8 +187,8 @@ let captured =
        Runs.set_jobs jobs;
        Runs.clear_cache ();
        let curves, lines =
-         Events.with_memory (fun () ->
-             Runs.curves_for (Spapt.create "lu") Scale.smoke ~seed:3)
+         Events.with_memory (fun events ->
+             Runs.curves_for ~events (Spapt.create "lu") Scale.smoke ~seed:3)
        in
        Runs.clear_cache ();
        Runs.set_jobs 1;
@@ -204,12 +204,13 @@ let test_stream_identical_across_jobs () =
   Alcotest.(check (list string)) "jobs=1 = jobs=4" seq_lines par_lines
 
 let test_output_identical_with_events () =
-  let run () =
+  let run ?events () =
     Runs.clear_cache ();
-    Drivers.table1 ~benchmarks:[ "hessian" ] ~scale:Scale.smoke ~seed:1 ()
+    Drivers.table1 ~benchmarks:[ "hessian" ] ?events ~scale:Scale.smoke
+      ~seed:1 ()
   in
   let plain = run () in
-  let with_ev, lines = Events.with_memory run in
+  let with_ev, lines = Events.with_memory (fun events -> run ~events ()) in
   Runs.clear_cache ();
   Alcotest.(check string) "byte-identical table" plain with_ev;
   Alcotest.(check bool) "events recorded" true (lines <> [])
@@ -254,9 +255,8 @@ let test_revisit_flags_consistent () =
         sels)
     selects
 
-let test_eval_events_match_curve () =
-  (* Against a cheap synthetic problem: the eval events must be the
-     learner's own curve, point for point. *)
+(* A cheap synthetic problem, its dataset and small learner settings. *)
+let synthetic () =
   let problem =
     {
       Problem.name = "synthetic";
@@ -295,10 +295,16 @@ let test_eval_events_match_curve () =
       model = Altune_core.Surrogate.dynatree ~particles:40 ();
     }
   in
+  (problem, dataset, settings)
+
+let test_eval_events_match_curve () =
+  (* Against the synthetic problem: the eval events must be the learner's
+     own curve, point for point. *)
+  let problem, dataset, settings = synthetic () in
   let outcome, lines =
-    Events.with_memory (fun () ->
-        Events.with_run "syn/t/adaptive/0" (fun () ->
-            Learner.run problem dataset settings ~rng:(Rng.create ~seed:5)))
+    Events.with_memory (fun sink ->
+        Learner.run ~events:(Events.stream sink "syn/t/adaptive/0") problem
+          dataset settings ~rng:(Rng.create ~seed:5))
   in
   let evals =
     List.filter_map
@@ -327,6 +333,29 @@ let test_eval_events_match_curve () =
             "depth histogram sums to particles" true
             (Array.fold_left ( + ) 0 t.depth_histogram = 40))
     outcome.curve evals
+
+(* A run given no stream emits nothing, even while another run writes to
+   a sink: the streamed run's lines are the ones it writes alone. *)
+let test_unstreamed_run_silent () =
+  let problem, dataset, settings = synthetic () in
+  let rng () = Rng.create ~seed:5 in
+  let streamed sink =
+    Learner.start ~events:(Events.stream sink "syn/t/adaptive/0") problem
+      dataset settings ~rng:(rng ())
+  in
+  let (), alone =
+    Events.with_memory (fun sink ->
+        ignore (Learner.step (streamed sink) ~iterations:max_int))
+  in
+  let (), together =
+    Events.with_memory (fun sink ->
+        let l = streamed sink in
+        ignore (Learner.step l ~iterations:10);
+        ignore (Learner.run problem dataset settings ~rng:(rng ()));
+        ignore (Learner.step l ~iterations:max_int))
+  in
+  Alcotest.(check bool) "the streamed run emits" true (alone <> []);
+  Alcotest.(check (list string)) "only the streamed run's lines" alone together
 
 (* --- Report paths ------------------------------------------------------- *)
 
@@ -408,6 +437,8 @@ let () =
             test_revisit_flags_consistent;
           Alcotest.test_case "eval events match curve" `Quick
             test_eval_events_match_curve;
+          Alcotest.test_case "a run without a stream emits nothing" `Quick
+            test_unstreamed_run_silent;
         ] );
       ( "report",
         [

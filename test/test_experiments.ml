@@ -140,8 +140,8 @@ let test_ablation_streams () =
   let run jobs =
     Runs.set_jobs jobs;
     snd
-      (Events.with_memory (fun () ->
-           Drivers.ablation ~bench:"lu" ~scale:tiny ~seed:1 ()))
+      (Events.with_memory (fun events ->
+           Drivers.ablation ~bench:"lu" ~events ~scale:tiny ~seed:1 ()))
   in
   let seq, par =
     Fun.protect

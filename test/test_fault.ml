@@ -215,9 +215,10 @@ let test_learner_faults_charged () =
     Learner.run problem d tiny_settings ~rng:(Rng.create ~seed:5)
   in
   let (faulty, lines) =
-    Events.with_memory (fun () ->
+    Events.with_memory (fun sink ->
         Learner.run
           ~fault:(Fault.create fault_spec_mid ~seed:99)
+          ~events:(Events.stream sink "faulty")
           problem d tiny_settings ~rng:(Rng.create ~seed:5))
   in
   let fault_lines =
@@ -391,8 +392,9 @@ let test_fault_events_identical_across_jobs () =
   let run jobs =
     Runs.set_jobs jobs;
     Runs.clear_cache ();
-    Events.with_memory (fun () ->
-        Runs.curves_for ~fault:spec (Spapt.create "lu") Scale.smoke ~seed:3)
+    Events.with_memory (fun events ->
+        Runs.curves_for ~fault:spec ~events (Spapt.create "lu") Scale.smoke
+          ~seed:3)
   in
   Fun.protect
     ~finally:(fun () -> Runs.set_jobs 1)

@@ -23,8 +23,8 @@ module Tune_run = Altune_experiments.Tune_run
 module Lookups = Altune_serve.Lookups
 
 let server ?(jobs = 1) ?(max_live = 8) ?(max_queue = 64) ?budget_cap
-    ?checkpoint_dir ?snapshot_path ?flight ?ledger_path () =
-  Server.create
+    ?checkpoint_dir ?snapshot_path ?flight ?ledger_path ?events () =
+  Server.create ?events
     {
       Server.jobs;
       max_live;
@@ -496,13 +496,15 @@ let test_shared_instance () =
     ({ vb with Protocol.v_session = "a" } = va)
 
 (* The run `altune tune --bench hessian --scale smoke --seed 42` makes,
-   under its event run key. *)
-let standalone_hessian () =
+   streaming on [events] under its run key. *)
+let standalone_hessian ?events () =
   let b = Spapt.create "hessian" in
-  Events.with_run "hessian/smoke/tune/0" (fun () ->
-      Learner.run (Adapter.problem_of b)
-        (Runs.dataset_for b Scale.smoke ~seed:42)
-        Scale.smoke.adaptive ~rng:(Rng.create ~seed:42))
+  let events =
+    Option.map (fun sink -> Events.stream sink "hessian/smoke/tune/0") events
+  in
+  Learner.run ?events (Adapter.problem_of b)
+    (Runs.dataset_for b Scale.smoke ~seed:42)
+    Scale.smoke.adaptive ~rng:(Rng.create ~seed:42)
 
 (* A session holds its learner between requests: stepped one iteration
    at a time to its cap, it updates the surrogate exactly as often as
@@ -565,11 +567,11 @@ let test_session_events () =
     | Events.Start _ | Events.Fault _ -> true
   in
   let _, tune_lines =
-    Events.with_memory (fun () -> ignore (standalone_hessian ()))
+    Events.with_memory (fun events -> ignore (standalone_hessian ~events ()))
   in
   let _, serve_lines =
-    Events.with_memory (fun () ->
-        let s = server ~jobs:2 ~max_live:2 () in
+    Events.with_memory (fun events ->
+        let s = server ~jobs:2 ~max_live:2 ~events () in
         List.iter
           (fun req -> ignore (ok (Server.handle s req)))
           [
@@ -998,6 +1000,90 @@ let test_script_final_line () =
       Alcotest.(check (list (option int))) "one reply per line"
         [ Some 1; Some 2 ] ids)
 
+(* Poll [ready] every 10 ms for at most [within] seconds. *)
+let wait_for ?(within = 10.0) what ready =
+  let deadline = Unix.gettimeofday () +. within in
+  let rec go () =
+    if not (ready ()) then
+      if Unix.gettimeofday () > deadline then
+        Alcotest.failf "gave up waiting for %s" what
+      else begin
+        Unix.sleepf 0.01;
+        go ()
+      end
+  in
+  go ()
+
+(* The first line [fd] delivers, read for at most [within] seconds. *)
+let read_reply ?(within = 10.0) fd =
+  let deadline = Unix.gettimeofday () +. within in
+  let buf = Buffer.create 256 in
+  let chunk = Bytes.create 256 in
+  let rec go () =
+    match String.index_opt (Buffer.contents buf) '\n' with
+    | Some i -> Buffer.sub buf 0 i
+    | None -> (
+        let left = deadline -. Unix.gettimeofday () in
+        if left <= 0.0 then Alcotest.fail "no reply in time";
+        match Unix.select [ fd ] [] [] left with
+        | [], _, _ -> go ()
+        | _ ->
+            let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+            if n = 0 then Alcotest.fail "connection closed without a reply";
+            Buffer.add_subbytes buf chunk 0 n;
+            go ())
+  in
+  go ()
+
+(* A client that hangs up with its reply unread ends its own connection
+   only: the daemon survives it (no SIGPIPE death), serves the next
+   client, and still stops gracefully, removing its socket file. *)
+let test_socket_client_hangup () =
+  let dir = Filename.temp_dir "altune-socket" "" in
+  let path = Filename.concat dir "serve.sock" in
+  let stop = Daemon.make_stop () in
+  let finished = Atomic.make false in
+  let daemon =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set finished true)
+          (fun () -> Daemon.serve_socket ~stop (server ()) ~path))
+  in
+  let stop_daemon () =
+    Atomic.set stop true;
+    wait_for "the daemon to return" (fun () -> Atomic.get finished);
+    Domain.join daemon
+  in
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    fd
+  in
+  let send fd line =
+    let s = line ^ "\n" in
+    ignore (Unix.write_substring fd s 0 (String.length s))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if not (Atomic.get stop) then stop_daemon ();
+      Unix.rmdir dir)
+    (fun () ->
+      wait_for "the socket file" (fun () -> Sys.file_exists path);
+      let c1 = connect () in
+      send c1 {|{"id":1,"req":"stats_full"}|};
+      Unix.close c1;
+      let c2 = connect () in
+      send c2 {|{"id":2,"req":"stats"}|};
+      let reply = read_reply c2 in
+      Unix.close c2;
+      (match Protocol.response_of_line reply with
+      | Ok r ->
+          Alcotest.(check (option int)) "the second client's reply" (Some 2)
+            r.Protocol.r_id
+      | Error e -> Alcotest.failf "reply unparseable: %s" e);
+      stop_daemon ();
+      Alcotest.(check bool) "socket file removed" false (Sys.file_exists path))
+
 (* --- Transcript determinism ---------------------------------------------- *)
 
 (* A fixed scripted client: overlapping tenants on two kernels, a queued
@@ -1096,6 +1182,8 @@ let () =
         [
           Alcotest.test_case "script's final line without newline" `Quick
             test_script_final_line;
+          Alcotest.test_case "socket survives a client hang-up" `Quick
+            test_socket_client_hangup;
         ] );
       ( "determinism",
         [
