@@ -25,26 +25,6 @@ let error_to_string e = Format.asprintf "%a" pp_error e
 
 exception Fail of error
 
-let used_names (k : Ast.kernel) =
-  Ast.loop_indices k.body
-  @ List.map fst k.params
-  @ k.scalars
-  @ List.map (fun (d : Ast.array_decl) -> d.array_name) k.arrays
-
-(* Derive a fresh identifier from [base] and [suffix], appending a counter
-   on clash. *)
-let fresh_name k base suffix =
-  let taken = used_names k in
-  let candidate = base ^ suffix in
-  if not (List.mem candidate taken) then candidate
-  else begin
-    let rec go n =
-      let c = Printf.sprintf "%s%s%d" base suffix n in
-      if List.mem c taken then go (n + 1) else c
-    in
-    go 1
-  end
-
 (* [List.map f l] in order, but [l] itself when [f] returns every
    element physically unchanged. *)
 let rec map_shared f l =
@@ -102,13 +82,32 @@ let trip_count (l : Ast.loop) =
 
 let wrap f = match f () with k -> Ok k | exception Fail e -> Error e
 
-(* The names in use while loop bodies are copied: every name of the
-   kernel and every name handed out so far, each with the lowest [n] that
-   [copy_name] has not yet ruled out for [<name>_c<n>]. *)
-let names_of k =
+(* The names in use while a kernel is transformed: every name of the
+   kernel (loop indices, parameters, scalars, arrays) and every name
+   handed out so far, each with the lowest [n] that [copy_name] has not
+   yet ruled out for [<name>_c<n>].  Every generated name comes from
+   here. *)
+let names_of (k : Ast.kernel) =
   let taken = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace taken n 0) (used_names k);
+  let take n = Hashtbl.replace taken n 0 in
+  List.iter take (Ast.loop_indices k.body);
+  List.iter (fun (p, _) -> take p) k.params;
+  List.iter take k.scalars;
+  List.iter (fun (d : Ast.array_decl) -> take d.array_name) k.arrays;
   taken
+
+(* The first free name of [<base><suffix>], [<base><suffix>1],
+   [<base><suffix>2], ..., now taken. *)
+let fresh_name names base suffix =
+  let rec go n =
+    let c = if n = 0 then base ^ suffix else base ^ suffix ^ string_of_int n in
+    if Hashtbl.mem names c then go (n + 1)
+    else begin
+      Hashtbl.replace names c 0;
+      c
+    end
+  in
+  go 0
 
 (* The lowest free [<base>_c<n>], now taken.  Names are only ever added,
    so the search resumes where the last one for [base] stopped. *)
@@ -211,6 +210,52 @@ let copy names ~var ~by stmt =
   in
   go [ (var, by) ] stmt
 
+(* Loop [l] unrolled by [factor]: a main loop over whole groups of
+   [factor] iterations, whose body [main_body] builds from [factor]
+   copies of [unit] (copy [c] shifted by [c] iterations), then a
+   remainder loop [rem_index] over the leftover iterations, on a copy of
+   [l]'s body.  [unroll] copies [l]'s whole body; [unroll_and_jam] copies
+   its inner loop's body and jams the copies into that loop.  Copies are
+   named in order: the main loop's, then the remainder's. *)
+let unrolled names (l : Ast.loop) ~factor ~rem_index ~unit ~main_body =
+  let copies =
+    List.init factor (fun c ->
+        if c = 0 then unit
+        else
+          copy names ~var:l.index
+            ~by:(add (Ast.Var l.index) (int_lit (c * l.step)))
+            unit)
+  in
+  let main_trips = idiv (trip_count l) (int_lit factor) in
+  let main_hi =
+    add l.lo
+      (mul (sub (mul main_trips (int_lit factor)) (int_lit 1)) (int_lit l.step))
+  in
+  let rem_lo =
+    add l.lo (mul (mul main_trips (int_lit factor)) (int_lit l.step))
+  in
+  let main_loop =
+    Ast.For
+      {
+        index = l.index;
+        lo = l.lo;
+        hi = main_hi;
+        step = l.step * factor;
+        body = main_body (Ast.seq copies);
+      }
+  in
+  let remainder =
+    Ast.For
+      {
+        index = rem_index;
+        lo = rem_lo;
+        hi = l.hi;
+        step = l.step;
+        body = copy names ~var:l.index ~by:(Ast.Var rem_index) l.body;
+      }
+  in
+  Ast.seq [ main_loop; remainder ]
+
 let unroll ~index ~factor k =
   wrap (fun () ->
       if factor < 1 then raise (Fail (Bad_factor (index, factor)));
@@ -218,80 +263,43 @@ let unroll ~index ~factor k =
         (* Identity, but still require the loop to exist. *)
         rewrite_loop k index (fun l -> For l)
       else begin
-        let rem_index = fresh_name k index "_r" in
         let names = names_of k in
-        Hashtbl.replace names rem_index 0;
+        let rem_index = fresh_name names index "_r" in
         rewrite_loop k index (fun l ->
-            let copies =
-              List.init factor (fun c ->
-                  if c = 0 then l.body
-                  else
-                    copy names ~var:l.index
-                      ~by:(add (Ast.Var l.index) (int_lit (c * l.step)))
-                      l.body)
-            in
-            let main_trips = idiv (trip_count l) (int_lit factor) in
-            let main_hi =
-              add l.lo
-                (mul
-                   (sub (mul main_trips (int_lit factor)) (int_lit 1))
-                   (int_lit l.step))
-            in
-            let rem_lo =
-              add l.lo
-                (mul (mul main_trips (int_lit factor)) (int_lit l.step))
-            in
-            let main_loop =
-              Ast.For
-                {
-                  index = l.index;
-                  lo = l.lo;
-                  hi = main_hi;
-                  step = l.step * factor;
-                  body = Ast.seq copies;
-                }
-            in
-            let remainder =
-              Ast.For
-                {
-                  index = rem_index;
-                  lo = rem_lo;
-                  hi = l.hi;
-                  step = l.step;
-                  body = copy names ~var:l.index ~by:(Ast.Var rem_index) l.body;
-                }
-            in
-            Ast.seq [ main_loop; remainder ])
+            unrolled names l ~factor ~rem_index ~unit:l.body
+              ~main_body:Fun.id)
       end)
+
+(* Strip-mine loop [index] of [k] under the fresh name [tile_index]. *)
+let strip ~index ~tile ~tile_index k =
+  rewrite_loop k index (fun l ->
+      let tile_step = l.step * tile in
+      let inner_hi =
+        emin (add (Ast.Var tile_index) (int_lit ((tile - 1) * l.step))) l.hi
+      in
+      Ast.For
+        {
+          index = tile_index;
+          lo = l.lo;
+          hi = l.hi;
+          step = tile_step;
+          body =
+            Ast.For
+              {
+                index = l.index;
+                lo = Ast.Var tile_index;
+                hi = inner_hi;
+                step = l.step;
+                body = l.body;
+              };
+        })
 
 let strip_mine ~index ~tile ~tile_index k =
   wrap (fun () ->
       if tile < 1 then raise (Fail (Bad_factor (index, tile)));
-      if List.mem tile_index (used_names k) then
+      if Hashtbl.mem (names_of k) tile_index then
         raise (Fail (Name_clash tile_index));
-      rewrite_loop k index (fun l ->
-          let tile_step = l.step * tile in
-          let inner_hi =
-            emin
-              (add (Ast.Var tile_index) (int_lit ((tile - 1) * l.step)))
-              l.hi
-          in
-          Ast.For
-            {
-              index = tile_index;
-              lo = l.lo;
-              hi = l.hi;
-              step = tile_step;
-              body =
-                Ast.For
-                  {
-                    index = l.index;
-                    lo = Ast.Var tile_index;
-                    hi = inner_hi;
-                    step = l.step;
-                    body = l.body;
-                  };
-            }))
+      strip ~index ~tile ~tile_index k)
 
 (* The inner loop must be the entire body of the outer one. *)
 let immediate_inner (l : Ast.loop) =
@@ -327,14 +335,15 @@ let tile_nest spec k =
      interchange. *)
   let to_tile = List.filter (fun (_, t) -> t > 1) spec in
   (* Each strip-mine also returns the tile-loop name it chose. *)
-  let strip acc (index, tile) =
-    Result.bind acc (fun (k, tile_indices) ->
-        let tile_index = fresh_name k index "_t" in
-        Result.map
-          (fun k -> (k, tile_index :: tile_indices))
-          (strip_mine ~index ~tile ~tile_index k))
+  let names = names_of k in
+  let stripped =
+    wrap (fun () ->
+        List.fold_left
+          (fun (k, tile_indices) (index, tile) ->
+            let tile_index = fresh_name names index "_t" in
+            (strip ~index ~tile ~tile_index k, tile_index :: tile_indices))
+          (k, []) (List.rev to_tile))
   in
-  let stripped = List.fold_left strip (Ok (k, [])) (List.rev to_tile) in
   Result.bind stripped (fun (k, tile_indices) ->
       (* After strip-mining, the nest looks like
          i1_t i1 i2_t i2 ... ; point loops of earlier dims must sink below
@@ -374,9 +383,8 @@ let unroll_and_jam ~index ~factor k =
         (* Dependence-based legality: jamming sinks [index] innermost, so
            it must not reverse any dependence. *)
         let jam_ok = Dependence.jam_legal k index in
-        let rem_index = fresh_name k index "_j" in
         let names = names_of k in
-        Hashtbl.replace names rem_index 0;
+        let rem_index = fresh_name names index "_j" in
         rewrite_loop k index (fun l ->
             match immediate_inner l with
             | None -> raise (Fail (Not_perfectly_nested (index, "<body>")))
@@ -386,46 +394,6 @@ let unroll_and_jam ~index ~factor k =
                   || List.mem l.index (Ast.free_vars inner.hi)
                 then raise (Fail (Not_perfectly_nested (index, inner.index)));
                 if not jam_ok then raise (Fail (Unsafe_jam index));
-                let jammed_body =
-                  Ast.seq
-                    (List.init factor (fun c ->
-                         if c = 0 then inner.body
-                         else
-                           copy names ~var:l.index
-                             ~by:(add (Ast.Var l.index) (int_lit (c * l.step)))
-                             inner.body))
-                in
-                let main_trips = idiv (trip_count l) (int_lit factor) in
-                let main_hi =
-                  add l.lo
-                    (mul
-                       (sub (mul main_trips (int_lit factor)) (int_lit 1))
-                       (int_lit l.step))
-                in
-                let rem_lo =
-                  add l.lo
-                    (mul (mul main_trips (int_lit factor)) (int_lit l.step))
-                in
-                let main_loop =
-                  Ast.For
-                    {
-                      index = l.index;
-                      lo = l.lo;
-                      hi = main_hi;
-                      step = l.step * factor;
-                      body = Ast.For { inner with body = jammed_body };
-                    }
-                in
-                let remainder =
-                  Ast.For
-                    {
-                      index = rem_index;
-                      lo = rem_lo;
-                      hi = l.hi;
-                      step = l.step;
-                      body =
-                        copy names ~var:l.index ~by:(Ast.Var rem_index) l.body;
-                    }
-                in
-                Ast.seq [ main_loop; remainder ])
+                unrolled names l ~factor ~rem_index ~unit:inner.body
+                  ~main_body:(fun body -> Ast.For { inner with body }))
       end)
