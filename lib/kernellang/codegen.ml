@@ -271,12 +271,8 @@ let sh dir cmd =
   in
   (status, output)
 
-let build ?workdir source =
-  let dir =
-    match workdir with
-    | Some d -> d
-    | None -> Filename.temp_dir "altune_codegen" ""
-  in
+let build source =
+  let dir = Filename.temp_dir "altune_codegen" "" in
   let src = Filename.concat dir "main.ml" in
   let oc = open_out src in
   output_string oc source;
@@ -313,8 +309,8 @@ let checksum ?param_overrides kernel =
     ~finally:(fun () -> cleanup c)
     (fun () -> float_of_string (run c))
 
-let time_native ?param_overrides ?(repeats = 5) kernel =
-  let c = build (program ?param_overrides ~mode:(`Time repeats) kernel) in
+let time_native ?param_overrides kernel =
+  let c = build (program ?param_overrides ~mode:(`Time 5) kernel) in
   Fun.protect
     ~finally:(fun () -> cleanup c)
     (fun () -> float_of_string (run c))

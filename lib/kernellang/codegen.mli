@@ -34,10 +34,9 @@ val program :
 
 type compiled
 
-val build : ?workdir:string -> string -> compiled
-(** Compile program text with [ocamlopt] in a scratch directory (a fresh
-    temporary one by default).  Raises [Failure] with the compiler output
-    on error. *)
+val build : string -> compiled
+(** Compile program text with [ocamlopt] in a fresh temporary scratch
+    directory.  Raises [Failure] with the compiler output on error. *)
 
 val run : compiled -> string
 (** Execute and return stdout (trimmed).  Raises [Failure] on a non-zero
@@ -51,6 +50,5 @@ val checksum :
 (** Convenience: generate, build, run in checksum mode, clean up, and
     parse the checksum. *)
 
-val time_native :
-  ?param_overrides:(string * int) list -> ?repeats:int -> Ast.kernel -> float
-(** Convenience: median wall-clock seconds of a real native execution. *)
+val time_native : ?param_overrides:(string * int) list -> Ast.kernel -> float
+(** Convenience: median wall-clock seconds of 5 real native executions. *)

@@ -87,8 +87,10 @@ let hierarchy_reset h =
   h.l1_misses <- 0;
   h.l2_misses <- 0
 
-let simulate_kernel ?param_overrides ?(element_bytes = 8) h
-    (kernel : Ast.kernel) =
+(* Array element size: every kernel array holds doubles. *)
+let element_bytes = 8
+
+let simulate_kernel ?param_overrides h (kernel : Ast.kernel) =
   (* The access stream reads [bases], which is filled below, before
      [Interp.run]. *)
   let bases = Hashtbl.create 8 in

@@ -46,10 +46,10 @@ val hierarchy_reset : hierarchy -> unit
 
 val simulate_kernel :
   ?param_overrides:(string * int) list ->
-  ?element_bytes:int ->
   hierarchy ->
   Altune_kernellang.Ast.kernel ->
   stats
 (** Run a kernel through the reference interpreter with every array
-    access fed to the hierarchy.  Arrays are laid out contiguously in a
-    single address space, each base aligned to a line boundary. *)
+    access fed to the hierarchy.  Arrays of 8-byte elements are laid out
+    contiguously in a single address space, each base aligned to a line
+    boundary. *)

@@ -56,18 +56,11 @@ let set_gauge = Atomic.set
 
 (* --- Sketches ---------------------------------------------------------- *)
 
-let sketch ?(alpha = Quantile.default_alpha) name =
+let sketch name =
   resolve name
-    ~adopt:(function
-      | S s ->
-          if Quantile.alpha s <> alpha then
-            invalid_arg
-              (Printf.sprintf
-                 "Metrics: %S already registered with different alpha" name);
-          s
-      | _ -> kind_error name "sketch")
+    ~adopt:(function S s -> s | _ -> kind_error name "sketch")
     ~fresh:(fun () ->
-      let s = Quantile.create ~alpha () in
+      let s = Quantile.create () in
       (s, S s))
 
 let record = Quantile.add

@@ -7,8 +7,7 @@
     Instruments are registered by name; asking for an existing name
     returns the same instrument (so a library and its caller can share
     ["pool.steals"] without plumbing).  Registering a name as two
-    different kinds, or a sketch with a different [alpha], raises
-    [Invalid_argument].
+    different kinds raises [Invalid_argument].
 
     Updates never allocate except in a sketch's float CAS loops (sum,
     min, max); reads ({!snapshot}, {!render}) are O(instruments) and
@@ -26,10 +25,8 @@ val counter_value : counter -> int
 val gauge : string -> gauge
 val set_gauge : gauge -> float -> unit
 
-val sketch : ?alpha:float -> string -> sketch
-(** A {!Quantile} sketch as a registry instrument (default
-    [alpha] {!Quantile.default_alpha}).  Registering an existing name
-    with a different [alpha] raises [Invalid_argument]. *)
+val sketch : string -> sketch
+(** A {!Quantile} sketch as a registry instrument. *)
 
 val record : sketch -> float -> unit
 (** Add one value to the sketch (latency in seconds, by convention). *)

@@ -8,10 +8,7 @@
    land in a dedicated underflow bucket that ranks below everything. *)
 
 type t = {
-  q_alpha : float;
-  log_gamma : float;
-  key_min : int;  (* key of buckets.(0) *)
-  buckets : int Atomic.t array;
+  buckets : int Atomic.t array;  (* buckets.(i) has key [key_min + i] *)
   under : int Atomic.t;
   q_count : int Atomic.t;
   q_sum : float Atomic.t;
@@ -19,22 +16,16 @@ type t = {
   q_min : float Atomic.t;
 }
 
-let default_alpha = 0.02
+let alpha = 0.02
+let log_gamma = Float.log ((1.0 +. alpha) /. (1.0 -. alpha))
 let range_lo = 1e-9
 let range_hi = 1e9
+let key_of v = int_of_float (Float.floor (Float.log v /. log_gamma))
+let key_min = key_of range_lo
+let key_max = key_of range_hi + 1
 
-let key_of ~log_gamma v = int_of_float (Float.floor (Float.log v /. log_gamma))
-
-let create ?(alpha = default_alpha) () =
-  if not (Float.is_finite alpha) || alpha <= 0.0 || alpha >= 0.5 then
-    invalid_arg "Quantile.create: alpha must be in (0, 0.5)";
-  let log_gamma = Float.log ((1.0 +. alpha) /. (1.0 -. alpha)) in
-  let key_min = key_of ~log_gamma range_lo in
-  let key_max = key_of ~log_gamma range_hi + 1 in
+let create () =
   {
-    q_alpha = alpha;
-    log_gamma;
-    key_min;
     buckets = Array.init (key_max - key_min + 1) (fun _ -> Atomic.make 0);
     under = Atomic.make 0;
     q_count = Atomic.make 0;
@@ -43,7 +34,6 @@ let create ?(alpha = default_alpha) () =
     q_min = Atomic.make infinity;
   }
 
-let alpha t = t.q_alpha
 let count t = Atomic.get t.q_count
 let sum t = Atomic.get t.q_sum
 let max_value t = Atomic.get t.q_max
@@ -58,7 +48,7 @@ let cas_update cell better v =
 
 let add t v =
   (if Float.is_finite v && v > range_lo then begin
-     let i = key_of ~log_gamma:t.log_gamma v - t.key_min in
+     let i = key_of v - key_min in
      let i = if i < 0 then 0 else min i (Array.length t.buckets - 1) in
      Atomic.incr t.buckets.(i)
    end
@@ -76,10 +66,10 @@ let add t v =
 
 (* Representative value of bucket key k: the log-midpoint of its range,
    2 * gamma^k / (gamma + 1) = exp (k * log_gamma) * (2 / (gamma + 1)). *)
-let bucket_value t i =
-  let k = float_of_int (t.key_min + i) in
-  let gamma = Float.exp t.log_gamma in
-  Float.exp (k *. t.log_gamma) *. (2.0 *. gamma /. (gamma +. 1.0))
+let bucket_value i =
+  let k = float_of_int (key_min + i) in
+  let gamma = Float.exp log_gamma in
+  Float.exp (k *. log_gamma) *. (2.0 *. gamma /. (gamma +. 1.0))
 
 let quantile t q =
   let n = count t in
@@ -97,7 +87,7 @@ let quantile t q =
              (fun i b ->
                cum := !cum + Atomic.get b;
                if rank <= !cum then begin
-                 res := bucket_value t i;
+                 res := bucket_value i;
                  raise Exit
                end)
              t.buckets

@@ -15,11 +15,12 @@
 
 type t
 
-val default_alpha : float
-(** 0.02 — quantiles within 2% relative error, ~1k buckets. *)
+val alpha : float
+(** 0.02, every sketch's [alpha]: quantiles within 2% relative error,
+    ~1k buckets. *)
 
-val create : ?alpha:float -> unit -> t
-(** A fresh empty sketch.  [alpha] must be in (0, 0.5). *)
+val create : unit -> t
+(** A fresh empty sketch. *)
 
 val add : t -> float -> unit
 (** Record one value.  Non-finite and non-positive values count toward
@@ -38,8 +39,6 @@ val quantile : t -> float -> float
 (** [quantile t q] for [q] in [0,1]: a value whose rank error follows
     the bucket scheme, clamped into [[min_value t, max_value t]].
     [nan] when the sketch is empty. *)
-
-val alpha : t -> float
 
 val summary_json : t -> Json.t
 (** Small fixed-shape object for snapshots:

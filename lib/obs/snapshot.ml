@@ -1,18 +1,18 @@
 type writer = {
   path : string;
-  rotate_after : int;
-  keep : int;
   lock : Mutex.t;
   mutable oc : out_channel;
   mutable in_file : int;
   mutable closed : bool;
 }
 
-let create ?(rotate_after = 1000) ?(keep = 3) path =
+(* Records per file, and rotated files retained. *)
+let rotate_after = 1000
+let keep = 3
+
+let create path =
   {
     path;
-    rotate_after = max 1 rotate_after;
-    keep = max 0 keep;
     lock = Mutex.create ();
     oc = open_out path;
     in_file = 0;
@@ -25,12 +25,11 @@ let rotate w =
   close_out w.oc;
   (* Shift path.(keep-1) -> path.keep, ..., path -> path.1; the file
      that falls off the end is simply overwritten by the rename. *)
-  for n = w.keep - 1 downto 1 do
+  for n = keep - 1 downto 1 do
     let src = rotated w.path n in
     if Sys.file_exists src then Sys.rename src (rotated w.path (n + 1))
   done;
-  if w.keep > 0 then Sys.rename w.path (rotated w.path 1)
-  else Sys.remove w.path;
+  Sys.rename w.path (rotated w.path 1);
   w.oc <- open_out w.path;
   w.in_file <- 0
 
@@ -40,7 +39,7 @@ let write w record =
     ~finally:(fun () -> Mutex.unlock w.lock)
     (fun () ->
       if w.closed then invalid_arg "Snapshot.write: writer is closed";
-      if w.in_file >= w.rotate_after then rotate w;
+      if w.in_file >= rotate_after then rotate w;
       output_string w.oc (Json.to_string record);
       output_char w.oc '\n';
       flush w.oc;

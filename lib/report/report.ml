@@ -71,8 +71,8 @@ end
 module Plot = struct
   let glyphs = [| '*'; 'o'; '+'; 'x'; '#'; '@' |]
 
-  let line ?(width = 72) ?(height = 20) ?(logx = false) ~title ~xlabel
-      ~ylabel series =
+  let line ?(logx = false) ~title ~xlabel ~ylabel series =
+    let width = 72 and height = 20 in
     let buf = Buffer.create 4096 in
     Buffer.add_string buf title;
     Buffer.add_char buf '\n';
@@ -153,7 +153,8 @@ module Plot = struct
       Buffer.contents buf
     end
 
-  let bars ?(width = 50) ~title entries =
+  let bars ~title entries =
+    let width = 50 in
     let buf = Buffer.create 1024 in
     Buffer.add_string buf title;
     Buffer.add_char buf '\n';

@@ -10,20 +10,18 @@ end
 
 module Plot : sig
   val line :
-    ?width:int ->
-    ?height:int ->
     ?logx:bool ->
     title:string ->
     xlabel:string ->
     ylabel:string ->
     (string * (float * float) list) list ->
     string
-  (** Multi-series scatter/line plot on a character grid; each series gets
-      a distinct glyph, with a legend. *)
+  (** Multi-series scatter/line plot on a 72 x 20 character grid; each
+      series gets a distinct glyph, with a legend. *)
 
-  val bars :
-    ?width:int -> title:string -> (string * float) list -> string
-  (** Horizontal bar chart (used for the paper's Figure 5). *)
+  val bars : title:string -> (string * float) list -> string
+  (** Horizontal bar chart, bars up to 50 characters long (used for the
+      paper's Figure 5). *)
 
   val heat :
     title:string ->

@@ -77,8 +77,7 @@ let plot_box l =
     float_of_int l.w -. l.right -. l.left,
     float_of_int l.h -. l.bottom -. l.top )
 
-let line_chart ?(width = 560) ?(height = 300) ?(logx = false) ?(bands = [])
-    ~xlabel ~ylabel series =
+let line_chart ?(logx = false) ?(bands = []) ~xlabel ~ylabel series =
   let series =
     List.map
       (fun (name, pts) ->
@@ -96,8 +95,8 @@ let line_chart ?(width = 560) ?(height = 300) ?(logx = false) ?(bands = [])
   let buf = Buffer.create 4096 in
   let l =
     {
-      w = width;
-      h = height;
+      w = 560;
+      h = 300;
       left = 64.0;
       right = 18.0;
       top = 30.0;
@@ -265,7 +264,8 @@ let line_chart ?(width = 560) ?(height = 300) ?(logx = false) ?(bands = [])
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
 
-let bar_chart ?(width = 560) ~xlabel entries =
+let bar_chart ~xlabel entries =
+  let width = 560 in
   let entries =
     List.filter (fun (_, v) -> Float.is_finite v && v >= 0.0) entries
   in

@@ -8,16 +8,15 @@
 val xml_escape : string -> string
 
 val line_chart :
-  ?width:int ->
-  ?height:int ->
   ?logx:bool ->
   ?bands:(float * float * string) list ->
   xlabel:string ->
   ylabel:string ->
   (string * (float * float) list) list ->
   string
-(** Multi-series line chart with markers, hairline grid, tick labels, a
-    legend (for two or more series) and a [<title>] tooltip per point.
+(** Multi-series line chart, 560 x 300, with markers, hairline grid,
+    tick labels, a legend (for two or more series) and a [<title>]
+    tooltip per point.
     Non-finite points (and non-positive x under [~logx:true]) are
     dropped.  At most six series are drawn — the categorical palette has
     six slots — and a visible note counts any omitted ones.
@@ -27,8 +26,7 @@ val line_chart :
     overload tripwires.  Bands outside the data's x-range are clipped;
     with no series nothing is drawn. *)
 
-val bar_chart :
-  ?width:int -> xlabel:string -> (string * float) list -> string
-(** Horizontal bar chart (single-hue: a bar chart encodes magnitude, not
-    identity) with per-bar value labels and tooltips.  Negative and
-    non-finite values are dropped. *)
+val bar_chart : xlabel:string -> (string * float) list -> string
+(** Horizontal bar chart, 560 wide (single-hue: a bar chart encodes
+    magnitude, not identity) with per-bar value labels and tooltips.
+    Negative and non-finite values are dropped. *)

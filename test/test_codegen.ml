@@ -127,7 +127,7 @@ kernel tri(N = 10) {
   check_equiv "triangular" k
 
 let test_time_native_positive () =
-  let t = Codegen.time_native ~repeats:3 mm in
+  let t = Codegen.time_native mm in
   Alcotest.(check bool)
     (Printf.sprintf "positive time %g" t)
     true
