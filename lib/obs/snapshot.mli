@@ -3,8 +3,9 @@
     A writer appends one JSON object per line to [path]; when the
     current file reaches 1000 records it is rotated to [path.1]
     (shifting [path.1] to [path.2], ... up to 3 old files, dropping the
-    oldest), so a daemon that snapshots forever uses bounded disk.  {!load} reads one file back; {!load_all} reads
-    the rotation set oldest-first, which is what the dashboard wants. *)
+    oldest), so a daemon that snapshots forever uses bounded disk.
+    {!load} reads one file back; {!load_all} reads the rotation set
+    oldest-first, which is what the dashboard wants. *)
 
 type writer
 

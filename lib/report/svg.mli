@@ -16,10 +16,10 @@ val line_chart :
   string
 (** Multi-series line chart, 560 x 300, with markers, hairline grid,
     tick labels, a legend (for two or more series) and a [<title>]
-    tooltip per point.
-    Non-finite points (and non-positive x under [~logx:true]) are
-    dropped.  At most six series are drawn — the categorical palette has
-    six slots — and a visible note counts any omitted ones.
+    tooltip per point.  Non-finite points (and non-positive x under
+    [~logx:true]) are dropped.  At most six series are drawn — the
+    categorical palette has six slots — and a visible note counts any
+    omitted ones.
 
     [bands] are annotated x-ranges [(x0, x1, label)] (data coordinates)
     drawn as translucent rectangles behind the data — the dashboard's

@@ -59,5 +59,8 @@ val serve_socket :
   Server.t -> path:string -> unit
 (** Listen on a Unix domain socket at [path] (replacing any stale
     socket file), serving one client connection at a time; sessions
-    persist across connections.  Returns once [stop] is set or a client
-    sent [shutdown]; removes the socket file on the way out. *)
+    persist across connections.  A client that hangs up ends its own
+    connection only: SIGPIPE is ignored while the socket is served, and
+    a failed read or write on a connection closes it and goes back to
+    accepting.  Returns once [stop] is set or a client sent [shutdown];
+    removes the socket file on the way out. *)
