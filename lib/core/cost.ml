@@ -39,7 +39,6 @@ let failure_seconds t = t.failure_seconds
 let total_seconds t = t.run_seconds +. t.compile_seconds +. t.failure_seconds
 let runs t = t.runs
 let failures t = t.failures
-let compiles t = Hashtbl.length t.compiled
 
 type snapshot = {
   snap_run_seconds : float;

@@ -39,8 +39,6 @@ val runs : t -> int
 val failures : t -> int
 (** Number of failed attempts charged so far. *)
 
-val compiles : t -> int
-
 (** {1 Checkpointing} *)
 
 type snapshot = {

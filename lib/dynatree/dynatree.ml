@@ -356,5 +356,3 @@ let stats (t : t) =
     depth_histogram;
     split_frequencies;
   }
-
-let mean_n_leaves t = (stats t).mean_leaves

@@ -91,8 +91,6 @@ val alc_par_min_work : int
 (** 16,384: candidates × particles at or above which {!alc_scores} fans
     out on the attached pool.  Outputs depend on neither gate. *)
 
-val mean_n_leaves : t -> float
-
 type stats = {
   particles : int;
   mean_leaves : float;  (** Mean leaf count across particles. *)

@@ -104,10 +104,6 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   draw_below t bound
 
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Rng.int_in: empty range";
-  lo + int t (hi - lo + 1)
-
 let uniform t =
   (* 53 top bits, as in the reference xoshiro double conversion. *)
   let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in

@@ -62,9 +62,6 @@ val int : t -> int -> int
 (** [int t bound] is uniform on [\[0, bound)]. [bound] must be positive.
     Rejection sampling makes the draw exactly uniform. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform on the inclusive range [\[lo, hi\]]. *)
-
 val float : t -> float -> float
 (** [float t bound] is uniform on [\[0, bound)], using 53 random bits. *)
 

@@ -470,11 +470,3 @@ let measure t ~rng ~run_index config =
   let sigma = noise_sigma t config in
   let model = Noise.scale_gaussian t.noise sigma in
   Noise.sample model ~rng ~run_index ~true_value:(true_runtime t config)
-
-let mean_runtime t ~rng ~n config =
-  if n <= 0 then invalid_arg "Spapt.mean_runtime: n must be positive";
-  let acc = ref 0.0 in
-  for run_index = 1 to n do
-    acc := !acc +. measure t ~rng ~run_index config
-  done;
-  !acc /. float_of_int n

@@ -109,6 +109,3 @@ val noise_sigma : t -> int array -> float
 
 val measure : t -> rng:Altune_prng.Rng.t -> run_index:int -> int array -> float
 (** One noisy runtime measurement, in seconds. *)
-
-val mean_runtime : t -> rng:Altune_prng.Rng.t -> n:int -> int array -> float
-(** Mean of [n] fresh measurements (the fixed sampling plan's label). *)

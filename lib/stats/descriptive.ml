@@ -56,10 +56,3 @@ let geometric_mean a =
   exp (!acc /. float_of_int (Array.length a))
 
 let summary a = (min a, mean a, max a)
-
-let normalize a =
-  check_nonempty "normalize" a;
-  let m = mean a in
-  let s = std a in
-  if s = 0.0 then Array.map (fun _ -> 0.0) a
-  else Array.map (fun x -> (x -. m) /. s) a

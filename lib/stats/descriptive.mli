@@ -20,6 +20,3 @@ val geometric_mean : float array -> float
 val summary : float array -> float * float * float
 (** [(min, mean, max)] triple, as reported in the paper's Table 2. *)
 
-val normalize : float array -> float array
-(** Scale-and-centre to zero mean, unit variance (the paper's feature
-    normalization, Section 4.5).  Constant arrays map to all zeros. *)

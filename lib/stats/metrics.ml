@@ -13,33 +13,3 @@ let rmse ~predicted ~observed =
     acc := !acc +. (d *. d)
   done;
   sqrt (!acc /. float_of_int n)
-
-let mae ~predicted ~observed =
-  let n = check predicted observed "mae" in
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    acc := !acc +. Float.abs (predicted.(i) -. observed.(i))
-  done;
-  !acc /. float_of_int n
-
-let max_abs_error ~predicted ~observed =
-  let n = check predicted observed "max_abs_error" in
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    acc := Float.max !acc (Float.abs (predicted.(i) -. observed.(i)))
-  done;
-  !acc
-
-let r_squared ~predicted ~observed =
-  let n = check predicted observed "r_squared" in
-  let mean_obs = Array.fold_left ( +. ) 0.0 observed /. float_of_int n in
-  let ss_res = ref 0.0 in
-  let ss_tot = ref 0.0 in
-  for i = 0 to n - 1 do
-    let r = observed.(i) -. predicted.(i) in
-    let t = observed.(i) -. mean_obs in
-    ss_res := !ss_res +. (r *. r);
-    ss_tot := !ss_tot +. (t *. t)
-  done;
-  if !ss_tot = 0.0 then if !ss_res = 0.0 then 1.0 else 0.0
-  else 1.0 -. (!ss_res /. !ss_tot)

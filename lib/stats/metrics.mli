@@ -3,11 +3,3 @@
 val rmse : predicted:float array -> observed:float array -> float
 (** Root mean squared error, Equation (1) of the paper.  Arrays must have
     equal, non-zero length. *)
-
-val mae : predicted:float array -> observed:float array -> float
-(** Mean absolute error (used by the paper's Figure 1 motivation study). *)
-
-val max_abs_error : predicted:float array -> observed:float array -> float
-
-val r_squared : predicted:float array -> observed:float array -> float
-(** Coefficient of determination relative to the observed mean. *)

@@ -10,21 +10,6 @@ let add t x =
   let m2 = t.m2 +. (delta *. (x -. mean)) in
   { n; mean; m2 }
 
-let merge a b =
-  if a.n = 0 then b
-  else if b.n = 0 then a
-  else begin
-    let n = a.n + b.n in
-    let delta = b.mean -. a.mean in
-    let nf = float_of_int n in
-    let mean = a.mean +. (delta *. float_of_int b.n /. nf) in
-    let m2 =
-      a.m2 +. b.m2
-      +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. nf)
-    in
-    { n; mean; m2 }
-  end
-
 let count t = t.n
 let mean t = if t.n = 0 then nan else t.mean
 let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)

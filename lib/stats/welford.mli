@@ -1,5 +1,5 @@
 (** Numerically stable online accumulation of mean and variance
-    (Welford's algorithm), with parallel merging (Chan et al.).  Used for
+    (Welford's algorithm).  Used for
     per-configuration runtime summaries, where observations arrive one at a
     time as the sequential-analysis loop revisits a configuration. *)
 
@@ -10,9 +10,6 @@ val singleton : float -> t
 
 val add : t -> float -> t
 (** Functional update: [add t x] is [t] with one more observation. *)
-
-val merge : t -> t -> t
-(** Combine two accumulators as if their observations were concatenated. *)
 
 val count : t -> int
 val mean : t -> float

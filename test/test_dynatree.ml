@@ -154,7 +154,7 @@ let test_ensemble_variance_tracks_noise () =
 let test_ensemble_counts () =
   let m = learn_ensemble ~seed:31 ~n:50 (step 0.0 1.0) (fun _ -> 0.1) in
   Alcotest.(check int) "observations" 50 (Dynatree.n_observations m);
-  Alcotest.(check bool) "leaves grow" true (Dynatree.mean_n_leaves m > 1.0)
+  Alcotest.(check bool) "leaves grow" true ((Dynatree.stats m).mean_leaves > 1.0)
 
 let test_ensemble_determinism () =
   let run () =

@@ -112,9 +112,6 @@ let test_invalid_args () =
   let t = Rng.create ~seed:1 in
   Alcotest.check_raises "int 0" (Invalid_argument "Rng.int: bound must be positive")
     (fun () -> ignore (Rng.int t 0));
-  Alcotest.check_raises "int_in empty"
-    (Invalid_argument "Rng.int_in: empty range") (fun () ->
-      ignore (Rng.int_in t 3 2));
   Alcotest.check_raises "swr k>n"
     (Invalid_argument "Rng.sample_without_replacement: k > n") (fun () ->
       ignore (Rng.sample_without_replacement t 4 3))
@@ -129,15 +126,6 @@ let prop_int_bound =
       let t = Rng.create ~seed in
       let x = Rng.int t bound in
       x >= 0 && x < bound)
-
-let prop_int_in_bound =
-  QCheck.Test.make ~name:"int_in stays within range" ~count:500
-    QCheck.(triple small_int (int_range (-50) 50) (int_bound 100))
-    (fun (seed, lo, extent) ->
-      let hi = lo + extent in
-      let t = Rng.create ~seed in
-      let x = Rng.int_in t lo hi in
-      x >= lo && x <= hi)
 
 let prop_shuffle_multiset =
   QCheck.Test.make ~name:"shuffle preserves multiset" ~count:200
@@ -170,7 +158,6 @@ let () =
     List.map QCheck_alcotest.to_alcotest
       [
         prop_int_bound;
-        prop_int_in_bound;
         prop_shuffle_multiset;
         prop_sample_without_replacement;
       ]

@@ -191,15 +191,6 @@ let test_measurement_converges () =
   if rel > 0.02 then
     Alcotest.failf "mean of 3000 samples off by %.1f%%" (100.0 *. rel)
 
-let test_mean_runtime () =
-  let b = Spapt.create "mvt" in
-  let rng = Rng.create ~seed:31 in
-  let c = Array.make (Spapt.dim b) 0 in
-  let m = Spapt.mean_runtime b ~rng ~n:35 c in
-  let truth = Spapt.true_runtime b c in
-  if Float.abs (m -. truth) /. truth > 0.2 then
-    Alcotest.failf "35-sample mean far from truth: %g vs %g" m truth
-
 let test_features_normalized () =
   let b = Spapt.create "gemver" in
   let rng = Rng.create ~seed:41 in
@@ -449,7 +440,6 @@ let () =
           Alcotest.test_case "noise field" `Quick test_noise_sigma_field;
           Alcotest.test_case "measurements converge" `Quick
             test_measurement_converges;
-          Alcotest.test_case "mean runtime" `Quick test_mean_runtime;
           Alcotest.test_case "features normalized" `Quick
             test_features_normalized;
           Alcotest.test_case "features closed form" `Quick
