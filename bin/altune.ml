@@ -563,8 +563,13 @@ let tune_cmd name doc =
             Printf.eprintf "--checkpoint-every must be at least 1\n";
             Stdlib.exit 2
           end;
-          with_obs ~command:"tune" ~trace ~events ~metrics
-            ~scale_label:scale.Scale.label ~seed
+          let fail e =
+            Printf.eprintf "tune: %s\n" e;
+            Stdlib.exit 1
+          in
+          Result.iter_error fail
+          @@ with_obs ~command:"tune" ~trace ~events ~metrics
+               ~scale_label:scale.Scale.label ~seed
           @@ fun events ->
           let b = Spapt.create bench in
           let run =
@@ -578,11 +583,11 @@ let tune_cmd name doc =
           let halt_at = Option.value halt_at ~default:max_int in
           let rec go () =
             match (Tune_run.step run ~iterations, ckpt) with
-            | Some outcome, _ -> report_tuned b outcome ~seed
+            | Some outcome, _ -> Ok (report_tuned b outcome ~seed)
             | None, None -> go ()
             | None, Some path -> (
                 match Tune_run.save run ~path with
-                | Error e -> failwith e
+                | Error e -> Error e
                 | Ok iteration when iteration >= halt_at ->
                     (* Nothing on stdout: the resumed run must reproduce
                        the uninterrupted run's stdout byte-for-byte on
@@ -590,7 +595,8 @@ let tune_cmd name doc =
                     Printf.eprintf
                       "tune: halted at checkpoint; continue with 'altune \
                        resume %s'\n"
-                      path
+                      path;
+                    Ok ()
                 | Ok _ -> go ())
           in
           go ())
@@ -615,13 +621,15 @@ let resume_cmd name doc =
           | Error e ->
               Printf.eprintf "resume: %s\n" e;
               Stdlib.exit 1
-          | Ok saved ->
-              let spec = Tune_run.saved_spec saved in
+          | Ok (spec, state) ->
               with_obs ~command:"resume" ~trace ~events ~metrics
                 ~scale_label:spec.scale.Scale.label ~seed:spec.seed
               @@ fun events ->
               let b = Spapt.create spec.bench in
-              let run = Tune_run.resume ?events ~pool:(Runs.pool ()) b saved in
+              let run =
+                Tune_run.start ?events ~resume:state ~pool:(Runs.pool ()) b
+                  spec
+              in
               Option.iter
                 (fun outcome -> report_tuned b outcome ~seed:spec.seed)
                 (Tune_run.step run ~iterations:max_int))
@@ -931,7 +939,7 @@ let serve_cmd name doc =
           match script with
           | Some path ->
               Serve_daemon.serve_script ~flight_dump server ~path
-                ~output:stdout
+                ~output:Unix.stdout
           | None -> (
               let stop = Serve_daemon.make_stop () in
               let usr1 = Serve_daemon.make_flag () in

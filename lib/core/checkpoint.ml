@@ -1,13 +1,15 @@
 module Json = Altune_obs.Json
 module Rng = Altune_prng.Rng
 
-let version = 1
+let version = 2
 
 type meta = {
   bench : string;
   scale : string;
   seed : int;
-  fault : (string * int) option;
+  fault : string option;
+  n_max : int option;
+  budget : float option;
 }
 
 (* --- Encoding ----------------------------------------------------------- *)
@@ -19,6 +21,7 @@ type meta = {
 let f_to_json f = Json.String (Printf.sprintf "%016Lx" (Int64.bits_of_float f))
 let i64_to_json i = Json.String (Printf.sprintf "%016Lx" i)
 let floats_to_json a = Json.List (List.map f_to_json (Array.to_list a))
+let opt_to_json f = function None -> Json.Null | Some v -> f v
 
 let config_to_json (c : Problem.config) =
   Json.List (List.map (fun i -> Json.Int i) (Array.to_list c))
@@ -65,16 +68,6 @@ let eval_to_json (p : Learner.eval_point) =
       ("rmse", f_to_json p.rmse);
     ]
 
-let dataset_to_json (d : Dataset.t) =
-  Json.Obj
-    [
-      ( "train",
-        Json.List (List.map config_to_json (Array.to_list d.train_configs)) );
-      ( "test",
-        Json.List (List.map config_to_json (Array.to_list d.test_configs)) );
-      ("test_means", floats_to_json d.test_means);
-    ]
-
 let state_to_json (st : Learner.state) =
   Json.Obj
     [
@@ -86,10 +79,7 @@ let state_to_json (st : Learner.state) =
       ("dead", Json.List (List.map (fun k -> Json.String k) st.st_dead));
       ("scaler_mean", f_to_json st.st_scaler_mean);
       ("scaler_std", f_to_json st.st_scaler_std);
-      ( "noise_hint",
-        match st.st_noise_hint with None -> Json.Null | Some f -> f_to_json f
-      );
-      ("refs", Json.List (List.map floats_to_json (Array.to_list st.st_refs)));
+      ("noise_hint", opt_to_json f_to_json st.st_noise_hint);
       ( "observe_log",
         Json.List
           (List.map
@@ -100,7 +90,7 @@ let state_to_json (st : Learner.state) =
       ("curve", Json.List (List.map eval_to_json st.st_curve));
     ]
 
-let to_json ~meta dataset state =
+let to_json ~meta state =
   Json.Obj
     [
       ("version", Json.Int version);
@@ -108,25 +98,31 @@ let to_json ~meta dataset state =
       ("scale", Json.String meta.scale);
       ("seed", Json.Int meta.seed);
       ( "fault",
-        match meta.fault with
-        | None -> Json.Null
-        | Some (spec, seed) ->
-            Json.Obj [ ("spec", Json.String spec); ("seed", Json.Int seed) ] );
-      ("dataset", dataset_to_json dataset);
+        opt_to_json (fun s -> Json.Obj [ ("spec", Json.String s) ]) meta.fault
+      );
+      ("n_max", opt_to_json (fun n -> Json.Int n) meta.n_max);
+      ("budget", opt_to_json f_to_json meta.budget);
       ("state", state_to_json state);
     ]
 
-let save ~path ~meta dataset state =
+let save ~path ~meta state =
   (* Write-then-rename: a checkpoint interrupted mid-write must never
-     replace a good one with a torn file. *)
+     replace a good one with a torn file, and a failed write leaves no
+     temporary file behind. *)
   let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string (to_json ~meta dataset state));
-      output_char oc '\n');
-  Sys.rename tmp path
+  try
+    let oc = open_out tmp in
+    (try
+       output_string oc (Json.to_string (to_json ~meta state));
+       output_char oc '\n';
+       close_out oc;
+       Sys.rename tmp path
+     with Sys_error _ as e ->
+       close_out_noerr oc;
+       (try Sys.remove tmp with Sys_error _ -> ());
+       raise e);
+    Ok ()
+  with Sys_error e -> Error ("cannot write checkpoint: " ^ e)
 
 (* --- Decoding ----------------------------------------------------------- *)
 
@@ -159,6 +155,12 @@ let f_of_json what j =
   Ok (Int64.float_of_bits bits)
 
 let f_field j key what = f_of_json what (field j key)
+
+(* [None] when the key is absent or null. *)
+let opt_field j key decode =
+  match field j key with
+  | None | Some Json.Null -> Ok None
+  | Some v -> Result.map Option.some (decode v)
 
 let list_field j key what =
   match field j key with
@@ -242,23 +244,6 @@ let eval_of_json j =
   let* rmse = f_field j "rmse" "curve.rmse" in
   Ok { Learner.iteration; examples; observations; cost_seconds; rmse }
 
-let dataset_of_json j =
-  match field j "dataset" with
-  | Some o ->
-      let* train = list_field o "train" "dataset.train" in
-      let* train_configs = map_m (config_of_json "dataset.train") train in
-      let* test = list_field o "test" "dataset.test" in
-      let* test_configs = map_m (config_of_json "dataset.test") test in
-      let* means = require "dataset.test_means" (field o "test_means") in
-      let* test_means = floats_of_json "dataset.test_means" means in
-      Ok
-        {
-          Dataset.train_configs = Array.of_list train_configs;
-          test_configs = Array.of_list test_configs;
-          test_means;
-        }
-  | None -> Error "checkpoint: missing dataset"
-
 let state_of_json j =
   match field j "state" with
   | Some o ->
@@ -275,14 +260,8 @@ let state_of_json j =
       let* st_scaler_mean = f_field o "scaler_mean" "state.scaler_mean" in
       let* st_scaler_std = f_field o "scaler_std" "state.scaler_std" in
       let* st_noise_hint =
-        match field o "noise_hint" with
-        | None | Some Json.Null -> Ok None
-        | Some v ->
-            let* f = f_of_json "state.noise_hint" (Some v) in
-            Ok (Some f)
+        opt_field o "noise_hint" (fun v -> f_of_json "state.noise_hint" (Some v))
       in
-      let* refs = list_field o "refs" "state.refs" in
-      let* refs = map_m (floats_of_json "state.refs") refs in
       let* log = list_field o "observe_log" "state.observe_log" in
       let* st_observe_log =
         map_m
@@ -308,7 +287,6 @@ let state_of_json j =
           st_scaler_mean;
           st_scaler_std;
           st_noise_hint;
-          st_refs = Array.of_list refs;
           st_observe_log;
           st_rng_model;
           st_rng;
@@ -316,27 +294,26 @@ let state_of_json j =
         }
   | None -> Error "checkpoint: missing state"
 
+(* Version 1 also stored the dataset, the reference set and the fault
+   seed, which are skipped like any key the reader does not read; it has
+   no [n_max] or [budget], which read as [None]. *)
 let of_json j =
   let* v = int_field j "version" "version" in
-  if v <> version then
+  if v < 1 || v > version then
     Error
-      (Printf.sprintf "checkpoint: version %d not supported (expected %d)" v
-         version)
+      (Printf.sprintf "checkpoint: version %d not supported (reads 1 to %d)"
+         v version)
   else
     let* bench = str_field j "bench" "bench" in
     let* scale = str_field j "scale" "scale" in
     let* seed = int_field j "seed" "seed" in
-    let* fault =
-      match field j "fault" with
-      | None | Some Json.Null -> Ok None
-      | Some o ->
-          let* spec = str_field o "spec" "fault.spec" in
-          let* fseed = int_field o "seed" "fault.seed" in
-          Ok (Some (spec, fseed))
+    let* fault = opt_field j "fault" (fun o -> str_field o "spec" "fault.spec") in
+    let* n_max =
+      opt_field j "n_max" (fun v -> require "n_max" (Json.to_int_opt v))
     in
-    let* dataset = dataset_of_json j in
+    let* budget = opt_field j "budget" (fun v -> f_of_json "budget" (Some v)) in
     let* state = state_of_json j in
-    Ok ({ bench; scale; seed; fault }, dataset, state)
+    Ok ({ bench; scale; seed; fault; n_max; budget }, state)
 
 let load path =
   try

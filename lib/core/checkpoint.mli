@@ -1,38 +1,44 @@
-(** Versioned on-disk checkpoints for {!Learner.run}.
+(** Versioned on-disk checkpoints for {!Learner}.
 
-    A checkpoint is one JSON object holding a [version] field, run
-    provenance (benchmark, scale, seed, fault spec), the full dataset,
-    and the learner's {!Learner.state}.  Every float — responses, RNG
-    words, cost accumulators — is serialized as the hex of its IEEE-754
-    bits, because resume must reproduce the uninterrupted run
-    byte-for-byte and the JSON float path renders non-finite values as
-    [null].
+    A checkpoint is one JSON object holding a [version] field, the run's
+    full spec ({!meta}) and the learner's {!Learner.state}: only what
+    cannot be recomputed.  The dataset, the ALC reference set and the
+    fault seed are functions of the spec, so the reader derives them
+    again.  Every float — responses, RNG words, cost accumulators, the
+    budget — is serialized as the hex of its IEEE-754 bits, because
+    resume must reproduce the uninterrupted run byte-for-byte and the
+    JSON float path renders non-finite values as [null].
+
+    Files are written as version 2.  Version 1 files, which also stored
+    the dataset, the reference set and the fault seed, still load: keys
+    the reader does not read are ignored, and their missing [n_max] and
+    [budget] read as [None].
 
     {!save} is atomic (write to [path ^ ".tmp"], then rename), so a run
     killed mid-checkpoint leaves the previous good checkpoint intact —
     exactly the crash scenario checkpoints exist for. *)
 
 val version : int
-(** Current format version, stored in the file and checked by {!load}. *)
+(** Format version written by {!save}; {!load} reads 1 up to it. *)
 
 type meta = {
   bench : string;  (** SPAPT benchmark name. *)
   scale : string;  (** Scale label ([smoke], [quick], ...). *)
-  seed : int;  (** Master seed of the interrupted command. *)
-  fault : (string * int) option;  (** Fault spec string and fault seed. *)
+  seed : int;  (** Master seed of the run. *)
+  fault : string option;  (** Fault spec string. *)
+  n_max : int option;  (** Override of the scale's iteration cap. *)
+  budget : float option;  (** Override of the scale's cost budget. *)
 }
-(** Everything [altune resume] needs to rebuild the problem, settings and
-    fault injector around the restored state. *)
+(** The run's spec: everything [altune resume] needs to rebuild the
+    problem, dataset, settings and fault injector around the state. *)
 
-val save : path:string -> meta:meta -> Dataset.t -> Learner.state -> unit
-(** Atomically (re)write the checkpoint file. *)
+val save : path:string -> meta:meta -> Learner.state -> (unit, string) result
+(** Atomically (re)write the checkpoint file.  A failed open, write or
+    rename is an [Error] that leaves no temporary file. *)
 
-val load :
-  string -> (meta * Dataset.t * Learner.state, string) result
-(** Parse a checkpoint file; rejects unknown versions.  Keys it does not
-    read are ignored, so files that still carry the retired [every]
-    field load unchanged. *)
+val load : string -> (meta * Learner.state, string) result
+(** Parse a checkpoint file; rejects unknown versions.  Files that still
+    carry the retired [every] field load unchanged. *)
 
-val to_json : meta:meta -> Dataset.t -> Learner.state -> Altune_obs.Json.t
-val of_json :
-  Altune_obs.Json.t -> (meta * Dataset.t * Learner.state, string) result
+val to_json : meta:meta -> Learner.state -> Altune_obs.Json.t
+val of_json : Altune_obs.Json.t -> (meta * Learner.state, string) result

@@ -95,7 +95,6 @@ type state = {
   st_scaler_mean : float;
   st_scaler_std : float;
   st_noise_hint : float option;
-  st_refs : float array array;
   st_observe_log : (float array * float) list;
   st_rng_model : Rng.state;
   st_rng : Rng.state;
@@ -164,12 +163,7 @@ let start_run ?fault ?resume ?exec_pool ?events (problem : Problem.t)
   validate settings;
   (* The learner's private stream lives in a cell so that resume can point
      it at a restored cursor; every draw dereferences at call time. *)
-  let rng =
-    ref
-      (match resume with
-      | None -> Rng.split rng0
-      | Some st -> Rng.restore st.st_rng_model)
-  in
+  let rng = ref (Rng.split rng0) in
   let cost =
     match resume with
     | None -> Cost.create ()
@@ -355,22 +349,27 @@ let start_run ?fault ?resume ?exec_pool ?events (problem : Problem.t)
     !out
   in
   let scaler = { mean = 0.0; std = 1.0 } in
-  (* Fresh start: run the seed phase (reference-set embedding, seed
-     sampling, seed profiling, scaler/noise calibration, model creation).
+  (* Reference set for ALC: a fixed random subset of the training pool,
+     embedded once.  These are the stream's first draws, so a resumed run
+     makes them again, then moves to the checkpoint's pre-factory
+     cursor. *)
+  let refs =
+    Array.init (min settings.ref_size (Array.length pool)) (fun _ ->
+        problem.features pool.(Rng.int !rng (Array.length pool)))
+  in
+  (match resume with
+  | None -> ()
+  | Some st -> rng := Rng.restore st.st_rng_model);
+  (* Fresh start: run the seed phase (seed sampling, seed profiling,
+     scaler/noise calibration, model creation).
      Resume: restore every piece of that state from the checkpoint, then
      rebuild the model deterministically — the surrogate's posterior is a
      function of (its creation-time rng cursor, the ordered observation
      log), so restoring the pre-factory cursor, re-running the factory and
      replaying the log reproduces it exactly, for any surrogate. *)
-  let refs, noise_hint, rng_model_state, model, seed_means =
+  let noise_hint, rng_model_state, model, seed_means =
     match resume with
     | None ->
-        (* Reference set for ALC: a fixed random subset of the training
-           pool, embedded once. *)
-        let refs =
-          Array.init (min settings.ref_size (Array.length pool)) (fun _ ->
-              problem.features (pool.(Rng.int !rng (Array.length pool))))
-        in
         (* --- Seed phase --- *)
         let seed_configs =
           Trace.with_span ~name:"learner.seed-sample" ~phase:"candidate-gen"
@@ -446,7 +445,7 @@ let start_run ?fault ?resume ?exec_pool ?events (problem : Problem.t)
             seed_data
         in
         Surrogate.set_pool model exec_pool;
-        (refs, noise_hint, rng_model_state, model, seed_means)
+        (noise_hint, rng_model_state, model, seed_means)
     | Some st ->
         List.iter
           (fun e ->
@@ -468,7 +467,7 @@ let start_run ?fault ?resume ?exec_pool ?events (problem : Problem.t)
         Surrogate.set_pool model exec_pool;
         List.iter (fun (f, z) -> Surrogate.observe model f z) st.st_observe_log;
         rng := Rng.restore st.st_rng;
-        (st.st_refs, st.st_noise_hint, st.st_rng_model, model, [])
+        (st.st_noise_hint, st.st_rng_model, model, [])
   in
   (* Learner telemetry (Altune_obs.Events), on the run's own stream if
      it was given one: pure observation of decisions already made —
@@ -630,7 +629,6 @@ let start_run ?fault ?resume ?exec_pool ?events (problem : Problem.t)
       st_scaler_mean = scaler.mean;
       st_scaler_std = scaler.std;
       st_noise_hint = noise_hint;
-      st_refs = refs;
       st_observe_log = List.rev !observe_log;
       st_rng_model = rng_model_state;
       st_rng = Rng.capture !rng;

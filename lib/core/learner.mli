@@ -80,14 +80,17 @@ type outcome = {
 (** {1 Running and checkpointing}
 
     A run is {!start}ed, then {!step}ped from one loop boundary to a
-    later one; {!run} steps it to completion.  A {!state} is everything
-    {!start} needs to continue a run from a loop boundary and reproduce
-    the uninterrupted run byte-for-byte.  The surrogate itself is not
-    serialized: its posterior is a deterministic function of its
-    creation-time rng cursor and the ordered observation log, which
-    every run keeps, so resume restores [st_rng_model], re-runs the
-    factory, and replays [st_observe_log] — exact for any surrogate.
-    Serialize with {!Checkpoint}. *)
+    later one; {!run} steps it to completion.  A {!state} is what
+    {!start} cannot recompute from its other arguments but needs to
+    continue a run from a loop boundary and reproduce the uninterrupted
+    run byte-for-byte.  The ALC reference set is not part of it: it is
+    the learner stream's first draws from the training pool, which
+    {!start} makes again on resume.  Nor is the surrogate: its
+    posterior is a deterministic function of its creation-time rng
+    cursor and the ordered observation log, which every run keeps, so
+    resume restores [st_rng_model], re-runs the factory, and replays
+    [st_observe_log] — exact for any surrogate.  Serialize with
+    {!Checkpoint}. *)
 
 type obs_entry = {
   obs_key : string;
@@ -106,7 +109,6 @@ type state = {
   st_scaler_mean : float;
   st_scaler_std : float;
   st_noise_hint : float option;
-  st_refs : float array array;  (** Embedded ALC reference set. *)
   st_observe_log : (float array * float) list;
       (** Chronological (features, standardized response) pairs fed to the
           surrogate. *)

@@ -1,5 +1,4 @@
 module Kernels = Altune_spapt.Kernels
-module Dataset = Altune_core.Dataset
 module Learner = Altune_core.Learner
 module Checkpoint = Altune_core.Checkpoint
 module Fault = Altune_exec.Fault
@@ -26,23 +25,19 @@ let settings spec =
   | None -> s
   | Some b -> { s with Learner.budget = Some b }
 
-let savable spec =
-  if spec.n_max = None && spec.budget = None then Ok ()
-  else
-    Error
-      "non-stock settings (n_max/budget override); altune resume rebuilds \
-       settings from the scale label, so its checkpoint would not resume \
-       faithfully"
+let check spec =
+  if
+    (match spec.budget with Some b -> b <= 0.0 | None -> false)
+    || match spec.n_max with Some n -> n < 1 | None -> false
+  then Error "budget and n_max must be positive"
+  else Ok ()
 
 type t = {
   spec : spec;
-  meta : Checkpoint.meta;
-  dataset : Dataset.t;
   learner : Learner.t;  (* holds the run's event stream, if any *)
 }
 
-(* [fault] pairs the spec's fault spec with the seed of its draws. *)
-let launch ?events ?stream ?note ?resume ~pool bench spec ~fault dataset =
+let start ?events ?stream ?note ?resume ~pool bench spec =
   let problem =
     match note with
     | None -> Adapter.problem_of ~pool bench
@@ -62,39 +57,23 @@ let launch ?events ?stream ?note ?resume ~pool bench spec ~fault dataset =
         Events.stream sink (Option.value stream ~default:(key spec)))
       events
   in
+  let fault =
+    Option.map
+      (fun sp ->
+        Fault.create sp ~seed:(Runs.fault_seed ~seed:spec.seed (key spec)))
+      spec.fault
+  in
   let learner =
-    Learner.start
-      ?fault:(Option.map (fun (sp, seed) -> Fault.create sp ~seed) fault)
-      ?resume ~exec_pool:pool ?events problem dataset (settings spec)
-      ~rng:(Rng.create ~seed:spec.seed)
+    Learner.start ?fault ?resume ~exec_pool:pool ?events problem
+      (Runs.dataset_for bench spec.scale ~seed:spec.seed)
+      (settings spec) ~rng:(Rng.create ~seed:spec.seed)
   in
-  let meta =
-    {
-      Checkpoint.bench = spec.bench;
-      scale = spec.scale.Scale.label;
-      seed = spec.seed;
-      fault = Option.map (fun (sp, seed) -> (Fault.to_string sp, seed)) fault;
-    }
-  in
-  { spec; meta; dataset; learner }
-
-let start ?events ?stream ?note ~pool bench spec =
-  let fault_seed = Runs.fault_seed ~seed:spec.seed (key spec) in
-  launch ?events ?stream ?note ~pool bench spec
-    ~fault:(Option.map (fun sp -> (sp, fault_seed)) spec.fault)
-    (Runs.dataset_for bench spec.scale ~seed:spec.seed)
-
-type saved = {
-  saved_spec : spec;
-  fault : (Fault.spec * int) option;
-  dataset : Dataset.t;
-  state : Learner.state;
-}
+  { spec; learner }
 
 let ( let* ) = Result.bind
 
 let load path =
-  let* (meta : Checkpoint.meta), dataset, state =
+  let* (meta : Checkpoint.meta), state =
     Result.map_error (Printf.sprintf "%s: %s" path) (Checkpoint.load path)
   in
   let* scale =
@@ -108,37 +87,41 @@ let load path =
   let* fault =
     match meta.fault with
     | None -> Ok None
-    | Some (s, seed) ->
-        Result.map
-          (fun sp -> Some (sp, seed))
+    | Some s ->
+        Result.map Option.some
           (Result.map_error
              (( ^ ) "bad fault spec in checkpoint: ")
              (Fault.of_string s))
   in
-  let saved_spec =
+  let spec =
     {
       bench = meta.bench;
       scale;
       seed = meta.seed;
-      fault = Option.map fst fault;
-      n_max = None;
-      budget = None;
+      fault;
+      n_max = meta.n_max;
+      budget = meta.budget;
     }
   in
-  Ok { saved_spec; fault; dataset; state }
-
-let saved_spec s = s.saved_spec
-
-let resume ?events ~pool bench (s : saved) =
-  launch ?events ~resume:s.state ~pool bench s.saved_spec ~fault:s.fault
-    s.dataset
+  let* () = Result.map_error (fun e -> e ^ " in checkpoint") (check spec) in
+  Ok (spec, state)
 
 let step t ~iterations = Learner.step t.learner ~iterations
 
 let progress t = Learner.progress t.learner
 
 let save t ~path =
-  let* () = savable t.spec in
   let st = Learner.state t.learner in
-  Checkpoint.save ~path ~meta:t.meta t.dataset st;
-  Ok st.Learner.st_iteration
+  let meta =
+    {
+      Checkpoint.bench = t.spec.bench;
+      scale = t.spec.scale.Scale.label;
+      seed = t.spec.seed;
+      fault = Option.map Fault.to_string t.spec.fault;
+      n_max = t.spec.n_max;
+      budget = t.spec.budget;
+    }
+  in
+  Result.map
+    (fun () -> st.Learner.st_iteration)
+    (Checkpoint.save ~path ~meta st)

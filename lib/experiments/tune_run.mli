@@ -9,8 +9,11 @@
       fault seed derived from it ({!Runs.fault_seed});
     - the settings: the scale's adaptive settings with serve's [n_max]
       and [budget] overrides;
-    - the stock rule ({!savable});
-    - the checkpoint's metadata, and the checks made when it is read.
+    - the checkpoint's contents (the full {!spec} and the learner
+      state), and the checks made when it is read.
+
+    Every run is savable, and {!start} is the one way to run one, fresh
+    or resumed: both derive the dataset and fault seed from the spec.
 
     Callers keep what differs between them: the event sink and the key
     of the run's stream on it, the worker pool and serve's [note]
@@ -27,11 +30,10 @@ type spec = {
           ({!Altune_core.Learner.settings}[.budget]), simulated seconds. *)
 }
 
-val savable : spec -> (unit, string) result
-(** [Ok ()] for a stock run, one without [n_max] or [budget] override.
-    A checkpoint records the scale label, not the settings, so a run
-    with overrides cannot be checkpointed: {!save} refuses it with this
-    error. *)
+val check : spec -> (unit, string) result
+(** [Error] when [n_max] is below 1 or [budget] is not above 0: the
+    rule for overrides that arrive from outside the program, in a serve
+    request or a checkpoint file. *)
 
 type t
 (** A run in progress, paused between steps. *)
@@ -40,12 +42,15 @@ val start :
   ?events:Altune_obs.Events.sink ->
   ?stream:string ->
   ?note:(Altune_core.Problem.config -> (unit -> float) -> float) ->
+  ?resume:Altune_core.Learner.state ->
   pool:Altune_exec.Pool.t ->
   Altune_spapt.Spapt.t ->
   spec ->
   t
 (** Start the run on [bench], an instance of [spec.bench], from the
-    cached dataset ({!Runs.dataset_for}): the seed phase runs now.
+    cached dataset ({!Runs.dataset_for}): the seed phase runs now, or
+    with [resume] (a state {!load}ed with [spec]) the run continues from
+    it, to the outcome and events of the uninterrupted run.
 
     With [events] the run streams its events on that sink, under the
     key [stream] (default: the run key); the run holds the stream, so
@@ -59,28 +64,11 @@ val start :
     gets no pool, since the warm-up would evaluate outside [note].
     Results are identical at any job count. *)
 
-type saved
-(** A checkpoint read back: the run's spec, and the dataset, fault seed
-    and learner state stored with it. *)
-
-val load : string -> (saved, string) result
-(** Read a checkpoint file.  Fails on a file that does not parse (the
-    message starts with the path), an unknown scale or benchmark, or a
-    fault spec that does not parse. *)
-
-val saved_spec : saved -> spec
-(** The stock spec the checkpoint records. *)
-
-val resume :
-  ?events:Altune_obs.Events.sink ->
-  pool:Altune_exec.Pool.t ->
-  Altune_spapt.Spapt.t ->
-  saved ->
-  t
-(** Continue a saved run on an instance of its benchmark, with the
-    stored dataset and fault seed rather than derived ones, as
-    {!start} does without [stream] or [note].  Stepped to its end, it
-    gives the outcome and events of the uninterrupted run. *)
+val load : string -> (spec * Altune_core.Learner.state, string) result
+(** Read a checkpoint file: the run's spec and the state to resume.
+    Fails on a file that does not parse (the message starts with the
+    path), an unknown scale or benchmark, a fault spec that does not
+    parse, or overrides that fail {!check}. *)
 
 val step : t -> iterations:int -> Altune_core.Learner.outcome option
 (** {!Altune_core.Learner.step}: its events continue the run's
@@ -91,4 +79,4 @@ val progress : t -> Altune_core.Learner.progress
 
 val save : t -> path:string -> (int, string) result
 (** Atomically write the run's checkpoint ({!Altune_core.Checkpoint})
-    and return its iteration; refuses a run that is not {!savable}. *)
+    and return its iteration; [Error] if the file cannot be written. *)

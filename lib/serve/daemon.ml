@@ -39,17 +39,19 @@ let pump ?usr1 ?(flight_dump = "flight-dump.jsonl") server =
 (* The peer hung up: a read or a write on its connection failed. *)
 exception Hangup
 
+(* Replies go straight to the descriptor, never through a channel: a
+   reply the peer did not take is then not left in a buffer that a later
+   flush (at exit, say) would fail on. *)
+let rec write_all fd s ofs =
+  if ofs < String.length s then
+    match Unix.write_substring fd s ofs (String.length s - ofs) with
+    | n -> write_all fd s (ofs + n)
+    | exception Unix.Unix_error (EINTR, _, _) -> write_all fd s ofs
+    | exception Unix.Unix_error _ -> raise Hangup
+
 let respond server output line =
   let line = String.trim line in
-  if line <> "" then begin
-    let reply = Server.handle_line server line in
-    try
-      output_string output reply;
-      output_char output '\n';
-      flush output
-    with Sys_error _ | Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
-      raise Hangup
-  end
+  if line <> "" then write_all output (Server.handle_line server line ^ "\n") 0
 
 (* The one request loop, over a raw fd: every transport runs it.  It
    polls, so a pending signal is noticed within [poll] seconds even when
@@ -98,36 +100,43 @@ let serve_fd ~stop ~poll ~tick server fd output =
   in
   try loop () with Hangup -> ()
 
-let serve_script ?usr1 ?flight_dump server ~path ~output =
-  let tick = pump ?usr1 ?flight_dump server in
-  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () -> serve_fd ~stop:(make_stop ()) ~poll:0.2 ~tick server fd output);
-  finish server
-
-let serve_stdio ?(stop = make_stop ()) ?usr1 ?flight_dump server =
-  let tick = pump ?usr1 ?flight_dump server in
-  serve_fd ~stop ~poll:0.2 ~tick server Unix.stdin stdout;
-  finish server
-
-let serve_socket ?(stop = make_stop ()) ?usr1 ?flight_dump server ~path =
-  let tick = pump ?usr1 ?flight_dump server in
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (* A client that hangs up must not kill the daemon: with SIGPIPE
-     ignored, a write to its closed socket fails with EPIPE instead, and
-     ends that connection only. *)
+(* Run a transport [f], then the graceful stop.  A reader that goes away
+   must not kill the daemon: with SIGPIPE ignored while [f] runs, a write
+   to it fails with EPIPE instead, which ends that stream as a hang-up.
+   The old SIGPIPE disposition is restored on return. *)
+let serving server f =
   let sigpipe =
     try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
     with Invalid_argument _ | Sys_error _ -> None
   in
   Fun.protect
     ~finally:(fun () ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
       Option.iter (Sys.set_signal Sys.sigpipe) sigpipe;
       finish server)
+    f
+
+let serve_script ?usr1 ?flight_dump server ~path ~output =
+  let tick = pump ?usr1 ?flight_dump server in
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  serving server @@ fun () ->
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () -> serve_fd ~stop:(make_stop ()) ~poll:0.2 ~tick server fd output)
+
+let serve_stdio ?(stop = make_stop ()) ?usr1 ?flight_dump server =
+  let tick = pump ?usr1 ?flight_dump server in
+  serving server @@ fun () ->
+  serve_fd ~stop ~poll:0.2 ~tick server Unix.stdin Unix.stdout
+
+let serve_socket ?(stop = make_stop ()) ?usr1 ?flight_dump server ~path =
+  let tick = pump ?usr1 ?flight_dump server in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  serving server @@ fun () ->
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close sock with Unix.Unix_error _ -> ());
+      try Unix.unlink path with Unix.Unix_error _ -> ())
     (fun () ->
       Unix.bind sock (Unix.ADDR_UNIX path);
       Unix.listen sock 8;
@@ -139,13 +148,11 @@ let serve_socket ?(stop = make_stop ()) ?usr1 ?flight_dump server ~path =
           | _ -> (
               match Unix.accept sock with
               | client, _ ->
-                  let output = Unix.out_channel_of_descr client in
-                  (* Closing the channel closes [client]; a reply it
-                     could not deliver is dropped. *)
                   Fun.protect
-                    ~finally:(fun () -> close_out_noerr output)
+                    ~finally:(fun () ->
+                      try Unix.close client with Unix.Unix_error _ -> ())
                     (fun () ->
-                      serve_fd ~stop ~poll:0.2 ~tick server client output)
+                      serve_fd ~stop ~poll:0.2 ~tick server client client)
               | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
           tick ();

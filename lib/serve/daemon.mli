@@ -3,18 +3,25 @@
 
     All three run one request loop over a file descriptor: it reads
     lines, skips blank ones, answers each with one response line
-    (flushed per line), and at end of input also answers a final line
-    that has no newline.  So a script and the same bytes piped to stdin
-    get the same transcript.
+    written straight to the output descriptor (no channel buffers it),
+    and at end of input also answers a final line that has no newline.
+    So a script and the same bytes piped to stdin get the same
+    transcript.
 
-    Every transport guarantees a graceful exit: on end of input, a
-    [shutdown] request, or a SIGINT/SIGTERM (when handlers are
+    A reader that goes away ends its stream only: every transport
+    ignores SIGPIPE while it serves (restoring the old disposition on
+    return), so a write to a closed pipe or socket fails with EPIPE, and
+    the loop treats a failed write like end of input.  No reply is left
+    buffered for a later flush to fail on.
+
+    Every transport guarantees a graceful exit: on end of input, a gone
+    reader, a [shutdown] request, or a SIGINT/SIGTERM (when handlers are
     installed), the server's {!Server.graceful_stop} runs —
-    checkpointing every checkpointable live session and shutting the
-    pool down — before it returns, so the caller can flush observability
-    sinks and exit 0.  A session checkpointed this way resumes with
-    [altune resume] to the same bytes the uninterrupted standalone run
-    would print.
+    checkpointing every live session that has progress and a path, and
+    shutting the pool down — before it returns, so the caller can flush
+    observability sinks and exit 0.  A session checkpointed this way
+    resumes with [altune resume] to the outcome the uninterrupted
+    session would reach.
 
     {b Telemetry pump.}  The loop also drives the server's live
     telemetry between requests and on idle polls: a snapshot record is
@@ -40,10 +47,11 @@ val serve_script :
   ?flight_dump:string ->
   Server.t ->
   path:string ->
-  output:out_channel ->
+  output:Unix.file_descr ->
   unit
 (** Serve the request lines of the file at [path], writing the
-    responses to [output].  Stops early after a [shutdown] request.
+    responses to [output].  Stops early after a [shutdown] request, or
+    when a write to [output] fails.
     Deterministic: same script, same server config => same output
     bytes, at any [jobs] — snapshots and flight dumps go to their own
     files, never to [output]. *)
@@ -60,7 +68,6 @@ val serve_socket :
 (** Listen on a Unix domain socket at [path] (replacing any stale
     socket file), serving one client connection at a time; sessions
     persist across connections.  A client that hangs up ends its own
-    connection only: SIGPIPE is ignored while the socket is served, and
-    a failed read or write on a connection closes it and goes back to
-    accepting.  Returns once [stop] is set or a client sent [shutdown];
-    removes the socket file on the way out. *)
+    connection only: a failed read or write on a connection closes it
+    and goes back to accepting.  Returns once [stop] is set or a client
+    sent [shutdown]; removes the socket file on the way out. *)

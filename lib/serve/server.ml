@@ -240,25 +240,24 @@ let session_config (p : Protocol.open_params) :
         with
         | Error e -> Error e
         | Ok fault ->
-            if
-              (match p.o_budget with Some b -> b <= 0.0 | None -> false)
-              || (match p.o_n_max with Some n -> n < 1 | None -> false)
-            then Error "budget and n_max must be positive"
-            else
-              Ok
+            let run =
+              {
+                Tune_run.bench = p.o_bench;
+                scale;
+                seed = p.o_seed;
+                fault;
+                n_max = p.o_n_max;
+                budget = p.o_budget;
+              }
+            in
+            Result.map
+              (fun () ->
                 {
                   Session.name = p.o_session;
-                  run =
-                    {
-                      Tune_run.bench = p.o_bench;
-                      scale;
-                      seed = p.o_seed;
-                      fault;
-                      n_max = p.o_n_max;
-                      budget = p.o_budget;
-                    };
+                  run;
                   checkpoint_path = p.o_checkpoint;
                 })
+              (Tune_run.check run))
 
 let handle_open t (p : Protocol.open_params) =
   if Hashtbl.mem t.sessions p.o_session then

@@ -72,11 +72,12 @@ val handle_line : t -> string -> string
     become error responses — the server never dies on bad input. *)
 
 val graceful_stop : t -> (string * string) list
-(** Checkpoint every live session that has progress, stock settings and
-    a checkpoint path (explicit, or derived from [checkpoint_dir]),
-    refuse new work, and shut the pool down.  Returns the (session,
-    path) pairs in admission order.  Idempotent; also invoked by the
-    [Shutdown] request. *)
+(** Checkpoint every live session that has progress and a checkpoint
+    path (explicit, or derived from [checkpoint_dir]), refuse new work,
+    and shut the pool down.  Returns the (session, path) pairs of the
+    checkpoints written, in admission order: a session whose file cannot
+    be written is left out, and the others are still written.
+    Idempotent; also invoked by the [Shutdown] request. *)
 
 val stopped : t -> bool
 val stats : t -> Protocol.server_stats

@@ -75,12 +75,11 @@ let step t ~iterations =
 
 let save_checkpoint t ~path =
   let refuse e = Error (Printf.sprintf "session %S %s" t.config.name e) in
-  match (Tune_run.savable t.config.run, t.state) with
-  | Error e, _ -> refuse ("has " ^ e)
-  | Ok (), Done _ -> refuse "already completed"
-  | Ok (), Closed _ -> refuse "is closed"
-  | Ok (), (Queued | Live None) -> refuse "has no progress to checkpoint"
-  | Ok (), Live (Some run) -> Tune_run.save run ~path
+  match t.state with
+  | Done _ -> refuse "already completed"
+  | Closed _ -> refuse "is closed"
+  | Queued | Live None -> refuse "has no progress to checkpoint"
+  | Live (Some run) -> Tune_run.save run ~path
 
 let progress t =
   match t.state with

@@ -82,11 +82,13 @@ val step : t -> iterations:int -> (unit, string) result
 
 val save_checkpoint : t -> path:string -> (int, string) result
 (** Checkpoint the live run with {!Altune_experiments.Tune_run.save},
-    returning its iteration.  The file is a regular tune checkpoint:
-    [altune resume] continues it to the same bytes the uninterrupted
-    standalone run would print.  Errors if the session has non-stock
-    settings ({!Altune_experiments.Tune_run.savable}), has never been
-    stepped, already completed, or is closed. *)
+    returning its iteration.  The file is a regular tune checkpoint that
+    records the session's [n_max] and [budget] overrides with the rest
+    of its spec: [altune resume] continues it to the same outcome the
+    uninterrupted session would reach, and for a session without
+    overrides to the same bytes the standalone [altune tune] run would
+    print.  Errors if the session has never been stepped, already
+    completed, or is closed, or if the file cannot be written. *)
 
 val view : t -> position:int option -> Protocol.session_view
 (** Deterministic snapshot for status replies ([position] is the queue

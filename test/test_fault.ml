@@ -269,6 +269,7 @@ let capture_mid_state problem d ?fault ~halt_at () =
   go ()
 
 let test_checkpoint_roundtrip () =
+  let module Json = Altune_obs.Json in
   let problem = synthetic () in
   let d = make_dataset problem in
   let st = capture_mid_state problem d ~halt_at:20 () in
@@ -277,45 +278,99 @@ let test_checkpoint_roundtrip () =
       Checkpoint.bench = "synthetic";
       scale = "smoke";
       seed = 5;
-      fault = Some (Fault.to_string fault_spec_mid, 99);
+      fault = Some (Fault.to_string fault_spec_mid);
+      n_max = Some 60;
+      budget = Some 1234.5;
     }
   in
-  let j = Checkpoint.to_json ~meta d st in
-  (* Files written before the cadence field was retired still load. *)
-  let with_every =
-    match j with
-    | Altune_obs.Json.Obj fields ->
-        Altune_obs.Json.Obj (("every", Altune_obs.Json.Int 10) :: fields)
+  let fields =
+    match Checkpoint.to_json ~meta st with
+    | Json.Obj fields -> fields
     | _ -> Alcotest.fail "a checkpoint is a JSON object"
   in
+  (* Files written before the cadence field was retired still load. *)
+  let with_every = Json.Obj (("every", Json.Int 10) :: fields) in
+  (* A version-1 file also stored the dataset, the reference set and the
+     fault seed, and had no overrides. *)
+  let v1 =
+    let dataset =
+      Json.Obj
+        [
+          ("train", Json.List [ Json.List [ Json.Int 1; Json.Int 2 ] ]);
+          ("test", Json.List []);
+          ("test_means", Json.List []);
+        ]
+    in
+    let refs = Json.List [ Json.List [ Json.String "3fe0000000000000" ] ] in
+    Json.Obj
+      (("dataset", dataset)
+      :: List.filter_map
+           (function
+             | "version", _ -> Some ("version", Json.Int 1)
+             | ("n_max" | "budget"), _ -> None
+             | "fault", Json.Obj f ->
+                 Some ("fault", Json.Obj (f @ [ ("seed", Json.Int 99) ]))
+             | "state", Json.Obj s -> Some ("state", Json.Obj (("refs", refs) :: s))
+             | field -> Some field)
+           fields)
+  in
   List.iter
-    (fun j ->
+    (fun (what, j, meta) ->
       match Checkpoint.of_json j with
       | Error e -> Alcotest.fail e
-      | Ok (meta', d', st') ->
-          Alcotest.(check bool) "meta round-trips" true (meta = meta');
-          Alcotest.(check bool) "dataset round-trips exactly" true (d = d');
-          Alcotest.(check bool) "state round-trips exactly" true (st = st'))
-    [ j; with_every ]
+      | Ok (meta', st') ->
+          Alcotest.(check bool) (what ^ ": meta round-trips") true
+            (meta = meta');
+          Alcotest.(check bool) (what ^ ": state round-trips exactly") true
+            (st = st'))
+    [
+      ("v2", Json.Obj fields, meta);
+      ("every", with_every, meta);
+      ("v1", v1, { meta with n_max = None; budget = None });
+    ];
+  (* What the run recomputes from its spec is not written. *)
+  let j = Json.Obj fields in
+  Alcotest.(check (option int)) "version 2" (Some 2)
+    (Option.bind (Json.member "version" j) Json.to_int_opt);
+  Alcotest.(check bool) "no dataset" true (Json.member "dataset" j = None);
+  Alcotest.(check bool) "no reference set" true
+    (Option.bind (Json.member "state" j) (Json.member "refs") = None);
+  Alcotest.(check bool) "no fault seed" true
+    (Option.bind (Json.member "fault" j) (Json.member "seed") = None)
+
+let stock_meta =
+  {
+    Checkpoint.bench = "synthetic";
+    scale = "smoke";
+    seed = 5;
+    fault = None;
+    n_max = None;
+    budget = None;
+  }
 
 let test_checkpoint_save_load () =
   let problem = synthetic () in
   let d = make_dataset problem in
   let st = capture_mid_state problem d ~halt_at:20 () in
-  let meta =
-    { Checkpoint.bench = "synthetic"; scale = "smoke"; seed = 5; fault = None }
-  in
+  let meta = stock_meta in
   let path = Filename.temp_file "altune-ckpt" ".json" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
-      Checkpoint.save ~path ~meta d st;
+      Result.iter_error Alcotest.fail (Checkpoint.save ~path ~meta st);
       match Checkpoint.load path with
       | Error e -> Alcotest.fail e
-      | Ok (meta', d', st') ->
+      | Ok (meta', st') ->
           Alcotest.(check bool) "meta" true (meta = meta');
-          Alcotest.(check bool) "dataset" true (d = d');
-          Alcotest.(check bool) "state" true (st = st'))
+          Alcotest.(check bool) "state" true (st = st'));
+  (* A save that cannot complete is an error and leaves no temporary
+     file: here the rename onto a directory fails. *)
+  let dir = Filename.temp_dir "altune-ckpt" "" in
+  Alcotest.(check bool) "refused" true
+    (Result.is_error (Checkpoint.save ~path:dir ~meta st));
+  Alcotest.(check bool) "no temporary file" false
+    (Sys.file_exists (dir ^ ".tmp"));
+  Unix.rmdir dir
 
 (* --- Resume ------------------------------------------------------------- *)
 
@@ -363,14 +418,11 @@ let test_resume_after_serialization () =
     Learner.run problem d tiny_settings ~rng:(Rng.create ~seed:5)
   in
   let st = capture_mid_state problem d ~halt_at:20 () in
-  let meta =
-    { Checkpoint.bench = "synthetic"; scale = "smoke"; seed = 5; fault = None }
-  in
-  match Checkpoint.of_json (Checkpoint.to_json ~meta d st) with
+  match Checkpoint.of_json (Checkpoint.to_json ~meta:stock_meta st) with
   | Error e -> Alcotest.fail e
-  | Ok (_, d', st') ->
+  | Ok (_, st') ->
       let resumed =
-        Learner.run ~resume:st' problem d' tiny_settings
+        Learner.run ~resume:st' problem d tiny_settings
           ~rng:(Rng.create ~seed:5)
       in
       Alcotest.(check bool) "curve survives serialization" true

@@ -703,19 +703,18 @@ let with_ck_file f =
   Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () -> f path)
 
-let resume_from path =
+let resume_from ?(spec = faulty_spec) path =
   match Tune_run.load path with
   | Error e -> Alcotest.fail e
-  | Ok saved ->
+  | Ok (saved, state) ->
       (* A scale holds its surrogate factory: compare by label. *)
       let fields (sp : Tune_run.spec) =
         (sp.bench, sp.scale.label, sp.seed, sp.fault, sp.n_max, sp.budget)
       in
-      Alcotest.(check bool) "stored spec" true
-        (fields (Tune_run.saved_spec saved) = fields faulty_spec);
+      Alcotest.(check bool) "stored spec" true (fields saved = fields spec);
       to_end
-        (Tune_run.resume ~pool:(Lazy.force pool1) (Spapt.create "hessian")
-           saved)
+        (Tune_run.start ~resume:state ~pool:(Lazy.force pool1)
+           (Spapt.create "hessian") saved)
 
 (* A fault-injected run checkpointed at iteration 20 and read back from
    the file resumes to the uninterrupted outcome, faults included. *)
@@ -771,23 +770,41 @@ let test_session_checkpoint_under_faults () =
       | _ -> Alcotest.fail "expected a checkpoint reply");
       check_same_outcome "resumed from serve" full (resume_from path))
 
-let test_tune_run_overrides_refuse_save () =
-  let capped = { faulty_spec with Tune_run.n_max = Some 8 } in
-  let budgeted = { faulty_spec with Tune_run.budget = Some 100.0 } in
-  Alcotest.(check bool) "stock run savable" true
-    (Tune_run.savable faulty_spec = Ok ());
-  Alcotest.(check bool) "budget override not savable" true
-    (Result.is_error (Tune_run.savable budgeted));
-  with_ck_file (fun path ->
-      Sys.remove path;
-      let run =
-        Tune_run.start ~pool:(Lazy.force pool1) (Spapt.create "hessian") capped
-      in
-      ignore (Tune_run.step run ~iterations:1);
-      (match (Tune_run.save run ~path, Tune_run.savable capped) with
-      | Error e, Error rule -> Alcotest.(check string) "the stock rule" rule e
-      | _ -> Alcotest.fail "a run with overrides saved");
-      Alcotest.(check bool) "nothing written" false (Sys.file_exists path))
+(* A session opened with an [n_max] or a [budget] override is
+   checkpointed mid-run with its overrides, and resumes to the
+   uninterrupted session's outcome. *)
+let test_overrides_resume () =
+  let check (spec : Tune_run.spec) =
+    let full =
+      to_end
+        (Tune_run.start ~pool:(Lazy.force pool1) (Spapt.create "hessian") spec)
+    in
+    let last = List.nth full.curve (List.length full.curve - 1) in
+    Alcotest.(check bool) "stopped before the scale's cap" true
+      (last.iteration < Scale.smoke.adaptive.n_max);
+    with_ck_file (fun path ->
+        let s = server () in
+        ignore
+          (ok
+             (Server.handle s
+                (open_req ~fault:"crash=0.05,timeout=0.02" ?budget:spec.budget
+                   ~n_max:spec.n_max "o" "hessian")));
+        ignore
+          (ok
+             (Server.handle s (Protocol.Step { session = "o"; iterations = 6 })));
+        (match
+           ok
+             (Server.handle s
+                (Protocol.Checkpoint { session = "o"; path = Some path }))
+         with
+        | Protocol.R_checkpoint { iteration; _ } ->
+            Alcotest.(check int) "saved mid-run" 10 iteration
+        | _ -> Alcotest.fail "expected a checkpoint reply");
+        check_same_outcome "resumed with overrides" full
+          (resume_from ~spec path))
+  in
+  check { faulty_spec with n_max = Some 30 };
+  check { faulty_spec with budget = Some 700.0 }
 
 (* [Learner.progress] reads the loop's counters; at every pause it
    agrees with the resume point and, at the end, with the outcome.
@@ -849,8 +866,6 @@ let test_shutdown () =
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   let s = server ~checkpoint_dir:dir () in
-  (* Stock settings (no n_max override), so the checkpoint is resumable
-     by `altune resume`. *)
   ignore (ok (Server.handle s (open_req ~n_max:None "a" "hessian")));
   ignore (ok (Server.handle s (Protocol.Step { session = "a"; iterations = 2 })));
   (* A second session with no progress yet: nothing to checkpoint. *)
@@ -883,17 +898,7 @@ let test_shutdown () =
 let test_checkpoint_rules () =
   let s = server () in
   let path = Filename.temp_file "altune-serve" ".ck.json" in
-  (* Budget/n_max overrides change the learner stream, so their
-     checkpoints could not be resumed faithfully by `altune resume`:
-     refused. *)
-  ignore (ok (Server.handle s (open_req "capped" "hessian")));
-  ignore
-    (ok (Server.handle s (Protocol.Step { session = "capped"; iterations = 1 })));
-  ignore
-    (err
-       (Server.handle s
-          (Protocol.Checkpoint { session = "capped"; path = Some path })));
-  (* A stock session checkpoints fine once it has progress... *)
+  (* A session checkpoints fine once it has progress... *)
   ignore (ok (Server.handle s (open_req ~n_max:None "stock" "hessian")));
   ignore
     (err
@@ -917,6 +922,36 @@ let test_checkpoint_rules () =
     (err
        (Server.handle s (Protocol.Checkpoint { session = "stock"; path = None })));
   Sys.remove path
+
+(* A checkpoint that cannot be written is an error reply, not the end
+   of the daemon: the next request is answered, and shutdown still
+   checkpoints every other session. *)
+let test_checkpoint_write_fails () =
+  let dir = Filename.temp_dir "altune-serve" "" in
+  let bad = Filename.concat (Filename.concat dir "missing") "a.ck.json" in
+  let good = Filename.concat dir "b.ck.json" in
+  let s = server () in
+  let request line =
+    match Protocol.response_of_line (Server.handle_line s line) with
+    | Ok r -> r.Protocol.r_result
+    | Error e -> Alcotest.failf "reply unparseable: %s" e
+  in
+  List.iter
+    (fun (name, path) ->
+      ignore (ok (Server.handle s (open_req ~checkpoint:path name "hessian")));
+      ignore
+        (ok (Server.handle s (Protocol.Step { session = name; iterations = 1 }))))
+    [ ("a", bad); ("b", good) ];
+  ignore (err (request {|{"id":1,"req":"checkpoint","session":"a"}|}));
+  ignore (ok (request {|{"id":2,"req":"stats"}|}));
+  (match ok (request {|{"id":3,"req":"shutdown"}|}) with
+  | Protocol.R_shutdown { checkpointed } ->
+      Alcotest.(check (list (pair string string)))
+        "only the writable session" [ ("b", good) ] checkpointed
+  | _ -> Alcotest.fail "expected a shutdown reply");
+  Alcotest.(check bool) "its file exists" true (Sys.file_exists good);
+  Sys.remove good;
+  Unix.rmdir dir
 
 (* --- Failure ledger ------------------------------------------------------ *)
 
@@ -986,9 +1021,9 @@ let test_script_final_line () =
       let oc = open_out_bin path in
       output_string oc "{\"id\":1,\"req\":\"stats\"}\n{\"id\":2,\"req\":\"stats\"}";
       close_out oc;
-      let oc = open_out_bin out in
-      Daemon.serve_script (server ()) ~path ~output:oc;
-      close_out oc;
+      let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+      Daemon.serve_script (server ()) ~path ~output:fd;
+      Unix.close fd;
       let ids =
         List.map
           (fun line ->
@@ -999,6 +1034,33 @@ let test_script_final_line () =
       in
       Alcotest.(check (list (option int))) "one reply per line"
         [ Some 1; Some 2 ] ids)
+
+(* A reader that goes away ends the stream like end of input: the reply
+   write fails with EPIPE instead of killing the process with SIGPIPE,
+   and the shutdown still checkpoints the session. *)
+let test_reader_gone () =
+  let dir = Filename.temp_dir "altune-pipe" "" in
+  let ck = Filename.concat dir "a.ck.json" in
+  let script = Filename.concat dir "script.jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      let s = server () in
+      ignore (ok (Server.handle s (open_req ~checkpoint:ck "a" "hessian")));
+      ignore
+        (ok (Server.handle s (Protocol.Step { session = "a"; iterations = 2 })));
+      Out_channel.with_open_bin script (fun oc ->
+          output_string oc "{\"id\":1,\"req\":\"stats\"}\n");
+      let r, w = Unix.pipe () in
+      Unix.close r;
+      Fun.protect
+        ~finally:(fun () -> Unix.close w)
+        (fun () -> Daemon.serve_script s ~path:script ~output:w);
+      Alcotest.(check bool) "server stopped" true (Server.stopped s);
+      Alcotest.(check bool) "shutdown checkpoint written" true
+        (Sys.file_exists ck))
 
 (* Poll [ready] every 10 ms for at most [within] seconds. *)
 let wait_for ?(within = 10.0) what ready =
@@ -1145,6 +1207,8 @@ let () =
           Alcotest.test_case "admission control" `Quick test_admission;
           Alcotest.test_case "checkpoint rules" `Quick test_checkpoint_rules;
           Alcotest.test_case "graceful shutdown" `Quick test_shutdown;
+          Alcotest.test_case "a failed checkpoint write is an error reply"
+            `Quick test_checkpoint_write_fails;
           Alcotest.test_case "live learner, no replays" `Quick
             test_live_learner;
           Alcotest.test_case "one event stream per session" `Quick
@@ -1168,8 +1232,8 @@ let () =
             test_tune_run_resume_under_faults;
           Alcotest.test_case "served checkpoint resumes under faults" `Quick
             test_session_checkpoint_under_faults;
-          Alcotest.test_case "overrides refuse to save" `Quick
-            test_tune_run_overrides_refuse_save;
+          Alcotest.test_case "overrides resume bit for bit" `Quick
+            test_overrides_resume;
           Alcotest.test_case "progress agrees with state and outcome" `Quick
             test_progress_agrees;
         ] );
@@ -1184,6 +1248,8 @@ let () =
             test_script_final_line;
           Alcotest.test_case "socket survives a client hang-up" `Quick
             test_socket_client_hangup;
+          Alcotest.test_case "a gone reader ends the stream" `Quick
+            test_reader_gone;
         ] );
       ( "determinism",
         [
