@@ -801,7 +801,25 @@ let test_overrides_resume () =
             Alcotest.(check int) "saved mid-run" 10 iteration
         | _ -> Alcotest.fail "expected a checkpoint reply");
         check_same_outcome "resumed with overrides" full
-          (resume_from ~spec path))
+          (resume_from ~spec path);
+        (* A checkpoint is input from outside the program: overrides
+           that serve's open would refuse are refused on load too. *)
+        let fields =
+          match Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
+          | Ok (Json.Obj fields) -> fields
+          | _ -> Alcotest.fail "a checkpoint is a JSON object"
+        in
+        List.iter
+          (fun (key, bad) ->
+            Out_channel.with_open_bin path (fun oc ->
+                output_string oc
+                  (Json.to_string
+                     (Json.Obj ((key, bad) :: List.remove_assoc key fields))));
+            Alcotest.(check (result reject string))
+              ("refuses a bad " ^ key)
+              (Error "budget and n_max must be positive in checkpoint")
+              (Result.map ignore (Tune_run.load path)))
+          [ ("n_max", Json.Int 0); ("budget", Json.String "0000000000000000") ])
   in
   check { faulty_spec with n_max = Some 30 };
   check { faulty_spec with budget = Some 700.0 }
