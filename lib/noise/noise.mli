@@ -40,8 +40,7 @@ val standard : t
     ±2%, slow 1% drift — a lightly loaded desktop. *)
 
 val noisy : t
-(** A heavily loaded multi-user machine: bigger everything.  Used by the
-    noise-robustness example (the paper's future-work experiment). *)
+(** A heavily loaded multi-user machine: bigger everything. *)
 
 val scale_gaussian : t -> float -> t
 (** [scale_gaussian t f] multiplies the relative Gaussian components by
