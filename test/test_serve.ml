@@ -225,21 +225,51 @@ let test_response_roundtrip () =
     sample_responses
 
 let test_malformed_lines () =
+  (* Each line's error reply is pinned byte for byte: clients match on
+     these texts, so a decoder rewrite must keep them. *)
   let cases =
     [
-      ("not json at all", "{oops");
-      ("not an object", "[1, 2]");
-      ("missing req", "{\"id\": 3}");
-      ("unknown req", "{\"id\": 7, \"req\": \"nonsense\"}");
-      ("open without session", "{\"req\": \"open\", \"bench\": \"lu\"}");
-      ("step without session", "{\"req\": \"step\"}");
+      ( "not json at all",
+        "{oops",
+        {|{"ok":false,"error":"malformed JSON: JSON error at offset 1: expected '\"'"}|}
+      );
+      ( "not an object",
+        "[1, 2]",
+        {|{"ok":false,"error":"request must be a JSON object"}|} );
+      ( "missing req",
+        "{\"id\": 3}",
+        {|{"id":3,"ok":false,"error":"missing or non-string \"req\" field"}|} );
+      ( "unknown req",
+        "{\"id\": 7, \"req\": \"nonsense\"}",
+        {|{"id":7,"ok":false,"error":"unknown request \"nonsense\""}|} );
+      ( "open without session",
+        "{\"req\": \"open\", \"bench\": \"lu\"}",
+        {|{"ok":false,"error":"missing or non-string \"session\" field"}|} );
+      ( "step without session",
+        "{\"req\": \"step\"}",
+        {|{"ok":false,"error":"missing or non-string \"session\" field"}|} );
+      ( "non-integer id",
+        "{\"id\": \"x\", \"req\": \"stats\"}",
+        {|{"ok":false,"error":"non-integer \"id\" field"}|} );
+      ( "non-integer iterations",
+        "{\"id\": 4, \"req\": \"tick\", \"iterations\": 1.5}",
+        {|{"id":4,"ok":false,"error":"non-integer \"iterations\" field"}|} );
+      ( "non-number budget",
+        "{\"req\": \"open\", \"session\": \"a\", \"bench\": \"lu\", \
+         \"budget\": \"9\"}",
+        {|{"ok":false,"error":"non-number \"budget\" field"}|} );
+      ( "non-string path",
+        "{\"req\": \"checkpoint\", \"session\": \"a\", \"path\": 5}",
+        {|{"ok":false,"error":"non-string \"path\" field"}|} );
     ]
   in
+  let s = server () in
   List.iter
-    (fun (what, line) ->
-      match Protocol.request_of_line line with
+    (fun (what, line, expected) ->
+      (match Protocol.request_of_line line with
       | Ok _ -> Alcotest.failf "%s: parsed successfully" what
-      | Error _ -> ())
+      | Error _ -> ());
+      Alcotest.(check string) what expected (Server.handle_line s line))
     cases;
   (* A parse error still echoes the request id so the client can match
      the error reply to its request. *)
@@ -247,7 +277,6 @@ let test_malformed_lines () =
   | Ok _ -> Alcotest.fail "unknown req parsed"
   | Error (id, _) -> Alcotest.(check (option int)) "error echoes id" (Some 7) id);
   (* And the server turns it into an error response line, not a crash. *)
-  let s = server () in
   let reply = Server.handle_line s "{\"id\": 7, \"req\": \"nonsense\"}" in
   match Protocol.response_of_line reply with
   | Error e -> Alcotest.failf "error reply unparseable: %s" e
