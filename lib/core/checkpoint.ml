@@ -128,201 +128,113 @@ let save ~path ~meta state =
 
 let ( let* ) = Result.bind
 
-let require what = function
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "checkpoint: missing or bad %s" what)
+let i64_of_json = function
+  | Json.String s -> Int64.of_string_opt ("0x" ^ s)
+  | _ -> None
 
-let field j key = Json.member key j
+let f_of_json j = Option.map Int64.float_of_bits (i64_of_json j)
+let hex = { Json.name = "hex"; read = i64_of_json }
+let hex_float = { Json.name = "hex-float"; read = f_of_json }
 
-let int_field j key what =
-  require what (Option.bind (field j key) Json.to_int_opt)
-
-let str_field j key what =
-  require what (Option.bind (field j key) Json.to_string_opt)
-
-let bool_field j key what =
-  require what (Option.bind (field j key) Json.to_bool_opt)
-
-let i64_of_json what = function
-  | Some (Json.String s) -> (
-      match Int64.of_string_opt ("0x" ^ s) with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "checkpoint: bad hex in %s" what))
-  | _ -> Error (Printf.sprintf "checkpoint: missing or bad %s" what)
-
-let f_of_json what j =
-  let* bits = i64_of_json what j in
-  Ok (Int64.float_of_bits bits)
-
-let f_field j key what = f_of_json what (field j key)
-
-(* [None] when the key is absent or null. *)
-let opt_field j key decode =
-  match field j key with
-  | None | Some Json.Null -> Ok None
-  | Some v -> Result.map Option.some (decode v)
-
-let list_field j key what =
-  match field j key with
-  | Some (Json.List l) -> Ok l
-  | _ -> Error (Printf.sprintf "checkpoint: missing or bad %s" what)
-
-let map_m f l =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest ->
-        let* v = f x in
-        go (v :: acc) rest
-  in
-  go [] l
-
-let floats_of_json what j =
-  match j with
-  | Json.List l ->
-      let* vals = map_m (fun v -> f_of_json what (Some v)) l in
-      Ok (Array.of_list vals)
-  | _ -> Error (Printf.sprintf "checkpoint: bad %s" what)
-
-let config_of_json what j =
-  match j with
-  | Json.List l -> (
-      let vals = List.filter_map Json.to_int_opt l in
-      if List.length vals = List.length l then Ok (Array.of_list vals)
-      else Error (Printf.sprintf "checkpoint: bad %s" what))
-  | _ -> Error (Printf.sprintf "checkpoint: bad %s" what)
-
-let str_of_json what = function
-  | Json.String s -> Ok s
-  | _ -> Error (Printf.sprintf "checkpoint: bad %s" what)
-
-let rng_of_json what j =
-  match j with
-  | Some (Json.Obj _ as o) ->
-      let* s0 = i64_of_json (what ^ ".s0") (field o "s0") in
-      let* s1 = i64_of_json (what ^ ".s1") (field o "s1") in
-      let* s2 = i64_of_json (what ^ ".s2") (field o "s2") in
-      let* s3 = i64_of_json (what ^ ".s3") (field o "s3") in
-      let* spare = f_field o "spare" (what ^ ".spare") in
-      let* has_spare = bool_field o "has_spare" (what ^ ".has_spare") in
-      Ok { Rng.s0; s1; s2; s3; spare; has_spare }
-  | _ -> Error (Printf.sprintf "checkpoint: missing %s" what)
+let rng_of_json j =
+  let* s0 = Json.req "s0" hex j in
+  let* s1 = Json.req "s1" hex j in
+  let* s2 = Json.req "s2" hex j in
+  let* s3 = Json.req "s3" hex j in
+  let* spare = Json.req "spare" hex_float j in
+  let* has_spare = Json.req "has_spare" Json.bool j in
+  Ok { Rng.s0; s1; s2; s3; spare; has_spare }
 
 let cost_of_json j =
-  match field j "cost" with
-  | Some o ->
-      let* snap_run_seconds = f_field o "run_s" "cost.run_s" in
-      let* snap_compile_seconds = f_field o "compile_s" "cost.compile_s" in
-      let* snap_failure_seconds = f_field o "failure_s" "cost.failure_s" in
-      let* snap_runs = int_field o "runs" "cost.runs" in
-      let* snap_failures = int_field o "failures" "cost.failures" in
-      let* compiled = list_field o "compiled" "cost.compiled" in
-      let* snap_compiled = map_m (str_of_json "cost.compiled") compiled in
-      Ok
-        {
-          Cost.snap_run_seconds;
-          snap_compile_seconds;
-          snap_failure_seconds;
-          snap_runs;
-          snap_failures;
-          snap_compiled;
-        }
-  | None -> Error "checkpoint: missing cost"
+  let* snap_run_seconds = Json.req "run_s" hex_float j in
+  let* snap_compile_seconds = Json.req "compile_s" hex_float j in
+  let* snap_failure_seconds = Json.req "failure_s" hex_float j in
+  let* snap_runs = Json.req "runs" Json.int j in
+  let* snap_failures = Json.req "failures" Json.int j in
+  let* snap_compiled = Json.list "compiled" (Json.item Json.string) j in
+  Ok
+    {
+      Cost.snap_run_seconds;
+      snap_compile_seconds;
+      snap_failure_seconds;
+      snap_runs;
+      snap_failures;
+      snap_compiled;
+    }
 
 let obs_of_json j =
-  let* obs_key = str_field j "key" "obs.key" in
-  let* obs_n = int_field j "n" "obs.n" in
-  let* obs_sum = f_field j "sum" "obs.sum" in
-  let* config = require "obs.config" (field j "config") in
-  let* obs_config = config_of_json "obs.config" config in
-  Ok { Learner.obs_key; obs_n; obs_sum; obs_config }
+  let* obs_key = Json.req "key" Json.string j in
+  let* obs_n = Json.req "n" Json.int j in
+  let* obs_sum = Json.req "sum" hex_float j in
+  let* config = Json.list "config" (Json.item Json.int) j in
+  Ok { Learner.obs_key; obs_n; obs_sum; obs_config = Array.of_list config }
+
+let observed_of_json j =
+  let* f = Json.list "f" (Json.item hex_float) j in
+  let* z = Json.req "z" hex_float j in
+  Ok (Array.of_list f, z)
 
 let eval_of_json j =
-  let* iteration = int_field j "iteration" "curve.iteration" in
-  let* examples = int_field j "examples" "curve.examples" in
-  let* observations = int_field j "observations" "curve.observations" in
-  let* cost_seconds = f_field j "cost_s" "curve.cost_s" in
-  let* rmse = f_field j "rmse" "curve.rmse" in
+  let* iteration = Json.req "iteration" Json.int j in
+  let* examples = Json.req "examples" Json.int j in
+  let* observations = Json.req "observations" Json.int j in
+  let* cost_seconds = Json.req "cost_s" hex_float j in
+  let* rmse = Json.req "rmse" hex_float j in
   Ok { Learner.iteration; examples; observations; cost_seconds; rmse }
 
 let state_of_json j =
-  match field j "state" with
-  | Some o ->
-      let* st_iteration = int_field o "iteration" "state.iteration" in
-      let* st_run_counter = int_field o "run_counter" "state.run_counter" in
-      let* st_attempt_counter =
-        int_field o "attempt_counter" "state.attempt_counter"
-      in
-      let* st_cost = cost_of_json o in
-      let* obs = list_field o "obs" "state.obs" in
-      let* st_obs = map_m obs_of_json obs in
-      let* dead = list_field o "dead" "state.dead" in
-      let* st_dead = map_m (str_of_json "state.dead") dead in
-      let* st_scaler_mean = f_field o "scaler_mean" "state.scaler_mean" in
-      let* st_scaler_std = f_field o "scaler_std" "state.scaler_std" in
-      let* st_noise_hint =
-        opt_field o "noise_hint" (fun v -> f_of_json "state.noise_hint" (Some v))
-      in
-      let* log = list_field o "observe_log" "state.observe_log" in
-      let* st_observe_log =
-        map_m
-          (fun entry ->
-            let* f = require "observe_log.f" (field entry "f") in
-            let* f = floats_of_json "observe_log.f" f in
-            let* z = f_field entry "z" "observe_log.z" in
-            Ok (f, z))
-          log
-      in
-      let* st_rng_model = rng_of_json "state.rng_model" (field o "rng_model") in
-      let* st_rng = rng_of_json "state.rng" (field o "rng") in
-      let* curve = list_field o "curve" "state.curve" in
-      let* st_curve = map_m eval_of_json curve in
-      Ok
-        {
-          Learner.st_iteration;
-          st_run_counter;
-          st_attempt_counter;
-          st_cost;
-          st_obs;
-          st_dead;
-          st_scaler_mean;
-          st_scaler_std;
-          st_noise_hint;
-          st_observe_log;
-          st_rng_model;
-          st_rng;
-          st_curve;
-        }
-  | None -> Error "checkpoint: missing state"
+  let* st_iteration = Json.req "iteration" Json.int j in
+  let* st_run_counter = Json.req "run_counter" Json.int j in
+  let* st_attempt_counter = Json.req "attempt_counter" Json.int j in
+  let* st_cost = Json.obj "cost" cost_of_json j in
+  let* st_obs = Json.list "obs" obs_of_json j in
+  let* st_dead = Json.list "dead" (Json.item Json.string) j in
+  let* st_scaler_mean = Json.req "scaler_mean" hex_float j in
+  let* st_scaler_std = Json.req "scaler_std" hex_float j in
+  let* st_noise_hint = Json.opt "noise_hint" hex_float j in
+  let* st_observe_log = Json.list "observe_log" observed_of_json j in
+  let* st_rng_model = Json.obj "rng_model" rng_of_json j in
+  let* st_rng = Json.obj "rng" rng_of_json j in
+  let* st_curve = Json.list "curve" eval_of_json j in
+  Ok
+    {
+      Learner.st_iteration;
+      st_run_counter;
+      st_attempt_counter;
+      st_cost;
+      st_obs;
+      st_dead;
+      st_scaler_mean;
+      st_scaler_std;
+      st_noise_hint;
+      st_observe_log;
+      st_rng_model;
+      st_rng;
+      st_curve;
+    }
 
 (* Version 1 also stored the dataset, the reference set and the fault
    seed, which are skipped like any key the reader does not read; it has
    no [n_max] or [budget], which read as [None]. *)
-let of_json j =
-  let* v = int_field j "version" "version" in
+let decode j =
+  let* v = Json.req "version" Json.int j in
   if v < 1 || v > version then
-    Error
-      (Printf.sprintf "checkpoint: version %d not supported (reads 1 to %d)"
-         v version)
+    Error (Printf.sprintf "version %d not supported (reads 1 to %d)" v version)
   else
-    let* bench = str_field j "bench" "bench" in
-    let* scale = str_field j "scale" "scale" in
-    let* seed = int_field j "seed" "seed" in
-    let* fault = opt_field j "fault" (fun o -> str_field o "spec" "fault.spec") in
-    let* n_max =
-      opt_field j "n_max" (fun v -> require "n_max" (Json.to_int_opt v))
-    in
-    let* budget = opt_field j "budget" (fun v -> f_of_json "budget" (Some v)) in
-    let* state = state_of_json j in
+    let* bench = Json.req "bench" Json.string j in
+    let* scale = Json.req "scale" Json.string j in
+    let* seed = Json.req "seed" Json.int j in
+    let* fault = Json.opt_obj "fault" (Json.req "spec" Json.string) j in
+    let* n_max = Json.opt "n_max" Json.int j in
+    let* budget = Json.opt "budget" hex_float j in
+    let* state = Json.obj "state" state_of_json j in
     Ok ({ bench; scale; seed; fault; n_max; budget }, state)
 
+let of_json j = Result.map_error (( ^ ) "checkpoint: ") (decode j)
+
 let load path =
-  try
-    let ic = open_in path in
-    let content =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let* j = Json.of_string (String.trim content) in
-    of_json j
-  with Sys_error e -> Error e
+  match In_channel.with_open_text path In_channel.input_all with
+  | content ->
+      let* j = Json.of_string (String.trim content) in
+      of_json j
+  | exception Sys_error e -> Error e

@@ -25,12 +25,32 @@ let settings spec =
   | None -> s
   | Some b -> { s with Learner.budget = Some b }
 
-let check spec =
+let ( let* ) = Result.bind
+
+let spec_of ~bench ~scale ~seed ~fault ~n_max ~budget =
+  let* () =
+    if List.mem bench Kernels.names then Ok ()
+    else
+      Error
+        (Printf.sprintf "unknown benchmark %S; known: %s" bench
+           (String.concat ", " Kernels.names))
+  in
+  let* scale =
+    Option.to_result (Scale.of_label scale)
+      ~none:(Printf.sprintf "unknown scale %S" scale)
+  in
+  let* fault =
+    match fault with
+    | None -> Ok None
+    | Some s ->
+        Result.map Option.some
+          (Result.map_error (( ^ ) "bad fault spec: ") (Fault.of_string s))
+  in
   if
-    (match spec.budget with Some b -> b <= 0.0 | None -> false)
-    || match spec.n_max with Some n -> n < 1 | None -> false
+    (match budget with Some b -> b <= 0.0 | None -> false)
+    || match n_max with Some n -> n < 1 | None -> false
   then Error "budget and n_max must be positive"
-  else Ok ()
+  else Ok { bench; scale; seed; fault; n_max; budget }
 
 type t = {
   spec : spec;
@@ -70,40 +90,16 @@ let start ?events ?stream ?note ?resume ~pool bench spec =
   in
   { spec; learner }
 
-let ( let* ) = Result.bind
-
 let load path =
   let* (meta : Checkpoint.meta), state =
     Result.map_error (Printf.sprintf "%s: %s" path) (Checkpoint.load path)
   in
-  let* scale =
-    Option.to_result (Scale.of_label meta.scale)
-      ~none:(Printf.sprintf "unknown scale %S in checkpoint" meta.scale)
+  let* spec =
+    Result.map_error
+      (fun e -> e ^ " in checkpoint")
+      (spec_of ~bench:meta.bench ~scale:meta.scale ~seed:meta.seed
+         ~fault:meta.fault ~n_max:meta.n_max ~budget:meta.budget)
   in
-  let* () =
-    if List.mem meta.bench Kernels.names then Ok ()
-    else Error (Printf.sprintf "unknown benchmark %S in checkpoint" meta.bench)
-  in
-  let* fault =
-    match meta.fault with
-    | None -> Ok None
-    | Some s ->
-        Result.map Option.some
-          (Result.map_error
-             (( ^ ) "bad fault spec in checkpoint: ")
-             (Fault.of_string s))
-  in
-  let spec =
-    {
-      bench = meta.bench;
-      scale;
-      seed = meta.seed;
-      fault;
-      n_max = meta.n_max;
-      budget = meta.budget;
-    }
-  in
-  let* () = Result.map_error (fun e -> e ^ " in checkpoint") (check spec) in
   Ok (spec, state)
 
 let step t ~iterations = Learner.step t.learner ~iterations

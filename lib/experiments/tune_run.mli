@@ -30,10 +30,21 @@ type spec = {
           ({!Altune_core.Learner.settings}[.budget]), simulated seconds. *)
 }
 
-val check : spec -> (unit, string) result
-(** [Error] when [n_max] is below 1 or [budget] is not above 0: the
-    rule for overrides that arrive from outside the program, in a serve
-    request or a checkpoint file. *)
+val spec_of :
+  bench:string ->
+  scale:string ->
+  seed:int ->
+  fault:string option ->
+  n_max:int option ->
+  budget:float option ->
+  (spec, string) result
+(** The one check of a spec that arrives from outside the program, in a
+    serve [open] request or a checkpoint file: [bench] must be a known
+    benchmark ([Error "unknown benchmark ...; known: ..."]), [scale] a
+    scale label, [fault] a {!Altune_exec.Fault.of_string} spec
+    ([Error "bad fault spec: ..."]), [n_max] at least 1 and [budget]
+    above 0 ([Error "budget and n_max must be positive"]).  Serve sends
+    these errors as they are. *)
 
 type t
 (** A run in progress, paused between steps. *)
@@ -67,8 +78,8 @@ val start :
 val load : string -> (spec * Altune_core.Learner.state, string) result
 (** Read a checkpoint file: the run's spec and the state to resume.
     Fails on a file that does not parse (the message starts with the
-    path), an unknown scale or benchmark, a fault spec that does not
-    parse, or overrides that fail {!check}. *)
+    path) or a spec that {!spec_of} refuses (its message, followed by
+    [" in checkpoint"]). *)
 
 val step : t -> iterations:int -> Altune_core.Learner.outcome option
 (** {!Altune_core.Learner.step}: its events continue the run's

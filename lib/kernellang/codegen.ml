@@ -260,13 +260,8 @@ let sh dir cmd =
       (Filename.quote log) in
   let status = Sys.command full in
   let output =
-    if Sys.file_exists log then begin
-      let ic = open_in log in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    end
+    if Sys.file_exists log then
+      In_channel.with_open_text log In_channel.input_all
     else ""
   in
   (status, output)

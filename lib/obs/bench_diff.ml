@@ -71,13 +71,9 @@ let of_json = function
   | _ -> Error "bench file: expected a JSON array of records"
 
 let load path =
-  try
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Result.bind (Json.of_string s) of_json
-  with Sys_error e -> Error e
+  match In_channel.with_open_text path In_channel.input_all with
+  | s -> Result.bind (Json.of_string s) of_json
+  | exception Sys_error e -> Error e
 
 (* --- Writing ----------------------------------------------------------- *)
 

@@ -144,65 +144,44 @@ let to_json { run; seq; kind } =
 
 (* --- JSON decoding ----------------------------------------------------- *)
 
-let str_field j key = Option.bind (Json.member key j) Json.to_string_opt
-let int_field j key = Option.bind (Json.member key j) Json.to_int_opt
-let float_field j key = Option.bind (Json.member key j) Json.to_float_opt
-let bool_field j key = Option.bind (Json.member key j) Json.to_bool_opt
-
-let require name = function
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "learner event: missing %s" name)
-
 let ( let* ) = Result.bind
 
 let tree_of_json j =
-  let* mean_leaves = require "tree.mean_leaves" (float_field j "mean_leaves") in
-  let* max_depth = require "tree.max_depth" (int_field j "max_depth") in
-  let ints key =
-    match Json.member key j with
-    | Some (Json.List l) ->
-        let vals = List.filter_map Json.to_int_opt l in
-        if List.length vals = List.length l then Ok (Array.of_list vals)
-        else Error (Printf.sprintf "learner event: bad %s" key)
-    | _ -> Error (Printf.sprintf "learner event: missing %s" key)
-  in
-  let floats key =
-    match Json.member key j with
-    | Some (Json.List l) ->
-        let vals = List.filter_map Json.to_float_opt l in
-        if List.length vals = List.length l then Ok (Array.of_list vals)
-        else Error (Printf.sprintf "learner event: bad %s" key)
-    | _ -> Error (Printf.sprintf "learner event: missing %s" key)
-  in
-  let* depth_histogram = ints "depth_hist" in
-  let* split_frequencies = floats "split_freq" in
-  Ok { mean_leaves; max_depth; depth_histogram; split_frequencies }
+  let* mean_leaves = Json.req "mean_leaves" Json.number j in
+  let* max_depth = Json.req "max_depth" Json.int j in
+  let* depth_histogram = Json.list "depth_hist" (Json.item Json.int) j in
+  let* split_frequencies = Json.list "split_freq" (Json.item Json.number) j in
+  Ok
+    {
+      mean_leaves;
+      max_depth;
+      depth_histogram = Array.of_list depth_histogram;
+      split_frequencies = Array.of_list split_frequencies;
+    }
 
-let of_json j =
-  let* run = require "run" (str_field j "run") in
-  let* seq = require "seq" (int_field j "seq") in
-  let* kind_name = require "kind" (str_field j "kind") in
+let decode j =
+  let* run = Json.req "run" Json.string j in
+  let* seq = Json.req "seq" Json.int j in
+  let* kind_name = Json.req "kind" Json.string j in
   let* kind =
     match kind_name with
     | "start" ->
-        let* plan = require "plan" (str_field j "plan") in
-        let* strategy = require "strategy" (str_field j "strategy") in
-        let* model = require "model" (str_field j "model") in
-        let* dim = require "dim" (int_field j "dim") in
-        let* pool = require "pool" (int_field j "pool") in
-        let* n_max = require "n_max" (int_field j "n_max") in
+        let* plan = Json.req "plan" Json.string j in
+        let* strategy = Json.req "strategy" Json.string j in
+        let* model = Json.req "model" Json.string j in
+        let* dim = Json.req "dim" Json.int j in
+        let* pool = Json.req "pool" Json.int j in
+        let* n_max = Json.req "n_max" Json.int j in
         Ok (Start { plan; strategy; model; dim; pool; n_max })
     | "select" ->
-        let* iteration = require "iteration" (int_field j "iteration") in
-        let* config = require "config" (str_field j "config") in
-        let* score = require "score" (float_field j "score") in
-        let* revisit = require "revisit" (bool_field j "revisit") in
-        let* config_obs = require "config_obs" (int_field j "config_obs") in
-        let* examples = require "examples" (int_field j "examples") in
-        let* observations =
-          require "observations" (int_field j "observations")
-        in
-        let* cost_s = require "cost_s" (float_field j "cost_s") in
+        let* iteration = Json.req "iteration" Json.int j in
+        let* config = Json.req "config" Json.string j in
+        let* score = Json.req "score" Json.number j in
+        let* revisit = Json.req "revisit" Json.bool j in
+        let* config_obs = Json.req "config_obs" Json.int j in
+        let* examples = Json.req "examples" Json.int j in
+        let* observations = Json.req "observations" Json.int j in
+        let* cost_s = Json.req "cost_s" Json.number j in
         Ok
           (Select
              {
@@ -216,45 +195,35 @@ let of_json j =
                cost_s;
              })
     | "eval" ->
-        let* iteration = require "iteration" (int_field j "iteration") in
-        let* examples = require "examples" (int_field j "examples") in
-        let* observations =
-          require "observations" (int_field j "observations")
-        in
-        let* cost_s = require "cost_s" (float_field j "cost_s") in
-        let* rmse = require "rmse" (float_field j "rmse") in
-        let* ref_variance =
-          require "ref_variance" (float_field j "ref_variance")
-        in
-        let* tree =
-          match Json.member "tree" j with
-          | None | Some Json.Null -> Ok None
-          | Some tj ->
-              let* s = tree_of_json tj in
-              Ok (Some s)
-        in
+        let* iteration = Json.req "iteration" Json.int j in
+        let* examples = Json.req "examples" Json.int j in
+        let* observations = Json.req "observations" Json.int j in
+        let* cost_s = Json.req "cost_s" Json.number j in
+        let* rmse = Json.req "rmse" Json.number j in
+        let* ref_variance = Json.req "ref_variance" Json.number j in
+        let* tree = Json.opt_obj "tree" tree_of_json j in
         Ok
           (Eval
              { iteration; examples; observations; cost_s; rmse; ref_variance;
                tree })
     | "finish" ->
-        let* iterations = require "iterations" (int_field j "iterations") in
-        let* examples = require "examples" (int_field j "examples") in
-        let* observations =
-          require "observations" (int_field j "observations")
-        in
-        let* cost_s = require "cost_s" (float_field j "cost_s") in
-        let* rmse = require "rmse" (float_field j "rmse") in
+        let* iterations = Json.req "iterations" Json.int j in
+        let* examples = Json.req "examples" Json.int j in
+        let* observations = Json.req "observations" Json.int j in
+        let* cost_s = Json.req "cost_s" Json.number j in
+        let* rmse = Json.req "rmse" Json.number j in
         Ok (Finish { iterations; examples; observations; cost_s; rmse })
     | "fault" ->
-        let* config = require "config" (str_field j "config") in
-        let* attempt = require "attempt" (int_field j "attempt") in
-        let* fault = require "fault" (str_field j "fault") in
-        let* lost_s = require "lost_s" (float_field j "lost_s") in
+        let* config = Json.req "config" Json.string j in
+        let* attempt = Json.req "attempt" Json.int j in
+        let* fault = Json.req "fault" Json.string j in
+        let* lost_s = Json.req "lost_s" Json.number j in
         Ok (Fault { config; attempt; fault; lost_s })
-    | other -> Error (Printf.sprintf "learner event: unknown kind %S" other)
+    | other -> Error (Printf.sprintf "unknown kind %S" other)
   in
   Ok { run; seq; kind }
+
+let of_json j = Result.map_error (( ^ ) "learner event: ") (decode j)
 
 (* --- Emission ----------------------------------------------------------- *)
 
@@ -325,7 +294,7 @@ let of_lines lines =
           match Json.of_string line with
           | Error e -> Error (Printf.sprintf "bad line %S: %s" line e)
           | Ok j -> (
-              match str_field j "ev" with
+              match Option.bind (Json.member "ev" j) Json.to_string_opt with
               | Some "learner" -> (
                   match of_json j with
                   | Ok ev -> go manifest (ev :: events) rest

@@ -265,3 +265,56 @@ let to_float_opt = function
 
 let to_string_opt = function String s -> Some s | _ -> None
 let to_bool_opt = function Bool b -> Some b | _ -> None
+
+(* --- Field readers ----------------------------------------------------- *)
+
+type 'a kind = { name : string; read : t -> 'a option }
+
+let string = { name = "string"; read = to_string_opt }
+let int = { name = "integer"; read = to_int_opt }
+let number = { name = "number"; read = to_float_opt }
+let bool = { name = "boolean"; read = to_bool_opt }
+
+let req key kind j =
+  match Option.bind (member key j) kind.read with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing or non-%s %S field" kind.name key)
+
+let opt key kind j =
+  match member key j with
+  | None | Some Null -> Ok None
+  | Some v -> (
+      match kind.read v with
+      | Some x -> Ok (Some x)
+      | None -> Error (Printf.sprintf "non-%s %S field" kind.name key))
+
+let item kind v =
+  match kind.read v with
+  | Some x -> Ok x
+  | None -> Error (Printf.sprintf "non-%s value" kind.name)
+
+let nested key read v = Result.map_error (Printf.sprintf "%s: %s" key) (read v)
+
+let obj key read j =
+  match member key j with
+  | Some (Obj _ as o) -> nested key read o
+  | _ -> Error (Printf.sprintf "missing or non-object %S field" key)
+
+let opt_obj key read j =
+  match member key j with
+  | None | Some Null -> Ok None
+  | Some (Obj _ as o) -> Result.map Option.some (nested key read o)
+  | Some _ -> Error (Printf.sprintf "non-object %S field" key)
+
+let list key read j =
+  match member key j with
+  | Some (List items) ->
+      let rec go i acc = function
+        | [] -> Ok (List.rev acc)
+        | v :: rest -> (
+            match read v with
+            | Ok x -> go (i + 1) (x :: acc) rest
+            | Error e -> Error (Printf.sprintf "%s[%d]: %s" key i e))
+      in
+      go 0 [] items
+  | _ -> Error (Printf.sprintf "missing or non-list %S field" key)

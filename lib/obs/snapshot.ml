@@ -57,23 +57,12 @@ let close w =
 
 let load path =
   if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let records = ref [] in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        try
-          while true do
-            let line = input_line ic in
-            if String.trim line <> "" then
-              match Json.of_string line with
-              | Ok j -> records := j :: !records
-              | Error _ -> ()
-          done
-        with End_of_file -> ());
-    List.rev !records
-  end
+  else
+    List.filter_map
+      (fun line ->
+        if String.trim line = "" then None
+        else Result.to_option (Json.of_string line))
+      (In_channel.with_open_text path In_channel.input_lines)
 
 let load_all path =
   (* Oldest rotation first: path.N for the largest N that exists, down

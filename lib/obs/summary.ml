@@ -172,19 +172,7 @@ let of_lines lines =
   with Bad msg -> Error msg
 
 let of_file path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let lines = ref [] in
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> ());
-        List.rev !lines)
-  with
+  match In_channel.with_open_text path In_channel.input_lines with
   | lines -> of_lines lines
   | exception Sys_error e -> Error e
 

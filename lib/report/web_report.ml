@@ -15,26 +15,14 @@ let empty = { events = []; manifest = None; summary = None; bench = [] }
 
 (* --- Input loading ----------------------------------------------------- *)
 
-let read_lines path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> ());
-      List.rev !lines)
-
 (* A bench file is a flat JSON array (starts with '['); everything else
    is JSONL that can hold learner events, spans and a manifest in any
    mix — each reader picks out its own lines. *)
 let add_file acc path =
   let ( let* ) = Result.bind in
   let* lines =
-    try Ok (read_lines path) with Sys_error e -> Error e
+    try Ok (In_channel.with_open_text path In_channel.input_lines)
+    with Sys_error e -> Error e
   in
   let first_payload =
     List.find_opt (fun l -> String.trim l <> "") lines

@@ -104,53 +104,24 @@ let request_to_json ?id req =
 
 let request_to_line ?id req = Json.to_string (request_to_json ?id req)
 
-let str_field j name =
-  match Option.bind (Json.member name j) Json.to_string_opt with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "missing or non-string %S field" name)
-
-let opt_str_field j name =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok None
-  | Some v -> (
-      match Json.to_string_opt v with
-      | Some s -> Ok (Some s)
-      | None -> Error (Printf.sprintf "non-string %S field" name))
-
-let opt_int_field j name =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok None
-  | Some v -> (
-      match Json.to_int_opt v with
-      | Some i -> Ok (Some i)
-      | None -> Error (Printf.sprintf "non-integer %S field" name))
-
-let opt_float_field j name =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok None
-  | Some v -> (
-      match Json.to_float_opt v with
-      | Some f -> Ok (Some f)
-      | None -> Error (Printf.sprintf "non-number %S field" name))
-
 let ( let* ) = Result.bind
 
 let request_of_json j =
   match j with
   | Json.Obj _ -> (
-      let* id = opt_int_field j "id" in
-      let* kind = str_field j "req" in
+      let* id = Json.opt "id" Json.int j in
+      let* kind = Json.req "req" Json.string j in
       let* req =
         match kind with
         | "open" ->
-            let* o_session = str_field j "session" in
-            let* o_bench = str_field j "bench" in
-            let* scale = opt_str_field j "scale" in
-            let* seed = opt_int_field j "seed" in
-            let* o_fault = opt_str_field j "fault" in
-            let* o_budget = opt_float_field j "budget" in
-            let* o_n_max = opt_int_field j "n_max" in
-            let* o_checkpoint = opt_str_field j "checkpoint" in
+            let* o_session = Json.req "session" Json.string j in
+            let* o_bench = Json.req "bench" Json.string j in
+            let* scale = Json.opt "scale" Json.string j in
+            let* seed = Json.opt "seed" Json.int j in
+            let* o_fault = Json.opt "fault" Json.string j in
+            let* o_budget = Json.opt "budget" Json.number j in
+            let* o_n_max = Json.opt "n_max" Json.int j in
+            let* o_checkpoint = Json.opt "checkpoint" Json.string j in
             Ok
               (Open
                  {
@@ -164,21 +135,21 @@ let request_of_json j =
                    o_checkpoint;
                  })
         | "step" ->
-            let* session = str_field j "session" in
-            let* n = opt_int_field j "iterations" in
+            let* session = Json.req "session" Json.string j in
+            let* n = Json.opt "iterations" Json.int j in
             Ok (Step { session; iterations = Option.value n ~default:1 })
         | "tick" ->
-            let* n = opt_int_field j "iterations" in
+            let* n = Json.opt "iterations" Json.int j in
             Ok (Tick { iterations = Option.value n ~default:1 })
         | "status" ->
-            let* session = str_field j "session" in
+            let* session = Json.req "session" Json.string j in
             Ok (Status { session })
         | "checkpoint" ->
-            let* session = str_field j "session" in
-            let* path = opt_str_field j "path" in
+            let* session = Json.req "session" Json.string j in
+            let* path = Json.opt "path" Json.string j in
             Ok (Checkpoint { session; path })
         | "close" ->
-            let* session = str_field j "session" in
+            let* session = Json.req "session" Json.string j in
             Ok (Close { session })
         | "stats" -> Ok Stats
         | "stats_full" -> Ok Stats_full
@@ -275,23 +246,15 @@ let response_to_json r =
 let response_to_line r = Json.to_string (response_to_json r)
 
 let view_of_json j =
-  let* v_session = str_field j "session" in
-  let* state_s = str_field j "state" in
+  let* v_session = Json.req "session" Json.string j in
+  let* state_s = Json.req "state" Json.string j in
   let* v_state = state_of_string state_s in
-  let* v_position = opt_int_field j "position" in
-  let* v_iteration = opt_int_field j "iteration" in
-  let* v_examples = opt_int_field j "examples" in
-  let* v_observations = opt_int_field j "observations" in
-  let* v_cost_s = opt_float_field j "cost_s" in
-  let* v_rmse = opt_float_field j "rmse" in
-  let req name = function
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing %S field" name)
-  in
-  let* v_iteration = req "iteration" v_iteration in
-  let* v_examples = req "examples" v_examples in
-  let* v_observations = req "observations" v_observations in
-  let* v_cost_s = req "cost_s" v_cost_s in
+  let* v_position = Json.opt "position" Json.int j in
+  let* v_iteration = Json.req "iteration" Json.int j in
+  let* v_examples = Json.req "examples" Json.int j in
+  let* v_observations = Json.req "observations" Json.int j in
+  let* v_cost_s = Json.req "cost_s" Json.number j in
+  let* v_rmse = Json.opt "rmse" Json.number j in
   Ok
     {
       v_session;
@@ -304,52 +267,32 @@ let view_of_json j =
       v_rmse;
     }
 
-let int_field j name =
-  match opt_int_field j name with
-  | Ok (Some i) -> Ok i
-  | Ok None -> Error (Printf.sprintf "missing %S field" name)
-  | Error e -> Error e
-
 let memo_of_json j =
-  let* m_lookups = int_field j "lookups" in
-  let* m_entries = int_field j "entries" in
-  let* m_hits = int_field j "hits" in
-  let* m_shared_keys = int_field j "shared_keys" in
-  let* m_cross_hits = int_field j "cross_hits" in
+  let* m_lookups = Json.req "lookups" Json.int j in
+  let* m_entries = Json.req "entries" Json.int j in
+  let* m_hits = Json.req "hits" Json.int j in
+  let* m_shared_keys = Json.req "shared_keys" Json.int j in
+  let* m_cross_hits = Json.req "cross_hits" Json.int j in
   Ok { m_lookups; m_entries; m_hits; m_shared_keys; m_cross_hits }
 
 let reply_of_json j =
-  let* kind = str_field j "reply" in
+  let* kind = Json.req "reply" Json.string j in
   match kind with
   | "session" ->
       let* v = view_of_json j in
       Ok (R_session v)
-  | "tick" -> (
-      match Json.member "stepped" j with
-      | Some (Json.List items) ->
-          let* vs =
-            List.fold_right
-              (fun item acc ->
-                let* acc = acc in
-                let* v = view_of_json item in
-                Ok (v :: acc))
-              items (Ok [])
-          in
-          Ok (R_tick vs)
-      | _ -> Error "missing or non-list \"stepped\" field")
+  | "tick" ->
+      let* vs = Json.list "stepped" view_of_json j in
+      Ok (R_tick vs)
   | "stats" ->
-      let* s_opened = int_field j "opened" in
-      let* s_live = int_field j "live" in
-      let* s_queued = int_field j "queued" in
-      let* s_done = int_field j "done" in
-      let* s_closed = int_field j "closed" in
-      let* s_max_live = int_field j "max_live" in
-      let* s_max_queue = int_field j "max_queue" in
-      let* s_memo =
-        match Json.member "memo" j with
-        | Some m -> memo_of_json m
-        | None -> Error "missing \"memo\" field"
-      in
+      let* s_opened = Json.req "opened" Json.int j in
+      let* s_live = Json.req "live" Json.int j in
+      let* s_queued = Json.req "queued" Json.int j in
+      let* s_done = Json.req "done" Json.int j in
+      let* s_closed = Json.req "closed" Json.int j in
+      let* s_max_live = Json.req "max_live" Json.int j in
+      let* s_max_queue = Json.req "max_queue" Json.int j in
+      let* s_memo = Json.obj "memo" memo_of_json j in
       Ok
         (R_stats
            {
@@ -367,54 +310,38 @@ let reply_of_json j =
       | Some data -> Ok (R_stats_full data)
       | None -> Error "missing \"data\" field")
   | "prom" ->
-      let* text = str_field j "text" in
+      let* text = Json.req "text" Json.string j in
       Ok (R_prom text)
   | "checkpoint" ->
-      let* session = str_field j "session" in
-      let* path = str_field j "path" in
-      let* iteration = int_field j "iteration" in
+      let* session = Json.req "session" Json.string j in
+      let* path = Json.req "path" Json.string j in
+      let* iteration = Json.req "iteration" Json.int j in
       Ok (R_checkpoint { session; path; iteration })
-  | "close" -> (
-      let* session = str_field j "session" in
-      match Json.member "admitted" j with
-      | Some (Json.List items) ->
-          let* admitted =
-            List.fold_right
-              (fun item acc ->
-                let* acc = acc in
-                match Json.to_string_opt item with
-                | Some s -> Ok (s :: acc)
-                | None -> Error "non-string entry in \"admitted\"")
-              items (Ok [])
-          in
-          Ok (R_close { session; admitted })
-      | _ -> Error "missing or non-list \"admitted\" field")
-  | "shutdown" -> (
-      match Json.member "checkpointed" j with
-      | Some (Json.List items) ->
-          let* checkpointed =
-            List.fold_right
-              (fun item acc ->
-                let* acc = acc in
-                let* s = str_field item "session" in
-                let* p = str_field item "path" in
-                Ok ((s, p) :: acc))
-              items (Ok [])
-          in
-          Ok (R_shutdown { checkpointed })
-      | _ -> Error "missing or non-list \"checkpointed\" field")
+  | "close" ->
+      let* session = Json.req "session" Json.string j in
+      let* admitted = Json.list "admitted" (Json.item Json.string) j in
+      Ok (R_close { session; admitted })
+  | "shutdown" ->
+      let* checkpointed =
+        Json.list "checkpointed"
+          (fun item ->
+            let* s = Json.req "session" Json.string item in
+            let* p = Json.req "path" Json.string item in
+            Ok (s, p))
+          j
+      in
+      Ok (R_shutdown { checkpointed })
   | other -> Error (Printf.sprintf "unknown reply %S" other)
 
 let response_of_line line =
   match Json.of_string line with
   | Error e -> Error ("malformed JSON: " ^ e)
   | Ok j -> (
-      let* r_id = opt_int_field j "id" in
-      match Option.bind (Json.member "ok" j) Json.to_bool_opt with
-      | Some true ->
-          let* reply = reply_of_json j in
-          Ok { r_id; r_result = Ok reply }
-      | Some false ->
-          let* e = str_field j "error" in
-          Ok { r_id; r_result = Error e }
-      | None -> Error "missing or non-boolean \"ok\" field")
+      let* r_id = Json.opt "id" Json.int j in
+      let* ok = Json.req "ok" Json.bool j in
+      if ok then
+        let* reply = reply_of_json j in
+        Ok { r_id; r_result = Ok reply }
+      else
+        let* e = Json.req "error" Json.string j in
+        Ok { r_id; r_result = Error e })

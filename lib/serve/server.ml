@@ -1,8 +1,5 @@
 module Spapt = Altune_spapt.Spapt
-module Kernels = Altune_spapt.Kernels
-module Scale = Altune_experiments.Scale
 module Tune_run = Altune_experiments.Tune_run
-module Fault = Altune_exec.Fault
 module Pool = Altune_exec.Pool
 module Problem = Altune_core.Problem
 module Json = Altune_obs.Json
@@ -222,42 +219,12 @@ let update_gauges t =
 let session_config (p : Protocol.open_params) :
     (Session.config, string) result =
   if String.length p.o_session = 0 then Error "empty session name"
-  else if not (List.mem p.o_bench Kernels.names) then
-    Error
-      (Printf.sprintf "unknown benchmark %S; known: %s" p.o_bench
-         (String.concat ", " Kernels.names))
   else
-    match Scale.of_label p.o_scale with
-    | None -> Error (Printf.sprintf "unknown scale %S" p.o_scale)
-    | Some scale -> (
-        match
-          match p.o_fault with
-          | None -> Ok None
-          | Some s -> (
-              match Fault.of_string s with
-              | Ok sp -> Ok (Some sp)
-              | Error e -> Error ("bad fault spec: " ^ e))
-        with
-        | Error e -> Error e
-        | Ok fault ->
-            let run =
-              {
-                Tune_run.bench = p.o_bench;
-                scale;
-                seed = p.o_seed;
-                fault;
-                n_max = p.o_n_max;
-                budget = p.o_budget;
-              }
-            in
-            Result.map
-              (fun () ->
-                {
-                  Session.name = p.o_session;
-                  run;
-                  checkpoint_path = p.o_checkpoint;
-                })
-              (Tune_run.check run))
+    Result.map
+      (fun run ->
+        { Session.name = p.o_session; run; checkpoint_path = p.o_checkpoint })
+      (Tune_run.spec_of ~bench:p.o_bench ~scale:p.o_scale ~seed:p.o_seed
+         ~fault:p.o_fault ~n_max:p.o_n_max ~budget:p.o_budget)
 
 let handle_open t (p : Protocol.open_params) =
   if Hashtbl.mem t.sessions p.o_session then
