@@ -11,6 +11,7 @@ module Scale = Altune_experiments.Scale
 module Runs = Altune_experiments.Runs
 module Tune_run = Altune_experiments.Tune_run
 module Learner = Altune_core.Learner
+module Checkpoint = Altune_core.Checkpoint
 module Fault = Altune_exec.Fault
 module Rng = Altune_prng.Rng
 module Trace = Altune_obs.Trace
@@ -167,9 +168,18 @@ let benchmarks_term =
     & info [ "benchmarks" ] ~docv:"NAMES"
         ~doc:"Comma-separated benchmark subset (default: all 11).")
 
+(* An unknown name is a usage error, as it is for --scale. *)
+let bench_arg =
+  let parse name =
+    match Drivers.check_benchmarks [ name ] with
+    | () -> Ok name
+    | exception Invalid_argument msg -> Error (`Msg msg)
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
 let bench_term ~default =
   Arg.(
-    value & opt string default
+    value & opt bench_arg default
     & info [ "bench" ] ~docv:"NAME" ~doc:"Benchmark name.")
 
 let check_benchmarks names =
@@ -268,9 +278,15 @@ let show_cmd name doc =
       const (fun bench config raw ->
           let b = Spapt.create bench in
           let kernel =
-            match config with
+            match Option.map Array.of_list config with
             | None -> Spapt.kernel b
-            | Some c -> Spapt.transformed b (Array.of_list c)
+            | Some c when Spapt.config_valid b c -> Spapt.transformed b c
+            | Some _ ->
+                Printf.eprintf
+                  "show: --config is not a configuration of %s: it takes %d \
+                   values, each within its knob's range\n"
+                  bench (Spapt.dim b);
+                Stdlib.exit 2
           in
           let kernel =
             if raw then kernel
@@ -571,6 +587,10 @@ let tune_cmd name doc =
           @@ with_obs ~command:"tune" ~trace ~events ~metrics
                ~scale_label:scale.Scale.label ~seed
           @@ fun events ->
+          (* Learn that the checkpoint cannot be written before the
+             dataset is built, not at the first pause. *)
+          Result.bind (Option.fold ~none:(Ok ()) ~some:Checkpoint.probe ckpt)
+          @@ fun () ->
           let b = Spapt.create bench in
           let run =
             Tune_run.start ?events ~pool:(Runs.pool ()) b

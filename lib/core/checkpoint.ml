@@ -105,11 +105,22 @@ let to_json ~meta state =
       ("state", state_to_json state);
     ]
 
+let tmp_path path = path ^ ".tmp"
+let write_error e = Error ("cannot write checkpoint: " ^ e)
+
+let probe path =
+  let tmp = tmp_path path in
+  try
+    close_out (open_out tmp);
+    Sys.remove tmp;
+    Ok ()
+  with Sys_error e -> write_error e
+
 let save ~path ~meta state =
   (* Write-then-rename: a checkpoint interrupted mid-write must never
      replace a good one with a torn file, and a failed write leaves no
      temporary file behind. *)
-  let tmp = path ^ ".tmp" in
+  let tmp = tmp_path path in
   try
     let oc = open_out tmp in
     (try
@@ -122,7 +133,7 @@ let save ~path ~meta state =
        (try Sys.remove tmp with Sys_error _ -> ());
        raise e);
     Ok ()
-  with Sys_error e -> Error ("cannot write checkpoint: " ^ e)
+  with Sys_error e -> write_error e
 
 (* --- Decoding ----------------------------------------------------------- *)
 

@@ -36,6 +36,11 @@ val save : path:string -> meta:meta -> Learner.state -> (unit, string) result
 (** Atomically (re)write the checkpoint file.  A failed open, write or
     rename is an [Error] that leaves no temporary file. *)
 
+val probe : string -> (unit, string) result
+(** [probe path] creates and removes the temporary file {!save} writes
+    first, so a run learns that its checkpoint cannot be written before
+    it does any work; its [Error] is the one {!save} would return. *)
+
 val load : string -> (meta * Learner.state, string) result
 (** Parse a checkpoint file; rejects unknown versions.  Files that still
     carry the retired [every] field load unchanged. *)
