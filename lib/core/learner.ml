@@ -530,17 +530,6 @@ let start_run ?fault ?resume ?exec_pool ?events (problem : Problem.t)
             !acc /. float_of_int (Array.length refs)
           end
         in
-        let tree =
-          Option.map
-            (fun (s : Surrogate.tree_stats) ->
-              {
-                Events.mean_leaves = s.mean_leaves;
-                max_depth = s.max_depth;
-                depth_histogram = s.depth_histogram;
-                split_frequencies = s.split_frequencies;
-              })
-            (Surrogate.tree_stats model)
-        in
         Events.emit ev
           (Eval
              {
@@ -550,7 +539,7 @@ let start_run ?fault ?resume ?exec_pool ?events (problem : Problem.t)
                cost_s = Cost.total_seconds cost;
                rmse = err;
                ref_variance;
-               tree;
+               tree = Surrogate.tree_stats model;
              }));
     curve :=
       {

@@ -3,7 +3,7 @@ module Leaf_model = Altune_dynatree.Leaf_model
 
 type prediction = { mean : float; variance : float }
 
-type tree_stats = {
+type tree_stats = Altune_obs.Events.tree_stats = {
   mean_leaves : float;
   max_depth : int;
   depth_histogram : int array;

@@ -10,7 +10,7 @@
 
 type prediction = { mean : float; variance : float }
 
-type tree_stats = {
+type tree_stats = Altune_obs.Events.tree_stats = {
   mean_leaves : float;
   max_depth : int;
   depth_histogram : int array;  (** Index = depth, value = particles. *)
@@ -18,6 +18,8 @@ type tree_stats = {
       (** Per-dimension share of posterior splits — the sensitivity proxy
           surfaced by learner events (see {!Altune_dynatree.Dynatree.stats}). *)
 }
+(** The learner event's record, so a model's stats go into an [eval]
+    event as they are. *)
 
 module type S = sig
   type t

@@ -93,7 +93,8 @@ let systematic_resample rng particles weights out =
       incr j;
       cum := !cum +. weights.(!j)
     done;
-    out.(k) <- Tree.copy particles.(!j)
+    (* Particles share immutable node structure: no copy is needed. *)
+    out.(k) <- particles.(!j)
   done
 
 (* Split [0..n-1] into contiguous chunks for slot-indexed parallel fills.

@@ -141,8 +141,6 @@ let singleton params store indices =
       { n_leaves = 1; depth = 0; split_counts = Array.make store.dim 0 };
   }
 
-let copy t = t
-
 let p_split params depth =
   params.alpha *. ((1.0 +. float_of_int depth) ** -.params.beta)
 

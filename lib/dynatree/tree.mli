@@ -65,9 +65,6 @@ val default_params : params
 val singleton : params -> store -> int list -> t
 (** A root-leaf tree over the given observation indices. *)
 
-val copy : t -> t
-(** Particles share immutable node structure; copy is O(1). *)
-
 val log_predictive : t -> float array -> float -> float
 (** [log p(y | x, tree)] — the particle weight factor for resampling. *)
 

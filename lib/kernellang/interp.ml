@@ -185,8 +185,6 @@ let read_scalar env name =
   | Some v -> v
   | None -> error "unknown scalar %s" name
 
-let eval_int_expr env e = as_int (eval env e)
-
 let run_kernel ?param_overrides ?array_init (kernel : Ast.kernel) =
   let env = init ?param_overrides ?array_init kernel in
   run env kernel;

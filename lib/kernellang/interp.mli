@@ -41,11 +41,6 @@ val read_scalar : env -> string -> float
 val param : env -> string -> int
 (** Value of a problem-size parameter. *)
 
-val eval_int_expr : env -> Ast.expr -> int
-(** Evaluate an index-typed expression in the current environment (loop
-    indices visible only during {!run}; intended for bounds made of
-    parameters and literals). *)
-
 val array_extent : env -> string -> int
 (** Total flattened element count of an array (for address-space
     layout). *)

@@ -80,13 +80,6 @@ let hierarchy_access h address =
 let hierarchy_stats h =
   { accesses = h.accesses; l1_misses = h.l1_misses; l2_misses = h.l2_misses }
 
-let hierarchy_reset h =
-  cache_reset h.l1;
-  cache_reset h.l2;
-  h.accesses <- 0;
-  h.l1_misses <- 0;
-  h.l2_misses <- 0
-
 (* Array element size: every kernel array holds doubles. *)
 let element_bytes = 8
 

@@ -42,7 +42,6 @@ val create_hierarchy :
 
 val hierarchy_access : hierarchy -> int -> unit
 val hierarchy_stats : hierarchy -> stats
-val hierarchy_reset : hierarchy -> unit
 
 val simulate_kernel :
   ?param_overrides:(string * int) list ->

@@ -31,26 +31,6 @@ let create channels =
 
 let channels t = t.channels
 
-let quiet = create [ Gaussian_rel 0.002 ]
-
-let standard =
-  create
-    [
-      Gaussian_rel 0.01;
-      Burst { probability = 0.02; mu = -2.5; sigma = 0.8 };
-      Layout { buckets = 8; amplitude = 0.02 };
-      Drift { period = 200.0; amplitude = 0.01 };
-    ]
-
-let noisy =
-  create
-    [
-      Gaussian_rel 0.05;
-      Burst { probability = 0.15; mu = -1.2; sigma = 1.0 };
-      Layout { buckets = 16; amplitude = 0.06 };
-      Drift { period = 80.0; amplitude = 0.04 };
-    ]
-
 let scale_gaussian t f =
   {
     channels =

@@ -32,16 +32,6 @@ type t
 
 val create : channel list -> t
 
-val quiet : t
-(** Near-noiseless environment: 0.2% Gaussian only. *)
-
-val standard : t
-(** The default stack: 1% Gaussian, occasional bursts, 8 layout buckets at
-    ±2%, slow 1% drift — a lightly loaded desktop. *)
-
-val noisy : t
-(** A heavily loaded multi-user machine: bigger everything. *)
-
 val scale_gaussian : t -> float -> t
 (** [scale_gaussian t f] multiplies the relative Gaussian components by
     [f] — the per-configuration heteroskedasticity hook. *)

@@ -4,6 +4,30 @@ module Noise = Altune_noise.Noise
 module Rng = Altune_prng.Rng
 module Welford = Altune_stats.Welford
 
+(* Three fixture stacks.  Near-noiseless: 0.2% Gaussian only. *)
+let quiet = Noise.create [ Noise.Gaussian_rel 0.002 ]
+
+(* 1% Gaussian, occasional bursts, 8 layout buckets at ±2%, slow 1%
+   drift: a lightly loaded desktop. *)
+let standard =
+  Noise.create
+    [
+      Noise.Gaussian_rel 0.01;
+      Noise.Burst { probability = 0.02; mu = -2.5; sigma = 0.8 };
+      Noise.Layout { buckets = 8; amplitude = 0.02 };
+      Noise.Drift { period = 200.0; amplitude = 0.01 };
+    ]
+
+(* A heavily loaded multi-user machine: bigger everything. *)
+let noisy =
+  Noise.create
+    [
+      Noise.Gaussian_rel 0.05;
+      Noise.Burst { probability = 0.15; mu = -1.2; sigma = 1.0 };
+      Noise.Layout { buckets = 16; amplitude = 0.06 };
+      Noise.Drift { period = 80.0; amplitude = 0.04 };
+    ]
+
 let sample_stats ?(n = 20_000) model ~true_value =
   let rng = Rng.create ~seed:9 in
   let acc = ref Welford.empty in
@@ -21,7 +45,7 @@ let test_positive () =
         let y = Noise.sample model ~rng ~run_index ~true_value:2.0 in
         if y <= 0.0 then Alcotest.failf "non-positive sample %g" y
       done)
-    [ Noise.quiet; Noise.standard; Noise.noisy ]
+    [ quiet; standard; noisy ]
 
 let test_gaussian_moments () =
   let model = Noise.create [ Noise.Gaussian_rel 0.05 ] in
@@ -30,7 +54,7 @@ let test_gaussian_moments () =
   Alcotest.(check (float 0.02)) "std = 5% of value" 0.5 (Welford.std s)
 
 let test_unbiased_when_quiet () =
-  let s = sample_stats Noise.quiet ~true_value:1.0 in
+  let s = sample_stats quiet ~true_value:1.0 in
   Alcotest.(check (float 0.001)) "mean ~ true" 1.0 (Welford.mean s)
 
 let test_burst_right_tail () =
@@ -75,7 +99,7 @@ let test_scale_gaussian () =
   let s = sample_stats scaled ~true_value:1.0 in
   Alcotest.(check (float 0.005)) "sigma scaled" 0.05 (Welford.std s);
   (* Non-Gaussian channels are untouched. *)
-  match Noise.channels (Noise.scale_gaussian Noise.standard 2.0) with
+  match Noise.channels (Noise.scale_gaussian standard 2.0) with
   | channels ->
       let bursts =
         List.filter (function Noise.Burst _ -> true | _ -> false) channels
@@ -101,7 +125,7 @@ let prop_sample_positive =
     QCheck.(pair small_int (float_range 1e-6 100.0))
     (fun (seed, true_value) ->
       let rng = Rng.create ~seed in
-      let y = Noise.sample Noise.noisy ~rng ~run_index:1 ~true_value in
+      let y = Noise.sample noisy ~rng ~run_index:1 ~true_value in
       y > 0.0)
 
 let () =

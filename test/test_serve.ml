@@ -12,6 +12,7 @@ module Json = Altune_obs.Json
 module Metrics = Altune_obs.Metrics
 module Events = Altune_obs.Events
 module Learner = Altune_core.Learner
+module Checkpoint = Altune_core.Checkpoint
 module Spapt = Altune_spapt.Spapt
 module Scale = Altune_experiments.Scale
 module Adapter = Altune_experiments.Adapter
@@ -1000,6 +1001,140 @@ let test_checkpoint_write_fails () =
   Sys.remove good;
   Unix.rmdir dir
 
+(* --- Readers never raise ---------------------------------------------------- *)
+
+(* Keys and values of the real documents, so that random values often
+   get past the first field a decoder reads. *)
+let vocab =
+  [ "req"; "open"; "tick"; "session"; "bench"; "hessian"; "id"; "ok"; "reply";
+    "stepped"; "error"; "version"; "state"; "cost"; "obs"; "run"; "seq";
+    "kind"; "eval"; "tree"; "0000000000000000" ]
+
+(* A JSON value at most four levels deep. *)
+let json_gen =
+  let open QCheck.Gen in
+  let word = oneof [ oneofl vocab; string_size ~gen:printable (int_bound 6) ] in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) (oneof [ small_signed_int; int ]);
+        map (fun f -> Json.Float f) float;
+        map (fun s -> Json.String s) word;
+      ]
+  in
+  fix
+    (fun self depth ->
+      if depth = 0 then leaf
+      else
+        let sub g = list_size (int_bound 4) g in
+        let inner = self (depth - 1) in
+        frequency
+          [
+            (2, leaf);
+            (1, map (fun l -> Json.List l) (sub inner));
+            (1, map (fun kvs -> Json.Obj kvs) (sub (pair word inner)));
+          ])
+    4
+
+(* Every decoder of outside input, on one value. *)
+let decode_all j =
+  ignore (Checkpoint.of_json j);
+  ignore (Events.of_json j);
+  ignore (Protocol.request_of_json j);
+  ignore (Protocol.response_of_line (Json.to_string j));
+  true
+
+let prop_random_values_decode =
+  QCheck.Test.make ~name:"decoders never raise on random values" ~count:500
+    (QCheck.make ~print:Json.to_string json_gen)
+    decode_all
+
+(* The values inside [v], each as its path of member or element
+   indices from the root. *)
+let rec paths v =
+  let children =
+    match v with
+    | Json.Obj kvs -> List.map snd kvs
+    | Json.List ws -> ws
+    | _ -> []
+  in
+  List.concat
+    (List.mapi (fun i w -> [ i ] :: List.map (List.cons i) (paths w)) children)
+
+(* [v] with the value at [path] replaced by [x]. *)
+let rec mutate path x v =
+  match (path, v) with
+  | i :: rest, Json.Obj kvs ->
+      Json.Obj
+        (List.mapi
+           (fun j (k, w) -> (k, if j = i then mutate rest x w else w))
+           kvs)
+  | i :: rest, Json.List ws ->
+      Json.List (List.mapi (fun j w -> if j = i then mutate rest x w else w) ws)
+  | _ -> x
+
+(* Valid documents of each kind the decoders read: a checkpoint, one
+   learner event of each kind, every sample request and response. *)
+let valid_documents =
+  lazy
+    (let checkpoint =
+       with_ck_file (fun path ->
+           let run =
+             Tune_run.start ~pool:(Lazy.force pool1) (Spapt.create "hessian")
+               { faulty_spec with budget = Some 900.0 }
+           in
+           ignore (Tune_run.step run ~iterations:6);
+           ignore (ok (Tune_run.save run ~path));
+           match
+             Json.of_string (In_channel.with_open_bin path In_channel.input_all)
+           with
+           | Ok j -> j
+           | Error e -> Alcotest.fail e)
+     in
+     let (), lines =
+       Events.with_memory (fun sink ->
+           ignore
+             (to_end
+                (Tune_run.start ~events:sink ~pool:(Lazy.force pool1)
+                   (Spapt.create "hessian") faulty_spec)))
+     in
+     let events =
+       List.filter_map
+         (fun line -> Result.to_option (Json.of_string line))
+         lines
+     in
+     let kind j = Json.member "kind" j in
+     let first_of_kind =
+       List.fold_left
+         (fun seen j ->
+           if List.exists (fun e -> kind e = kind j) seen then seen
+           else j :: seen)
+         [] events
+     in
+     let with_paths docs =
+       Array.of_list (List.map (fun d -> (d, Array.of_list (paths d))) docs)
+     in
+     Array.map with_paths
+       [|
+         [ checkpoint ];
+         first_of_kind;
+         List.map Protocol.request_to_json sample_requests;
+         List.map Protocol.response_to_json sample_responses;
+       |])
+
+let prop_mutated_documents_decode =
+  QCheck.Test.make
+    ~name:"decoders never raise on a document with one field replaced"
+    ~count:1000
+    QCheck.(triple small_nat pos_int (make ~print:Json.to_string json_gen))
+    (fun (doc, field, x) ->
+      let docs = Lazy.force valid_documents in
+      let kind = docs.(doc mod Array.length docs) in
+      let d, paths = kind.(doc / Array.length docs mod Array.length kind) in
+      decode_all (mutate paths.(field mod Array.length paths) x d))
+
 (* --- Failure ledger ------------------------------------------------------ *)
 
 let read_lines path =
@@ -1247,6 +1382,8 @@ let () =
             test_response_roundtrip;
           Alcotest.test_case "malformed lines become error replies" `Quick
             test_malformed_lines;
+          QCheck_alcotest.to_alcotest prop_random_values_decode;
+          QCheck_alcotest.to_alcotest prop_mutated_documents_decode;
         ] );
       ( "sessions",
         [
