@@ -43,7 +43,15 @@ val probe : string -> (unit, string) result
 
 val load : string -> (meta * Learner.state, string) result
 (** Parse a checkpoint file; rejects unknown versions.  Files that still
-    carry the retired [every] field load unchanged. *)
+    carry the retired [every] field load unchanged.  A file that cannot
+    be read is its [Sys_error] message; one that is not JSON, the
+    parser's; otherwise {!of_json}'s. *)
 
 val to_json : meta:meta -> Learner.state -> Altune_obs.Json.t
+
 val of_json : Altune_obs.Json.t -> (meta * Learner.state, string) result
+(** Decode through {!Altune_obs.Json}'s field readers.  Every error
+    starts ["checkpoint: "] and names the field with its enclosing keys,
+    e.g. [checkpoint: state: missing or non-integer "iteration" field]
+    or [checkpoint: state: obs[3]: missing or non-hex-float "sum" field];
+    floats are [hex-float] fields and RNG words [hex] fields. *)

@@ -126,6 +126,9 @@ val with_memory : (sink -> 'a) -> 'a * string list
 
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
+(** Decode one learner event through {!Json}'s field readers.  Every
+    error starts ["learner event: "] and names the field, e.g.
+    [learner event: tree: missing or non-number "mean_leaves" field]. *)
 
 type file = { manifest : Manifest.t option; events : t list }
 

@@ -106,6 +106,12 @@ val request_to_line : ?id:int -> request -> string
 
 val request_of_json :
   Altune_obs.Json.t -> (int option * request, string) result
+(** Decode a request through {!Altune_obs.Json}'s field readers: a
+    missing or mistyped field is [missing or non-string "session" field]
+    when required and [non-integer "iterations" field] when optional;
+    other errors are [request must be a JSON object] and
+    [unknown request "<req>"].  These texts are the server's error
+    replies, and clients may match on them. *)
 
 val request_of_line :
   string -> (int option * request, int option * string) result
@@ -115,3 +121,6 @@ val request_of_line :
 val response_to_json : response -> Altune_obs.Json.t
 val response_to_line : response -> string
 val response_of_line : string -> (response, string) result
+(** Decode a response line; errors take the same form as
+    {!request_of_json}'s, a list element's prefixed with its key and
+    index ([stepped[2]: missing or non-integer "iteration" field]). *)

@@ -286,6 +286,34 @@ let test_malformed_lines () =
       Alcotest.(check bool) "reply is an error" true
         (Result.is_error r.Protocol.r_result)
 
+(* Serve's open refusals are wire texts clients may match on: each is
+   pinned, and when several checks fail the first one's text is sent. *)
+let test_open_refusals () =
+  let known =
+    "adi, atax, bicgkernel, correlation, dgemv3, gemver, hessian, jacobi, \
+     lu, mm, mvt"
+  in
+  let s = server () in
+  List.iter
+    (fun (fields, expected) ->
+      let line = "{\"req\":\"open\"," ^ fields ^ "}" in
+      Alcotest.(check string) fields
+        (Printf.sprintf {|{"ok":false,"error":%s}|}
+           (Json.to_string (Json.String expected)))
+        (Server.handle_line s line))
+    [
+      ({|"session":"","bench":"nosuch"|}, "empty session name");
+      ( {|"session":"a","bench":"nosuch","scale":"huge"|},
+        "unknown benchmark \"nosuch\"; known: " ^ known );
+      ({|"session":"a","bench":"lu","scale":"huge"|}, "unknown scale \"huge\"");
+      ( {|"session":"a","bench":"lu","fault":"bogus","n_max":0|},
+        "bad fault spec: fault spec: expected key=value, got \"bogus\"" );
+      ( {|"session":"a","bench":"lu","fault":"crash=2"|},
+        "bad fault spec: fault spec: crash: probability out of [0,1]: 2" );
+      ({|"session":"a","bench":"lu","n_max":0|}, "budget and n_max must be positive");
+      ({|"session":"a","bench":"lu","budget":0|}, "budget and n_max must be positive");
+    ]
+
 (* --- Session lifecycle ------------------------------------------------- *)
 
 let test_lifecycle () =
@@ -1382,6 +1410,8 @@ let () =
             test_response_roundtrip;
           Alcotest.test_case "malformed lines become error replies" `Quick
             test_malformed_lines;
+          Alcotest.test_case "open refusals keep their texts" `Quick
+            test_open_refusals;
           QCheck_alcotest.to_alcotest prop_random_values_decode;
           QCheck_alcotest.to_alcotest prop_mutated_documents_decode;
         ] );
