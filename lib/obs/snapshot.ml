@@ -58,10 +58,9 @@ let close w =
 let load path =
   if not (Sys.file_exists path) then []
   else
+    (* A blank or torn line does not parse and is skipped. *)
     List.filter_map
-      (fun line ->
-        if String.trim line = "" then None
-        else Result.to_option (Json.of_string line))
+      (fun line -> Result.to_option (Json.of_string line))
       (In_channel.with_open_text path In_channel.input_lines)
 
 let load_all path =
